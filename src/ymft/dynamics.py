@@ -35,9 +35,9 @@ from .forms import (COMPS, CONVENTION, LieForm, MinkowskiConvention,
 from .jets import JetRing, JetScalar, NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
-                        b_transpose_pairing, compute_strengths,
+                        b_transpose_pairing, compute_strengths, stack_pair,
                         substitution_residual_massless,
-                        substitution_residual_massive)
+                        substitution_residual_massive, unstack_pair)
 
 LINEAR = "linear-abelian"
 GENERAL = "general-parity-even"
@@ -177,31 +177,11 @@ def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
                 + _pair4(s_form, h_form.hodge(conv), ds.gb)
                 - _pair4(s_form, s_form.hodge(conv), ds.gb).scale(0.5))
 
-    strengths = strengths or _strengths_from_slots(variant, config, conv,
-                                                   d_a, d_b)
+    strengths = strengths or compute_strengths(
+        config, ds, conv, curl=variant.curl, d_a=d_a, d_b=d_b)
     return (_pair4(strengths.starP, strengths.F, ds.ga).scale(0.5)
             + _pair4(strengths.starQ, strengths.H, ds.gb).scale(0.5)
             + strengths.F.wedge(b_form, mass[None]))
-
-
-def _strengths_from_slots(variant, config, conv, d_a, d_b) -> StrengthPair:
-    """compute_strengths with explicit derivative slots."""
-    from .strengths import (assemble_Y, epsilon_dual, invert_Y, stack_pair,
-                            unstack_pair)
-    ds = variant.ds
-    f_form = d_a + config.A.wedge(config.A, ds.a).scale(0.5)
-    h_form = d_b
-    if variant.curl == "covariant":
-        h_form = h_form + config.A.wedge(config.B, ds.j)
-    yop = assemble_Y(config, ds, conv)
-    yinv = invert_Y(yop)
-    vec = yinv.apply(stack_pair(f_form, h_form))
-    order = min(f_form.order, h_form.order)
-    p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
-                                  ds.space_b.dim, vec, order)
-    return StrengthPair(p_form, q_form, epsilon_dual(p_form, "2form", conv),
-                        epsilon_dual(q_form, "3form", conv), f_form, h_form,
-                        yop, yinv)
 
 
 def lagrangian(variant: TheoryVariant, config: FieldConfig,
@@ -257,8 +237,8 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
         e_b = (star_h - star_s).d()
         return e_a, e_b
 
-    strengths = strengths or _strengths_from_slots(variant, config, conv,
-                                                   d_a, d_b)
+    strengths = strengths or compute_strengths(
+        config, ds, conv, curl=variant.curl, d_a=d_a, d_b=d_b)
     p_form, q_form = strengths.P, strengths.Q
     star_p, star_q = strengths.starP, strengths.starQ
     ma, mb = ds.mass.map_a, ds.mass.map_b
@@ -609,7 +589,6 @@ def strength_remainder(variant: TheoryVariant, config: FieldConfig,
     variation of (P, Q) is this remainder plus, for massless sets, the
     homogeneous internal rotations.
     """
-    from .strengths import stack_pair, unstack_pair
     ds = variant.ds
     src_p = e_b.wedge(gp.xi, ds.b)
     src_q = (e_a.wedge(gp.xi, b_transpose_pairing(ds)).scale(-1.0)
@@ -1017,7 +996,6 @@ def check_strength_transformation(variant: TheoryVariant, seeds,
         return _collect("strength-transformation", rows, tol, seeds)
 
     ds = variant.ds
-    from .strengths import stack_pair, unstack_pair
     for seed in seeds:
         config, strengths = _prepare(variant, seed, degree, amplitude, conv)
         gp = GaugeParam(*random_gauge_params(seed + 77, amplitude, degree,
@@ -1033,8 +1011,6 @@ def check_strength_transformation(variant: TheoryVariant, seeds,
                                         curl=variant.curl)
             delta_p = direction_part(sp_dual.P, base)
             delta_q = direction_part(sp_dual.Q, base)
-            zero2 = LieForm.zero(base, 2, ds.space_a.dim)
-            zero3 = LieForm.zero(base, 3, ds.space_b.dim)
             if which == "xi":
                 # homogeneous rotation a(P, xi) - (b m)(P, xi): the mass
                 # correction cancels the rotation exactly on the massive
@@ -1048,17 +1024,15 @@ def check_strength_transformation(variant: TheoryVariant, seeds,
                 rot_q = (strengths.Q.wedge(gp.xi, ds.j.transpose(0, 2, 1))
                          .scale(-1.0)
                          + strengths.Q.wedge(gp.xi, k_m))
-                src_p = e_b.wedge(gp.xi, ds.b)
-                src_q = (e_a.wedge(gp.xi, b_transpose_pairing(ds))
-                         .scale(-1.0))
+                gp_one = GaugeParam(gp.xi, LieForm.zero(base, 1,
+                                                        ds.space_b.dim))
             else:
-                rot_p, rot_q = zero2, zero3
-                src_p = zero2
-                src_q = e_b.wedge(gp.chi, ds.k)
-            remainder = strengths.y_inv.apply(stack_pair(src_p, src_q))
-            rem_p, rem_q = unstack_pair(base, ds.space_a.dim,
-                                        ds.space_b.dim, remainder,
-                                        min(src_p.order, src_q.order))
+                rot_p = LieForm.zero(base, 2, ds.space_a.dim)
+                rot_q = LieForm.zero(base, 3, ds.space_b.dim)
+                gp_one = GaugeParam(LieForm.zero(base, 0, ds.space_a.dim),
+                                    gp.chi)
+            rem_p, rem_q = strength_remainder(variant, config, strengths,
+                                              gp_one, e_a, e_b, conv)
             rows[f"transform-{which}-P"] = max(
                 rows[f"transform-{which}-P"],
                 (delta_p - rot_p - rem_p).max_abs())

@@ -19,7 +19,12 @@ Two layers live here:
   arbitrary jet pipelines.
 
 Coefficients are stored densely in graded lexicographic monomial order, and
-truncated multiplication runs through a precomputed index-pair table.
+truncated multiplication runs through a precomputed index-pair table.  The
+same table grouped by output monomial turns a product of ring-valued
+matrices into one dense real matmul per monomial (Taylor propagation in the
+sense of Griewank & Walther, *Evaluating Derivatives*, ch. 13); extended
+rings expose the nonzero products of their blocks as a block-pair table so
+that the matrix product runs the base kernel once per block pair.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ class JetAlgebra:
         scatter = np.zeros((len(kk), self.n_terms))
         scatter[np.arange(len(kk)), kk] = 1.0
         self.scatter = scatter
+        # the same pairs grouped by output monomial: (I_k, J_k) per k
+        kk = np.array(kk)
+        self.pair_groups = [(self.pair_i[kk == k], self.pair_j[kk == k])
+                            for k in range(self.n_terms)]
 
         # d/dx^mu as a matrix acting on coefficient vectors (right-multiply).
         self.deriv = []
@@ -83,6 +92,21 @@ class JetAlgebra:
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[..., self.pair_i] * b[..., self.pair_j]) @ self.scatter
+
+    def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, K, n) x (K, M, n) -> (N, M, n): jet-valued matrix product.
+
+        Output monomial k collects the pairs (I_k, J_k) and the inner index
+        in one real matmul of shape (N, K r_k) @ (K r_k, M).
+        """
+        n, k, _ = a.shape
+        m = b.shape[1]
+        bt = b.transpose(0, 2, 1)
+        out = np.empty((n, m, self.n_terms))
+        for t, (ik, jk) in enumerate(self.pair_groups):
+            out[:, :, t] = (a[:, :, ik].reshape(n, -1)
+                            @ bt[:, jk].reshape(-1, m))
+        return out
 
     def diff_coeffs(self, a: np.ndarray, mu: int) -> np.ndarray:
         return a @ self.deriv[mu]
@@ -203,6 +227,9 @@ class JetRing:
         self.degree = degree
         self.width = self.algebra.n_terms
         self.blocks = 1  # nilpotent blocks, incl. the base block
+        self.base_width = self.width
+        # nonzero block products (left block, right block, output block)
+        self.block_pairs = ((0, 0, 0),)
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(tuple(shape) + (self.width,))
@@ -250,6 +277,9 @@ class NilpotentExtension(JetRing):
         self.blocks = directions + 1
         self.base_width = self.base.width
         self.width = self.blocks * self.base_width
+        self.block_pairs = ((0, 0, 0),) + tuple(
+            pair for d in range(1, self.blocks)
+            for pair in ((0, d, d), (d, 0, d)))
 
     def _split(self, x):
         xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
@@ -312,6 +342,8 @@ class EpsilonTower(JetRing):
         self.blocks = order + 1
         self.base_width = self.base.width
         self.width = self.blocks * self.base_width
+        self.block_pairs = tuple((i, j, i + j) for i in range(self.blocks)
+                                 for j in range(self.blocks - i))
 
     def _blocks(self, x):
         return x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
@@ -319,10 +351,8 @@ class EpsilonTower(JetRing):
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         xs, ys = self._blocks(x), self._blocks(y)
         out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
-        for i in range(self.blocks):
-            for j in range(self.blocks - i):
-                out[..., i + j, :] += self.base.mul(xs[..., i, :],
-                                                    ys[..., j, :])
+        for i, j, o in self.block_pairs:
+            out[..., o, :] += self.base.mul(xs[..., i, :], ys[..., j, :])
         return out.reshape(out.shape[:-2] + (self.width,))
 
     def diff(self, x: np.ndarray, mu: int) -> np.ndarray:

@@ -11,11 +11,12 @@ uniform scalar configurations with known enclosed charges.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import SIGNATURE, LieForm, COMPS
+from .forms import SIGNATURE, LieForm, COMPS, _perm_sign
 from .jets import JetScalar, jet_algebra
 from .strengths import StrengthPair
 
@@ -28,22 +29,11 @@ def _form_tensor(form: LieForm) -> np.ndarray:
     shape = (form.n,) + (4,) * form.p + (form.ring.width,)
     out = np.zeros(shape)
     for comp_idx, comp in enumerate(COMPS[form.p]):
-        import itertools
         for perm in itertools.permutations(range(form.p)):
-            sign = _perm_sign_list(perm)
+            sign = _perm_sign(perm)
             idx = tuple(comp[p] for p in perm)
             out[(slice(None),) + idx] = sign * form.comps[:, comp_idx]
     return out
-
-
-def _perm_sign_list(perm) -> float:
-    sign = 1.0
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 @dataclass
@@ -320,9 +310,8 @@ def uniform_scalar_sampler(s: float = 1.0):
 
 def _alternating3(u, v, w) -> np.ndarray:
     out = np.zeros((4, 4, 4))
-    import itertools
     for perm in itertools.permutations(range(3)):
-        sign = _perm_sign_list(perm)
+        sign = _perm_sign(perm)
         vecs = [u, v, w]
         out += sign * np.einsum("i,j,k->ijk", vecs[perm[0]], vecs[perm[1]],
                                 vecs[perm[2]])

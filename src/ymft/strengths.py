@@ -8,11 +8,17 @@ The pair (P, Q) of nonlinear field strengths is defined implicitly by
 with F = dA + (1/2) a(A, A) and H = dB (+ j(A, B) in the covariant-curl
 variants).  Stacking the component functions of an (A-valued 2-form,
 A'-valued 3-form) pair into a vector of length 6n + 4n' turns the left side
-into a square matrix Y = 1 + (terms linear in A, B) over the jet ring, which
-is inverted order by order: LU on the constant coefficients, then a finite
-Neumann recursion that terminates at the truncation degree.  Invertibility
-of the constant block is exactly the det(Y) != 0 restriction on admissible
-field configurations.
+into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
+
+Y - 1 is assembled in closed form: each coupling block is the pairing
+tensor (b^T, b or k) contracted with a constant dual-then-wedge sign tensor
+and with the coefficient arrays of A or B, elementwise over the whole ring
+width, so assembly makes no jet products and works over every ring.  Y is
+inverted order by order: LU on the constant coefficients, then a finite
+Neumann recursion that terminates at the truncation degree, whose
+ring-valued matrix products run one real matmul per output monomial and
+per nonzero block pair of the ring.  Invertibility of the constant block is
+exactly the det(Y) != 0 restriction on admissible field configurations.
 """
 
 from __future__ import annotations
@@ -85,22 +91,29 @@ def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
 # ring-valued linear algebra
 
 
-def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring."""
+def _ring_product(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, K, w) x (K, M, w) -> (N, M, w), one base kernel per block pair."""
     n, k, _ = a.shape
     m = b.shape[1]
-    out = np.zeros((n, m, ring.width))
-    for l in range(k):
-        out += ring.mul(a[:, l, None, :], b[None, l, :, :])
-    return out
+    width = ring.base_width
+    a_blocks = a.reshape(n, k, ring.blocks, width)
+    b_blocks = b.reshape(k, m, ring.blocks, width)
+    out = np.zeros((n, m, ring.blocks, width))
+    for i, j, o in ring.block_pairs:
+        x, y = a_blocks[:, :, i], b_blocks[:, :, j]
+        if x.any() and y.any():
+            out[:, :, o] += ring.algebra.matmul_coeffs(x, y)
+    return out.reshape(n, m, ring.width)
+
+
+def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring."""
+    return _ring_product(ring, a, b)
 
 
 def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(N, K, w) x (K, w) -> (N, w) over the jet ring."""
-    out = np.zeros((a.shape[0], ring.width))
-    for l in range(a.shape[1]):
-        out += ring.mul(a[:, l, :], np.broadcast_to(v[l], a[:, l, :].shape))
-    return out
+    return _ring_product(ring, a, v[:, None, :])[:, 0]
 
 
 def apply_real(matrix: np.ndarray, ringmat: np.ndarray) -> np.ndarray:
@@ -182,34 +195,50 @@ def unstack_pair(ring, dim_a: int, dim_b: int, vec: np.ndarray, order: int):
     return p_form, q_form
 
 
+def _dual_wedge_signs(p: int, q: int, scale: float) -> np.ndarray:
+    """S[i, j, k] with scale * (*dx^{I_i}) ^ dx^{J_j} = S[i, j, k] dx^{K_k}.
+
+    I runs over the ordered p-components, J over the q-components and K over
+    the (4 - p + q)-components; the Hodge dual comes from HODGE_TABLE and the
+    wedge from WEDGE_TABLE.
+    """
+    wedge = {(i, j): (k, sign) for i, j, k, sign in WEDGE_TABLE[(4 - p, q)]}
+    out = np.zeros((len(COMPS[p]), len(COMPS[q]), len(COMPS[4 - p + q])))
+    for i, (dual, hodge_sign) in enumerate(HODGE_TABLE[p]):
+        for j in range(len(COMPS[q])):
+            if (dual, j) in wedge:
+                k, sign = wedge[dual, j]
+                out[i, j, k] = scale * hodge_sign * sign
+    return out
+
+
 def assemble_Y(config: FieldConfig, ds: DeformationSet,
                conv: MinkowskiConvention = CONVENTION) -> YOperator:
-    """Identity plus the (A, B)-linear coupling blocks, built by probing
-    the defining relations with constant basis pairs."""
+    """Identity plus the (A, B)-linear coupling blocks, in closed form.
+
+    The column of Y - 1 for a basis P^a dx^I holds -b^T(c_2 *dx^I e_a, A) in
+    the Q rows; the column for a basis Q^a dx^J holds -b(c_3 *dx^J e_a, A) in
+    the P rows and -k(c_3 *dx^J e_a, B) in the Q rows (c_p the dual
+    constants on ``conv``).  Each block is one real einsum of the pairing
+    with a sign tensor from :func:`_dual_wedge_signs` and with the
+    coefficient arrays of A or B over the whole ring width.
+    """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     n_p, n_q = n * len(COMPS[2]), m * len(COMPS[3])
-    size = n_p + n_q
-    matrix = _ring_identity(ring, size)
-    b_t = b_transpose_pairing(ds)
-    col = 0
-    for a in range(n):
-        for i in range(len(COMPS[2])):
-            basis = LieForm.basis(ring, 2, n, a, i)
-            # a P-basis vector feeds only the Q rows: -b^T(*P, A)
-            img_q = epsilon_dual(basis, "2form", conv).wedge(
-                config.A, b_t).scale(-1.0)
-            matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
-            col += 1
-    for a in range(m):
-        for i in range(len(COMPS[3])):
-            basis = LieForm.basis(ring, 3, m, a, i)
-            star = epsilon_dual(basis, "3form", conv)
-            img_p = star.wedge(config.A, ds.b).scale(-1.0)
-            img_q = star.wedge(config.B, ds.k).scale(-1.0)
-            matrix[:n_p, col] += img_p.comps.reshape(n_p, -1)
-            matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
-            col += 1
+    c2 = conv.epsilon_dual_constants[2]
+    c3 = conv.epsilon_dual_constants[3]
+    a_co, b_co = config.A.comps, config.B.comps
+    matrix = _ring_identity(ring, n_p + n_q)
+    matrix[n_p:, :n_p] += np.einsum(
+        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(2, 1, -c2),
+        b_transpose_pairing(ds), a_co).reshape(n_q, n_p, -1)
+    matrix[:n_p, n_p:] += np.einsum(
+        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 1, -c3), ds.b,
+        a_co).reshape(n_p, n_q, -1)
+    matrix[n_p:, n_p:] += np.einsum(
+        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 2, -c3), ds.k,
+        b_co).reshape(n_q, n_q, -1)
     order = min(config.A.order, config.B.order)
     return YOperator(ring, n, m, matrix, order, conv)
 
@@ -302,7 +331,9 @@ class StrengthPair:
 
 def compute_strengths(config: FieldConfig, ds: DeformationSet,
                       conv: MinkowskiConvention = CONVENTION,
-                      curl: str | None = None) -> StrengthPair:
+                      curl: str | None = None,
+                      d_a: LieForm | None = None,
+                      d_b: LieForm | None = None) -> StrengthPair:
     """Solve the implicit strength definitions for (P, Q).
 
     ``curl`` selects the 3-form strength on the right-hand side: 'plain'
@@ -310,16 +341,21 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet,
     deformation set: covariant exactly when the mass tensor is nonzero,
     which is the only consistent choice for the built-in families (the
     mass-j link forces j = 0 at zero mass).
+
+    ``d_a`` / ``d_b`` override the derivative slots dA and dB (the generic
+    Euler-Lagrange machinery differentiates with respect to them); by
+    default they are the exterior derivatives of A and B.
     """
     if curl is None:
         curl = "plain" if ds.mass.is_zero() else "covariant"
     if curl not in ("plain", "covariant"):
         raise ValueError(f"unknown curl mode {curl!r}")
-    f_form = curvature_F(config.A, ds.a)
-    if curl == "plain":
-        h_form = config.B.d()
-    else:
-        h_form = covariant_curl_H(config.A, config.B, ds.j)
+    d_a = config.A.d() if d_a is None else d_a
+    d_b = config.B.d() if d_b is None else d_b
+    f_form = d_a + config.A.wedge(config.A, ds.a).scale(0.5)
+    h_form = d_b
+    if curl == "covariant":
+        h_form = h_form + config.A.wedge(config.B, ds.j)
     yop = assemble_Y(config, ds, conv)
     yinv = invert_Y(yop)
     vec = yinv.apply(stack_pair(f_form, h_form))

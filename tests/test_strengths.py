@@ -4,12 +4,15 @@ import pytest
 from ymft import lie_core
 from ymft.deformations import (family_general, family_solvable, family_su2,
                                make_deformation)
-from ymft.forms import COMPS, LieForm, random_field_config
-from ymft.jets import JetRing, NilpotentExtension
+from ymft.forms import (COMPS, CONVENTION, LieForm, epsilon_dual,
+                        random_field_config)
+from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
-from ymft.strengths import (FieldConfig, SingularYError, assemble_Y,
+from ymft.strengths import (FieldConfig, SingularYError, YOperator,
+                            _ring_identity, assemble_Y, b_transpose_pairing,
                             compute_strengths, connection_curvature,
                             covariant_curl_H, curvature_F, invert_Y,
+                            ring_matmul, ring_matvec,
                             substitution_residual_massive,
                             substitution_residual_massless)
 
@@ -204,3 +207,166 @@ def test_y_conditioning_at_default_amplitude():
         y = assemble_Y(su2_config(seed), ds)
         scale = np.linalg.norm(y.constant_block(), 2)
         assert abs(np.linalg.det(y.constant_block() / scale)) > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the K-loop ring product and probing assembly
+
+
+def loop_ring_matmul(ring, a, b):
+    """(N, K, w) x (K, M, w) -> (N, M, w), one ring multiply per inner index."""
+    out = np.zeros((a.shape[0], b.shape[1], ring.width))
+    for l in range(a.shape[1]):
+        out += ring.mul(a[:, l, None, :], b[None, l, :, :])
+    return out
+
+
+def loop_ring_matvec(ring, a, v):
+    out = np.zeros((a.shape[0], ring.width))
+    for l in range(a.shape[1]):
+        out += ring.mul(a[:, l, :], np.broadcast_to(v[l], a[:, l, :].shape))
+    return out
+
+
+def probing_assemble_Y(config, ds, conv=CONVENTION):
+    """Y built column by column from the defining relations on basis pairs."""
+    ring = config.ring
+    n, m = ds.space_a.dim, ds.space_b.dim
+    n_p, n_q = n * len(COMPS[2]), m * len(COMPS[3])
+    matrix = _ring_identity(ring, n_p + n_q)
+    b_t = b_transpose_pairing(ds)
+    col = 0
+    for a in range(n):
+        for i in range(len(COMPS[2])):
+            basis = LieForm.basis(ring, 2, n, a, i)
+            img_q = epsilon_dual(basis, "2form", conv).wedge(
+                config.A, b_t).scale(-1.0)
+            matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
+            col += 1
+    for a in range(m):
+        for i in range(len(COMPS[3])):
+            basis = LieForm.basis(ring, 3, m, a, i)
+            star = epsilon_dual(basis, "3form", conv)
+            img_p = star.wedge(config.A, ds.b).scale(-1.0)
+            img_q = star.wedge(config.B, ds.k).scale(-1.0)
+            matrix[:n_p, col] += img_p.comps.reshape(n_p, -1)
+            matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
+            col += 1
+    order = min(config.A.order, config.B.order)
+    return YOperator(ring, n, m, matrix, order, conv)
+
+
+def _random_ring_array(rng, ring, shape, zero_blocks=()):
+    x = rng.uniform(-1.0, 1.0, tuple(shape) + (ring.width,))
+    blocks = x.reshape(tuple(shape) + (ring.blocks, ring.base_width))
+    for blk in zero_blocks:
+        blocks[..., blk, :] = 0.0
+    return x
+
+
+def _rel_err(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+PRODUCT_RINGS = [
+    *(pytest.param(JetRing(d), (), id=f"jet-d{d}") for d in range(6)),
+    pytest.param(NilpotentExtension(3, 1), (), id="nil-d3x1"),
+    pytest.param(NilpotentExtension(4, 3), (2,), id="nil-d4x3-zero-block"),
+    pytest.param(NilpotentExtension(2, 60), (7, 30), id="nil-d2x60"),
+    pytest.param(EpsilonTower(3, 3), (), id="eps-d3x3"),
+]
+
+
+@pytest.mark.parametrize("ring,zero_blocks", PRODUCT_RINGS)
+def test_ring_matmul_matches_loop(ring, zero_blocks):
+    rng = np.random.default_rng(ring.width)
+    a = _random_ring_array(rng, ring, (5, 4), zero_blocks)
+    b = _random_ring_array(rng, ring, (4, 3))
+    assert _rel_err(ring_matmul(ring, a, b), loop_ring_matmul(ring, a, b)) \
+        <= 1e-14
+    # zero blocks on the right factor too, and exact zeros stay exact
+    b0 = _random_ring_array(rng, ring, (4, 3), zero_blocks)
+    out = ring_matmul(ring, np.zeros_like(a), b0)
+    assert np.abs(out).max() == 0.0
+    assert _rel_err(ring_matmul(ring, a, b0), loop_ring_matmul(ring, a, b0)) \
+        <= 1e-14
+
+
+@pytest.mark.parametrize("ring,zero_blocks", PRODUCT_RINGS)
+def test_ring_matvec_matches_loop(ring, zero_blocks):
+    rng = np.random.default_rng(ring.width + 1)
+    a = _random_ring_array(rng, ring, (6, 5), zero_blocks)
+    v = _random_ring_array(rng, ring, (5,))
+    assert _rel_err(ring_matvec(ring, a, v), loop_ring_matvec(ring, a, v)) \
+        <= 1e-14
+
+
+def test_ring_matmul_y_sized_degree_4():
+    # the shape of the su2 strength solve: 30 x 30 at jet degree 4
+    ring = JetRing(4)
+    rng = np.random.default_rng(4)
+    a = _random_ring_array(rng, ring, (30, 30))
+    b = _random_ring_array(rng, ring, (30, 30))
+    assert _rel_err(ring_matmul(ring, a, b), loop_ring_matmul(ring, a, b)) \
+        <= 1e-14
+
+
+ASSEMBLY_FAMILIES = [
+    pytest.param(lambda: family_su2(0.0, 0.7), id="su2-massless"),
+    pytest.param(lambda: family_su2(2.0, 0.5), id="su2-massive"),
+    pytest.param(lambda: family_solvable([1, 0, 0], [0, 0, 1], CMAP),
+                 id="solvable"),
+    pytest.param(lambda: family_general(massless_a=lie_core.su2(),
+                                        massless_b=lie_core.su2(),
+                                        h0=np.eye(3),
+                                        massive=lie_core.abelian(1),
+                                        mass_value=1.5), id="mixed"),
+]
+
+
+@pytest.mark.parametrize("family", ASSEMBLY_FAMILIES)
+@pytest.mark.parametrize("degree", [3, 4])
+def test_assemble_y_equals_probing_on_jet_ring(family, degree):
+    ds = family()
+    a_form, b_form = random_field_config(17, 0.1, degree, ds.space_a.dim,
+                                         ds.space_b.dim)
+    cfg = FieldConfig(a_form, b_form)
+    closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
+    assert np.abs(closed.matrix - probed.matrix).max() == 0.0
+    assert closed.order == probed.order
+
+
+@pytest.mark.parametrize("family", ASSEMBLY_FAMILIES)
+def test_assemble_y_equals_probing_on_nilpotent_ring(family):
+    from ymft.forms import promote_form
+    ds = family()
+    n, m = ds.space_a.dim, ds.space_b.dim
+    ring = NilpotentExtension(3, 2)
+    a0, b0 = random_field_config(18, 0.1, 3, n, m)
+    a1, b1 = random_field_config(19, 0.1, 3, n, m)
+    a2, _ = random_field_config(20, 0.1, 3, n, m)
+    a_form = promote_form(a0, ring, a1, direction=0)
+    a_form.comps.reshape(n, 4, 3, -1)[:, :, 2] = a2.comps
+    cfg = FieldConfig(a_form, promote_form(b0, ring, b1, direction=1))
+    closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
+    assert np.abs(closed.matrix - probed.matrix).max() == 0.0
+
+
+def test_invert_roundtrip_degree_4():
+    ds = family_su2(2.0, 0.5)
+    a_form, b_form = random_field_config(11, 0.1, 4, 3, 3)
+    inv = invert_Y(assemble_Y(FieldConfig(a_form, b_form), ds))
+    assert inv.roundtrip_residual() < 1e-12
+
+
+def test_invert_roundtrip_epsilon_tower():
+    # fields with nonzero coefficients at every power of eps
+    ds = family_su2(0.0, 0.7)
+    ring = EpsilonTower(3, 2)
+    a_parts = [random_field_config(30 + i, 0.1, 3, 3, 3) for i in range(3)]
+    a_co = np.stack([a.comps for a, _ in a_parts], axis=-2)
+    b_co = np.stack([b.comps for _, b in a_parts], axis=-2)
+    cfg = FieldConfig(LieForm(ring, 1, a_co.reshape(3, 4, -1)),
+                      LieForm(ring, 2, b_co.reshape(3, 6, -1)))
+    inv = invert_Y(assemble_Y(cfg, ds))
+    assert inv.roundtrip_residual() < 1e-12
