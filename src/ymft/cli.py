@@ -29,7 +29,8 @@ from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
 from .dynamics import run_identity_suite
-from .forms import CONVENTION
+from .forms import CONVENTION, LieForm
+from .jets import JetRing
 from .observables import (charge_line, charge_surface, coulomb_sampler,
                           energy_causality_check, radial_magnetic_sampler,
                           random_strength_values, stress_energy,
@@ -193,7 +194,6 @@ def cmd_observables(config: RunConfig, args) -> int:
             report["checks"]["causality"] = causal
 
     if "trace" in section["checks"]:
-        from .forms import JetRing, LieForm
         ring = JetRing(config.jet["degree"])
         rng = np.random.default_rng(seeds[0] if seeds else 0)
         comps = rng.uniform(-1.0, 1.0, (3, 6, ring.width))

@@ -28,10 +28,10 @@ import numpy as np
 
 from .deformations import (DeformationSet, check_e_mass_obstruction,
                            make_deformation)
-from .forms import (COMPS, CONVENTION, LieForm, MinkowskiConvention,
-                    direction_part, promote_form, random_field_config,
-                    random_gauge_params, scalar_pairing,
-                    volume_coefficient)
+from .forms import (COMP_INDEX, COMPS, CONVENTION, LieForm,
+                    MinkowskiConvention, _perm_sign, direction_part,
+                    promote_form, random_field_config, random_gauge_params,
+                    scalar_pairing, volume_coefficient)
 from .jets import JetRing, JetScalar, NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
@@ -933,7 +933,6 @@ def _generic_el_of(builder, ds, config, conv):
     ``builder(config, d_a, d_b)`` must return a real-valued 4-form treating
     the derivative slots as independent.
     """
-    from .forms import COMP_INDEX, _perm_sign
     n, m = ds.space_a.dim, ds.space_b.dim
     dirs = _el_directions(n, m)
     ring = NilpotentExtension(config.ring.degree, len(dirs))

@@ -24,7 +24,12 @@ same table grouped by output monomial turns a product of ring-valued
 matrices into one dense real matmul per monomial (Taylor propagation in the
 sense of Griewank & Walther, *Evaluating Derivatives*, ch. 13); extended
 rings expose the nonzero products of their blocks as a block-pair table so
-that the matrix product runs the base kernel once per block pair.
+that the matrix product runs the base kernel once per block pair.  The same
+pairs indexed by (input, output) monomial give each jet ``a`` a
+multiplication matrix, ``b @ mul_matrix(a) == a * b``; a nilpotent
+extension multiplies all tangent blocks of one factor by the other
+factor's value in one matmul against that matrix (vector-mode forward
+propagation, ibid.).
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class JetAlgebra:
         kk = np.array(kk)
         self.pair_groups = [(self.pair_i[kk == k], self.pair_j[kk == k])
                             for k in range(self.n_terms)]
+        # mul_index[j, k] = i for the unique pair (i, j, k) (exponents
+        # i = k - j), and n_terms where there is none
+        self.mul_index = np.full((self.n_terms, self.n_terms), self.n_terms)
+        self.mul_index[self.pair_j, kk] = self.pair_i
 
         # d/dx^mu as a matrix acting on coefficient vectors (right-multiply).
         self.deriv = []
@@ -92,6 +101,11 @@ class JetAlgebra:
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[..., self.pair_i] * b[..., self.pair_j]) @ self.scatter
+
+    def mul_matrix(self, a: np.ndarray) -> np.ndarray:
+        """(..., n) -> (..., n, n) with M[j, k] = a[k - j]: b @ M == a * b."""
+        padded = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+        return padded[..., self.mul_index]
 
     def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, K, n) x (K, M, n) -> (N, M, n): jet-valued matrix product.
@@ -268,6 +282,11 @@ class NilpotentExtension(JetRing):
     ring yields the pipeline value together with k exact directional
     derivatives; this is how gauge variations, commutators, linearizations
     and Euler-Lagrange gradients are extracted below.
+
+    In a product only the value blocks go through the pair-table kernel;
+    the tangent half is one matmul per value, all k tangent rows of one
+    factor times the other factor's value multiplication matrix
+    (:meth:`JetAlgebra.mul_matrix`).
     """
 
     def __init__(self, degree: int, directions: int = 1):
@@ -289,8 +308,8 @@ class NilpotentExtension(JetRing):
         xr, xi = self._split(x)
         yr, yi = self._split(y)
         re = self.base.mul(xr, yr)
-        im = (self.base.mul(xr[..., None, :], yi)
-              + self.base.mul(xi, yr[..., None, :]))
+        alg = self.algebra
+        im = yi @ alg.mul_matrix(xr) + xi @ alg.mul_matrix(yr)
         out = np.concatenate([re[..., None, :], im], axis=-2)
         return out.reshape(out.shape[:-2] + (self.width,))
 

@@ -232,13 +232,13 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet,
     matrix = _ring_identity(ring, n_p + n_q)
     matrix[n_p:, :n_p] += np.einsum(
         "ijk,cab,bjw->ckaiw", _dual_wedge_signs(2, 1, -c2),
-        b_transpose_pairing(ds), a_co).reshape(n_q, n_p, -1)
+        b_transpose_pairing(ds), a_co, optimize=True).reshape(n_q, n_p, -1)
     matrix[:n_p, n_p:] += np.einsum(
         "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 1, -c3), ds.b,
-        a_co).reshape(n_p, n_q, -1)
+        a_co, optimize=True).reshape(n_p, n_q, -1)
     matrix[n_p:, n_p:] += np.einsum(
         "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 2, -c3), ds.k,
-        b_co).reshape(n_q, n_q, -1)
+        b_co, optimize=True).reshape(n_q, n_q, -1)
     order = min(config.A.order, config.B.order)
     return YOperator(ring, n, m, matrix, order, conv)
 

@@ -129,3 +129,60 @@ def test_epsilon_tower_homogeneous_expansion():
     assert np.allclose(blocks[3],
                        base.mul(base.mul(f, f), f), atol=1e-13)
     assert np.abs(blocks[:3]).max() == 0.0
+
+
+def loop_nilpotent_mul(ring: NilpotentExtension, x, y):
+    """Reference tangent product: one elementwise jet product per block."""
+    xr, xi = ring._split(x)
+    yr, yi = ring._split(y)
+    re = ring.base.mul(xr, yr)
+    im = (ring.base.mul(xr[..., None, :], yi)
+          + ring.base.mul(xi, yr[..., None, :]))
+    out = np.concatenate([re[..., None, :], im], axis=-2)
+    return out.reshape(out.shape[:-2] + (ring.width,))
+
+
+def _rel_err(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_mul_matrix_matches_mul_coeffs(degree):
+    alg = jet_algebra(degree)
+    rng = np.random.default_rng(40 + degree)
+    a = rng.uniform(-1, 1, (4, 3, alg.n_terms))
+    b = rng.uniform(-1, 1, (4, 3, alg.n_terms))
+    got = (b[..., None, :] @ alg.mul_matrix(a))[..., 0, :]
+    assert got.shape == a.shape
+    assert _rel_err(got, alg.mul_coeffs(a, b)) <= 1e-15
+
+
+@pytest.mark.parametrize("directions", [1, 3, 50, 60])
+@pytest.mark.parametrize("degree", range(6))
+def test_nilpotent_mul_matches_loop(degree, directions):
+    ring = NilpotentExtension(degree, directions)
+    rng = np.random.default_rng(50 + degree)
+    # the wedge broadcast (3, 1, W) x (1, 3, W), and equal shapes
+    for x_shape, y_shape in (((3, 1), (1, 3)), ((2, 3), (2, 3))):
+        x = rng.uniform(-1, 1, x_shape + (ring.width,))
+        y = rng.uniform(-1, 1, y_shape + (ring.width,))
+        ref = loop_nilpotent_mul(ring, x, y)
+        got = ring.mul(x, y)
+        assert got.shape == ref.shape
+        assert _rel_err(got, ref) <= 1e-14
+
+
+def test_nilpotent_mul_zero_tangents_stay_exact_zero():
+    ring = NilpotentExtension(4, 60)
+    rng = np.random.default_rng(60)
+    x = rng.uniform(-1, 1, (3, 1, ring.blocks, ring.base_width))
+    y = rng.uniform(-1, 1, (1, 3, ring.blocks, ring.base_width))
+    zero = [4, 17, 59]  # directions zero on both inputs
+    x[..., [1 + d for d in zero], :] = 0.0
+    y[..., [1 + d for d in zero], :] = 0.0
+    x[..., 30, :] = 0.0  # zero on one input only
+    out = ring.mul(x.reshape(3, 1, -1), y.reshape(1, 3, -1))
+    blocks = out.reshape(3, 3, ring.blocks, ring.base_width)
+    for d in zero:
+        assert np.all(blocks[..., 1 + d, :] == 0.0)
+    assert np.abs(blocks[..., 30, :]).max() > 0.0

@@ -341,15 +341,22 @@ def test_assemble_y_equals_probing_on_nilpotent_ring(family):
     from ymft.forms import promote_form
     ds = family()
     n, m = ds.space_a.dim, ds.space_b.dim
-    ring = NilpotentExtension(3, 2)
     a0, b0 = random_field_config(18, 0.1, 3, n, m)
     a1, b1 = random_field_config(19, 0.1, 3, n, m)
-    a2, _ = random_field_config(20, 0.1, 3, n, m)
-    a_form = promote_form(a0, ring, a1, direction=0)
-    a_form.comps.reshape(n, 4, 3, -1)[:, :, 2] = a2.comps
-    cfg = FieldConfig(a_form, promote_form(b0, ring, b1, direction=1))
-    closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
-    assert np.abs(closed.matrix - probed.matrix).max() == 0.0
+    a2, b2 = random_field_config(20, 0.1, 3, n, m)
+    for directions in (2, 60):
+        ring = NilpotentExtension(3, directions)
+        # A seeds the first and last directions, B the second (and the
+        # middle one when there is room); the rest stay zero
+        a_form = promote_form(a0, ring, a1, direction=0)
+        a_form.comps.reshape(n, 4, ring.blocks, -1)[:, :, -1] = a2.comps
+        b_form = promote_form(b0, ring, b1, direction=1)
+        if directions > 2:
+            b_form.comps.reshape(m, 6, ring.blocks, -1)[
+                :, :, 1 + directions // 2] = b2.comps
+        cfg = FieldConfig(a_form, b_form)
+        closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
+        assert np.abs(closed.matrix - probed.matrix).max() == 0.0
 
 
 def test_invert_roundtrip_degree_4():
