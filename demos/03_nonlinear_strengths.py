@@ -3,8 +3,9 @@
 The nonlinear strengths (P, Q) are defined implicitly: their duals feed
 back into their own definition.  Stacking components turns the definition
 into a square matrix Y = 1 + (terms linear in the potentials) over the jet
-ring, inverted exactly by an LU solve on the constant coefficients plus a
-finite Neumann recursion.  The solved strengths then satisfy several
+ring, solved exactly order by order: the constant block is inverted once
+and applied to each output monomial after the lower orders are
+subtracted.  The solved strengths then satisfy several
 independent geometric identities, checked here to machine precision.
 """
 

@@ -14,15 +14,19 @@ Y - 1 is assembled in closed form: each coupling block is the pairing
 tensor (b^T, b or k) contracted with a constant dual-then-wedge sign tensor
 and with the coefficient arrays of A or B, elementwise over the whole ring
 width, so assembly makes no jet products and works over every ring.  Y is
-inverted order by order: LU on the constant coefficients, then a finite
-Neumann recursion that terminates at the truncation degree, whose
-ring-valued matrix products run one real matmul per output monomial and
-per nonzero block pair of the ring.  Invertibility of the constant block is
-exactly the det(Y) != 0 restriction on admissible field configurations.
+never inverted: the inverse Y0^{-1} of its constant block is formed once,
+and Y x = r is solved order by order on right-hand-side columns.  On the
+base block each output monomial is Y0^{-1} applied to its right-hand side
+less one real matmul over the already-solved lower orders; the blocks of
+an extended ring follow in waves, their couplings to solved blocks
+subtracted first and the blocks of one wave stacked as extra columns of a
+single base solve.  Invertibility of the constant block is exactly the
+det(Y) != 0 restriction on admissible field configurations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,6 @@ import scipy.linalg
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
                     MinkowskiConvention, epsilon_dual)
-from .jets import NilpotentExtension
 
 
 class SingularYError(RuntimeError):
@@ -114,10 +117,6 @@ def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(N, K, w) x (K, w) -> (N, w) over the jet ring."""
     return _ring_product(ring, a, v[:, None, :])[:, 0]
-
-
-def apply_real(matrix: np.ndarray, ringmat: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,b...->a...", matrix, ringmat)
 
 
 def _ring_identity(ring, size: int) -> np.ndarray:
@@ -244,9 +243,7 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet,
 
 
 def invert_Y(yop: YOperator) -> "YInverse":
-    ring = yop.ring
-    if isinstance(ring, NilpotentExtension):
-        return _invert_nilpotent(yop)
+    """Gate Y on its constant block and return the graded solver for Y."""
     y0 = yop.constant_block()
     # determinant test on the unit-normalized block: |det(Y0 / ||Y0||)|,
     # which rejects both near-singular and badly scaled constant parts
@@ -256,48 +253,97 @@ def invert_Y(yop: YOperator) -> "YInverse":
         raise SingularYError(
             f"constant block of Y is singular (normalized |det| = "
             f"{abs(det):.3e}); reduce the field amplitude")
-    y0_inv = np.linalg.inv(y0)
-    yp = yop.matrix.copy()
-    yp[..., 0] -= y0
-    # X_{k+1} = Y0^{-1}(1 - Yp X_k) is exact once the sweep count exceeds
-    # the nilpotency order of Yp (jet degree plus any eps grading).
-    sweeps = ring.degree + getattr(ring, "order_eps", 0)
-    x = np.zeros_like(yop.matrix)
-    x[..., 0] = y0_inv
-    for _ in range(sweeps):
-        x = -apply_real(y0_inv, ring_matmul(ring, yp, x))
-        x[..., 0] += y0_inv
-    return YInverse(yop, x)
+    return YInverse(yop, np.linalg.inv(y0))
 
 
-def _invert_nilpotent(yop: YOperator) -> "YInverse":
-    """(Y_re + eps Y_im)^-1 = X_re - eps X_re Y_im X_re, per direction."""
-    ring: NilpotentExtension = yop.ring
-    base = ring.base
-    size = yop.size
-    blocks = yop.matrix.reshape(size, size, ring.blocks, ring.base_width)
-    y_re = YOperator(base, yop.dim_a, yop.dim_b,
-                     np.ascontiguousarray(blocks[..., 0, :]), yop.order,
-                     yop.conv)
-    x_re = invert_Y(y_re).matrix
-    out = np.zeros_like(blocks)
-    out[..., 0, :] = x_re
-    for i in range(ring.directions):
-        y_im = np.ascontiguousarray(blocks[..., 1 + i, :])
-        if not y_im.any():
-            continue
-        out[..., 1 + i, :] = -ring_matmul(
-            base, x_re, ring_matmul(base, y_im, x_re))
-    return YInverse(yop, out.reshape(size, size, ring.width))
+def _solve_waves(ring, nonzero):
+    """The blocks of the ring in solve order, grouped into waves.
+
+    Block o needs Y_i x_j for every block pair (i, j, o) with i != 0, so a
+    wave closes when a block needs one inside it.  Each wave comes with its
+    couplings: per solved block j, the wave positions of the blocks o and
+    the blocks i of the pairs (i, j, o) whose Y_i is nonzero.
+    """
+    waves = []
+    for o in range(ring.blocks):
+        needs = {j for i, j, k in ring.block_pairs if k == o and i}
+        if not waves or needs & set(waves[-1]):
+            waves.append([])
+        waves[-1].append(o)
+    plan = []
+    for wave in waves:
+        couplings = {}
+        for i, j, o in ring.block_pairs:
+            if i and o in wave and nonzero[i]:
+                pos, blocks = couplings.setdefault(j, ([], []))
+                pos.append(wave.index(o))
+                blocks.append(i)
+        plan.append((wave, list(couplings.items())))
+    return plan
 
 
 class YInverse:
-    def __init__(self, yop: YOperator, matrix: np.ndarray):
-        self.yop = yop
-        self.matrix = matrix
+    """Solves Y x = r order by order; Y^{-1} is formed only on request.
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return ring_matvec(self.yop.ring, self.matrix, vec)
+    On the base block the output monomials t are walked in graded order,
+    x_t = Y0^{-1}(r_t - sum_{(i, j) -> t, i != 0} Y_i x_j), one real matmul
+    per monomial over the already-solved x_j.  The blocks of the ring are
+    solved in waves (:func:`_solve_waves`): the couplings Y_i x_j to solved
+    blocks are one matmul per j against the multiplication matrices of x_j,
+    and the blocks of a wave are extra columns of one base solve.
+    """
+
+    def __init__(self, yop: YOperator, y0_inv: np.ndarray):
+        self.yop = yop
+        self.y0_inv = y0_inv
+        ring, size = yop.ring, yop.size
+        self._blocks = yop.matrix.reshape(size, size, ring.blocks,
+                                          ring.base_width)
+        base = self._blocks[:, :, 0]
+        # per output monomial t: the solved j of the non-constant pairs
+        # (i, j) -> t, and the matching Y_i as one (size, size * r) matrix
+        self._steps = []
+        for ik, jk in ring.algebra.pair_groups:
+            ik, jk = ik[ik != 0], jk[ik != 0]
+            self._steps.append(
+                (jk, base[:, :, ik].reshape(size, size * len(ik))))
+        nonzero = [bool(self._blocks[:, :, i].any())
+                   for i in range(ring.blocks)]
+        self._waves = _solve_waves(ring, nonzero)
+
+    def _solve_base(self, rhs: np.ndarray) -> np.ndarray:
+        """(size, M, n) -> (size, M, n): the graded solve on the base block."""
+        size, cols, n = rhs.shape
+        x = np.empty((size, n, cols))
+        for t, (jk, y_t) in enumerate(self._steps):
+            x[:, t] = self.y0_inv @ (
+                rhs[:, :, t] - y_t @ x[:, jk].reshape(-1, cols))
+        return x.transpose(0, 2, 1)
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
+        ring, size = self.yop.ring, self.yop.size
+        n = ring.base_width
+        rb = r.reshape(size, -1, ring.blocks, n)
+        cols = rb.shape[1]
+        x = np.empty(rb.shape)
+        by_block = self._blocks.transpose(2, 0, 1, 3)
+        for wave, couplings in self._waves:
+            rhs = rb[:, :, wave]
+            for j, (pos, blocks) in couplings:
+                y_stack = by_block[blocks].reshape(len(blocks) * size, -1)
+                mul_x = ring.algebra.mul_matrix(x[:, :, j]).transpose(
+                    0, 2, 1, 3).reshape(size * n, cols * n)
+                rhs[:, :, pos] -= (y_stack @ mul_x).reshape(
+                    len(pos), size, cols, n).transpose(1, 2, 0, 3)
+            x[:, :, wave] = self._solve_base(
+                rhs.reshape(size, -1, n)).reshape(rhs.shape)
+        return x.reshape(r.shape)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Y^{-1} itself: the solve applied to the identity columns."""
+        return self.apply(_ring_identity(self.yop.ring, self.yop.size))
 
     def roundtrip_residual(self) -> float:
         ring = self.yop.ring

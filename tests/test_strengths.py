@@ -5,7 +5,7 @@ from ymft import lie_core
 from ymft.deformations import (family_general, family_solvable, family_su2,
                                make_deformation)
 from ymft.forms import (COMPS, CONVENTION, LieForm, epsilon_dual,
-                        random_field_config)
+                        promote_form, random_field_config)
 from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
@@ -210,7 +210,8 @@ def test_y_conditioning_at_default_amplitude():
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the K-loop ring product and probing assembly
+# reference implementations: the K-loop ring product, probing assembly and
+# the full Neumann inverse
 
 
 def loop_ring_matmul(ring, a, b):
@@ -254,6 +255,40 @@ def probing_assemble_Y(config, ds, conv=CONVENTION):
             col += 1
     order = min(config.A.order, config.B.order)
     return YOperator(ring, n, m, matrix, order, conv)
+
+
+def neumann_inverse(yop):
+    """Full Y^{-1}: a finite Neumann recursion over the ring.
+
+    X_{k+1} = Y0^{-1}(1 - Yp X_k) is exact once the sweep count exceeds the
+    nilpotency order of Yp; a nilpotent extension inverts the value block
+    and sets each direction to -X_re Y_im X_re.
+    """
+    ring, size = yop.ring, yop.size
+    if isinstance(ring, NilpotentExtension):
+        base = ring.base
+        blocks = yop.matrix.reshape(size, size, ring.blocks, ring.base_width)
+        x_re = neumann_inverse(YOperator(
+            base, yop.dim_a, yop.dim_b,
+            np.ascontiguousarray(blocks[..., 0, :]), yop.order, yop.conv))
+        out = np.zeros_like(blocks)
+        out[..., 0, :] = x_re
+        for i in range(ring.directions):
+            y_im = np.ascontiguousarray(blocks[..., 1 + i, :])
+            if y_im.any():
+                out[..., 1 + i, :] = -ring_matmul(
+                    base, x_re, ring_matmul(base, y_im, x_re))
+        return out.reshape(size, size, ring.width)
+    y0 = yop.constant_block()
+    y0_inv = np.linalg.inv(y0)
+    yp = yop.matrix.copy()
+    yp[..., 0] -= y0
+    x = np.zeros_like(yop.matrix)
+    x[..., 0] = y0_inv
+    for _ in range(ring.degree + getattr(ring, "order_eps", 0)):
+        x = -np.einsum("ab,b...->a...", y0_inv, ring_matmul(ring, yp, x))
+        x[..., 0] += y0_inv
+    return x
 
 
 def _random_ring_array(rng, ring, shape, zero_blocks=()):
@@ -311,16 +346,18 @@ def test_ring_matmul_y_sized_degree_4():
         <= 1e-14
 
 
+def mixed_family():
+    return family_general(massless_a=lie_core.su2(),
+                          massless_b=lie_core.su2(), h0=np.eye(3),
+                          massive=lie_core.abelian(1), mass_value=1.5)
+
+
 ASSEMBLY_FAMILIES = [
     pytest.param(lambda: family_su2(0.0, 0.7), id="su2-massless"),
     pytest.param(lambda: family_su2(2.0, 0.5), id="su2-massive"),
     pytest.param(lambda: family_solvable([1, 0, 0], [0, 0, 1], CMAP),
                  id="solvable"),
-    pytest.param(lambda: family_general(massless_a=lie_core.su2(),
-                                        massless_b=lie_core.su2(),
-                                        h0=np.eye(3),
-                                        massive=lie_core.abelian(1),
-                                        mass_value=1.5), id="mixed"),
+    pytest.param(mixed_family, id="mixed"),
 ]
 
 
@@ -377,3 +414,97 @@ def test_invert_roundtrip_epsilon_tower():
                       LieForm(ring, 2, b_co.reshape(3, 6, -1)))
     inv = invert_Y(assemble_Y(cfg, ds))
     assert inv.roundtrip_residual() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the graded solve against the Neumann inverse
+
+
+def _random_config(rng, ring, n=3, m=3):
+    """Fields with coefficients in [-0.1, 0.1] in every block of the ring."""
+    return FieldConfig(
+        LieForm(ring, 1, 0.1 * _random_ring_array(rng, ring, (n, 4))),
+        LieForm(ring, 2, 0.1 * _random_ring_array(rng, ring, (m, 6))))
+
+
+def _nilpotent_config(ring, seed):
+    """A seeded in the first and last directions, every other tangent zero."""
+    a0, b0 = random_field_config(seed, 0.1, ring.degree, 3, 3)
+    a1, _ = random_field_config(seed + 1, 0.1, ring.degree, 3, 3)
+    a2, _ = random_field_config(seed + 2, 0.1, ring.degree, 3, 3)
+    a_form = promote_form(a0, ring, a1, direction=0)
+    if ring.directions > 1:
+        a_form.comps.reshape(3, 4, ring.blocks, -1)[:, :, -1] = a2.comps
+    return FieldConfig(a_form, promote_form(b0, ring))
+
+
+SOLVE_RINGS = [
+    *(pytest.param(JetRing(d), id=f"jet-d{d}") for d in range(6)),
+    pytest.param(NilpotentExtension(3, 1), id="nil-d3x1"),
+    pytest.param(NilpotentExtension(4, 60), id="nil-d4x60"),
+    pytest.param(EpsilonTower(3, 2), id="eps-d3x2"),
+]
+
+
+def _solve_config(ring, seed):
+    if isinstance(ring, NilpotentExtension):
+        return _nilpotent_config(ring, seed)
+    return _random_config(np.random.default_rng(seed), ring)
+
+
+@pytest.mark.parametrize("ring", SOLVE_RINGS)
+def test_apply_matches_neumann_inverse(ring):
+    ds = family_su2(2.0, 0.5)
+    yop = assemble_Y(_solve_config(ring, 40), ds)
+    inv, ref = invert_Y(yop), neumann_inverse(yop)
+    rng = np.random.default_rng(ring.width)
+    vec = _random_ring_array(rng, ring, (yop.size,))
+    cols = _random_ring_array(rng, ring, (yop.size, 3))
+    assert _rel_err(inv.apply(vec), ring_matvec(ring, ref, vec)) <= 1e-13
+    assert _rel_err(inv.apply(cols), ring_matmul(ring, ref, cols)) <= 1e-13
+
+
+@pytest.mark.parametrize("ring", [JetRing(3), NilpotentExtension(2, 3),
+                                  EpsilonTower(3, 2)],
+                         ids=["jet-d3", "nil-d2x3", "eps-d3x2"])
+def test_inverse_matrix_is_the_solve_of_identity_columns(ring):
+    ds = family_solvable([1, 0, 0], [0, 0, 1], CMAP)
+    yop = assemble_Y(_solve_config(ring, 50), ds)
+    assert _rel_err(invert_Y(yop).matrix, neumann_inverse(yop)) <= 1e-13
+
+
+@pytest.mark.parametrize("ring", [JetRing(4), NilpotentExtension(3, 4),
+                                  EpsilonTower(3, 2)],
+                         ids=["jet-d4", "nil-d3x4", "eps-d3x2"])
+def test_solve_residual_multi_column(ring):
+    ds = mixed_family()
+    rng = np.random.default_rng(60)
+    yop = assemble_Y(_random_config(rng, ring, ds.space_a.dim,
+                                    ds.space_b.dim), ds)
+    r = _random_ring_array(rng, ring, (yop.size, 5))
+    x = invert_Y(yop).apply(r)
+    assert np.abs(ring_matmul(ring, yop.matrix, x) - r).max() < 1e-12
+
+
+EXACT_RINGS = [JetRing(3), NilpotentExtension(3, 4), EpsilonTower(2, 3)]
+EXACT_IDS = ["jet-d3", "nil-d3x4", "eps-d2x3"]
+
+
+@pytest.mark.parametrize("ring", EXACT_RINGS, ids=EXACT_IDS)
+def test_solve_zero_rhs_is_exact_zero(ring):
+    ds = family_su2(2.0, 0.5)
+    inv = invert_Y(assemble_Y(
+        _random_config(np.random.default_rng(70), ring), ds))
+    zero = np.zeros((inv.yop.size, 2, ring.width))
+    assert np.abs(inv.apply(zero)).max() == 0.0
+    assert np.abs(inv.apply(zero[:, 0])).max() == 0.0
+
+
+@pytest.mark.parametrize("ring", EXACT_RINGS, ids=EXACT_IDS)
+def test_solve_identity_y_returns_rhs(ring):
+    size = 30
+    yop = YOperator(ring, 3, 3, _ring_identity(ring, size), ring.degree)
+    r = _random_ring_array(np.random.default_rng(71), ring, (size, 3))
+    inv = invert_Y(yop)
+    assert np.abs(inv.apply(r) - r).max() == 0.0
+    assert np.abs(inv.apply(r[:, 1]) - r[:, 1]).max() == 0.0
