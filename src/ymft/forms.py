@@ -6,6 +6,13 @@ The metric is diag(-1, 1, 1, 1) with orientation eps_{0123} = +1; all sign
 tables derived from that choice are collected in :class:`MinkowskiConvention`
 and documented in CONVENTIONS.md.
 
+Wedge and interior products are paired over internal indices by a coupling
+tensor ``pairing[c, a, b]`` (structure constants, metrics, the deformation
+couplings).  Those tensors are sparse, often entirely zero for a given
+theory, so jet products run only for the internal pairs (a, b) the pairing
+couples: one ring product per component pair over exactly those, then a
+contraction with their coupling columns.
+
 The epsilon-contraction duals that appear in component formulations of the
 theories differ from the Hodge dual by a constant per degree (2 on 2-forms,
 6 on 3-forms, from the absent 1/p! in the contraction).  All dynamical
@@ -98,6 +105,19 @@ def _d_table(p: int):
     return table
 
 D_TABLE = {p: _d_table(p) for p in range(NVARS)}
+
+
+def _interior_table(p: int):
+    """(1-form component sigma, p-component i, output index, sign) entries."""
+    table = []
+    for i, ci in enumerate(COMPS[p]):
+        for pos, sigma in enumerate(ci):
+            rest = ci[:pos] + ci[pos + 1:]
+            table.append((sigma, i, COMP_INDEX[p - 1][rest],
+                          (-1.0) ** pos * SIGNATURE[sigma]))
+    return table
+
+INTERIOR_TABLE = {p: _interior_table(p) for p in range(1, NVARS + 1)}
 
 
 @dataclass(frozen=True)
@@ -230,20 +250,16 @@ class LieForm:
         """Pairing-valued wedge product.
 
         ``pairing[c, a, b]`` multiplies self^a wedge other^b into slot c of
-        the output; use shape (1, n, m) for real-valued pairings.
+        the output; use shape (1, n, m) for real-valued pairings.  Jet
+        products run only for the internal pairs (a, b) the pairing
+        couples, so a zero pairing gives the exact zero form.
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
-        pairing = np.asarray(pairing, dtype=float)
-        if pairing.shape[1] != self.n or pairing.shape[2] != other.n:
-            raise ValueError("pairing shape mismatch")
-        ring = self.ring
-        n_out = pairing.shape[0]
-        out = ring.zeros((n_out, len(COMPS[self.p + other.p])))
-        for i, j, k, sign in WEDGE_TABLE[(self.p, other.p)]:
-            prod = ring.mul(self.comps[:, None, i], other.comps[None, :, j])
-            out[:, k] += sign * np.einsum("cab,ab...->c...", pairing, prod)
-        return LieForm(ring, self.p + other.p, out,
+        out = _paired_products(self, other, pairing,
+                               WEDGE_TABLE[(self.p, other.p)],
+                               len(COMPS[self.p + other.p]))
+        return LieForm(self.ring, self.p + other.p, out,
                        min(self.order, other.order))
 
     def hodge(self, conv: MinkowskiConvention = CONVENTION) -> "LieForm":
@@ -256,22 +272,15 @@ class LieForm:
         """Contract a metric-raised 1-form into the first slot of this form.
 
         Returns the (p-1)-form with components eta^{nu sigma} x_nu
-        self_{sigma mu2...}, paired over internal indices.
+        self_{sigma mu2...}, paired over internal indices
+        (``pairing[c, a, b]`` for oneform^a and self^b).
         """
         if self.p < 1 or oneform.p != 1:
             raise ValueError("interior product needs a 1-form and p >= 1")
-        ring = self.ring
-        pairing = np.asarray(pairing, dtype=float)
-        out = ring.zeros((pairing.shape[0], len(COMPS[self.p - 1])))
-        for i, ci in enumerate(COMPS[self.p]):
-            for pos, sigma in enumerate(ci):
-                rest = ci[:pos] + ci[pos + 1:]
-                k = COMP_INDEX[self.p - 1][rest]
-                sign = (-1.0) ** pos * SIGNATURE[sigma]
-                prod = ring.mul(oneform.comps[:, None, sigma],
-                                self.comps[None, :, i])
-                out[:, k] += sign * np.einsum("cab,ab...->c...", pairing, prod)
-        return LieForm(ring, self.p - 1, out, min(self.order, oneform.order))
+        out = _paired_products(oneform, self, pairing, INTERIOR_TABLE[self.p],
+                               len(COMPS[self.p - 1]))
+        return LieForm(self.ring, self.p - 1, out,
+                       min(self.order, oneform.order))
 
     # -- component access --------------------------------------------------
 
@@ -290,6 +299,30 @@ class LieForm:
         if not self.comps.size:
             return 0.0
         return float(np.abs(self.comps[..., mask]).max())
+
+
+def _paired_products(left: LieForm, right: LieForm, pairing, table,
+                     n_comps: int) -> np.ndarray:
+    """Components sum sign * pairing[c, a, b] left^a_i right^b_j -> out[c, k].
+
+    ``table`` lists (i, j, k, sign).  Only the internal pairs (a, b) with a
+    nonzero coupling are multiplied: one ring product per table entry over
+    those pairs, then a contraction with their coupling columns.
+    """
+    pairing = np.asarray(pairing, dtype=float)
+    if pairing.ndim != 3 or pairing.shape[1] != left.n \
+            or pairing.shape[2] != right.n:
+        raise ValueError("pairing shape mismatch")
+    ring = left.ring
+    out = ring.zeros((pairing.shape[0], n_comps))
+    a, b = np.nonzero(pairing.any(axis=0))
+    if not a.size:
+        return out
+    coupling = pairing[:, a, b]
+    for i, j, k, sign in table:
+        prod = ring.mul(left.comps[a, i], right.comps[b, j])
+        out[:, k] += sign * np.einsum("cp,p...->c...", coupling, prod)
+    return out
 
 
 def epsilon_dual(f: LieForm, kind: str,

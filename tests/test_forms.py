@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, LieForm,
-                        epsilon_dual, literal_epsilon_contraction,
+from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, WEDGE_TABLE,
+                        LieForm, epsilon_dual, literal_epsilon_contraction,
                         random_field_config, scalar_pairing,
                         volume_coefficient)
-from ymft.jets import JetRing
+from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import levi_civita3
 
 RING = JetRing(3)
@@ -176,3 +178,164 @@ def test_interior_product_component_oracle():
                 want += eta_inv[nu, sig] * RING.mul(
                     chi.comps[0, nu], s.tensor_component((sig, mu))[0])
         assert np.allclose(out.comps[0, mu], want, atol=1e-13)
+
+
+# -- the wedge over coupled internal pairs against the dense reference -----
+
+def dense_wedge(f, g, pairing):
+    """Reference wedge: every internal pair multiplied, then contracted."""
+    pairing = np.asarray(pairing, dtype=float)
+    ring = f.ring
+    out = ring.zeros((pairing.shape[0], len(COMPS[f.p + g.p])))
+    for i, j, k, sign in WEDGE_TABLE[(f.p, g.p)]:
+        prod = ring.mul(f.comps[:, None, i], g.comps[None, :, j])
+        out[:, k] += sign * np.einsum("cab,ab...->c...", pairing, prod)
+    return LieForm(ring, f.p + g.p, out, min(f.order, g.order))
+
+
+def wedge_magnitude(f, g, pairing):
+    """Sum of the absolute values of every term of each wedge coefficient.
+
+    Roundoff in a wedge coefficient is bounded relative to this, however
+    much its terms cancel.
+    """
+    ring = f.ring
+    out = ring.zeros((pairing.shape[0], len(COMPS[f.p + g.p])))
+    for i, j, k, _ in WEDGE_TABLE[(f.p, g.p)]:
+        prod = ring.mul(np.abs(f.comps[:, None, i]), np.abs(g.comps[None, :, j]))
+        out[:, k] += np.einsum("cab,ab...->c...", np.abs(pairing), prod)
+    return out
+
+
+def random_form(ring, p, n, rng, order=None, directions=None):
+    """Random form; on an extended ring only the listed blocks are seeded."""
+    base = rng.uniform(-1, 1, (n, len(COMPS[p]), ring.base_width))
+    if ring.blocks == 1:
+        return LieForm(ring, p, base, order)
+    if directions is None:
+        directions = range(ring.blocks - 1)
+    tangents = [None] * (ring.blocks - 1)
+    for d in directions:
+        tangents[d] = rng.uniform(-1, 1, base.shape)
+    return LieForm(ring, p, ring.promote(base, tangents), order)
+
+
+def assert_matches_dense(f, g, pairing):
+    got = f.wedge(g, pairing)
+    want = dense_wedge(f, g, pairing)
+    assert got.p == want.p and got.order == want.order
+    assert got.comps.shape == want.comps.shape
+    scale = np.abs(want.comps).max()
+    assert np.abs(got.comps - want.comps).max() <= 1e-15 * scale
+    # slots the pairing never writes to stay exact zeros
+    silent = ~np.asarray(pairing, dtype=float).any(axis=(1, 2))
+    assert np.all(got.comps[silent] == 0.0)
+    return got
+
+
+def single_entry_pairing():
+    pairing = np.zeros((2, 3, 3))
+    pairing[1, 2, 0] = 0.7
+    return pairing
+
+
+PAIRINGS = {
+    "zero": lambda rng: np.zeros((2, 3, 3)),
+    "diagonal-metric": lambda rng: scalar_pairing(np.diag([1.0, -2.0, 0.5])),
+    "su2": lambda rng: levi_civita3(),
+    "single-entry": lambda rng: single_entry_pairing(),
+    "random-dense": lambda rng: rng.uniform(-1, 1, (2, 3, 3)),
+}
+
+RINGS = {
+    "jet3": lambda: JetRing(3),
+    "jet5": lambda: JetRing(5),
+    "nilpotent-4x60": lambda: NilpotentExtension(4, 60),
+    "tower-3x2": lambda: EpsilonTower(3, 2),
+}
+
+
+@pytest.mark.parametrize("pairing_name", PAIRINGS)
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_wedge_matches_dense_reference(ring_name, pairing_name):
+    ring = RINGS[ring_name]()
+    rng = np.random.default_rng(17)
+    pairing = PAIRINGS[pairing_name](rng)
+    seeded = (0, 59) if ring_name.startswith("nilpotent") else None
+    for p, q in ((1, 1), (1, 2), (2, 2), (0, 3)):
+        f = random_form(ring, p, 3, rng, directions=seeded)
+        g = random_form(ring, q, 3, rng, ring.degree - 1, directions=seeded)
+        got = assert_matches_dense(f, g, pairing)
+        if seeded is not None:
+            blocks = got.comps.reshape(got.comps.shape[:2]
+                                       + (ring.blocks, ring.base_width))
+            assert np.all(blocks[:, :, 2:60] == 0.0)
+
+
+def test_wedge_with_zero_pairing_is_exact_zero_form(monkeypatch):
+    ring = JetRing(3)
+    rng = np.random.default_rng(4)
+    f = random_form(ring, 1, 3, rng, order=2)
+    g = random_form(ring, 2, 2, rng)
+
+    def no_products(x, y):
+        raise AssertionError("ring product run for an uncoupled pair")
+
+    monkeypatch.setattr(ring, "mul", no_products)
+    w = f.wedge(g, np.zeros((4, 3, 2)))
+    assert (w.p, w.n, w.order) == (3, 4, 2)
+    assert w.comps.shape == (4, len(COMPS[3]), ring.width)
+    assert np.all(w.comps == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3, 1)])
+def test_products_reject_pairing_of_wrong_rank(shape):
+    rng = np.random.default_rng(5)
+    f = random_form(RING, 1, 3, rng)
+    g = random_form(RING, 2, 3, rng)
+    with pytest.raises(ValueError, match="pairing shape mismatch"):
+        f.wedge(g, np.ones(shape))
+    with pytest.raises(ValueError, match="pairing shape mismatch"):
+        g.interior(f, np.ones(shape))
+
+
+def test_interior_pairs_oneform_left_and_form_right():
+    # oracle: sum_ab pairing[c, a, b] i_{x^a} s^b, each from the n = 1 product
+    rng = np.random.default_rng(11)
+    chi = random_form(RING, 1, 3, rng)
+    s = random_form(RING, 3, 2, rng)
+    single = np.zeros((2, 3, 2))
+    single[1, 2, 0] = -1.5
+    eye = scalar_pairing(np.eye(1))
+    for pairing in (rng.uniform(-1, 1, (2, 3, 2)), single):
+        out = s.interior(chi, pairing)
+        want = np.zeros_like(out.comps)
+        for c, a, b in itertools.product(range(2), range(3), range(2)):
+            one = LieForm(RING, 3, s.comps[b:b + 1]).interior(
+                LieForm(RING, 1, chi.comps[a:a + 1]), eye)
+            want[c] += pairing[c, a, b] * one.comps[0]
+        assert np.abs(out.comps - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.all(out.comps[~pairing.any(axis=(1, 2))] == 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([(0, 2), (1, 1), (1, 2), (2, 2)]),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_wedge_over_random_sparsity(n_out, n, m, degrees, seed, density):
+    ring = JetRing(2)
+    rng = np.random.default_rng(seed)
+    f = random_form(ring, degrees[0], n, rng)
+    g = random_form(ring, degrees[1], m, rng)
+    mask = rng.uniform(0, 1, (n_out, n, m)) < density
+    pairing = np.where(mask, rng.uniform(-1, 1, mask.shape), 0.0)
+    other = np.where(rng.uniform(0, 1, mask.shape) < density,
+                     rng.uniform(-1, 1, mask.shape), 0.0)
+    got = assert_matches_dense(f, g, pairing)
+    # bilinear in the pairing
+    alpha, beta = rng.uniform(-2, 2, 2)
+    mixed = f.wedge(g, alpha * pairing + beta * other).comps
+    split = alpha * got.comps + beta * f.wedge(g, other).comps
+    terms = wedge_magnitude(f, g, abs(alpha) * np.abs(pairing)
+                            + abs(beta) * np.abs(other))
+    assert np.abs(mixed - split).max() <= 1e-14 * terms.max()
