@@ -29,8 +29,8 @@ print("  size:", y.size, "x", y.size, "over", y.ring.width, "jet coefficients")
 print("  block symmetry residual:", y.symmetry_residual(ds.ga, ds.gb))
 print("  constant-block determinant:", f"{y.det_constant():.6f}")
 
-inv = invert_Y(y)
-print("  inverse round-trip residual:", f"{inv.roundtrip_residual():.2e}")
+invert_Y(y)   # raises SingularYError when the constant block degenerates
+print("  constant block passes the admissibility gate")
 
 pair = compute_strengths(config, ds)
 print("\nsolved strengths substituted back into their definition:",

@@ -15,8 +15,9 @@ import numpy as np
 from . import lie_core
 from .deformations import (DeformationSet, family_e_only, family_general,
                            family_solvable, family_su2, make_deformation)
-from .dynamics import (DEFAULT_TOLS, EONLY, GENERAL, LINEAR, TheoryVariant,
-                       variant_e_only, variant_general, variant_linear)
+from .dynamics import (CHECK_FUNCTIONS, DEFAULT_TOLS, EONLY, GENERAL, LINEAR,
+                       TheoryVariant, variant_e_only, variant_general,
+                       variant_linear)
 from .lie_core import InternalSpace, StructureConstants
 
 
@@ -34,9 +35,6 @@ _JET_KEYS = {"degree", "amplitude", "seeds"}
 _TOL_KEYS = {"linear", "polynomial", "composite", "constraints"}
 _OBS_KEYS = {"sampler", "parameter", "center", "radius", "grid", "points",
              "causality_samples", "checks"}
-_CHECK_NAMES = {"gauge-invariance", "noether", "strength-identities",
-                "commutators", "linearization", "euler-lagrange",
-                "strength-transformation"}
 _ALGEBRA_FAMILIES = {"su2", "su11", "abelian"}
 _DEFORM_FAMILIES = {"su2", "solvable", "e_only", "linear", "explicit",
                     "general"}
@@ -96,7 +94,7 @@ class RunConfig:
         if self.checks is not None:
             if not isinstance(self.checks, list):
                 raise ConfigError("checks must be a list")
-            unknown = set(self.checks) - _CHECK_NAMES
+            unknown = set(self.checks) - set(CHECK_FUNCTIONS)
             if unknown:
                 raise ConfigError(f"unknown checks: {sorted(unknown)}")
 

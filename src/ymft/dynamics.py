@@ -13,14 +13,23 @@ Three theory variants are supported:
 Every identity is checked off-shell as an exact statement on jet
 coefficients: gauge variations, commutators and linearizations are taken by
 running the whole pipeline over a nilpotent ring extension, so no finite
-differencing enters anywhere.  Statements that hold "on solutions" are
-verified in their off-shell form with the explicit field-equation remainder
-terms; remainders without a closed display were derived once against
-random-jet data and are frozen below (see CONVENTIONS.md).
+differencing enters anywhere.  A check seeds every direction it needs into
+one tangent ring (:func:`tangent_config`) and runs the pipeline over it
+once; a :class:`SeedContext` holds one seed's fields and computes their
+strengths and field equations once, when first needed.  Statements that
+hold "on solutions" are verified in their off-shell form with the explicit
+field-equation remainder terms; remainders without a closed display were
+derived once against random-jet data and are frozen below (see
+CONVENTIONS.md).
+
+The suite driver is table-driven: ``CHECK_FUNCTIONS`` maps each check name
+to its function and ``CHECK_SPECS`` gives its tolerance class and whether
+it takes seeds or cyclic seed pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -28,8 +37,7 @@ import numpy as np
 
 from .deformations import (DeformationSet, check_e_mass_obstruction,
                            make_deformation)
-from .forms import (COMP_INDEX, COMPS, CONVENTION, LieForm,
-                    MinkowskiConvention, _perm_sign, direction_part,
+from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, direction_part,
                     promote_form, random_field_config, random_gauge_params,
                     scalar_pairing, volume_coefficient)
 from .jets import JetRing, JetScalar, NilpotentExtension
@@ -62,11 +70,6 @@ class TheoryVariant:
             if zero > 0 or not check_e_mass_obstruction(self.ds):
                 raise ValueError("the e-only variant requires "
                                  "a = b = j = k = 0 and zero mass")
-
-    @property
-    def curl(self) -> str:
-        return "covariant" if (self.kind == GENERAL
-                               and not self.ds.mass.is_zero()) else "plain"
 
 
 def variant_linear(mass_matrix, dim_a: int = 3, dim_b: int = 3,
@@ -146,7 +149,6 @@ def e_source_form(ds: DeformationSet, f_form: LieForm,
 
 def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
                     strengths: StrengthPair | None = None,
-                    conv: MinkowskiConvention = CONVENTION,
                     d_a: LieForm | None = None,
                     d_b: LieForm | None = None) -> LieForm:
     """The Lagrangian as a real-valued 4-form.
@@ -164,38 +166,33 @@ def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
 
     if variant.kind == LINEAR:
         f_form, h_form = d_a, d_b
-        lag = (_pair4(f_form, f_form.hodge(conv), ds.ga).scale(0.5)
-               - _pair4(h_form, h_form.hodge(conv), ds.gb).scale(0.5)
+        lag = (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
+               - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
                + f_form.wedge(b_form, mass[None]))
         return lag
 
     if variant.kind == EONLY:
         f_form, h_form = d_a, d_b
         s_form = e_source_form(ds, f_form, a_form)
-        return (_pair4(f_form, f_form.hodge(conv), ds.ga).scale(0.5)
-                - _pair4(h_form, h_form.hodge(conv), ds.gb).scale(0.5)
-                + _pair4(s_form, h_form.hodge(conv), ds.gb)
-                - _pair4(s_form, s_form.hodge(conv), ds.gb).scale(0.5))
+        return (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
+                - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
+                + _pair4(s_form, h_form.hodge(), ds.gb)
+                - _pair4(s_form, s_form.hodge(), ds.gb).scale(0.5))
 
-    strengths = strengths or compute_strengths(
-        config, ds, conv, curl=variant.curl, d_a=d_a, d_b=d_b)
+    strengths = strengths or compute_strengths(config, ds, d_a=d_a, d_b=d_b)
     return (_pair4(strengths.starP, strengths.F, ds.ga).scale(0.5)
             + _pair4(strengths.starQ, strengths.H, ds.gb).scale(0.5)
             + strengths.F.wedge(b_form, mass[None]))
 
 
 def lagrangian(variant: TheoryVariant, config: FieldConfig,
-               strengths: StrengthPair | None = None,
-               conv: MinkowskiConvention = CONVENTION) -> JetScalar:
+               strengths: StrengthPair | None = None) -> JetScalar:
     """Volume coefficient of the Lagrangian 4-form."""
-    return volume_coefficient(lagrangian_form(variant, config, strengths,
-                                              conv))
+    return volume_coefficient(lagrangian_form(variant, config, strengths))
 
 
 def lagrangian_symmetric_form(variant: TheoryVariant, config: FieldConfig,
-                              strengths: StrengthPair,
-                              conv: MinkowskiConvention = CONVENTION
-                              ) -> JetScalar:
+                              strengths: StrengthPair) -> JetScalar:
     """The cross-representation (1/2) M^T Y^{-1} M value (massless sets).
 
     Evaluates the same Lagrangian through the solved stack and the block
@@ -208,7 +205,6 @@ def lagrangian_symmetric_form(variant: TheoryVariant, config: FieldConfig,
 
 def field_equations(variant: TheoryVariant, config: FieldConfig,
                     strengths: StrengthPair | None = None,
-                    conv: MinkowskiConvention = CONVENTION,
                     d_a: LieForm | None = None, d_b: LieForm | None = None):
     """Hand-coded field equations: an A-valued 3-form and an A'-valued 2-form."""
     ds = variant.ds
@@ -218,18 +214,18 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
 
     if variant.kind == LINEAR:
         f_form, h_form = d_a, d_b
-        e_a = f_form.hodge(conv).d() + apply_linear(ds.mass.map_b, h_form)
-        e_b = h_form.hodge(conv).d() + apply_linear(ds.mass.map_a, f_form)
+        e_a = f_form.hodge().d() + apply_linear(ds.mass.map_b, h_form)
+        e_b = h_form.hodge().d() + apply_linear(ds.mass.map_a, f_form)
         return e_a, e_b
 
     if variant.kind == EONLY:
         f_form, h_form = d_a, d_b
         s_form = e_source_form(ds, f_form, a_form)
-        star_h = h_form.hodge(conv)
-        star_s = s_form.hodge(conv)
+        star_h = h_form.hodge()
+        star_s = s_form.hodge()
         # pairing [out a, left b (unprimed), right c' (primed)]
         pr = np.einsum("pbd,da->abp", ds.e_low(), ds.space_a.inverse_metric)
-        e_a = (f_form.hodge(conv).d()
+        e_a = (f_form.hodge().d()
                + f_form.wedge(star_h, pr).scale(2.0)
                - a_form.wedge(star_h.d(), pr)
                - f_form.wedge(star_s, pr).scale(2.0)
@@ -237,8 +233,7 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
         e_b = (star_h - star_s).d()
         return e_a, e_b
 
-    strengths = strengths or compute_strengths(
-        config, ds, conv, curl=variant.curl, d_a=d_a, d_b=d_b)
+    strengths = strengths or compute_strengths(config, ds, d_a=d_a, d_b=d_b)
     p_form, q_form = strengths.P, strengths.Q
     star_p, star_q = strengths.starP, strengths.starQ
     ma, mb = ds.mass.map_a, ds.mass.map_b
@@ -283,9 +278,14 @@ class Variations:
     chi_a: LieForm
     chi_b: LieForm
 
-    def pick(self, which: str):
-        if which == "xi":
-            return self.xi_a, self.xi_b
+    @property
+    def xi(self):
+        """The (A, B) variation of the first symmetry type."""
+        return self.xi_a, self.xi_b
+
+    @property
+    def chi(self):
+        """The (A, B) variation of the second symmetry type."""
         return self.chi_a, self.chi_b
 
 
@@ -303,7 +303,7 @@ def gauge_variation(variant: TheoryVariant, config: FieldConfig,
         return Variations(xi.d(), f_form.wedge(xi, ds.e), zero_a, chi.d())
 
     if strengths is None:
-        strengths = compute_strengths(config, ds, curl=variant.curl)
+        strengths = compute_strengths(config, ds)
     star_p, star_q = strengths.starP, strengths.starQ
     b_t = b_transpose_pairing(ds)
     xi_a = (xi.d() + config.A.wedge(xi, ds.a) + star_q.wedge(xi, ds.b))
@@ -315,8 +315,7 @@ def gauge_variation(variant: TheoryVariant, config: FieldConfig,
 
 
 def boundary_theta(variant: TheoryVariant, config: FieldConfig,
-                   strengths: StrengthPair | None, gp: GaugeParam,
-                   conv: MinkowskiConvention = CONVENTION):
+                   strengths: StrengthPair | None, gp: GaugeParam):
     """The 3-forms Theta with delta L = d Theta for each symmetry type."""
     ds = variant.ds
     n, m = ds.space_a.dim, ds.space_b.dim
@@ -347,83 +346,115 @@ def boundary_theta(variant: TheoryVariant, config: FieldConfig,
 
 
 # ---------------------------------------------------------------------------
-# directional (nilpotent) evaluation helpers
+# tangent rings and the per-seed context
 
 
-def _dual_config(config: FieldConfig, dir_a: LieForm, dir_b: LieForm):
-    ring = NilpotentExtension(config.ring.degree, 1)
-    a_d = promote_form(config.A, ring, dir_a)
-    b_d = promote_form(config.B, ring, dir_b)
-    return FieldConfig(a_d, b_d), ring
+def tangent_config(config: FieldConfig, directions) -> FieldConfig:
+    """The fields over one ``NilpotentExtension(degree, k)``.
+
+    ``directions`` lists k pairs (dir_a, dir_b); tangent block i of A and B
+    holds pair i.  One pass over the extended ring then gives the exact
+    directional derivative of every quantity along all k directions at
+    once (vector forward mode).
+    """
+    ring = NilpotentExtension(config.ring.degree, len(directions))
+
+    def seeded(form: LieForm, tangents) -> LieForm:
+        lifted = promote_form(form, ring)
+        blocks = lifted.comps.reshape(form.n, -1, ring.blocks,
+                                      ring.base_width)
+        for i, tangent in enumerate(tangents):
+            blocks[:, :, 1 + i] = tangent.comps
+        order = min([form.order] + [t.order for t in tangents])
+        return LieForm(ring, form.p, lifted.comps, order)
+
+    return FieldConfig(seeded(config.A, [d[0] for d in directions]),
+                       seeded(config.B, [d[1] for d in directions]))
 
 
-def directional_lagrangian(variant: TheoryVariant, config: FieldConfig,
-                           dir_a: LieForm, dir_b: LieForm,
-                           conv: MinkowskiConvention = CONVENTION) -> LieForm:
-    """Exact directional derivative of the Lagrangian 4-form along (dir_a, dir_b)."""
-    dual_cfg, ring = _dual_config(config, dir_a, dir_b)
-    lag = lagrangian_form(variant, dual_cfg, None, conv)
-    return direction_part(lag, JetRing(config.ring.degree))
+def tangent_parts(form: LieForm) -> list:
+    """The tangent blocks of a form over a tangent ring, as base-ring forms."""
+    base = JetRing(form.ring.degree)
+    return [direction_part(form, base, i)
+            for i in range(form.ring.directions)]
 
 
-def directional_variations(variant: TheoryVariant, config: FieldConfig,
-                           dir_a: LieForm, dir_b: LieForm, gp: GaugeParam,
-                           conv: MinkowskiConvention = CONVENTION):
-    """Directional derivative of the gauge-variation map itself."""
-    dual_cfg, ring = _dual_config(config, dir_a, dir_b)
-    base = JetRing(config.ring.degree)
-    gp_dual = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
-    strengths = None
-    if variant.kind == GENERAL:
-        strengths = compute_strengths(dual_cfg, variant.ds, conv,
-                                      curl=variant.curl)
-    var = gauge_variation(variant, dual_cfg, strengths, gp_dual)
-    return Variations(direction_part(var.xi_a, base),
-                      direction_part(var.xi_b, base),
-                      direction_part(var.chi_a, base),
-                      direction_part(var.chi_b, base))
+def directional_lagrangians(variant: TheoryVariant, config: FieldConfig,
+                            directions) -> list:
+    """Exact directional derivatives of the Lagrangian 4-form, one per
+    (dir_a, dir_b) pair, from one pass over a tangent ring."""
+    return tangent_parts(lagrangian_form(variant,
+                                         tangent_config(config, directions)))
+
+
+class SeedContext:
+    """One field configuration, with its strengths and field equations
+    computed once, on first use, and shared by every term of a check."""
+
+    def __init__(self, variant: TheoryVariant, config: FieldConfig):
+        self.variant = variant
+        self.config = config
+
+    @classmethod
+    def random(cls, variant: TheoryVariant, seed: int, degree: int,
+               amplitude: float) -> "SeedContext":
+        ds = variant.ds
+        return cls(variant, FieldConfig(*random_field_config(
+            seed, amplitude, degree, ds.space_a.dim, ds.space_b.dim)))
+
+    @functools.cached_property
+    def strengths(self) -> StrengthPair | None:
+        """The solved strengths; only the parity-even variant has them."""
+        if self.variant.kind != GENERAL:
+            return None
+        return compute_strengths(self.config, self.variant.ds)
+
+    @functools.cached_property
+    def equations(self):
+        """The hand-coded field equations (E_A, E_B)."""
+        return field_equations(self.variant, self.config, self.strengths)
+
+    def tangent(self, directions) -> "SeedContext":
+        """The context of :func:`tangent_config` along ``directions``."""
+        return SeedContext(self.variant,
+                           tangent_config(self.config, directions))
+
+    def variations(self, gp: GaugeParam) -> Variations:
+        """The gauge variation of the fields, ``gp`` lifted to their ring."""
+        ring = self.config.ring
+        if gp.xi.ring is not ring:
+            gp = GaugeParam(promote_form(gp.xi, ring),
+                            promote_form(gp.chi, ring))
+        return gauge_variation(self.variant, self.config, self.strengths, gp)
+
+    def remainder(self, gp: GaugeParam):
+        """:func:`strength_remainder` of ``gp`` on these fields."""
+        e_a, e_b = self.equations
+        return strength_remainder(self.variant, self.config, self.strengths,
+                                  gp, e_a, e_b)
 
 
 # ---------------------------------------------------------------------------
 # suite pieces
 
 
-def _prepare(variant: TheoryVariant, seed: int, degree: int, amplitude: float,
-             conv: MinkowskiConvention):
-    ds = variant.ds
-    a_form, b_form = random_field_config(seed, amplitude, degree,
-                                         ds.space_a.dim, ds.space_b.dim)
-    config = FieldConfig(a_form, b_form)
-    strengths = None
-    if variant.kind == GENERAL:
-        strengths = compute_strengths(config, ds, conv, curl=variant.curl)
-    return config, strengths
-
-
 def check_gauge_invariance(variant: TheoryVariant, seeds,
                            degree: int = 3, amplitude: float = 0.1,
-                           tol: float | None = None,
-                           conv: MinkowskiConvention = CONVENTION
-                           ) -> IdentityReport:
+                           tol: float | None = None) -> IdentityReport:
     """delta L - d Theta = 0 for both symmetry types, per seed."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     worst = {"gauge-invariance-xi": 0.0, "gauge-invariance-chi": 0.0}
     for seed in seeds:
-        config, strengths = _prepare(variant, seed, degree, amplitude, conv)
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
         gp = GaugeParam(*random_gauge_params(seed + 10_000, amplitude,
                                              degree, variant.ds.space_a.dim,
                                              variant.ds.space_b.dim))
-        var = gauge_variation(variant, config, strengths, gp)
-        theta_xi, theta_chi = boundary_theta(variant, config, strengths, gp,
-                                             conv)
-        d_l = directional_lagrangian(variant, config, var.xi_a, var.xi_b,
-                                     conv)
-        worst["gauge-invariance-xi"] = max(worst["gauge-invariance-xi"],
-                                           (d_l - theta_xi.d()).max_abs())
-        d_l = directional_lagrangian(variant, config, var.chi_a, var.chi_b,
-                                     conv)
-        worst["gauge-invariance-chi"] = max(worst["gauge-invariance-chi"],
-                                            (d_l - theta_chi.d()).max_abs())
+        var = ctx.variations(gp)
+        thetas = boundary_theta(variant, ctx.config, ctx.strengths, gp)
+        d_ls = directional_lagrangians(variant, ctx.config,
+                                       [var.xi, var.chi])
+        for name, d_l, theta in zip(worst, d_ls, thetas):
+            worst[name] = max(worst[name], (d_l - theta.d()).max_abs())
     return _collect("gauge-invariance", worst, tol, seeds)
 
 
@@ -433,26 +464,20 @@ def _lowered(form: LieForm, metric: np.ndarray) -> LieForm:
 
 def check_noether_identities(variant: TheoryVariant, seeds,
                              degree: int = 3, amplitude: float = 0.1,
-                             tol: float | None = None,
-                             conv: MinkowskiConvention = CONVENTION
-                             ) -> IdentityReport:
+                             tol: float | None = None) -> IdentityReport:
     """Covariant-divergence identities of the field equations, off-shell."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    ds = variant.ds
     worst = {"noether-divergence-A": 0.0, "noether-divergence-B": 0.0}
     for seed in seeds:
-        config, strengths = _prepare(variant, seed, degree, amplitude, conv)
-        e_a, e_b = field_equations(variant, config, strengths, conv)
-        res_a, res_b = _noether_residuals(variant, config, strengths,
-                                          e_a, e_b, conv)
-        worst["noether-divergence-A"] = max(worst["noether-divergence-A"],
-                                            res_a)
-        worst["noether-divergence-B"] = max(worst["noether-divergence-B"],
-                                            res_b)
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
+        residuals = _noether_residuals(variant, ctx.config, ctx.strengths,
+                                       *ctx.equations)
+        for name, res in zip(worst, residuals):
+            worst[name] = max(worst[name], res)
     return _collect("noether", worst, tol, seeds)
 
 
-def _noether_residuals(variant, config, strengths, e_a, e_b, conv):
+def _noether_residuals(variant, config, strengths, e_a, e_b):
     ds = variant.ds
     ga, gb = ds.ga, ds.gb
     ea_low = _lowered(e_a, ga)
@@ -489,9 +514,7 @@ def _noether_residuals(variant, config, strengths, e_a, e_b, conv):
 
 def check_strength_identities(variant: TheoryVariant, seeds,
                               degree: int = 3, amplitude: float = 0.1,
-                              tol: float | None = None,
-                              conv: MinkowskiConvention = CONVENTION
-                              ) -> IdentityReport:
+                              tol: float | None = None) -> IdentityReport:
     """Off-shell divergence identities on the strengths, plus Bianchi."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     ds = variant.ds
@@ -508,14 +531,15 @@ def check_strength_identities(variant: TheoryVariant, seeds,
                 and abs(np.linalg.det(ds.mass.m)) > 1e-10:
             rows["substitution-Q-massive"] = 0.0
     for seed in seeds:
-        config, strengths = _prepare(variant, seed, degree, amplitude, conv)
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
+        config, strengths = ctx.config, ctx.strengths
         f_form = (config.A.d() if variant.kind != GENERAL
                   else strengths.F)
         bianchi = f_form.d() + config.A.wedge(f_form, ds.a)
         rows["bianchi-F"] = max(rows["bianchi-F"], bianchi.max_abs())
         if variant.kind != GENERAL:
             continue
-        e_a, e_b = field_equations(variant, config, strengths, conv)
+        e_a, e_b = ctx.equations
         rows["strength-P-divergence"] = max(
             rows["strength-P-divergence"],
             _p_identity(ds, config, strengths, e_b).max_abs())
@@ -581,8 +605,7 @@ def _wedge3(f: LieForm, g: LieForm, h: LieForm,
 
 def strength_remainder(variant: TheoryVariant, config: FieldConfig,
                        strengths: StrengthPair, gp: GaugeParam,
-                       e_a: LieForm, e_b: LieForm,
-                       conv: MinkowskiConvention = CONVENTION):
+                       e_a: LieForm, e_b: LieForm):
     """The field-equation part of the strength variation, as a (2,3)-form pair.
 
     (R_P, R_Q) = Y^{-1}(b(E_B, xi), -b^T(E_A, xi) + k(E_B, chi)); the gauge
@@ -598,45 +621,79 @@ def strength_remainder(variant: TheoryVariant, config: FieldConfig,
                         min(src_p.order, src_q.order))
 
 
-def trivial_symmetry(variant: TheoryVariant, config: FieldConfig,
-                     strengths: StrengthPair | None,
-                     gp1: GaugeParam, gp2: GaugeParam,
-                     conv: MinkowskiConvention = CONVENTION):
-    """The on-shell-vanishing remainder of the commutator closure.
+COMMUTATORS = ("commutator-xi-xi", "commutator-chi-chi", "commutator-xi-chi")
+
+
+def gauge_commutators(ctx: SeedContext, gp1: GaugeParam,
+                      gp2: GaugeParam) -> dict:
+    """[delta_1, delta_2] on (A, B) for the xi-xi, chi-chi and xi-chi parts.
+
+    The commutator of two variations is D(delta_2)[delta_1] -
+    D(delta_1)[delta_2], D the derivative of a variation map along a field
+    direction.  The xi and chi halves of each variation seed the four
+    directions xi_1, chi_1, xi_2, chi_2 of one tangent ring; varying with
+    gp1 and gp2 there gives the derivative of every half along every
+    direction, since each half is linear in its own parameter.
+    """
+    var1, var2 = ctx.variations(gp1), ctx.variations(gp2)
+    tan = ctx.tangent([var1.xi, var1.chi, var2.xi, var2.chi])
+    t1, t2 = tan.variations(gp1), tan.variations(gp2)
+    base = JetRing(ctx.config.ring.degree)
+
+    def bracket(second, along_first: int, first, along_second: int):
+        return tuple(direction_part(x, base, along_first)
+                     - direction_part(y, base, along_second)
+                     for x, y in zip(second, first))
+
+    return {"commutator-xi-xi": bracket(t2.xi, 0, t1.xi, 2),
+            "commutator-chi-chi": bracket(t2.chi, 1, t1.chi, 3),
+            "commutator-xi-chi": bracket(t2.chi, 0, t1.xi, 3)}
+
+
+def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
+                     gp2: GaugeParam) -> dict:
+    """The on-shell-vanishing remainder of each commutator closure.
 
     The gauge variations depend on the fields only through the dual
     strengths; commuting two of them therefore leaves, besides the closure
     parameters, exactly the strength couplings applied to the
     field-equation remainders of the strength variations.  Every term is
-    proportional to the field equations and vanishes on solutions.
+    proportional to the field equations and vanishes on solutions.  The
+    remainders are linear in the parameter, so those of xi_1, chi_1, xi_2
+    and chi_2 serve all three pairs.
     """
-    ds = variant.ds
-    ring = config.ring
+    ds = ctx.variant.ds
+    ring = ctx.config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     zero_a = LieForm.zero(ring, 1, n)
-    zero_b = LieForm.zero(ring, 2, m)
-    if variant.kind != GENERAL:
-        return zero_a, zero_b
-    e_a, e_b = field_equations(variant, config, strengths, conv)
-    r1_p, r1_q = strength_remainder(variant, config, strengths, gp1,
-                                    e_a, e_b, conv)
-    r2_p, r2_q = strength_remainder(variant, config, strengths, gp2,
-                                    e_a, e_b, conv)
-    s1_p, s1_q = r1_p.hodge(conv), r1_q.hodge(conv)
-    s2_p, s2_q = r2_p.hodge(conv), r2_q.hodge(conv)
-    b_t = b_transpose_pairing(ds)
-    d_a = s1_q.wedge(gp2.xi, ds.b) - s2_q.wedge(gp1.xi, ds.b)
-    d_b = (s2_p.wedge(gp1.xi, b_t) - s1_p.wedge(gp2.xi, b_t)
-           + s1_q.wedge(gp2.chi, ds.k) - s2_q.wedge(gp1.chi, ds.k))
-    return d_a, d_b
+    if ctx.variant.kind != GENERAL:
+        return dict.fromkeys(COMMUTATORS, (zero_a, LieForm.zero(ring, 2, m)))
+    zero_xi, zero_chi = LieForm.zero(ring, 0, n), LieForm.zero(ring, 1, m)
 
+    def dual_remainder(gp):
+        r_p, r_q = ctx.remainder(gp)
+        return r_p.hodge(), r_q.hodge()
+
+    p_xi1, q_xi1 = dual_remainder(GaugeParam(gp1.xi, zero_chi))
+    p_xi2, q_xi2 = dual_remainder(GaugeParam(gp2.xi, zero_chi))
+    _, q_chi1 = dual_remainder(GaugeParam(zero_xi, gp1.chi))
+    p_chi2, q_chi2 = dual_remainder(GaugeParam(zero_xi, gp2.chi))
+    b_t = b_transpose_pairing(ds)
+    xi1, xi2, chi1, chi2 = gp1.xi, gp2.xi, gp1.chi, gp2.chi
+    return {
+        "commutator-xi-xi": (q_xi1.wedge(xi2, ds.b) - q_xi2.wedge(xi1, ds.b),
+                             p_xi2.wedge(xi1, b_t) - p_xi1.wedge(xi2, b_t)),
+        "commutator-chi-chi": (zero_a, q_chi1.wedge(chi2, ds.k)
+                               - q_chi2.wedge(chi1, ds.k)),
+        "commutator-xi-chi": (-q_chi2.wedge(xi1, ds.b),
+                              p_chi2.wedge(xi1, b_t)
+                              + q_xi1.wedge(chi2, ds.k)),
+    }
 
 
 def check_commutators(variant: TheoryVariant, seed_pairs,
                       degree: int = 3, amplitude: float = 0.1,
-                      tol: float | None = None,
-                      conv: MinkowskiConvention = CONVENTION
-                      ) -> IdentityReport:
+                      tol: float | None = None) -> IdentityReport:
     """[delta_1, delta_2] minus the closure data minus the trivial remainder.
 
     Closure: two first-type symmetries close on the first-type parameter
@@ -646,91 +703,59 @@ def check_commutators(variant: TheoryVariant, seed_pairs,
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     ds = variant.ds
-    rows = {"commutator-xi-xi": 0.0, "commutator-chi-chi": 0.0,
-            "commutator-xi-chi": 0.0}
+    n, m = ds.space_a.dim, ds.space_b.dim
+    rows = dict.fromkeys(COMMUTATORS, 0.0)
     seeds_used = []
     for s1, s2 in seed_pairs:
         seeds_used.extend([s1, s2])
-        config, strengths = _prepare(variant, s1, degree, amplitude, conv)
-        n, m = ds.space_a.dim, ds.space_b.dim
+        ctx = SeedContext.random(variant, s1, degree, amplitude)
         gp1 = GaugeParam(*random_gauge_params(s1 + 500, amplitude, degree,
                                               n, m))
         gp2 = GaugeParam(*random_gauge_params(s2 + 900, amplitude, degree,
                                               n, m))
-        zero_xi = LieForm.zero(config.ring, 0, n)
-        zero_chi = LieForm.zero(config.ring, 1, m)
-        combos = {
-            "commutator-xi-xi": (GaugeParam(gp1.xi, zero_chi),
-                                 GaugeParam(gp2.xi, zero_chi)),
-            "commutator-chi-chi": (GaugeParam(zero_xi, gp1.chi),
-                                   GaugeParam(zero_xi, gp2.chi)),
-            "commutator-xi-chi": (GaugeParam(gp1.xi, zero_chi),
-                                  GaugeParam(zero_xi, gp2.chi)),
-        }
-        for name, (p1, p2) in combos.items():
-            res = _commutator_residual(variant, config, strengths, p1, p2,
-                                       conv)
+        # one variation carries both nonzero closures: its xi half closes
+        # xi-xi and its chi half closes xi-chi
+        close = ctx.variations(GaugeParam(gp1.xi.wedge(gp2.xi, ds.a),
+                                          gp1.xi.wedge(gp2.chi, ds.j)))
+        ring = ctx.config.ring
+        closures = {"commutator-xi-xi": close.xi,
+                    "commutator-chi-chi": (LieForm.zero(ring, 1, n),
+                                           LieForm.zero(ring, 2, m)),
+                    "commutator-xi-chi": close.chi}
+        comm = gauge_commutators(ctx, gp1, gp2)
+        triv = trivial_symmetry(ctx, gp1, gp2)
+        for name in COMMUTATORS:
+            res = max((c - k - t).max_abs() for c, k, t in
+                      zip(comm[name], closures[name], triv[name]))
             rows[name] = max(rows[name], res)
     return _collect("commutators", rows, tol, seeds_used)
 
 
-def _commutator_residual(variant, config, strengths, gp1, gp2, conv) -> float:
-    ds = variant.ds
-    var1 = gauge_variation(variant, config, strengths, gp1)
-    var2 = gauge_variation(variant, config, strengths, gp2)
-    # directional derivative of variation 2 along variation 1 and vice versa
-    d21 = directional_variations(variant, config, var1.xi_a + var1.chi_a,
-                                 var1.xi_b + var1.chi_b, gp2, conv)
-    d12 = directional_variations(variant, config, var2.xi_a + var2.chi_a,
-                                 var2.xi_b + var2.chi_b, gp1, conv)
-    comm_a = (d21.xi_a + d21.chi_a) - (d12.xi_a + d12.chi_a)
-    comm_b = (d21.xi_b + d21.chi_b) - (d12.xi_b + d12.chi_b)
-    # closure parameters
-    xi3 = gp1.xi.wedge(gp2.xi, ds.a)
-    chi3 = gp1.xi.wedge(gp2.chi, ds.j)
-    gp3 = GaugeParam(xi3, chi3)
-    var3 = gauge_variation(variant, config, strengths, gp3)
-    close_a = var3.xi_a + var3.chi_a
-    close_b = var3.xi_b + var3.chi_b
-    triv_a, triv_b = trivial_symmetry(variant, config, strengths, gp1, gp2,
-                                      conv)
-    res_a = (comm_a - close_a - triv_a).max_abs()
-    res_b = (comm_b - close_b - triv_b).max_abs()
-    return max(res_a, res_b)
-
-
 def check_linearization(variant: TheoryVariant, seeds,
                         degree: int = 3, amplitude: float = 0.1,
-                        tol: float | None = None,
-                        conv: MinkowskiConvention = CONVENTION
-                        ) -> IdentityReport:
+                        tol: float | None = None) -> IdentityReport:
     """Order-one coefficient of E(eps A, eps B) equals the free equations.
 
-    The scale eps is the nilpotent direction of the extension ring, so the
-    extraction is exact (no finite differencing).
+    The scale eps is the one direction of a tangent ring seeded at zero
+    fields, so the extraction is exact (no finite differencing).
     """
     tol = DEFAULT_TOLS["linear"] if tol is None else tol
     ds = variant.ds
     lin = variant_linear(ds.mass.m, space_a=ds.space_a, space_b=ds.space_b)
     worst = {"linearization-A": 0.0, "linearization-B": 0.0}
     base = JetRing(degree)
-    ring = NilpotentExtension(degree, 1)
+    zero = FieldConfig(LieForm.zero(base, 1, ds.space_a.dim),
+                       LieForm.zero(base, 2, ds.space_b.dim))
     for seed in seeds:
-        a_form, b_form = random_field_config(seed, amplitude, degree,
-                                             ds.space_a.dim, ds.space_b.dim)
-        zero_a = LieForm.zero(base, 1, ds.space_a.dim)
-        zero_b = LieForm.zero(base, 2, ds.space_b.dim)
-        eps_cfg = FieldConfig(promote_form(zero_a, ring, a_form),
-                              promote_form(zero_b, ring, b_form))
-        e_a, e_b = field_equations(variant, eps_cfg, None, conv)
-        lin_a, lin_b = field_equations(lin, FieldConfig(a_form, b_form),
-                                       None, conv)
-        worst["linearization-A"] = max(
-            worst["linearization-A"],
-            (direction_part(e_a, base) - lin_a).max_abs())
-        worst["linearization-B"] = max(
-            worst["linearization-B"],
-            (direction_part(e_b, base) - lin_b).max_abs())
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
+        config = ctx.config
+        eps = SeedContext(variant, tangent_config(zero, [(config.A,
+                                                          config.B)]))
+        lin_eqs = field_equations(lin, config)
+        for name, e_form, lin_form in zip(worst, eps.equations, lin_eqs):
+            worst[name] = max(worst[name],
+                              (tangent_parts(e_form)[0] - lin_form)
+                              .max_abs())
     return _collect("linearization", worst, tol, seeds)
 
 
@@ -764,8 +789,7 @@ def _promote_with_tangents(form: LieForm, ring: NilpotentExtension,
     return LieForm(ring, form.p, comps, form.order)
 
 
-def generic_field_equations(variant: TheoryVariant, config: FieldConfig,
-                            conv: MinkowskiConvention = CONVENTION):
+def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
     """Euler-Lagrange equations from the Lagrangian alone.
 
     Forward-mode differentiation with respect to the pointwise jet
@@ -775,13 +799,12 @@ def generic_field_equations(variant: TheoryVariant, config: FieldConfig,
     the wedge-duals of the gradients in the value and derivative slots.
     """
     return _generic_el_of(
-        lambda cfg, da, db: lagrangian_form(variant, cfg, None, conv,
+        lambda cfg, da, db: lagrangian_form(variant, cfg, None,
                                             d_a=da, d_b=db),
-        variant.ds, config, conv)
+        variant.ds, config)
 
 
 def cubic_tower(ds: DeformationSet, config: FieldConfig,
-                conv: MinkowskiConvention = CONVENTION,
                 d_a: LieForm | None = None, d_b: LieForm | None = None):
     """The cubic Lagrangian of the deformation tower and its quadratic
     field-equation terms.
@@ -797,7 +820,7 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
     a_form, b_form = config.A, config.B
     f_form = a_form.d() if d_a is None else d_a
     h_form = b_form.d() if d_b is None else d_b
-    star_f, star_h = f_form.hodge(conv), h_form.hodge(conv)
+    star_f, star_h = f_form.hodge(), h_form.hodge()
     al, bl, jl, kl, el = (ds.a_low(), ds.b_low(), ds.j_low(), ds.k_low(),
                           ds.e_low())
     ga_inv, gb_inv = ds.space_a.inverse_metric, ds.space_b.inverse_metric
@@ -819,7 +842,7 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
     pr_e = np.einsum("pbd,da->abp", el, ga_inv)        # e_{c'b}{}^a
     x_2form = (a_form.wedge(a_form, ds.a).scale(0.5)
                + star_h.wedge(a_form, ds.b))
-    e2_a = (x_2form.hodge(conv).d()
+    e2_a = (x_2form.hodge().d()
             - a_form.wedge(star_f, np.einsum("cbd,da->abc", al, ga_inv))
             - star_h.wedge(star_f, np.einsum("cpd,da->apc", bl, ga_inv))
             - star_h.wedge(b_form, np.einsum("pxq,xa->apq", jl, ga_inv))
@@ -831,7 +854,7 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
                + star_h.wedge(b_form, ds.k)
                + star_f.wedge(a_form, b_t)
                - s_form)
-    e2_b = (y_3form.hodge(conv).d()
+    e2_b = (y_3form.hodge().d()
             + star_h.wedge(star_h,
                            np.einsum("xyz,za->axy", kl, gb_inv)).scale(0.5)
             - a_form.wedge(star_h, np.einsum("qbz,zp->pbq", jl, gb_inv))
@@ -843,8 +866,7 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
 
 def check_euler_lagrange_consistency(variant: TheoryVariant, seeds,
                                      degree: int = 3, amplitude: float = 0.1,
-                                     tol: float | None = None,
-                                     conv: MinkowskiConvention = CONVENTION
+                                     tol: float | None = None
                                      ) -> IdentityReport:
     """Generic variational derivative against the hand-coded equations,
     plus the cubic-tower consistency of the variant's deformation set."""
@@ -852,22 +874,21 @@ def check_euler_lagrange_consistency(variant: TheoryVariant, seeds,
     ds = variant.ds
     rows = {"euler-lagrange-A": 0.0, "euler-lagrange-B": 0.0}
     for seed in seeds:
-        config, strengths = _prepare(variant, seed, degree, amplitude, conv)
-        gen_a, gen_b = generic_field_equations(variant, config, conv)
-        hand_a, hand_b = field_equations(variant, config, strengths, conv)
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
+        gen_a, gen_b = generic_field_equations(variant, ctx.config)
+        hand_a, hand_b = ctx.equations
         rows["euler-lagrange-A"] = max(rows["euler-lagrange-A"],
                                        (gen_a - hand_a).max_abs())
         rows["euler-lagrange-B"] = max(rows["euler-lagrange-B"],
                                        (gen_b - hand_b).max_abs())
     report = _collect("euler-lagrange", rows, tol, seeds)
     tower = check_cubic_tower(ds, list(seeds)[:1], degree, amplitude,
-                              min(tol, DEFAULT_TOLS["polynomial"]), conv)
+                              min(tol, DEFAULT_TOLS["polynomial"]))
     return IdentityReport("euler-lagrange", report.results + tower.results)
 
 
 def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
-                      amplitude: float = 0.1, tol: float | None = None,
-                      conv: MinkowskiConvention = CONVENTION
+                      amplitude: float = 0.1, tol: float | None = None
                       ) -> IdentityReport:
     """EL of the cubic Lagrangian and the Euler homogeneity relations.
 
@@ -887,11 +908,11 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
                                              ds.space_a.dim, ds.space_b.dim)
         config = FieldConfig(a_form, b_form)
         f_form, h_form = a_form.d(), b_form.d()
-        star_f, star_h = f_form.hodge(conv), h_form.hodge(conv)
+        star_f, star_h = f_form.hodge(), h_form.hodge()
 
-        lag3, e2_a, e2_b = cubic_tower(ds, config, conv)
+        lag3, e2_a, e2_b = cubic_tower(ds, config)
         gen_a, gen_b = _generic_el_of(lambda cfg, da, db: cubic_tower(
-            ds, cfg, conv, d_a=da, d_b=db)[0], ds, config, conv)
+            ds, cfg, d_a=da, d_b=db)[0], ds, config)
         rows["cubic-el-A"] = max(rows["cubic-el-A"],
                                  (gen_a - e2_a).max_abs())
         rows["cubic-el-B"] = max(rows["cubic-el-B"],
@@ -899,8 +920,8 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
 
         # k = 1: boundary (-1/2)(*F ^ A - *H ^ B + m B ^ A)
         lin = variant_linear(mass, space_a=ds.space_a, space_b=ds.space_b)
-        e1_a, e1_b = field_equations(lin, config, None, conv)
-        lag2 = lagrangian_form(lin, config, None, conv)
+        e1_a, e1_b = field_equations(lin, config)
+        lag2 = lagrangian_form(lin, config)
         x1 = (e1_a.wedge(a_form, scalar_pairing(ga))
               - e1_b.wedge(b_form, scalar_pairing(gb))).scale(-0.5)
         bound1 = (star_f.wedge(a_form, scalar_pairing(ga))
@@ -919,15 +940,15 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
                - f_form.wedge(a_form, ds.e))
         x2 = (e2_a.wedge(a_form, scalar_pairing(ga))
               - e2_b.wedge(b_form, scalar_pairing(gb))).scale(-1.0 / 3.0)
-        bound2 = (x_a.hodge(conv).wedge(a_form, scalar_pairing(ga))
-                  - y_b.hodge(conv).wedge(b_form,
+        bound2 = (x_a.hodge().wedge(a_form, scalar_pairing(ga))
+                  - y_b.hodge().wedge(b_form,
                                           scalar_pairing(gb))).scale(1.0 / 3.0)
         rows["homogeneity-k2"] = max(rows["homogeneity-k2"],
                                      (lag3 - x2 - bound2.d()).max_abs())
     return _collect("cubic-tower", rows, tol, seeds)
 
 
-def _generic_el_of(builder, ds, config, conv):
+def _generic_el_of(builder, ds, config):
     """Generic EL equations of an arbitrary first-order Lagrangian builder.
 
     ``builder(config, d_a, d_b)`` must return a real-valued 4-form treating
@@ -966,8 +987,7 @@ def _generic_el_of(builder, ds, config, conv):
 
 def check_strength_transformation(variant: TheoryVariant, seeds,
                                   degree: int = 3, amplitude: float = 0.1,
-                                  tol: float | None = None,
-                                  conv: MinkowskiConvention = CONVENTION
+                                  tol: float | None = None
                                   ) -> IdentityReport:
     """Chain-rule gauge variation of (P, Q) against the closed formulas.
 
@@ -977,67 +997,46 @@ def check_strength_transformation(variant: TheoryVariant, seeds,
     (massless) or are invariant (massive).
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
+    ds = variant.ds
     rows = {"transform-xi-P": 0.0, "transform-xi-Q": 0.0,
             "transform-chi-P": 0.0, "transform-chi-Q": 0.0}
-    if variant.kind != GENERAL:
-        # the 2-form strength of these variants is F = dA, so the first
-        # symmetry type moves it by d(d xi) = 0 and the second not at all
-        for seed in seeds:
-            config, _ = _prepare(variant, seed, degree, amplitude, conv)
-            gp = GaugeParam(*random_gauge_params(seed + 77, amplitude, degree,
-                                                 variant.ds.space_a.dim,
-                                                 variant.ds.space_b.dim))
-            var = gauge_variation(variant, config, None, gp)
+    for seed in seeds:
+        ctx = SeedContext.random(variant, seed, degree, amplitude)
+        gp = GaugeParam(*random_gauge_params(seed + 77, amplitude, degree,
+                                             ds.space_a.dim, ds.space_b.dim))
+        var = ctx.variations(gp)
+        if variant.kind != GENERAL:
+            # the 2-form strength of these variants is F = dA, so the first
+            # symmetry type moves it by d(d xi) = 0 and the second not at all
             rows["transform-xi-P"] = max(rows["transform-xi-P"],
                                          var.xi_a.d().max_abs())
             rows["transform-chi-P"] = max(rows["transform-chi-P"],
                                           var.chi_a.d().max_abs())
-        return _collect("strength-transformation", rows, tol, seeds)
-
-    ds = variant.ds
-    for seed in seeds:
-        config, strengths = _prepare(variant, seed, degree, amplitude, conv)
-        gp = GaugeParam(*random_gauge_params(seed + 77, amplitude, degree,
-                                             ds.space_a.dim, ds.space_b.dim))
-        var = gauge_variation(variant, config, strengths, gp)
-        e_a, e_b = field_equations(variant, config, strengths, conv)
-
-        for which, (da, db) in (("xi", (var.xi_a, var.xi_b)),
-                                ("chi", (var.chi_a, var.chi_b))):
-            base = JetRing(config.ring.degree)
-            dual_cfg, ring = _dual_config(config, da, db)
-            sp_dual = compute_strengths(dual_cfg, ds, conv,
-                                        curl=variant.curl)
-            delta_p = direction_part(sp_dual.P, base)
-            delta_q = direction_part(sp_dual.Q, base)
-            if which == "xi":
-                # homogeneous rotation a(P, xi) - (b m)(P, xi): the mass
-                # correction cancels the rotation exactly on the massive
-                # sector, which is the off-shell form of the statement
-                # that massive strengths are gauge invariant on solutions
-                ma = ds.mass.map_a
-                w_bm = np.einsum("apc,pg->agc", ds.b, ma)
-                k_m = np.einsum("pbq,bc->pqc", ds.k, ma)
-                rot_p = (strengths.P.wedge(gp.xi, ds.a)
-                         - strengths.P.wedge(gp.xi, w_bm))
-                rot_q = (strengths.Q.wedge(gp.xi, ds.j.transpose(0, 2, 1))
-                         .scale(-1.0)
-                         + strengths.Q.wedge(gp.xi, k_m))
-                gp_one = GaugeParam(gp.xi, LieForm.zero(base, 1,
-                                                        ds.space_b.dim))
-            else:
-                rot_p = LieForm.zero(base, 2, ds.space_a.dim)
-                rot_q = LieForm.zero(base, 3, ds.space_b.dim)
-                gp_one = GaugeParam(LieForm.zero(base, 0, ds.space_a.dim),
-                                    gp.chi)
-            rem_p, rem_q = strength_remainder(variant, config, strengths,
-                                              gp_one, e_a, e_b, conv)
-            rows[f"transform-{which}-P"] = max(
-                rows[f"transform-{which}-P"],
-                (delta_p - rot_p - rem_p).max_abs())
-            rows[f"transform-{which}-Q"] = max(
-                rows[f"transform-{which}-Q"],
-                (delta_q - rot_q - rem_q).max_abs())
+            continue
+        p_form, q_form = ctx.strengths.P, ctx.strengths.Q
+        ring, n, m = ctx.config.ring, ds.space_a.dim, ds.space_b.dim
+        # homogeneous rotation a(P, xi) - (b m)(P, xi): the mass correction
+        # cancels the rotation exactly on the massive sector, which is the
+        # off-shell form of the statement that massive strengths are gauge
+        # invariant on solutions; chi does not rotate the strengths
+        ma = ds.mass.map_a
+        w_bm = np.einsum("apc,pg->agc", ds.b, ma)
+        k_m = np.einsum("pbq,bc->pqc", ds.k, ma)
+        rot_xi = (p_form.wedge(gp.xi, ds.a) - p_form.wedge(gp.xi, w_bm),
+                  q_form.wedge(gp.xi, ds.j.transpose(0, 2, 1)).scale(-1.0)
+                  + q_form.wedge(gp.xi, k_m))
+        rot_chi = (LieForm.zero(ring, 2, n), LieForm.zero(ring, 3, m))
+        halves = {"xi": (GaugeParam(gp.xi, LieForm.zero(ring, 1, m)), rot_xi),
+                  "chi": (GaugeParam(LieForm.zero(ring, 0, n), gp.chi),
+                          rot_chi)}
+        tan = ctx.tangent([var.xi, var.chi])
+        deltas = zip(tangent_parts(tan.strengths.P),
+                     tangent_parts(tan.strengths.Q))
+        for (which, (gp_half, rot)), delta in zip(halves.items(), deltas):
+            for field, d, r, rem in zip("PQ", delta, rot,
+                                        ctx.remainder(gp_half)):
+                name = f"transform-{which}-{field}"
+                rows[name] = max(rows[name], (d - r - rem).max_abs())
     return _collect("strength-transformation", rows, tol, seeds)
 
 
@@ -1045,17 +1044,30 @@ CHECK_FUNCTIONS = {
     "gauge-invariance": check_gauge_invariance,
     "noether": check_noether_identities,
     "strength-identities": check_strength_identities,
-    "commutators": None,   # needs seed pairs; handled in run_identity_suite
+    "commutators": check_commutators,
     "linearization": check_linearization,
     "euler-lagrange": check_euler_lagrange_consistency,
     "strength-transformation": check_strength_transformation,
 }
 
+# how the suite feeds each check: the DEFAULT_TOLS class of its tolerance,
+# and whether it takes the seeds or the cyclic pairs of consecutive seeds
+SEED_FORMS = {"seeds": list,
+              "pairs": lambda seeds: list(zip(seeds, seeds[1:] + seeds[:1]))}
+CHECK_SPECS = {
+    "gauge-invariance": ("composite", "seeds"),
+    "noether": ("composite", "seeds"),
+    "strength-identities": ("composite", "seeds"),
+    "commutators": ("composite", "pairs"),
+    "linearization": ("linear", "seeds"),
+    "euler-lagrange": ("composite", "seeds"),
+    "strength-transformation": ("composite", "seeds"),
+}
+
 
 def run_identity_suite(variant: TheoryVariant, seeds, degree: int = 3,
                        amplitude: float = 0.1, checks=None,
-                       tols: dict | None = None,
-                       conv: MinkowskiConvention = CONVENTION) -> dict:
+                       tols: dict | None = None) -> dict:
     """Run the configured identity checks; returns name -> IdentityReport."""
     tols = dict(DEFAULT_TOLS, **(tols or {}))
     checks = list(CHECK_FUNCTIONS) if checks is None else checks
@@ -1063,17 +1075,10 @@ def run_identity_suite(variant: TheoryVariant, seeds, degree: int = 3,
     out = {}
     timings = {}
     for name in checks:
+        tol_class, seed_form = CHECK_SPECS[name]
         start = time.perf_counter()
-        if name == "commutators":
-            pairs = list(zip(seeds, seeds[1:] + seeds[:1]))
-            out[name] = check_commutators(variant, pairs, degree, amplitude,
-                                          tols["composite"], conv)
-        elif name == "linearization":
-            out[name] = check_linearization(variant, seeds, degree, amplitude,
-                                            tols["linear"], conv)
-        else:
-            out[name] = CHECK_FUNCTIONS[name](variant, seeds, degree,
-                                              amplitude, tols["composite"],
-                                              conv)
+        out[name] = CHECK_FUNCTIONS[name](
+            variant, SEED_FORMS[seed_form](seeds), degree, amplitude,
+            tols[tol_class])
         timings[name] = time.perf_counter() - start
     return {"reports": out, "timings": timings}

@@ -134,9 +134,6 @@ class MinkowskiConvention:
     literal_contraction_factors: dict = field(
         default_factory=lambda: {2: 2.0, 3: 6.0})
 
-    def hodge_square_signs(self) -> dict:
-        return dict(HODGE_SQUARE_SIGN)
-
     def as_report_header(self) -> dict:
         return {
             "signature": list(self.signature),
@@ -262,7 +259,7 @@ class LieForm:
         return LieForm(self.ring, self.p + other.p, out,
                        min(self.order, other.order))
 
-    def hodge(self, conv: MinkowskiConvention = CONVENTION) -> "LieForm":
+    def hodge(self) -> "LieForm":
         out = self.ring.zeros((self.n, len(COMPS[NVARS - self.p])))
         for i, (k, sign) in enumerate(HODGE_TABLE[self.p]):
             out[:, k] = sign * self.comps[:, i]
@@ -325,25 +322,23 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
     return out
 
 
-def epsilon_dual(f: LieForm, kind: str,
-                 conv: MinkowskiConvention = CONVENTION) -> LieForm:
+def epsilon_dual(f: LieForm, kind: str) -> LieForm:
     """The dual used by the field-strength formulas, c_p * Hodge.
 
     ``kind`` is '2form' or '3form' and must match the degree of ``f``.
-    The constants c_p are the frozen normalizations on ``conv``.
+    The constants c_p are the frozen normalizations on ``CONVENTION``.
     """
     degree = {"2form": 2, "3form": 3}.get(kind)
     if degree is None:
         raise ValueError(f"unknown dual kind {kind!r}")
     if f.p != degree:
         raise ValueError(f"epsilon_dual kind {kind!r} needs a {degree}-form")
-    return f.hodge(conv).scale(conv.epsilon_dual_constants[degree])
+    return f.hodge().scale(CONVENTION.epsilon_dual_constants[degree])
 
 
-def literal_epsilon_contraction(f: LieForm,
-                                conv: MinkowskiConvention = CONVENTION) -> LieForm:
+def literal_epsilon_contraction(f: LieForm) -> LieForm:
     """Raw eps_{...}{}^{...} contraction without 1/p! (oracle reference)."""
-    return f.hodge(conv).scale(conv.literal_contraction_factors[f.p])
+    return f.hodge().scale(CONVENTION.literal_contraction_factors[f.p])
 
 
 def scalar_pairing(metric: np.ndarray) -> np.ndarray:
@@ -417,9 +412,4 @@ def direction_part(f: LieForm, base_ring: JetRing, i: int = 0) -> LieForm:
     """Extract direction block i of a nilpotent-ring form as a base form."""
     ring = f.ring
     comps = np.stack([ring.direction_block(f.comps[a], i) for a in range(f.n)])
-    return LieForm(base_ring, f.p, comps, f.order)
-
-
-def base_part(f: LieForm, base_ring: JetRing) -> LieForm:
-    comps = np.stack([f.ring.base_block(f.comps[a]) for a in range(f.n)])
     return LieForm(base_ring, f.p, comps, f.order)

@@ -26,7 +26,6 @@ det(Y) != 0 restriction on admissible field configurations.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ import scipy.linalg
 
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
-                    MinkowskiConvention, epsilon_dual)
+                    epsilon_dual)
 
 
 class SingularYError(RuntimeError):
@@ -138,13 +137,12 @@ class YOperator:
     """
 
     def __init__(self, ring, dim_a: int, dim_b: int, matrix: np.ndarray,
-                 order: int, conv: MinkowskiConvention = CONVENTION):
+                 order: int):
         self.ring = ring
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.matrix = matrix
         self.order = order
-        self.conv = conv
         self.n_p = dim_a * len(COMPS[2])
         self.n_q = dim_b * len(COMPS[3])
         self.size = self.n_p + self.n_q
@@ -211,22 +209,21 @@ def _dual_wedge_signs(p: int, q: int, scale: float) -> np.ndarray:
     return out
 
 
-def assemble_Y(config: FieldConfig, ds: DeformationSet,
-               conv: MinkowskiConvention = CONVENTION) -> YOperator:
+def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     """Identity plus the (A, B)-linear coupling blocks, in closed form.
 
     The column of Y - 1 for a basis P^a dx^I holds -b^T(c_2 *dx^I e_a, A) in
     the Q rows; the column for a basis Q^a dx^J holds -b(c_3 *dx^J e_a, A) in
     the P rows and -k(c_3 *dx^J e_a, B) in the Q rows (c_p the dual
-    constants on ``conv``).  Each block is one real einsum of the pairing
-    with a sign tensor from :func:`_dual_wedge_signs` and with the
+    constants on ``CONVENTION``).  Each block is one real einsum of the
+    pairing with a sign tensor from :func:`_dual_wedge_signs` and with the
     coefficient arrays of A or B over the whole ring width.
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     n_p, n_q = n * len(COMPS[2]), m * len(COMPS[3])
-    c2 = conv.epsilon_dual_constants[2]
-    c3 = conv.epsilon_dual_constants[3]
+    c2 = CONVENTION.epsilon_dual_constants[2]
+    c3 = CONVENTION.epsilon_dual_constants[3]
     a_co, b_co = config.A.comps, config.B.comps
     matrix = _ring_identity(ring, n_p + n_q)
     matrix[n_p:, :n_p] += np.einsum(
@@ -239,7 +236,7 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet,
         "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 2, -c3), ds.k,
         b_co, optimize=True).reshape(n_q, n_q, -1)
     order = min(config.A.order, config.B.order)
-    return YOperator(ring, n, m, matrix, order, conv)
+    return YOperator(ring, n, m, matrix, order)
 
 
 def invert_Y(yop: YOperator) -> "YInverse":
@@ -283,7 +280,7 @@ def _solve_waves(ring, nonzero):
 
 
 class YInverse:
-    """Solves Y x = r order by order; Y^{-1} is formed only on request.
+    """Solves Y x = r order by order; Y^{-1} itself is never formed.
 
     On the base block the output monomials t are walked in graded order,
     x_t = Y0^{-1}(r_t - sum_{(i, j) -> t, i != 0} Y_i x_j), one real matmul
@@ -340,18 +337,6 @@ class YInverse:
                 rhs.reshape(size, -1, n)).reshape(rhs.shape)
         return x.reshape(r.shape)
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """Y^{-1} itself: the solve applied to the identity columns."""
-        return self.apply(_ring_identity(self.yop.ring, self.yop.size))
-
-    def roundtrip_residual(self) -> float:
-        ring = self.yop.ring
-        eye = _ring_identity(ring, self.yop.size)
-        prod = ring_matmul(ring, self.yop.matrix, self.matrix)
-        prod2 = ring_matmul(ring, self.matrix, self.yop.matrix)
-        return float(max(np.abs(prod - eye).max(), np.abs(prod2 - eye).max()))
-
 
 @dataclass
 class StrengthPair:
@@ -376,41 +361,34 @@ class StrengthPair:
 
 
 def compute_strengths(config: FieldConfig, ds: DeformationSet,
-                      conv: MinkowskiConvention = CONVENTION,
-                      curl: str | None = None,
                       d_a: LieForm | None = None,
                       d_b: LieForm | None = None) -> StrengthPair:
     """Solve the implicit strength definitions for (P, Q).
 
-    ``curl`` selects the 3-form strength on the right-hand side: 'plain'
-    uses dB, 'covariant' uses dB + j(A, B).  The default follows the
-    deformation set: covariant exactly when the mass tensor is nonzero,
-    which is the only consistent choice for the built-in families (the
-    mass-j link forces j = 0 at zero mass).
+    The 3-form strength on the right-hand side is the plain curl dB at
+    zero mass and the covariant curl dB + j(A, B) otherwise, the only
+    consistent choice for the built-in families (the mass-j link forces
+    j = 0 at zero mass).
 
     ``d_a`` / ``d_b`` override the derivative slots dA and dB (the generic
     Euler-Lagrange machinery differentiates with respect to them); by
     default they are the exterior derivatives of A and B.
     """
-    if curl is None:
-        curl = "plain" if ds.mass.is_zero() else "covariant"
-    if curl not in ("plain", "covariant"):
-        raise ValueError(f"unknown curl mode {curl!r}")
     d_a = config.A.d() if d_a is None else d_a
     d_b = config.B.d() if d_b is None else d_b
     f_form = d_a + config.A.wedge(config.A, ds.a).scale(0.5)
     h_form = d_b
-    if curl == "covariant":
+    if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
-    yop = assemble_Y(config, ds, conv)
+    yop = assemble_Y(config, ds)
     yinv = invert_Y(yop)
     vec = yinv.apply(stack_pair(f_form, h_form))
     order = min(f_form.order, h_form.order)
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
                                   ds.space_b.dim, vec, order)
     return StrengthPair(p_form, q_form,
-                        epsilon_dual(p_form, "2form", conv),
-                        epsilon_dual(q_form, "3form", conv),
+                        epsilon_dual(p_form, "2form"),
+                        epsilon_dual(q_form, "3form"),
                         f_form, h_form, yop, yinv)
 
 

@@ -4,20 +4,24 @@ import pytest
 from ymft import lie_core
 from ymft.deformations import (family_e_only, family_general,
                                family_solvable, family_su2, make_deformation)
-from ymft.dynamics import (GaugeParam, TheoryVariant, boundary_theta,
-                           check_commutators, check_cubic_tower,
+from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
+                           GaugeParam, SeedContext, TheoryVariant,
+                           Variations, boundary_theta, check_commutators,
+                           check_cubic_tower,
                            check_euler_lagrange_consistency,
                            check_gauge_invariance, check_linearization,
                            check_noether_identities,
                            check_strength_identities,
                            check_strength_transformation,
-                           directional_lagrangian, field_equations,
-                           gauge_variation, generic_field_equations,
-                           lagrangian, lagrangian_form,
-                           lagrangian_symmetric_form, run_identity_suite,
-                           variant_e_only, variant_general, variant_linear)
-from ymft.forms import LieForm, random_field_config, random_gauge_params
-from ymft.jets import JetRing
+                           directional_lagrangians, field_equations,
+                           gauge_commutators, gauge_variation,
+                           generic_field_equations, lagrangian,
+                           lagrangian_form, lagrangian_symmetric_form,
+                           run_identity_suite, variant_e_only,
+                           variant_general, variant_linear)
+from ymft.forms import (LieForm, direction_part, promote_form,
+                        random_field_config, random_gauge_params)
+from ymft.jets import JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import FieldConfig, b_transpose_pairing, compute_strengths
 
@@ -170,13 +174,31 @@ def test_gauge_invariance_all_variants(name):
         assert report.max_residual < 5e-15  # identically zero, roundoff only
 
 
-def test_gauge_invariance_negative_control():
+def bad_deformation():
+    """su2-shaped couplings that violate the deformation relations."""
     eps = lie_core.levi_civita3()
-    bad = make_deformation(InternalSpace(3), InternalSpace(3), eps,
-                           0.3 * eps, eps, 0.3 * eps, np.zeros((3, 3, 3)),
-                           2.0 * np.eye(3), h_map=0.3 * np.eye(3))
-    report = check_gauge_invariance(variant_general(bad), [1, 2])
+    return make_deformation(InternalSpace(3), InternalSpace(3), eps,
+                            0.3 * eps, eps, 0.3 * eps, np.zeros((3, 3, 3)),
+                            2.0 * np.eye(3), h_map=0.3 * np.eye(3))
+
+
+def test_gauge_invariance_negative_control():
+    report = check_gauge_invariance(variant_general(bad_deformation()),
+                                    [1, 2])
     assert report.max_residual > 1e-3
+
+
+def test_commutators_negative_control():
+    report = check_commutators(variant_general(bad_deformation()), [(1, 2)])
+    assert not report.passed
+    assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
+
+
+def test_strength_transformation_negative_control():
+    report = check_strength_transformation(
+        variant_general(bad_deformation()), [1])
+    assert not report.passed
+    assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -282,7 +304,7 @@ def test_directional_lagrangian_matches_finite_difference():
     v = variant_general(ds)
     cfg = FieldConfig(*random_field_config(3, 0.1, 3, 3, 3))
     da, db = random_field_config(17, 0.05, 3, 3, 3)
-    exact = directional_lagrangian(v, cfg, da, db)
+    exact, = directional_lagrangians(v, cfg, [(da, db)])
     eps = 1e-6
     plus = lagrangian_form(v, FieldConfig(cfg.A + da.scale(eps),
                                           cfg.B + db.scale(eps)))
@@ -311,3 +333,142 @@ def test_rich_general_family_suite():
     assert check_gauge_invariance(v, [1], tol=1e-8).passed
     assert check_noether_identities(v, [1], tol=1e-9).passed
     assert check_strength_transformation(v, [1], tol=1e-9).passed
+
+
+# ---------------------------------------------------------------------------
+# vector mode against the one-direction reference: one pass over a
+# one-direction ring per directional derivative
+
+
+def dual_config(config, dir_a, dir_b):
+    ring = NilpotentExtension(config.ring.degree, 1)
+    return FieldConfig(promote_form(config.A, ring, dir_a),
+                       promote_form(config.B, ring, dir_b)), ring
+
+
+def directional_variations(variant, config, dir_a, dir_b, gp):
+    """Derivative of the gauge-variation map along (dir_a, dir_b)."""
+    dual_cfg, ring = dual_config(config, dir_a, dir_b)
+    base = JetRing(config.ring.degree)
+    gp_dual = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
+    strengths = None
+    if variant.kind == GENERAL:
+        strengths = compute_strengths(dual_cfg, variant.ds)
+    var = gauge_variation(variant, dual_cfg, strengths, gp_dual)
+    return Variations(*(direction_part(f, base) for f in
+                        (var.xi_a, var.xi_b, var.chi_a, var.chi_b)))
+
+
+def one_direction_lagrangian(variant, config, dir_a, dir_b):
+    dual_cfg, _ = dual_config(config, dir_a, dir_b)
+    return direction_part(lagrangian_form(variant, dual_cfg),
+                          JetRing(config.ring.degree))
+
+
+def reference_commutators(variant, config, gp1, gp2):
+    """[delta_1, delta_2](A, B) per pair of parameter parts, two
+    one-direction passes per pair."""
+    ds = variant.ds
+    zero_xi = LieForm.zero(config.ring, 0, ds.space_a.dim)
+    zero_chi = LieForm.zero(config.ring, 1, ds.space_b.dim)
+    combos = {
+        "commutator-xi-xi": (GaugeParam(gp1.xi, zero_chi),
+                             GaugeParam(gp2.xi, zero_chi)),
+        "commutator-chi-chi": (GaugeParam(zero_xi, gp1.chi),
+                               GaugeParam(zero_xi, gp2.chi)),
+        "commutator-xi-chi": (GaugeParam(gp1.xi, zero_chi),
+                              GaugeParam(zero_xi, gp2.chi)),
+    }
+    strengths = SeedContext(variant, config).strengths
+    out = {}
+    for name, (p1, p2) in combos.items():
+        var1 = gauge_variation(variant, config, strengths, p1)
+        var2 = gauge_variation(variant, config, strengths, p2)
+        d21 = directional_variations(variant, config, var1.xi_a + var1.chi_a,
+                                     var1.xi_b + var1.chi_b, p2)
+        d12 = directional_variations(variant, config, var2.xi_a + var2.chi_a,
+                                     var2.xi_b + var2.chi_b, p1)
+        out[name] = ((d21.xi_a + d21.chi_a) - (d12.xi_a + d12.chi_a),
+                     (d21.xi_b + d21.chi_b) - (d12.xi_b + d12.chi_b))
+    return out
+
+
+def assert_matches_reference(form, ref):
+    assert form.p == ref.p and form.ring.width == ref.ring.width
+    assert np.abs(form.comps - ref.comps).max() <= 1e-14
+    if not ref.comps.any():
+        assert not form.comps.any()   # exact zeros stay exact
+
+
+REFERENCE_VARIANTS = ["su2-massive", "su2-massless", "solvable", "e-only",
+                      "linear-massless", "linear-massive"]
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("name", REFERENCE_VARIANTS)
+def test_vector_mode_commutators_match_one_direction(name, degree):
+    v = VARIANTS[name]()
+    n, m = v.ds.space_a.dim, v.ds.space_b.dim
+    ctx = SeedContext.random(v, 1, degree, 0.1)
+    gp1 = GaugeParam(*random_gauge_params(501, 0.1, degree, n, m))
+    gp2 = GaugeParam(*random_gauge_params(902, 0.1, degree, n, m))
+    vector = gauge_commutators(ctx, gp1, gp2)
+    ref = reference_commutators(v, ctx.config, gp1, gp2)
+    assert list(vector) == list(ref)
+    for combo in ref:
+        for form, ref_form in zip(vector[combo], ref[combo]):
+            assert_matches_reference(form, ref_form)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("name", REFERENCE_VARIANTS)
+def test_vector_mode_lagrangian_blocks_match_one_direction(name, degree):
+    v = VARIANTS[name]()
+    n, m = v.ds.space_a.dim, v.ds.space_b.dim
+    ctx = SeedContext.random(v, 2, degree, 0.1)
+    gp = GaugeParam(*random_gauge_params(10_002, 0.1, degree, n, m))
+    var = ctx.variations(gp)
+    blocks = directional_lagrangians(v, ctx.config, [var.xi, var.chi])
+    assert len(blocks) == 2
+    for block, (dir_a, dir_b) in zip(blocks, (var.xi, var.chi)):
+        assert_matches_reference(
+            block, one_direction_lagrangian(v, ctx.config, dir_a, dir_b))
+
+
+def test_check_registry_is_flat():
+    assert all(callable(fn) for fn in CHECK_FUNCTIONS.values())
+    assert len(CHECK_FUNCTIONS) == 7
+
+
+def test_suite_feeds_each_check_its_seed_form_and_tolerance():
+    v = variant_linear(np.zeros((3, 3)))
+    tols = {"linear": 1e-13, "composite": 1e-9}
+    out = run_identity_suite(v, [1, 2], checks=["commutators",
+                                                "linearization"], tols=tols)
+    comm, lin = out["reports"]["commutators"], out["reports"]["linearization"]
+    # commutators take the cyclic pairs (1, 2), (2, 1)
+    assert all(r.seeds == (1, 2, 2, 1) for r in comm.results)
+    assert all(r.tolerance == 1e-9 for r in comm.results)
+    assert all(r.seeds == (1, 2) for r in lin.results)
+    assert all(r.tolerance == 1e-13 for r in lin.results)
+
+
+def mixed_rotation_family():
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                    [np.sin(angle), np.cos(angle), 0.0],
+                    [0.0, 0.0, 1.0]])
+    return family_general(massless_a=lie_core.su2(),
+                          massless_b=lie_core.su2(), h0=rot,
+                          massive=lie_core.abelian(1), mass_value=1.5)
+
+
+@pytest.mark.parametrize("family", [lambda: family_su2(2.0, 0.5),
+                                    mixed_rotation_family],
+                         ids=["su2-massive", "mixed-general"])
+def test_full_suite_at_degree_4(family):
+    out = run_identity_suite(variant_general(family()), [1], degree=4)
+    reports = out["reports"]
+    assert list(reports) == list(CHECK_FUNCTIONS)
+    for report in reports.values():
+        assert report.passed, report.as_dict()
