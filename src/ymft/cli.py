@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__, lie_core
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, validate_degree
 from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
@@ -121,7 +121,10 @@ def cmd_verify_theory(config: RunConfig, args) -> int:
             return EXIT_FAIL
     variant = config.variant()
     seeds = [args.seed] if args.seed is not None else config.jet["seeds"]
-    degree = args.degree if args.degree else config.jet["degree"]
+    degree = config.jet["degree"]
+    if args.degree is not None:
+        validate_degree(args.degree)
+        degree = args.degree
     tols = dict(config.tolerances)
     if args.tol:
         tols["composite"] = args.tol
@@ -176,13 +179,12 @@ def cmd_observables(config: RunConfig, args) -> int:
         }
 
     if "causality" in section["checks"]:
-        rng = np.random.default_rng(seeds[0] if seeds else 0)
+        rng = np.random.default_rng(seeds[0])
         samples = [random_strength_values(rng, 3, 3)
                    for _ in range(int(section["causality_samples"]))]
         try:
             causal = energy_causality_check(samples, np.eye(3), np.eye(3),
-                                            True, seed=seeds[0] if seeds
-                                            else 0)
+                                            True, seed=seeds[0])
         except ValueError as exc:
             report["checks"]["causality"] = {"error": str(exc),
                                              "passed": False}
@@ -195,7 +197,7 @@ def cmd_observables(config: RunConfig, args) -> int:
 
     if "trace" in section["checks"]:
         ring = JetRing(config.jet["degree"])
-        rng = np.random.default_rng(seeds[0] if seeds else 0)
+        rng = np.random.default_rng(seeds[0])
         comps = rng.uniform(-1.0, 1.0, (3, 6, ring.width))
         star_p = LieForm(ring, 2, comps)
         star_q = LieForm.zero(ring, 1, 3)

@@ -66,6 +66,12 @@ def _tensor(section: dict, key: str, shape: tuple, where: str,
         raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
+def validate_degree(degree) -> None:
+    """Reject a jet degree that is not a positive integer."""
+    if not isinstance(degree, int) or degree < 1:
+        raise ConfigError("jet.degree must be a positive integer")
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -78,11 +84,11 @@ class RunConfig:
         if "jet" in raw:
             _require_keys(raw["jet"], _JET_KEYS, "jet")
             self.jet.update(raw["jet"])
-        if not isinstance(self.jet["seeds"], list) or \
-                not all(isinstance(s, int) for s in self.jet["seeds"]):
-            raise ConfigError("jet.seeds must be a list of integers")
-        if not isinstance(self.jet["degree"], int) or self.jet["degree"] < 1:
-            raise ConfigError("jet.degree must be a positive integer")
+        if not isinstance(self.jet["seeds"], list) or not self.jet["seeds"] \
+                or not all(isinstance(s, int) for s in self.jet["seeds"]):
+            raise ConfigError("jet.seeds must be a non-empty list of "
+                              "integers")
+        validate_degree(self.jet["degree"])
 
         self.tolerances = dict(DEFAULT_TOLS, constraints=1e-10)
         if "tolerances" in raw:

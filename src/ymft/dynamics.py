@@ -15,16 +15,18 @@ coefficients: gauge variations, commutators and linearizations are taken by
 running the whole pipeline over a nilpotent ring extension, so no finite
 differencing enters anywhere.  A check seeds every direction it needs into
 one tangent ring (:func:`tangent_config`) and runs the pipeline over it
-once; a :class:`SeedContext` holds one seed's fields and computes their
-strengths and field equations once, when first needed.  Statements that
-hold "on solutions" are verified in their off-shell form with the explicit
-field-equation remainder terms; remainders without a closed display were
-derived once against random-jet data and are frozen below (see
-CONVENTIONS.md).
+once.  Statements that hold "on solutions" are verified in their off-shell
+form with the explicit field-equation remainder terms; remainders without a
+closed display were derived once against random-jet data and are frozen
+below (see CONVENTIONS.md).
 
-The suite driver is table-driven: ``CHECK_FUNCTIONS`` maps each check name
-to its function and ``CHECK_SPECS`` gives its tolerance class and whether
-it takes seeds or cyclic seed pairs.
+A :class:`SeedContext` holds one seed's fields and computes their strengths
+and field equations once, when first needed.  The suite driver builds one
+context per seed (:func:`seed_contexts`) and passes the same contexts to
+every check, so each seed's base strengths are solved once per suite.  The
+driver is table-driven: ``CHECK_FUNCTIONS`` maps each check name to its
+function and ``CHECK_SPECS`` gives its tolerance class and whether it takes
+the contexts or their cyclic pairs.
 """
 
 from __future__ import annotations
@@ -127,8 +129,15 @@ class IdentityReport:
                                 "seeds": list(r.seeds)} for r in self.results]}
 
 
-def _collect(kind: str, rows: dict, tol: float, seeds) -> IdentityReport:
-    results = tuple(IdentityResult(name, res, tol, res <= tol, tuple(seeds))
+def _worst(rows: dict, name: str, residual: float) -> None:
+    """Keep the largest residual of row ``name`` over the seeds.  A NaN
+    residual is kept (``max`` would drop it), so that its row fails."""
+    rows[name] = float(np.maximum(rows.get(name, 0.0), residual))
+
+
+def _collect(kind: str, rows: dict, tol: float, contexts) -> IdentityReport:
+    seeds = tuple(ctx.seed for ctx in contexts)
+    results = tuple(IdentityResult(name, res, tol, res <= tol, seeds)
                     for name, res in rows.items())
     return IdentityReport(kind, results)
 
@@ -388,19 +397,26 @@ def directional_lagrangians(variant: TheoryVariant, config: FieldConfig,
 
 
 class SeedContext:
-    """One field configuration, with its strengths and field equations
-    computed once, on first use, and shared by every term of a check."""
+    """One seed's field configuration, with its strengths and field
+    equations computed once, on first use, and shared by every check.
 
-    def __init__(self, variant: TheoryVariant, config: FieldConfig):
+    ``seed`` and ``amplitude`` are those the fields were drawn with; the
+    random gauge parameters of the checks are drawn from them as well.
+    """
+
+    def __init__(self, variant: TheoryVariant, config: FieldConfig,
+                 seed: int, amplitude: float):
         self.variant = variant
         self.config = config
+        self.seed = seed
+        self.amplitude = amplitude
 
-    @classmethod
-    def random(cls, variant: TheoryVariant, seed: int, degree: int,
-               amplitude: float) -> "SeedContext":
-        ds = variant.ds
-        return cls(variant, FieldConfig(*random_field_config(
-            seed, amplitude, degree, ds.space_a.dim, ds.space_b.dim)))
+    def gauge_param(self, offset: int) -> GaugeParam:
+        """The random gauge parameter of seed ``seed + offset``."""
+        ds = self.variant.ds
+        return GaugeParam(*random_gauge_params(
+            self.seed + offset, self.amplitude, self.config.ring.degree,
+            ds.space_a.dim, ds.space_b.dim))
 
     @functools.cached_property
     def strengths(self) -> StrengthPair | None:
@@ -417,7 +433,8 @@ class SeedContext:
     def tangent(self, directions) -> "SeedContext":
         """The context of :func:`tangent_config` along ``directions``."""
         return SeedContext(self.variant,
-                           tangent_config(self.config, directions))
+                           tangent_config(self.config, directions),
+                           self.seed, self.amplitude)
 
     def variations(self, gp: GaugeParam) -> Variations:
         """The gauge variation of the fields, ``gp`` lifted to their ring."""
@@ -434,47 +451,52 @@ class SeedContext:
                                   gp, e_a, e_b)
 
 
+def seed_contexts(variant: TheoryVariant, seeds, degree: int = 3,
+                  amplitude: float = 0.1) -> list:
+    """One :class:`SeedContext` per seed, with random fields of the given
+    jet degree and amplitude: the input of every check."""
+    n, m = variant.ds.space_a.dim, variant.ds.space_b.dim
+    return [SeedContext(variant, FieldConfig(*random_field_config(
+        seed, amplitude, degree, n, m)), seed, amplitude) for seed in seeds]
+
+
 # ---------------------------------------------------------------------------
 # suite pieces
 
 
-def check_gauge_invariance(variant: TheoryVariant, seeds,
-                           degree: int = 3, amplitude: float = 0.1,
-                           tol: float | None = None) -> IdentityReport:
+def check_gauge_invariance(contexts, tol: float | None = None
+                           ) -> IdentityReport:
     """delta L - d Theta = 0 for both symmetry types, per seed."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    worst = {"gauge-invariance-xi": 0.0, "gauge-invariance-chi": 0.0}
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        gp = GaugeParam(*random_gauge_params(seed + 10_000, amplitude,
-                                             degree, variant.ds.space_a.dim,
-                                             variant.ds.space_b.dim))
+    rows = {}
+    for ctx in contexts:
+        gp = ctx.gauge_param(10_000)
         var = ctx.variations(gp)
-        thetas = boundary_theta(variant, ctx.config, ctx.strengths, gp)
-        d_ls = directional_lagrangians(variant, ctx.config,
+        thetas = boundary_theta(ctx.variant, ctx.config, ctx.strengths, gp)
+        d_ls = directional_lagrangians(ctx.variant, ctx.config,
                                        [var.xi, var.chi])
-        for name, d_l, theta in zip(worst, d_ls, thetas):
-            worst[name] = max(worst[name], (d_l - theta.d()).max_abs())
-    return _collect("gauge-invariance", worst, tol, seeds)
+        for name, d_l, theta in zip(("gauge-invariance-xi",
+                                     "gauge-invariance-chi"), d_ls, thetas):
+            _worst(rows, name, (d_l - theta.d()).max_abs())
+    return _collect("gauge-invariance", rows, tol, contexts)
 
 
 def _lowered(form: LieForm, metric: np.ndarray) -> LieForm:
     return apply_linear(np.asarray(metric, dtype=float), form)
 
 
-def check_noether_identities(variant: TheoryVariant, seeds,
-                             degree: int = 3, amplitude: float = 0.1,
-                             tol: float | None = None) -> IdentityReport:
+def check_noether_identities(contexts, tol: float | None = None
+                             ) -> IdentityReport:
     """Covariant-divergence identities of the field equations, off-shell."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    worst = {"noether-divergence-A": 0.0, "noether-divergence-B": 0.0}
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        residuals = _noether_residuals(variant, ctx.config, ctx.strengths,
-                                       *ctx.equations)
-        for name, res in zip(worst, residuals):
-            worst[name] = max(worst[name], res)
-    return _collect("noether", worst, tol, seeds)
+    rows = {}
+    for ctx in contexts:
+        residuals = _noether_residuals(ctx.variant, ctx.config,
+                                       ctx.strengths, *ctx.equations)
+        for name, res in zip(("noether-divergence-A",
+                              "noether-divergence-B"), residuals):
+            _worst(rows, name, res)
+    return _collect("noether", rows, tol, contexts)
 
 
 def _noether_residuals(variant, config, strengths, e_a, e_b):
@@ -512,52 +534,37 @@ def _noether_residuals(variant, config, strengths, e_a, e_b):
     return n_a.max_abs(), n_b.max_abs()
 
 
-def check_strength_identities(variant: TheoryVariant, seeds,
-                              degree: int = 3, amplitude: float = 0.1,
-                              tol: float | None = None) -> IdentityReport:
+def check_strength_identities(contexts, tol: float | None = None
+                              ) -> IdentityReport:
     """Off-shell divergence identities on the strengths, plus Bianchi."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    ds = variant.ds
-    rows = {"bianchi-F": 0.0}
-    if variant.kind == GENERAL:
-        rows.update({"strength-P-divergence": 0.0,
-                     "strength-Q-divergence": 0.0,
-                     "curl-H-identity": 0.0,
-                     "substitution-P": 0.0})
+    rows = {}
+    for ctx in contexts:
+        ds, config, strengths = ctx.variant.ds, ctx.config, ctx.strengths
+        general = ctx.variant.kind == GENERAL
+        f_form = strengths.F if general else config.A.d()
+        bianchi = f_form.d() + config.A.wedge(f_form, ds.a)
+        _worst(rows, "bianchi-F", bianchi.max_abs())
+        if not general:
+            continue
+        e_a, e_b = ctx.equations
+        _worst(rows, "strength-P-divergence",
+               _p_identity(ds, config, strengths, e_b).max_abs())
+        _worst(rows, "strength-Q-divergence",
+               _q_identity(ds, config, strengths, e_a, e_b).max_abs())
+        curl_h = (strengths.H.d() + config.A.wedge(strengths.H, ds.j)
+                  - strengths.F.wedge(config.B, ds.j))
+        _worst(rows, "curl-H-identity", curl_h.max_abs())
+        _worst(rows, "substitution-P",
+               substitution_residual_massless(strengths, config, ds))
         # the covariant-curl substitution route holds for pure-massive sets
         # (nondegenerate mass tensor), not for mixed massless/massive ones
         if ds.h_map is not None and ds.space_a.dim == ds.space_b.dim \
                 and ds.mass.m.size \
                 and abs(np.linalg.det(ds.mass.m)) > 1e-10:
-            rows["substitution-Q-massive"] = 0.0
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        config, strengths = ctx.config, ctx.strengths
-        f_form = (config.A.d() if variant.kind != GENERAL
-                  else strengths.F)
-        bianchi = f_form.d() + config.A.wedge(f_form, ds.a)
-        rows["bianchi-F"] = max(rows["bianchi-F"], bianchi.max_abs())
-        if variant.kind != GENERAL:
-            continue
-        e_a, e_b = ctx.equations
-        rows["strength-P-divergence"] = max(
-            rows["strength-P-divergence"],
-            _p_identity(ds, config, strengths, e_b).max_abs())
-        rows["strength-Q-divergence"] = max(
-            rows["strength-Q-divergence"],
-            _q_identity(ds, config, strengths, e_a, e_b).max_abs())
-        curl_h = (strengths.H.d() + config.A.wedge(strengths.H, ds.j)
-                  - strengths.F.wedge(config.B, ds.j))
-        rows["curl-H-identity"] = max(rows["curl-H-identity"],
-                                      curl_h.max_abs())
-        rows["substitution-P"] = max(
-            rows["substitution-P"],
-            substitution_residual_massless(strengths, config, ds))
-        if "substitution-Q-massive" in rows:
-            rows["substitution-Q-massive"] = max(
-                rows["substitution-Q-massive"],
-                substitution_residual_massive(strengths, config, ds))
-    return _collect("strength-identities", rows, tol, seeds)
+            _worst(rows, "substitution-Q-massive",
+                   substitution_residual_massive(strengths, config, ds))
+    return _collect("strength-identities", rows, tol, contexts)
 
 
 def _p_identity(ds, config, strengths, e_b) -> LieForm:
@@ -691,72 +698,64 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     }
 
 
-def check_commutators(variant: TheoryVariant, seed_pairs,
-                      degree: int = 3, amplitude: float = 0.1,
-                      tol: float | None = None) -> IdentityReport:
+def check_commutators(context_pairs, tol: float | None = None
+                      ) -> IdentityReport:
     """[delta_1, delta_2] minus the closure data minus the trivial remainder.
 
     Closure: two first-type symmetries close on the first-type parameter
     a(xi_1, xi_2); a first-type against a second-type closes on j(xi_1,
     chi_2); two second-type symmetries commute.  All three checked as jet
-    identities off-shell.
+    identities off-shell, on the fields of the first context of each pair;
+    the second supplies the seed of the second gauge parameter.
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    ds = variant.ds
-    n, m = ds.space_a.dim, ds.space_b.dim
-    rows = dict.fromkeys(COMMUTATORS, 0.0)
-    seeds_used = []
-    for s1, s2 in seed_pairs:
-        seeds_used.extend([s1, s2])
-        ctx = SeedContext.random(variant, s1, degree, amplitude)
-        gp1 = GaugeParam(*random_gauge_params(s1 + 500, amplitude, degree,
-                                              n, m))
-        gp2 = GaugeParam(*random_gauge_params(s2 + 900, amplitude, degree,
-                                              n, m))
+    rows = {}
+    for ctx, other in context_pairs:
+        ds, ring = ctx.variant.ds, ctx.config.ring
+        gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
         # one variation carries both nonzero closures: its xi half closes
         # xi-xi and its chi half closes xi-chi
         close = ctx.variations(GaugeParam(gp1.xi.wedge(gp2.xi, ds.a),
                                           gp1.xi.wedge(gp2.chi, ds.j)))
-        ring = ctx.config.ring
         closures = {"commutator-xi-xi": close.xi,
-                    "commutator-chi-chi": (LieForm.zero(ring, 1, n),
-                                           LieForm.zero(ring, 2, m)),
+                    "commutator-chi-chi": (
+                        LieForm.zero(ring, 1, ds.space_a.dim),
+                        LieForm.zero(ring, 2, ds.space_b.dim)),
                     "commutator-xi-chi": close.chi}
         comm = gauge_commutators(ctx, gp1, gp2)
         triv = trivial_symmetry(ctx, gp1, gp2)
         for name in COMMUTATORS:
-            res = max((c - k - t).max_abs() for c, k, t in
-                      zip(comm[name], closures[name], triv[name]))
-            rows[name] = max(rows[name], res)
-    return _collect("commutators", rows, tol, seeds_used)
+            _worst(rows, name, max((c - k - t).max_abs() for c, k, t in
+                                   zip(comm[name], closures[name],
+                                       triv[name])))
+    return _collect("commutators", rows, tol,
+                    [ctx for pair in context_pairs for ctx in pair])
 
 
-def check_linearization(variant: TheoryVariant, seeds,
-                        degree: int = 3, amplitude: float = 0.1,
-                        tol: float | None = None) -> IdentityReport:
+def check_linearization(contexts, tol: float | None = None
+                        ) -> IdentityReport:
     """Order-one coefficient of E(eps A, eps B) equals the free equations.
 
     The scale eps is the one direction of a tangent ring seeded at zero
     fields, so the extraction is exact (no finite differencing).
     """
     tol = DEFAULT_TOLS["linear"] if tol is None else tol
-    ds = variant.ds
-    lin = variant_linear(ds.mass.m, space_a=ds.space_a, space_b=ds.space_b)
-    worst = {"linearization-A": 0.0, "linearization-B": 0.0}
-    base = JetRing(degree)
-    zero = FieldConfig(LieForm.zero(base, 1, ds.space_a.dim),
-                       LieForm.zero(base, 2, ds.space_b.dim))
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        config = ctx.config
-        eps = SeedContext(variant, tangent_config(zero, [(config.A,
-                                                          config.B)]))
-        lin_eqs = field_equations(lin, config)
-        for name, e_form, lin_form in zip(worst, eps.equations, lin_eqs):
-            worst[name] = max(worst[name],
-                              (tangent_parts(e_form)[0] - lin_form)
-                              .max_abs())
-    return _collect("linearization", worst, tol, seeds)
+    rows = {}
+    for ctx in contexts:
+        ds, config = ctx.variant.ds, ctx.config
+        lin = variant_linear(ds.mass.m, space_a=ds.space_a,
+                             space_b=ds.space_b)
+        zero = FieldConfig(LieForm.zero(config.ring, 1, ds.space_a.dim),
+                           LieForm.zero(config.ring, 2, ds.space_b.dim))
+        eps = SeedContext(ctx.variant,
+                          tangent_config(zero, [(config.A, config.B)]),
+                          ctx.seed, ctx.amplitude)
+        for name, e_form, lin_form in zip(
+                ("linearization-A", "linearization-B"), eps.equations,
+                field_equations(lin, config)):
+            _worst(rows, name,
+                   (tangent_parts(e_form)[0] - lin_form).max_abs())
+    return _collect("linearization", rows, tol, contexts)
 
 
 # ---------------------------------------------------------------------------
@@ -864,32 +863,25 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
 
 
 
-def check_euler_lagrange_consistency(variant: TheoryVariant, seeds,
-                                     degree: int = 3, amplitude: float = 0.1,
-                                     tol: float | None = None
+def check_euler_lagrange_consistency(contexts, tol: float | None = None
                                      ) -> IdentityReport:
     """Generic variational derivative against the hand-coded equations,
-    plus the cubic-tower consistency of the variant's deformation set."""
+    plus the cubic-tower consistency of the variant's deformation set on
+    the first context."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    ds = variant.ds
-    rows = {"euler-lagrange-A": 0.0, "euler-lagrange-B": 0.0}
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        gen_a, gen_b = generic_field_equations(variant, ctx.config)
-        hand_a, hand_b = ctx.equations
-        rows["euler-lagrange-A"] = max(rows["euler-lagrange-A"],
-                                       (gen_a - hand_a).max_abs())
-        rows["euler-lagrange-B"] = max(rows["euler-lagrange-B"],
-                                       (gen_b - hand_b).max_abs())
-    report = _collect("euler-lagrange", rows, tol, seeds)
-    tower = check_cubic_tower(ds, list(seeds)[:1], degree, amplitude,
+    rows = {}
+    for ctx in contexts:
+        generic = generic_field_equations(ctx.variant, ctx.config)
+        for name, gen, hand in zip(("euler-lagrange-A", "euler-lagrange-B"),
+                                   generic, ctx.equations):
+            _worst(rows, name, (gen - hand).max_abs())
+    report = _collect("euler-lagrange", rows, tol, contexts)
+    tower = check_cubic_tower(contexts[:1],
                               min(tol, DEFAULT_TOLS["polynomial"]))
     return IdentityReport("euler-lagrange", report.results + tower.results)
 
 
-def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
-                      amplitude: float = 0.1, tol: float | None = None
-                      ) -> IdentityReport:
+def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
     """EL of the cubic Lagrangian and the Euler homogeneity relations.
 
     The homogeneity relation L_{k+1} = -(E^(k)_A ^ A - E^(k)_B ^ B)/(k+1)
@@ -899,24 +891,19 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
     boundary term.
     """
     tol = DEFAULT_TOLS["polynomial"] if tol is None else tol
-    rows = {"cubic-el-A": 0.0, "cubic-el-B": 0.0,
-            "homogeneity-k1": 0.0, "homogeneity-k2": 0.0}
-    ga, gb = ds.ga, ds.gb
-    mass = ds.mass.m
-    for seed in seeds:
-        a_form, b_form = random_field_config(seed, amplitude, degree,
-                                             ds.space_a.dim, ds.space_b.dim)
-        config = FieldConfig(a_form, b_form)
+    rows = {}
+    for ctx in contexts:
+        ds, config = ctx.variant.ds, ctx.config
+        ga, gb, mass = ds.ga, ds.gb, ds.mass.m
+        a_form, b_form = config.A, config.B
         f_form, h_form = a_form.d(), b_form.d()
         star_f, star_h = f_form.hodge(), h_form.hodge()
 
         lag3, e2_a, e2_b = cubic_tower(ds, config)
         gen_a, gen_b = _generic_el_of(lambda cfg, da, db: cubic_tower(
             ds, cfg, d_a=da, d_b=db)[0], ds, config)
-        rows["cubic-el-A"] = max(rows["cubic-el-A"],
-                                 (gen_a - e2_a).max_abs())
-        rows["cubic-el-B"] = max(rows["cubic-el-B"],
-                                 (gen_b - e2_b).max_abs())
+        _worst(rows, "cubic-el-A", (gen_a - e2_a).max_abs())
+        _worst(rows, "cubic-el-B", (gen_b - e2_b).max_abs())
 
         # k = 1: boundary (-1/2)(*F ^ A - *H ^ B + m B ^ A)
         lin = variant_linear(mass, space_a=ds.space_a, space_b=ds.space_b)
@@ -927,8 +914,7 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
         bound1 = (star_f.wedge(a_form, scalar_pairing(ga))
                   - star_h.wedge(b_form, scalar_pairing(gb))
                   + b_form.wedge(a_form, mass.T[None])).scale(0.5)
-        rows["homogeneity-k1"] = max(rows["homogeneity-k1"],
-                                     (lag2 - x1 - bound1.d()).max_abs())
+        _worst(rows, "homogeneity-k1", (lag2 - x1 - bound1.d()).max_abs())
 
         # k = 2: boundary (-1/3)(*X_A ^ A - *(Y_B - S) ^ B) with X_A, Y_B
         # the 2- and 3-form arguments of the total-derivative terms.
@@ -943,9 +929,8 @@ def check_cubic_tower(ds: DeformationSet, seeds, degree: int = 3,
         bound2 = (x_a.hodge().wedge(a_form, scalar_pairing(ga))
                   - y_b.hodge().wedge(b_form,
                                           scalar_pairing(gb))).scale(1.0 / 3.0)
-        rows["homogeneity-k2"] = max(rows["homogeneity-k2"],
-                                     (lag3 - x2 - bound2.d()).max_abs())
-    return _collect("cubic-tower", rows, tol, seeds)
+        _worst(rows, "homogeneity-k2", (lag3 - x2 - bound2.d()).max_abs())
+    return _collect("cubic-tower", rows, tol, contexts)
 
 
 def _generic_el_of(builder, ds, config):
@@ -985,33 +970,27 @@ def _generic_el_of(builder, ds, config):
     return phi_a + psi_a.d(), phi_b - psi_b.d()
 
 
-def check_strength_transformation(variant: TheoryVariant, seeds,
-                                  degree: int = 3, amplitude: float = 0.1,
-                                  tol: float | None = None
+def check_strength_transformation(contexts, tol: float | None = None
                                   ) -> IdentityReport:
     """Chain-rule gauge variation of (P, Q) against the closed formulas.
 
     Off-shell the strengths transform by internal rotations plus the
     inverse strength operator applied to field-equation source terms; the
     sources drop on solutions, where the strengths rotate homogeneously
-    (massless) or are invariant (massive).
+    (massless) or are invariant (massive).  The linear and e-only variants
+    have no solved 3-form strength, so only their P rows are reported.
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
-    ds = variant.ds
-    rows = {"transform-xi-P": 0.0, "transform-xi-Q": 0.0,
-            "transform-chi-P": 0.0, "transform-chi-Q": 0.0}
-    for seed in seeds:
-        ctx = SeedContext.random(variant, seed, degree, amplitude)
-        gp = GaugeParam(*random_gauge_params(seed + 77, amplitude, degree,
-                                             ds.space_a.dim, ds.space_b.dim))
+    rows = {}
+    for ctx in contexts:
+        ds = ctx.variant.ds
+        gp = ctx.gauge_param(77)
         var = ctx.variations(gp)
-        if variant.kind != GENERAL:
+        if ctx.variant.kind != GENERAL:
             # the 2-form strength of these variants is F = dA, so the first
             # symmetry type moves it by d(d xi) = 0 and the second not at all
-            rows["transform-xi-P"] = max(rows["transform-xi-P"],
-                                         var.xi_a.d().max_abs())
-            rows["transform-chi-P"] = max(rows["transform-chi-P"],
-                                          var.chi_a.d().max_abs())
+            _worst(rows, "transform-xi-P", var.xi_a.d().max_abs())
+            _worst(rows, "transform-chi-P", var.chi_a.d().max_abs())
             continue
         p_form, q_form = ctx.strengths.P, ctx.strengths.Q
         ring, n, m = ctx.config.ring, ds.space_a.dim, ds.space_b.dim
@@ -1035,9 +1014,9 @@ def check_strength_transformation(variant: TheoryVariant, seeds,
         for (which, (gp_half, rot)), delta in zip(halves.items(), deltas):
             for field, d, r, rem in zip("PQ", delta, rot,
                                         ctx.remainder(gp_half)):
-                name = f"transform-{which}-{field}"
-                rows[name] = max(rows[name], (d - r - rem).max_abs())
-    return _collect("strength-transformation", rows, tol, seeds)
+                _worst(rows, f"transform-{which}-{field}",
+                       (d - r - rem).max_abs())
+    return _collect("strength-transformation", rows, tol, contexts)
 
 
 CHECK_FUNCTIONS = {
@@ -1051,9 +1030,10 @@ CHECK_FUNCTIONS = {
 }
 
 # how the suite feeds each check: the DEFAULT_TOLS class of its tolerance,
-# and whether it takes the seeds or the cyclic pairs of consecutive seeds
+# and whether it takes the seed contexts or the cyclic pairs of consecutive
+# contexts
 SEED_FORMS = {"seeds": list,
-              "pairs": lambda seeds: list(zip(seeds, seeds[1:] + seeds[:1]))}
+              "pairs": lambda ctxs: list(zip(ctxs, ctxs[1:] + ctxs[:1]))}
 CHECK_SPECS = {
     "gauge-invariance": ("composite", "seeds"),
     "noether": ("composite", "seeds"),
@@ -1068,17 +1048,23 @@ CHECK_SPECS = {
 def run_identity_suite(variant: TheoryVariant, seeds, degree: int = 3,
                        amplitude: float = 0.1, checks=None,
                        tols: dict | None = None) -> dict:
-    """Run the configured identity checks; returns name -> IdentityReport."""
+    """Run the configured identity checks; returns name -> IdentityReport.
+
+    One :class:`SeedContext` per seed is built here and shared by every
+    check.  An empty seed list raises ``ValueError``: a suite that checks
+    no fields would pass every identity.
+    """
     tols = dict(DEFAULT_TOLS, **(tols or {}))
     checks = list(CHECK_FUNCTIONS) if checks is None else checks
-    seeds = list(seeds)
+    contexts = seed_contexts(variant, seeds, degree, amplitude)
+    if not contexts:
+        raise ValueError("the identity suite needs at least one seed")
     out = {}
     timings = {}
     for name in checks:
         tol_class, seed_form = CHECK_SPECS[name]
         start = time.perf_counter()
-        out[name] = CHECK_FUNCTIONS[name](
-            variant, SEED_FORMS[seed_form](seeds), degree, amplitude,
-            tols[tol_class])
+        out[name] = CHECK_FUNCTIONS[name](SEED_FORMS[seed_form](contexts),
+                                          tols[tol_class])
         timings[name] = time.perf_counter() - start
     return {"reports": out, "timings": timings}

@@ -21,8 +21,8 @@ from ymft.dynamics import (check_commutators,
                            check_euler_lagrange_consistency,
                            check_gauge_invariance, check_linearization,
                            check_noether_identities,
-                           check_strength_identities, variant_e_only,
-                           variant_general, variant_linear)
+                           check_strength_identities, seed_contexts,
+                           variant_e_only, variant_general, variant_linear)
 from ymft.forms import LieForm
 from ymft.jets import JetRing
 from ymft.lie_core import InternalSpace
@@ -114,8 +114,9 @@ def test_criterion_3_gauge_invariance_twenty_seeds():
     start = time.perf_counter()
     worst = {}
     for name, variant in _acceptance_variants().items():
-        report = check_gauge_invariance(variant, SEEDS_20, degree=3,
-                                        amplitude=0.1, tol=1e-8)
+        report = check_gauge_invariance(
+            seed_contexts(variant, SEEDS_20, degree=3, amplitude=0.1),
+            tol=1e-8)
         worst[name] = report.max_residual
         assert report.passed, (name, report.as_dict())
     elapsed = time.perf_counter() - start
@@ -131,7 +132,8 @@ def test_criterion_4_negative_control_wrong_coupling():
     bad = make_deformation(InternalSpace(3), InternalSpace(3), eps,
                            0.3 * eps, eps, 0.3 * eps, np.zeros((3, 3, 3)),
                            2.0 * np.eye(3), h_map=0.3 * np.eye(3))
-    report = check_gauge_invariance(variant_general(bad), [1, 2, 3])
+    report = check_gauge_invariance(seed_contexts(variant_general(bad),
+                                                  [1, 2, 3]))
     verdict(4, "massive family with the coupling forced to 0.3 breaks "
                f"invariance (residual {report.max_residual:.2e} > 1e-3)",
             report.max_residual > 1e-3)
@@ -140,8 +142,9 @@ def test_criterion_4_negative_control_wrong_coupling():
 def test_criterion_5_off_shell_identities():
     worst = 0.0
     for name, variant in _acceptance_variants().items():
-        noe = check_noether_identities(variant, SEEDS_20, tol=1e-9)
-        ids = check_strength_identities(variant, SEEDS_20, tol=1e-9)
+        contexts = seed_contexts(variant, SEEDS_20)
+        noe = check_noether_identities(contexts, tol=1e-9)
+        ids = check_strength_identities(contexts, tol=1e-9)
         assert noe.passed, (name, noe.as_dict())
         assert ids.passed, (name, ids.as_dict())
         worst = max(worst, noe.max_residual, ids.max_residual)
@@ -158,7 +161,8 @@ def test_criterion_6_commutator_closure():
     worst = 0.0
     for name in ("su2 massless", "su2 massive"):
         variant = _acceptance_variants()[name]
-        report = check_commutators(variant, pairs, tol=1e-9)
+        report = check_commutators([tuple(seed_contexts(variant, pair))
+                                    for pair in pairs], tol=1e-9)
         assert report.passed, (name, report.as_dict())
         assert {r.name for r in report.results} == {
             "commutator-xi-xi", "commutator-chi-chi", "commutator-xi-chi"}
@@ -173,7 +177,8 @@ def test_criterion_7_linearization():
     for name, variant in _acceptance_variants().items():
         if name.startswith("linear"):
             continue
-        report = check_linearization(variant, [1, 2, 3], tol=1e-12)
+        report = check_linearization(seed_contexts(variant, [1, 2, 3]),
+                                     tol=1e-12)
         assert report.passed, (name, report.as_dict())
         worst = max(worst, report.max_residual)
     verdict(7, "order-one coefficient of every nonlinear variant equals "
@@ -186,7 +191,8 @@ def test_criterion_8_euler_lagrange_consistency():
     worst_tower = 0.0
     for name in ("linear m=2", "su2 massless", "su2 massive", "e-only"):
         variant = _acceptance_variants()[name]
-        report = check_euler_lagrange_consistency(variant, [1], tol=1e-9)
+        report = check_euler_lagrange_consistency(
+            seed_contexts(variant, [1]), tol=1e-9)
         for row in report.results:
             if row.name.startswith("euler-lagrange"):
                 worst_el = max(worst_el, row.residual)

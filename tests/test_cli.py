@@ -169,3 +169,23 @@ def test_seed_and_degree_overrides(tmp_path):
     report = json.loads(proc.stdout)
     idents = report["checks"]["linearization"]["identities"]
     assert all(row["seeds"] == [9] for row in idents)
+
+
+def test_empty_seed_list_exits_2(tmp_path):
+    # a suite over no fields would pass every identity with residual 0.0
+    payload = dict(BASE)
+    payload["jet"] = {"degree": 3, "amplitude": 0.1, "seeds": []}
+    cfg = write_config(tmp_path, payload)
+    proc = run_cli(["verify-theory", "--config", cfg])
+    assert proc.returncode == 2
+    assert "jet.seeds must be a non-empty list of integers" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_degree_override_below_one_exits_2(tmp_path, degree):
+    cfg = write_config(tmp_path, dict(BASE))
+    proc = run_cli(["verify-theory", "--config", cfg, "--degree", degree])
+    assert proc.returncode == 2
+    assert "jet.degree must be a positive integer" in proc.stderr
+    assert proc.stdout == ""

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ymft import lie_core
+from ymft import dynamics, lie_core
 from ymft.deformations import (family_e_only, family_general,
                                family_solvable, family_su2, make_deformation)
 from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
-                           GaugeParam, SeedContext, TheoryVariant,
+                           GaugeParam, TheoryVariant,
                            Variations, boundary_theta, check_commutators,
                            check_cubic_tower,
                            check_euler_lagrange_consistency,
@@ -17,8 +17,8 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
                            gauge_commutators, gauge_variation,
                            generic_field_equations, lagrangian,
                            lagrangian_form, lagrangian_symmetric_form,
-                           run_identity_suite, variant_e_only,
-                           variant_general, variant_linear)
+                           run_identity_suite, seed_contexts,
+                           variant_e_only, variant_general, variant_linear)
 from ymft.forms import (LieForm, direction_part, promote_form,
                         random_field_config, random_gauge_params)
 from ymft.jets import JetRing, NilpotentExtension
@@ -168,7 +168,7 @@ def test_constant_parameter_variations_linear():
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_gauge_invariance_all_variants(name):
     v = VARIANTS[name]()
-    report = check_gauge_invariance(v, [1, 2], tol=1e-8)
+    report = check_gauge_invariance(seed_contexts(v, [1, 2]), tol=1e-8)
     assert report.passed, report.as_dict()
     if name == "e-only":
         assert report.max_residual < 5e-15  # identically zero, roundoff only
@@ -183,20 +183,21 @@ def bad_deformation():
 
 
 def test_gauge_invariance_negative_control():
-    report = check_gauge_invariance(variant_general(bad_deformation()),
-                                    [1, 2])
+    report = check_gauge_invariance(
+        seed_contexts(variant_general(bad_deformation()), [1, 2]))
     assert report.max_residual > 1e-3
 
 
 def test_commutators_negative_control():
-    report = check_commutators(variant_general(bad_deformation()), [(1, 2)])
+    report = check_commutators(
+        [tuple(seed_contexts(variant_general(bad_deformation()), [1, 2]))])
     assert not report.passed
     assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
 
 def test_strength_transformation_negative_control():
     report = check_strength_transformation(
-        variant_general(bad_deformation()), [1])
+        seed_contexts(variant_general(bad_deformation()), [1]))
     assert not report.passed
     assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
@@ -204,14 +205,14 @@ def test_strength_transformation_negative_control():
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_noether_identities(name):
     v = VARIANTS[name]()
-    report = check_noether_identities(v, [1, 2], tol=1e-9)
+    report = check_noether_identities(seed_contexts(v, [1, 2]), tol=1e-9)
     assert report.passed, report.as_dict()
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_strength_identities(name):
     v = VARIANTS[name]()
-    report = check_strength_identities(v, [1, 2], tol=1e-9)
+    report = check_strength_identities(seed_contexts(v, [1, 2]), tol=1e-9)
     assert report.passed, report.as_dict()
     names = {r.name for r in report.results}
     assert "bianchi-F" in names
@@ -227,14 +228,15 @@ def test_strength_identities_negative_control():
     bad = make_deformation(base.space_a, base.space_b, base.a, b_bad,
                            base.j, base.k, base.e, base.mass.m,
                            h_map=base.h_map, validate=False)
-    report = check_strength_identities(variant_general(bad), [1], tol=1e-9)
+    report = check_strength_identities(
+        seed_contexts(variant_general(bad), [1]), tol=1e-9)
     assert not report.passed
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_commutators(name):
     v = VARIANTS[name]()
-    report = check_commutators(v, [(1, 2)], tol=1e-9)
+    report = check_commutators([tuple(seed_contexts(v, [1, 2]))], tol=1e-9)
     assert report.passed, report.as_dict()
 
 
@@ -251,7 +253,7 @@ def test_commutator_closure_structure():
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_linearization(name):
     v = VARIANTS[name]()
-    report = check_linearization(v, [1, 2], tol=1e-12)
+    report = check_linearization(seed_contexts(v, [1, 2]), tol=1e-12)
     assert report.passed, report.as_dict()
 
 
@@ -259,7 +261,8 @@ def test_linearization(name):
                                   "su2-massive", "e-only"])
 def test_euler_lagrange_consistency(name):
     v = VARIANTS[name]()
-    report = check_euler_lagrange_consistency(v, [1], tol=1e-9)
+    report = check_euler_lagrange_consistency(seed_contexts(v, [1]),
+                                              tol=1e-9)
     assert report.passed, report.as_dict()
     names = [r.name for r in report.results]
     assert "homogeneity-k1" in names and "homogeneity-k2" in names
@@ -275,9 +278,9 @@ def test_generic_el_matches_linear_exactly():
 
 
 def test_cubic_tower_families():
-    for ds in (family_su2(2.0, 0.5), family_e_only(sym_e()),
-               family_solvable([1, 0, 0], [0, 0, 1], CMAP)):
-        report = check_cubic_tower(ds, [1], tol=1e-10)
+    for name in ("su2-massive", "e-only", "solvable"):
+        report = check_cubic_tower(seed_contexts(VARIANTS[name](), [1]),
+                                   tol=1e-10)
         assert report.passed, report.as_dict()
 
 
@@ -285,8 +288,24 @@ def test_cubic_tower_families():
                                   "su2-massive", "solvable", "e-only"])
 def test_strength_transformation(name):
     v = VARIANTS[name]()
-    report = check_strength_transformation(v, [1], tol=1e-9)
+    report = check_strength_transformation(seed_contexts(v, [1]), tol=1e-9)
     assert report.passed, report.as_dict()
+
+
+TRANSFORM_ROWS = {
+    "linear-massive": ["transform-xi-P", "transform-chi-P"],
+    "e-only": ["transform-xi-P", "transform-chi-P"],
+    "su2-massive": ["transform-xi-P", "transform-xi-Q",
+                    "transform-chi-P", "transform-chi-Q"],
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSFORM_ROWS))
+def test_strength_transformation_reports_only_measured_rows(name):
+    # the linear and e-only variants have no solved Q, so no Q row
+    report = check_strength_transformation(seed_contexts(VARIANTS[name](),
+                                                         [1]))
+    assert [r.name for r in report.results] == TRANSFORM_ROWS[name]
 
 
 def test_boundary_theta_linear_forms():
@@ -323,16 +342,47 @@ def test_run_identity_suite_aggregates():
     assert set(out["timings"]) == set(out["reports"])
 
 
+def test_nan_residual_fails_its_row():
+    # a NaN coupling gives NaN residuals; taking the worst over seeds must
+    # keep them, not read them as 0.0
+    v = variant_linear(np.diag([np.nan, 2.0, 2.0]))
+    report = check_noether_identities(seed_contexts(v, [1, 2]))
+    assert not report.passed
+    assert all(np.isnan(r.residual) for r in report.results)
+
+
+def test_run_identity_suite_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_identity_suite(variant_linear(np.zeros((3, 3))), [])
+
+
+def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
+    # every check reads the same per-seed context, so the base-ring
+    # strengths of each seed are solved once per suite, not once per check
+    solve = dynamics.compute_strengths
+    base_solves = []
+
+    def counted(config, *args, **kwargs):
+        if not isinstance(config.ring, NilpotentExtension):
+            base_solves.append(config)
+        return solve(config, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "compute_strengths", counted)
+    out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1, 2])
+    assert all(rep.passed for rep in out["reports"].values())
+    assert len(base_solves) == 2
+
+
 def test_rich_general_family_suite():
     scaled = lie_core.StructureConstants(InternalSpace(3),
                                          0.8 * lie_core.levi_civita3())
     ds = family_general(massless_a=lie_core.su2(), massless_b=scaled,
                         h0=0.8 * np.eye(3), massive=lie_core.su2(),
                         mass_value=2.0)
-    v = variant_general(ds)
-    assert check_gauge_invariance(v, [1], tol=1e-8).passed
-    assert check_noether_identities(v, [1], tol=1e-9).passed
-    assert check_strength_transformation(v, [1], tol=1e-9).passed
+    contexts = seed_contexts(variant_general(ds), [1])
+    assert check_gauge_invariance(contexts, tol=1e-8).passed
+    assert check_noether_identities(contexts, tol=1e-9).passed
+    assert check_strength_transformation(contexts, tol=1e-9).passed
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +419,9 @@ def reference_commutators(variant, config, gp1, gp2):
     """[delta_1, delta_2](A, B) per pair of parameter parts, two
     one-direction passes per pair."""
     ds = variant.ds
+    strengths = None
+    if variant.kind == GENERAL:
+        strengths = compute_strengths(config, ds)
     zero_xi = LieForm.zero(config.ring, 0, ds.space_a.dim)
     zero_chi = LieForm.zero(config.ring, 1, ds.space_b.dim)
     combos = {
@@ -379,7 +432,6 @@ def reference_commutators(variant, config, gp1, gp2):
         "commutator-xi-chi": (GaugeParam(gp1.xi, zero_chi),
                               GaugeParam(zero_xi, gp2.chi)),
     }
-    strengths = SeedContext(variant, config).strengths
     out = {}
     for name, (p1, p2) in combos.items():
         var1 = gauge_variation(variant, config, strengths, p1)
@@ -408,10 +460,8 @@ REFERENCE_VARIANTS = ["su2-massive", "su2-massless", "solvable", "e-only",
 @pytest.mark.parametrize("name", REFERENCE_VARIANTS)
 def test_vector_mode_commutators_match_one_direction(name, degree):
     v = VARIANTS[name]()
-    n, m = v.ds.space_a.dim, v.ds.space_b.dim
-    ctx = SeedContext.random(v, 1, degree, 0.1)
-    gp1 = GaugeParam(*random_gauge_params(501, 0.1, degree, n, m))
-    gp2 = GaugeParam(*random_gauge_params(902, 0.1, degree, n, m))
+    ctx, other = seed_contexts(v, [1, 2], degree)
+    gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
     vector = gauge_commutators(ctx, gp1, gp2)
     ref = reference_commutators(v, ctx.config, gp1, gp2)
     assert list(vector) == list(ref)
@@ -424,9 +474,8 @@ def test_vector_mode_commutators_match_one_direction(name, degree):
 @pytest.mark.parametrize("name", REFERENCE_VARIANTS)
 def test_vector_mode_lagrangian_blocks_match_one_direction(name, degree):
     v = VARIANTS[name]()
-    n, m = v.ds.space_a.dim, v.ds.space_b.dim
-    ctx = SeedContext.random(v, 2, degree, 0.1)
-    gp = GaugeParam(*random_gauge_params(10_002, 0.1, degree, n, m))
+    ctx, = seed_contexts(v, [2], degree)
+    gp = ctx.gauge_param(10_000)
     var = ctx.variations(gp)
     blocks = directional_lagrangians(v, ctx.config, [var.xi, var.chi])
     assert len(blocks) == 2
