@@ -24,7 +24,8 @@ import time
 import numpy as np
 
 from . import __version__, lie_core
-from .config import ConfigError, RunConfig, load_config, validate_degree
+from .config import (ConfigError, RunConfig, load_config, validate_degree,
+                     validate_tolerance)
 from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
@@ -94,7 +95,7 @@ def cmd_verify_algebra(config: RunConfig, args) -> int:
 def cmd_verify_deformation(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "verify-deformation")
     ds = config.deformation()
-    tol = args.tol if args.tol else config.tolerances["constraints"]
+    tol = config.tolerances["constraints"] if args.tol is None else args.tol
     start = time.perf_counter()
     linear = check_linear_relations(ds, tol)
     quadratic = check_quadratic_relations(ds, tol)
@@ -126,7 +127,7 @@ def cmd_verify_theory(config: RunConfig, args) -> int:
         validate_degree(args.degree)
         degree = args.degree
     tols = dict(config.tolerances)
-    if args.tol:
+    if args.tol is not None:
         tols["composite"] = args.tol
     out = run_identity_suite(variant, seeds, degree,
                              config.jet["amplitude"], config.checks, tols)
@@ -254,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None:
+            validate_tolerance(args.tol, "--tol")
         config = load_config(args.config)
         return COMMANDS[args.command](config, args)
     except ConfigError as exc:

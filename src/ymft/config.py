@@ -72,6 +72,17 @@ def validate_degree(degree) -> None:
         raise ConfigError("jet.degree must be a positive integer")
 
 
+def validate_tolerance(tol, where: str) -> float:
+    """A tolerance as a float; reject one that is not finite and >= 0."""
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not (np.isfinite(value) and value >= 0):
+        raise ConfigError(f"{where} must be a finite number >= 0")
+    return value
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -94,12 +105,14 @@ class RunConfig:
         if "tolerances" in raw:
             _require_keys(raw["tolerances"], _TOL_KEYS, "tolerances")
             for key, val in raw["tolerances"].items():
-                self.tolerances[key] = float(val)
+                self.tolerances[key] = validate_tolerance(
+                    val, f"tolerances.{key}")
 
         self.checks = raw.get("checks")
         if self.checks is not None:
-            if not isinstance(self.checks, list):
-                raise ConfigError("checks must be a list")
+            # an empty list would pass with no identity checked
+            if not isinstance(self.checks, list) or not self.checks:
+                raise ConfigError("checks must be a non-empty list")
             unknown = set(self.checks) - set(CHECK_FUNCTIONS)
             if unknown:
                 raise ConfigError(f"unknown checks: {sorted(unknown)}")

@@ -19,17 +19,21 @@ Two layers live here:
   arbitrary jet pipelines.
 
 Coefficients are stored densely in graded lexicographic monomial order, and
-truncated multiplication runs through a precomputed index-pair table.  The
-same table grouped by output monomial turns a product of ring-valued
-matrices into one dense real matmul per monomial (Taylor propagation in the
-sense of Griewank & Walther, *Evaluating Derivatives*, ch. 13); extended
-rings expose the nonzero products of their blocks as a block-pair table so
-that the matrix product runs the base kernel once per block pair.  The same
-pairs indexed by (input, output) monomial give each jet ``a`` a
-multiplication matrix, ``b @ mul_matrix(a) == a * b``; a nilpotent
-extension multiplies all tangent blocks of one factor by the other
-factor's value in one matmul against that matrix (vector-mode forward
-propagation, ibid.).
+truncated multiplication runs through a precomputed index-pair table sorted
+by output monomial: a product gathers both factors at the pairs, multiplies
+them, and sums each output monomial's run of pairs in one
+``np.add.reduceat``.  The same table grouped by output monomial turns a
+product of ring-valued matrices into one dense real matmul per monomial
+(Taylor propagation in the sense of Griewank & Walther, *Evaluating
+Derivatives*, ch. 13); extended rings expose the nonzero products of their
+blocks as a block-pair table so that the matrix product runs the base kernel
+once per block pair.  The same pairs indexed by (input, output) monomial
+give each jet ``a`` a multiplication matrix, ``b @ mul_matrix(a) == a * b``,
+which the graded strength solve uses.  A nilpotent extension multiplies only
+the live tangent blocks of each factor, those nonzero somewhere in the
+batch, by the other factor's value, in the same pair-table call as the value
+product; every other tangent block stays exactly zero (sparse vector-mode
+forward propagation, ibid., ch. 7).
 """
 
 from __future__ import annotations
@@ -74,15 +78,20 @@ class JetAlgebra:
                 ii.append(i)
                 jj.append(j)
                 kk.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-        self.pair_i = np.array(ii)
-        self.pair_j = np.array(jj)
-        scatter = np.zeros((len(kk), self.n_terms))
-        scatter[np.arange(len(kk)), kk] = 1.0
-        self.scatter = scatter
-        # the same pairs grouped by output monomial: (I_k, J_k) per k
+        # the pairs sorted by output monomial (stably, so each group keeps
+        # its pairs in row-major (i, j) order); every monomial k has at
+        # least the pair (0, k), so the groups start at strictly
+        # increasing offsets
         kk = np.array(kk)
-        self.pair_groups = [(self.pair_i[kk == k], self.pair_j[kk == k])
-                            for k in range(self.n_terms)]
+        order = np.argsort(kk, kind="stable")
+        self.pair_i = np.array(ii)[order]
+        self.pair_j = np.array(jj)[order]
+        kk = kk[order]
+        self.group_starts = np.flatnonzero(np.diff(kk, prepend=-1))
+        # the same pairs grouped by output monomial: (I_k, J_k) per k
+        self.pair_groups = list(zip(
+            np.split(self.pair_i, self.group_starts[1:]),
+            np.split(self.pair_j, self.group_starts[1:])))
         # mul_index[j, k] = i for the unique pair (i, j, k) (exponents
         # i = k - j), and n_terms where there is none
         self.mul_index = np.full((self.n_terms, self.n_terms), self.n_terms)
@@ -100,7 +109,9 @@ class JetAlgebra:
             self.deriv.append(dm)
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[..., self.pair_i] * b[..., self.pair_j]) @ self.scatter
+        return np.add.reduceat(a.take(self.pair_i, axis=-1)
+                               * b.take(self.pair_j, axis=-1),
+                               self.group_starts, axis=-1)
 
     def mul_matrix(self, a: np.ndarray) -> np.ndarray:
         """(..., n) -> (..., n, n) with M[j, k] = a[k - j]: b @ M == a * b."""
@@ -283,10 +294,11 @@ class NilpotentExtension(JetRing):
     derivatives; this is how gauge variations, commutators, linearizations
     and Euler-Lagrange gradients are extracted below.
 
-    In a product only the value blocks go through the pair-table kernel;
-    the tangent half is one matmul per value, all k tangent rows of one
-    factor times the other factor's value multiplication matrix
-    (:meth:`JetAlgebra.mul_matrix`).
+    A product finds, in one pass over each factor, the tangent blocks that
+    hold a nonzero, NaN or inf anywhere in the batch, and multiplies only
+    those by the other factor's value, in one pair-table call together with
+    the value product.  A tangent block that is zero in both factors comes
+    out exactly 0.0, even where a value block holds inf or NaN.
     """
 
     def __init__(self, degree: int, directions: int = 1):
@@ -305,13 +317,27 @@ class NilpotentExtension(JetRing):
         return xs[..., 0, :], xs[..., 1:, :]
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xr, xi = self._split(x)
-        yr, yi = self._split(y)
-        re = self.base.mul(xr, yr)
-        alg = self.algebra
-        im = yi @ alg.mul_matrix(xr) + xi @ alg.mul_matrix(yr)
-        out = np.concatenate([re[..., None, :], im], axis=-2)
-        return out.reshape(out.shape[:-2] + (self.width,))
+        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
+        ys = y.reshape(y.shape[:-1] + (self.blocks, self.base_width))
+        lx, ly = self._live(xs), self._live(ys)
+        # one pair-kernel call on the block pairs (0, 0), (0, ly), (lx, 0)
+        head = np.concatenate([[0], ly])
+        left = np.concatenate([np.zeros(len(head), int), lx])
+        right = np.concatenate([head, np.zeros(len(lx), int)])
+        prod = self.base.mul(xs[..., left, :], ys[..., right, :])
+        out = np.zeros(prod.shape[:-2] + (self.blocks, self.base_width))
+        out[..., head, :] = prod[..., :len(head), :]
+        out[..., lx, :] += prod[..., len(head):, :]
+        return out.reshape(prod.shape[:-2] + (self.width,))
+
+    def _live(self, xs: np.ndarray) -> np.ndarray:
+        """Tangent blocks of ``xs`` (..., blocks, n) that hold a nonzero,
+        NaN or inf anywhere in the batch; all others are exactly zero."""
+        # one gemv over |xs|, faster than xs.any(-1)
+        ones = np.ones(self.base_width)
+        norms = np.abs(xs.reshape(-1, self.base_width)) @ ones
+        live = norms.reshape(-1, self.blocks)[:, 1:].any(axis=0)
+        return 1 + np.flatnonzero(live)
 
     def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
         xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))

@@ -189,3 +189,51 @@ def test_degree_override_below_one_exits_2(tmp_path, degree):
     assert proc.returncode == 2
     assert "jet.degree must be a positive integer" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_empty_check_list_exits_2(tmp_path):
+    # a suite with no checks would report "passed": true
+    payload = dict(BASE, checks=[])
+    cfg = write_config(tmp_path, payload)
+    proc = run_cli(["verify-theory", "--config", cfg])
+    assert proc.returncode == 2
+    assert "checks must be a non-empty list" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_tol_zero_override_is_applied(tmp_path):
+    # gauge invariance leaves roundoff (~1e-17) that a zero tolerance fails
+    cfg = write_config(tmp_path, dict(BASE))
+    proc = run_cli(["verify-theory", "--config", cfg, "--tol", "0"])
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["checks"]["gauge-invariance"]["passed"] is False
+
+
+def test_tol_zero_override_reaches_deformation_report(tmp_path):
+    cfg = write_config(tmp_path, dict(BASE))
+    proc = run_cli(["verify-deformation", "--config", cfg, "--tol", "0"])
+    report = json.loads(proc.stdout)
+    for name in ("linear-relations", "quadratic-relations"):
+        assert report["checks"][name]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-deformation",
+                                     "verify-theory", "observables"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tol_override_exits_2(tmp_path, command, tol):
+    cfg = write_config(tmp_path, dict(BASE, algebra={"family": "su2"}))
+    proc = run_cli([command, "--config", cfg, "--tol", tol])
+    assert proc.returncode == 2
+    assert "--tol must be a finite number >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("value", [-1e-8, float("nan"), float("inf")])
+def test_bad_config_tolerance_exits_2(tmp_path, value):
+    payload = dict(BASE, tolerances={"composite": value})
+    cfg = write_config(tmp_path, payload)
+    proc = run_cli(["verify-theory", "--config", cfg])
+    assert proc.returncode == 2
+    assert "tolerances.composite must be a finite number >= 0" in proc.stderr
+    assert proc.stdout == ""

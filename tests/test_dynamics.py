@@ -521,3 +521,12 @@ def test_full_suite_at_degree_4(family):
     assert list(reports) == list(CHECK_FUNCTIONS)
     for report in reports.values():
         assert report.passed, report.as_dict()
+
+
+@pytest.mark.parametrize("name", ["su2-massive", "e-only"])
+def test_full_suite_at_degree_6(name):
+    out = run_identity_suite(VARIANTS[name](), [1], degree=6)
+    reports = out["reports"]
+    assert list(reports) == list(CHECK_FUNCTIONS)
+    for report in reports.values():
+        assert report.passed, report.as_dict()

@@ -17,7 +17,7 @@ def brute_force_product(alg: JetAlgebra, a, b):
     return out
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", range(8))
 def test_truncated_product_against_brute_force(degree):
     alg = jet_algebra(degree)
     rng = np.random.default_rng(degree)
@@ -25,6 +25,20 @@ def test_truncated_product_against_brute_force(degree):
     b = rng.uniform(-1, 1, alg.n_terms)
     assert np.allclose(alg.mul_coeffs(a, b), brute_force_product(alg, a, b),
                        atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_pair_groups_keep_row_major_order(degree):
+    # the graded Y solve sums each group's pairs in this order
+    alg = jet_algebra(degree)
+    seen = []
+    for k, (ik, jk) in enumerate(alg.pair_groups):
+        pairs = list(zip(ik.tolist(), jk.tolist()))
+        assert pairs == sorted(pairs)
+        assert all(alg.mul_index[j, k] == i for i, j in pairs)
+        seen += pairs
+    assert sorted(seen) == sorted(zip(alg.pair_i.tolist(),
+                                      alg.pair_j.tolist()))
 
 
 def test_monomial_count_degree3():
@@ -186,3 +200,55 @@ def test_nilpotent_mul_zero_tangents_stay_exact_zero():
     for d in zero:
         assert np.all(blocks[..., 1 + d, :] == 0.0)
     assert np.abs(blocks[..., 30, :]).max() > 0.0
+
+
+def direction_sets(k):
+    """Live tangent directions of one factor: none, all, or any subset."""
+    return st.one_of(st.just(frozenset()), st.just(frozenset(range(k))),
+                     st.frozensets(st.integers(0, k - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 4, 60]), st.integers(0, 5),
+       st.sampled_from([((3, 1), (1, 3)), ((2, 3), (2, 3)), ((), (4,)),
+                        ((5,), ())]),
+       st.integers(0, 2**32 - 1))
+def test_nilpotent_mul_live_directions_match_loop(data, directions, degree,
+                                                  shapes, seed):
+    ring = NilpotentExtension(degree, directions)
+    live = [data.draw(direction_sets(directions)) for _ in shapes]
+    rng = np.random.default_rng(seed)
+    x, y = (rng.uniform(-1, 1, shape + (ring.blocks, ring.base_width))
+            for shape in shapes)
+    for z, rows in zip((x, y), live):
+        z[..., [1 + d for d in range(directions) if d not in rows], :] = 0.0
+        # a live direction may still be zero in some batch entries
+        z[..., 1:, :] *= rng.integers(0, 2, z.shape[:-1] + (1,))[..., 1:, :]
+    x = x.reshape(shapes[0] + (ring.width,))
+    y = y.reshape(shapes[1] + (ring.width,))
+    ref = loop_nilpotent_mul(ring, x, y)
+    got = ring.mul(x, y)
+    assert got.shape == ref.shape
+    assert _rel_err(got, ref) <= 1e-14
+    blocks = got.reshape(got.shape[:-1] + (ring.blocks, ring.base_width))
+    for d in set(range(directions)) - live[0] - live[1]:
+        assert np.all(blocks[..., 1 + d, :] == 0.0)
+
+
+def test_nilpotent_mul_live_rows_carry_nan_and_inf():
+    ring = NilpotentExtension(3, 5)
+    n = ring.base_width
+    rng = np.random.default_rng(61)
+    x = rng.uniform(-1, 1, (2, ring.blocks, n))
+    y = rng.uniform(-1, 1, (2, ring.blocks, n))
+    x[..., 2:, :] = 0.0
+    y[..., 2:, :] = 0.0
+    x[0, 2, 7] = np.nan  # direction 1: zero but for one NaN
+    y[1, 3, 0] = np.inf  # direction 2: zero but for one inf
+    y[1, 0, 0] = np.inf  # an inf in a value block
+    with np.errstate(invalid="ignore"):  # 0 * inf in the live rows
+        out = ring.mul(x.reshape(2, -1), y.reshape(2, -1)).reshape(x.shape)
+    assert np.isnan(out[0, 2]).any()
+    assert not np.isfinite(out[1, 3]).all()
+    # directions 3-5 are zero in both factors: 0.0, not 0 * inf = NaN
+    assert np.all(out[:, 4:] == 0.0)
