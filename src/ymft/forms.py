@@ -13,6 +13,15 @@ theory, so jet products run only for the internal pairs (a, b) the pairing
 couples: one ring product per component pair over exactly those, then a
 contraction with their coupling columns.
 
+Over a nilpotent tangent ring a form also records which blocks of each
+component, value and tangents, may be nonzero (:attr:`LieForm.live`).  A
+form built from an array reads them off its values; sums, products,
+exterior derivatives and Hodge duals derive them from their operands, and a
+product multiplies only those blocks.  A block that cancels to zero in
+exact arithmetic (the tangent of d(d chi), say) so stays live whatever its
+roundoff, and the work of a pipeline does not depend on the values it runs
+on.
+
 The epsilon-contraction duals that appear in component formulations of the
 theories differ from the Hodge dual by a constant per degree (2 on 2-forms,
 6 on 3-forms, from the absent 1/p! in the contraction).  All dynamical
@@ -158,13 +167,14 @@ class LieForm:
 
     ``comps`` has shape (internal dim, #ordered p-components, ring width).
     ``order`` is the valid jet order shared by all components; exterior
-    derivatives lower it, products take the minimum.
+    derivatives lower it, products take the minimum.  ``live`` is given by
+    the form operations themselves (see :attr:`live`).
     """
 
-    __slots__ = ("ring", "p", "n", "comps", "order")
+    __slots__ = ("ring", "p", "n", "comps", "order", "_live")
 
     def __init__(self, ring: JetRing, p: int, comps: np.ndarray,
-                 order: int | None = None):
+                 order: int | None = None, live: np.ndarray | None = None):
         self.ring = ring
         self.p = p
         comps = np.asarray(comps, dtype=float)
@@ -174,6 +184,17 @@ class LieForm:
         self.n = comps.shape[0]
         self.comps = comps
         self.order = ring.degree if order is None else order
+        self._live = live
+
+    @property
+    def live(self) -> np.ndarray | None:
+        """(n, #components, k+1) booleans over a ring with k tangent
+        directions, None over other rings: the blocks of each component,
+        value first, that may be nonzero.  Unless an operation supplied
+        them, they are the blocks that hold a nonzero, NaN or inf."""
+        if self._live is None and hasattr(self.ring, "live_blocks"):
+            self._live = self.ring.live_blocks(self.comps)
+        return self._live
 
     # -- constructors -----------------------------------------------------
 
@@ -205,11 +226,11 @@ class LieForm:
 
     # -- ring plumbing -----------------------------------------------------
 
-    def _like(self, comps, order):
-        return LieForm(self.ring, self.p, comps, order)
+    def _like(self, comps, order, live=None):
+        return LieForm(self.ring, self.p, comps, order, live)
 
     def copy(self):
-        return self._like(self.comps.copy(), self.order)
+        return self._like(self.comps.copy(), self.order, self.live)
 
     def scalar(self, a: int = 0, comp: int = 0) -> JetScalar:
         """One component as a JetScalar (base block for nilpotent rings)."""
@@ -219,17 +240,20 @@ class LieForm:
     def __add__(self, other: "LieForm") -> "LieForm":
         if other.p != self.p or other.n != self.n:
             raise ValueError("form shape mismatch")
+        live = self.live
+        if live is not None:
+            live = live | other.live
         return self._like(self.comps + other.comps,
-                          min(self.order, other.order))
+                          min(self.order, other.order), live)
 
     def __sub__(self, other: "LieForm") -> "LieForm":
         return self + (-other)
 
     def __neg__(self):
-        return self._like(-self.comps, self.order)
+        return self._like(-self.comps, self.order, self.live)
 
     def scale(self, s: float) -> "LieForm":
-        return self._like(self.comps * s, self.order)
+        return self._like(self.comps * s, self.order, self.live)
 
     # -- calculus ----------------------------------------------------------
 
@@ -239,9 +263,12 @@ class LieForm:
         if self.order < 1:
             raise JetOrderExhausted("jet order exhausted by exterior derivative")
         out = self.ring.zeros((self.n, len(COMPS[self.p + 1])))
+        live = _no_live(self, out)
         for mu, i, k, sign in D_TABLE[self.p]:
             out[:, k] += sign * self.ring.diff(self.comps[:, i], mu)
-        return LieForm(self.ring, self.p + 1, out, self.order - 1)
+            if live is not None:
+                live[:, k] |= self.live[:, i]
+        return LieForm(self.ring, self.p + 1, out, self.order - 1, live)
 
     def wedge(self, other: "LieForm", pairing: np.ndarray) -> "LieForm":
         """Pairing-valued wedge product.
@@ -253,17 +280,20 @@ class LieForm:
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
-        out = _paired_products(self, other, pairing,
-                               WEDGE_TABLE[(self.p, other.p)],
-                               len(COMPS[self.p + other.p]))
+        out, live = _paired_products(self, other, pairing,
+                                     WEDGE_TABLE[(self.p, other.p)],
+                                     len(COMPS[self.p + other.p]))
         return LieForm(self.ring, self.p + other.p, out,
-                       min(self.order, other.order))
+                       min(self.order, other.order), live)
 
     def hodge(self) -> "LieForm":
         out = self.ring.zeros((self.n, len(COMPS[NVARS - self.p])))
+        live = _no_live(self, out)
         for i, (k, sign) in enumerate(HODGE_TABLE[self.p]):
             out[:, k] = sign * self.comps[:, i]
-        return LieForm(self.ring, NVARS - self.p, out, self.order)
+            if live is not None:
+                live[:, k] = self.live[:, i]
+        return LieForm(self.ring, NVARS - self.p, out, self.order, live)
 
     def interior(self, oneform: "LieForm", pairing: np.ndarray) -> "LieForm":
         """Contract a metric-raised 1-form into the first slot of this form.
@@ -274,10 +304,11 @@ class LieForm:
         """
         if self.p < 1 or oneform.p != 1:
             raise ValueError("interior product needs a 1-form and p >= 1")
-        out = _paired_products(oneform, self, pairing, INTERIOR_TABLE[self.p],
-                               len(COMPS[self.p - 1]))
+        out, live = _paired_products(oneform, self, pairing,
+                                     INTERIOR_TABLE[self.p],
+                                     len(COMPS[self.p - 1]))
         return LieForm(self.ring, self.p - 1, out,
-                       min(self.order, oneform.order))
+                       min(self.order, oneform.order), live)
 
     # -- component access --------------------------------------------------
 
@@ -298,13 +329,24 @@ class LieForm:
         return float(np.abs(self.comps[..., mask]).max())
 
 
+def _no_live(form: LieForm, out: np.ndarray) -> np.ndarray | None:
+    """All-dead live flags for the components ``out`` of a form derived
+    from ``form``; None if its ring has no tangent directions."""
+    if form.live is None:
+        return None
+    return np.zeros(out.shape[:-1] + (form.ring.blocks,), dtype=bool)
+
+
 def _paired_products(left: LieForm, right: LieForm, pairing, table,
-                     n_comps: int) -> np.ndarray:
+                     n_comps: int) -> tuple:
     """Components sum sign * pairing[c, a, b] left^a_i right^b_j -> out[c, k].
 
     ``table`` lists (i, j, k, sign).  Only the internal pairs (a, b) with a
     nonzero coupling are multiplied: one ring product per table entry over
-    those pairs, then a contraction with their coupling columns.
+    those pairs, then a contraction with their coupling columns.  Returns
+    the components and their live flags (None off tangent rings).  Of a
+    product eps-block d may be nonzero where the value block of one factor
+    and block d of the other may be, and only those blocks are multiplied.
     """
     pairing = np.asarray(pairing, dtype=float)
     if pairing.ndim != 3 or pairing.shape[1] != left.n \
@@ -312,14 +354,29 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
         raise ValueError("pairing shape mismatch")
     ring = left.ring
     out = ring.zeros((pairing.shape[0], n_comps))
+    live = _no_live(left, out)
     a, b = np.nonzero(pairing.any(axis=0))
     if not a.size:
-        return out
+        return out, live
     coupling = pairing[:, a, b]
-    for i, j, k, sign in table:
-        prod = ring.mul(left.comps[a, i], right.comps[b, j])
+    if live is not None:
+        ti, tj = [[entry[n] for entry in table] for n in (0, 1)]
+        lx, ly = left.live[a][:, ti], right.live[b][:, tj]  # (pairs, T, k+1)
+        hit = lx[..., :1] & ly
+        hit[..., 1:] |= lx[..., 1:] & ly[..., :1]
+        # hit[c, t]: the blocks product t may make nonzero in slot c
+        hit = ((coupling != 0) @ hit.reshape(len(a), -1)).reshape(
+            (len(coupling),) + hit.shape[1:])
+        lx, ly = lx.any(axis=0), ly.any(axis=0)
+    for t, (i, j, k, sign) in enumerate(table):
+        if live is None:
+            prod = ring.mul(left.comps[a, i], right.comps[b, j])
+        else:
+            prod = ring.mul(left.comps[a, i], right.comps[b, j],
+                            (lx[t], ly[t]))
+            live[:, k] |= hit[:, t]
         out[:, k] += sign * np.einsum("cp,p...->c...", coupling, prod)
-    return out
+    return out, live
 
 
 def epsilon_dual(f: LieForm, kind: str) -> LieForm:

@@ -29,11 +29,13 @@ Derivatives*, ch. 13); extended rings expose the nonzero products of their
 blocks as a block-pair table so that the matrix product runs the base kernel
 once per block pair.  The same pairs indexed by (input, output) monomial
 give each jet ``a`` a multiplication matrix, ``b @ mul_matrix(a) == a * b``,
-which the graded strength solve uses.  A nilpotent extension multiplies only
-the live tangent blocks of each factor, those nonzero somewhere in the
-batch, by the other factor's value, in the same pair-table call as the value
-product; every other tangent block stays exactly zero (sparse vector-mode
-forward propagation, ibid., ch. 7).
+which the graded strength solve uses.  A nilpotent extension multiplies a
+tangent block of one factor by the other factor's value only where both are
+flagged live, in the same pair-table call as the value product; every other
+tangent block stays exactly zero (sparse vector-mode forward propagation,
+ibid., ch. 7).  The flags are the blocks nonzero somewhere in the batch
+unless the caller passes them: the form layer derives them from the
+operations that built its operands, so the work does not follow roundoff.
 """
 
 from __future__ import annotations
@@ -294,11 +296,13 @@ class NilpotentExtension(JetRing):
     derivatives; this is how gauge variations, commutators, linearizations
     and Euler-Lagrange gradients are extracted below.
 
-    A product finds, in one pass over each factor, the tangent blocks that
-    hold a nonzero, NaN or inf anywhere in the batch, and multiplies only
-    those by the other factor's value, in one pair-table call together with
-    the value product.  A tangent block that is zero in both factors comes
-    out exactly 0.0, even where a value block holds inf or NaN.
+    A product multiplies a tangent block of one factor by the other
+    factor's value only where both blocks are flagged live somewhere in the
+    batch, in one pair-table call together with the value product.  The
+    flags are passed by the caller or found in one pass over each factor
+    (:meth:`live_blocks`: a nonzero, NaN or inf).  A tangent block that
+    meets no live partner comes out exactly 0.0, even where the other
+    factor holds inf or NaN.
     """
 
     def __init__(self, degree: int, directions: int = 1):
@@ -316,28 +320,35 @@ class NilpotentExtension(JetRing):
         xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
         return xs[..., 0, :], xs[..., 1:, :]
 
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
+        """The product; ``live`` is (lx, ly), for each factor the blocks
+        that may be nonzero somewhere in the batch, as (k+1,) booleans (by
+        default, those that are, as found by :meth:`live_blocks`)."""
         xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
         ys = y.reshape(y.shape[:-1] + (self.blocks, self.base_width))
-        lx, ly = self._live(xs), self._live(ys)
-        # one pair-kernel call on the block pairs (0, 0), (0, ly), (lx, 0)
-        head = np.concatenate([[0], ly])
-        left = np.concatenate([np.zeros(len(head), int), lx])
-        right = np.concatenate([head, np.zeros(len(lx), int)])
+        if live is None:
+            live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
+                    for z in (x, y)]
+        lx, ly = live
+        # the tangent blocks of one factor met by the other's value
+        tx = 1 + np.flatnonzero(lx[1:] & ly[0])
+        ty = 1 + np.flatnonzero(ly[1:] & lx[0])
+        # one pair-kernel call on the block pairs (0, 0), (0, ty), (tx, 0)
+        head = np.concatenate([[0], ty])
+        left = np.concatenate([np.zeros(len(head), int), tx])
+        right = np.concatenate([head, np.zeros(len(tx), int)])
         prod = self.base.mul(xs[..., left, :], ys[..., right, :])
         out = np.zeros(prod.shape[:-2] + (self.blocks, self.base_width))
         out[..., head, :] = prod[..., :len(head), :]
-        out[..., lx, :] += prod[..., len(head):, :]
+        out[..., tx, :] += prod[..., len(head):, :]
         return out.reshape(prod.shape[:-2] + (self.width,))
 
-    def _live(self, xs: np.ndarray) -> np.ndarray:
-        """Tangent blocks of ``xs`` (..., blocks, n) that hold a nonzero,
-        NaN or inf anywhere in the batch; all others are exactly zero."""
+    def live_blocks(self, x: np.ndarray) -> np.ndarray:
+        """(..., width) -> (..., k+1) booleans: the blocks, value first,
+        that hold a nonzero, NaN or inf; all others are exactly zero."""
+        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
         # one gemv over |xs|, faster than xs.any(-1)
-        ones = np.ones(self.base_width)
-        norms = np.abs(xs.reshape(-1, self.base_width)) @ ones
-        live = norms.reshape(-1, self.blocks)[:, 1:].any(axis=0)
-        return 1 + np.flatnonzero(live)
+        return (np.abs(xs) @ np.ones(self.base_width)) != 0
 
     def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
         xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))

@@ -202,12 +202,15 @@ def test_empty_check_list_exits_2(tmp_path):
 
 
 def test_tol_zero_override_is_applied(tmp_path):
-    # gauge invariance leaves roundoff (~1e-17) that a zero tolerance fails
-    cfg = write_config(tmp_path, dict(BASE))
+    cfg = write_config(tmp_path, dict(BASE, checks=["gauge-invariance"]))
     proc = run_cli(["verify-theory", "--config", cfg, "--tol", "0"])
-    assert proc.returncode == 1
     report = json.loads(proc.stdout)
-    assert report["checks"]["gauge-invariance"]["passed"] is False
+    rows = report["checks"]["gauge-invariance"]["identities"]
+    assert rows and all(row["tolerance"] == 0.0 for row in rows)
+    # each verdict, and the exit code, follow the zero tolerance
+    assert all(row["passed"] is (row["residual"] <= 0.0) for row in rows)
+    assert report["passed"] is all(row["passed"] for row in rows)
+    assert proc.returncode == (0 if report["passed"] else 1)
 
 
 def test_tol_zero_override_reaches_deformation_report(tmp_path):

@@ -339,3 +339,64 @@ def test_wedge_over_random_sparsity(n_out, n, m, degrees, seed, density):
     terms = wedge_magnitude(f, g, abs(alpha) * np.abs(pairing)
                             + abs(beta) * np.abs(other))
     assert np.abs(mixed - split).max() <= 1e-14 * terms.max()
+
+
+# -- live flags over a tangent ring -------------------------------------------
+
+def sparse_tangent_form(ring, p, n, rng):
+    """Random form whose blocks, value blocks too, are zero at random."""
+    blocks = rng.uniform(-1, 1, (n, len(COMPS[p]), ring.blocks,
+                                 ring.base_width))
+    blocks *= rng.integers(0, 2, blocks.shape[:3] + (1,))
+    return LieForm(ring, p, blocks.reshape(blocks.shape[:2] + (ring.width,)))
+
+
+def assert_live_covers_values(form):
+    nonzero = form.ring.live_blocks(form.comps)
+    assert form.live.shape == nonzero.shape
+    assert not (nonzero & ~form.live).any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([(0, 2), (1, 1), (1, 2), (2, 2)]),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_live_flags_cover_every_nonzero_block(n_out, n, m, degrees, seed,
+                                             density):
+    ring = NilpotentExtension(2, 5)
+    rng = np.random.default_rng(seed)
+    f = sparse_tangent_form(ring, degrees[0], n, rng)
+    g = sparse_tangent_form(ring, degrees[1], m, rng)
+    mask = rng.uniform(0, 1, (n_out, n, m)) < density
+    pairing = np.where(mask, rng.uniform(-1, 1, mask.shape), 0.0)
+    # products multiply only the flagged blocks and still match the
+    # reference, which multiplies every block
+    w = assert_matches_dense(f, g, pairing)
+    derived = [w, w.hodge(), w - w, LieForm.zero(ring, w.p, w.n) + w,
+               w.scale(0.5), f.d(), g.d().hodge()]
+    if f.p == 1:
+        derived.append(g.interior(f, pairing))
+    for form in derived:
+        assert_live_covers_values(form)
+
+
+def test_blocks_that_cancel_stay_live():
+    ring = NilpotentExtension(3, 2)
+    rng = np.random.default_rng(8)
+    chi = random_form(ring, 1, 2, rng, directions=(1,))
+    gone = chi - chi
+    assert np.all(gone.comps == 0.0)
+    assert np.array_equal(gone.live, chi.live)
+    # d(d chi) = 0 holds only up to roundoff; its flags follow chi's
+    ddchi = chi.d().d()
+    assert np.abs(ddchi.comps).max() <= 1e-14
+    assert ddchi.live[..., 0].all() and ddchi.live[..., 2].all()
+    assert not ddchi.live[..., 1].any()
+
+
+def test_forms_off_tangent_rings_have_no_live_flags():
+    rng = np.random.default_rng(9)
+    for ring in (JetRing(3), EpsilonTower(3, 2)):
+        f = random_form(ring, 1, 2, rng)
+        assert f.live is None and f.d().live is None
+        assert f.wedge(f, np.ones((1, 2, 2))).live is None

@@ -203,9 +203,11 @@ def test_nilpotent_mul_zero_tangents_stay_exact_zero():
 
 
 def direction_sets(k):
-    """Live tangent directions of one factor: none, all, or any subset."""
-    return st.one_of(st.just(frozenset()), st.just(frozenset(range(k))),
-                     st.frozensets(st.integers(0, k - 1)))
+    """Live tangent directions of one factor: none, all, or any subset;
+    -1 stands for the value block."""
+    return st.one_of(st.just(frozenset(range(-1, k))),
+                     st.just(frozenset({-1})),
+                     st.frozensets(st.integers(-1, k - 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,7 +223,8 @@ def test_nilpotent_mul_live_directions_match_loop(data, directions, degree,
     x, y = (rng.uniform(-1, 1, shape + (ring.blocks, ring.base_width))
             for shape in shapes)
     for z, rows in zip((x, y), live):
-        z[..., [1 + d for d in range(directions) if d not in rows], :] = 0.0
+        dead = [1 + d for d in range(-1, directions) if d not in rows]
+        z[..., dead, :] = 0.0
         # a live direction may still be zero in some batch entries
         z[..., 1:, :] *= rng.integers(0, 2, z.shape[:-1] + (1,))[..., 1:, :]
     x = x.reshape(shapes[0] + (ring.width,))
@@ -229,10 +232,14 @@ def test_nilpotent_mul_live_directions_match_loop(data, directions, degree,
     ref = loop_nilpotent_mul(ring, x, y)
     got = ring.mul(x, y)
     assert got.shape == ref.shape
-    assert _rel_err(got, ref) <= 1e-14
+    # relative to the largest entry; exact where the product is all zero
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     blocks = got.reshape(got.shape[:-1] + (ring.blocks, ring.base_width))
     for d in set(range(directions)) - live[0] - live[1]:
         assert np.all(blocks[..., 1 + d, :] == 0.0)
+    # flags naming more blocks than are nonzero change nothing
+    every = np.ones(ring.blocks, dtype=bool)
+    assert np.array_equal(ring.mul(x, y, (every, every)), got)
 
 
 def test_nilpotent_mul_live_rows_carry_nan_and_inf():
@@ -252,3 +259,33 @@ def test_nilpotent_mul_live_rows_carry_nan_and_inf():
     assert not np.isfinite(out[1, 3]).all()
     # directions 3-5 are zero in both factors: 0.0, not 0 * inf = NaN
     assert np.all(out[:, 4:] == 0.0)
+    # nor does a zero value block meet the other factor's inf tangent
+    x[..., :2, :] = 0.0
+    with np.errstate(invalid="ignore"):
+        out = ring.mul(x.reshape(2, -1), y.reshape(2, -1)).reshape(x.shape)
+    assert np.all(out[:, 1, :] == 0.0) and np.all(out[:, 3, :] == 0.0)
+
+
+def test_nilpotent_mul_skips_tangents_against_a_zero_value(monkeypatch):
+    ring = NilpotentExtension(2, 6)
+    rng = np.random.default_rng(62)
+    x = rng.uniform(-1, 1, (3, ring.blocks, ring.base_width))
+    y = rng.uniform(-1, 1, (3, ring.blocks, ring.base_width))
+    x[..., 0, :] = 0.0  # x has no value: y's tangents meet nothing
+    x[..., 4:, :] = 0.0
+    x, y = x.reshape(3, -1), y.reshape(3, -1)
+    rows = []
+    original = ring.base.mul
+
+    def recorded(a, b):
+        rows.append(a.shape[-2])
+        return original(a, b)
+
+    monkeypatch.setattr(ring.base, "mul", recorded)
+    # each way round: the value product and x's three live tangents
+    # times y's value
+    for a, b in ((x, y), (y, x)):
+        rows.clear()
+        got = ring.mul(a, b)
+        assert rows == [1 + 3]
+        assert _rel_err(got, loop_nilpotent_mul(ring, a, b)) <= 1e-14
