@@ -28,7 +28,8 @@ print("  symmetry residual:", tensor.symmetry_residual())
 print("  energy density at the origin:",
       f"{tensor[0, 0].value_at_origin():.6f}")
 
-p_only = stress_energy(pair, ds.ga, ds.gb, include_q=False)
+# the 2-form sector alone: *Q set to zero
+p_only = stress_energy((pair.starP, pair.starQ.scale(0.0)), ds.ga, ds.gb)
 print("  2-form sector trace:",
       f"{np.abs(p_only.trace().coeffs).max():.2e}")
 

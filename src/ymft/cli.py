@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .config import (ConfigError, RunConfig, load_config, validate_degree,
 from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
-from .dynamics import run_identity_suite
+from .dynamics import DEFAULT_TOLS, run_identity_suite
 from .forms import CONVENTION, LieForm
 from .jets import JetRing
 from .observables import (charge_line, charge_surface, coulomb_sampler,
@@ -56,6 +57,18 @@ def _report_skeleton(config: RunConfig, command: str) -> dict:
     }
 
 
+def _strict(value):
+    """``value`` with each non-finite float written as a string ("NaN",
+    "Infinity", "-Infinity"), so the report is strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    return value
+
+
 def _emit(report: dict, args, timings: dict | None) -> None:
     if timings:
         for name, seconds in sorted(timings.items()):
@@ -63,7 +76,8 @@ def _emit(report: dict, args, timings: dict | None) -> None:
         if args.timings:
             report["timings"] = {k: round(v, 6)
                                  for k, v in sorted(timings.items())}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(_strict(report), indent=2, sort_keys=True,
+                      allow_nan=False)
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(text + "\n")
@@ -71,10 +85,21 @@ def _emit(report: dict, args, timings: dict | None) -> None:
         print(text)
 
 
+def _constraint_tol(config: RunConfig, args) -> float:
+    return config.tolerances["constraints"] if args.tol is None else args.tol
+
+
+def _degree(config: RunConfig, args) -> int:
+    if args.degree is None:
+        return config.jet["degree"]
+    validate_degree(args.degree)
+    return args.degree
+
+
 def cmd_verify_algebra(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "verify-algebra")
     sc = config.structure_constants()
-    tol = config.tolerances["constraints"]
+    tol = _constraint_tol(config, args)
     start = time.perf_counter()
     killing = lie_core.killing_metric(sc)
     checks = {
@@ -95,7 +120,7 @@ def cmd_verify_algebra(config: RunConfig, args) -> int:
 def cmd_verify_deformation(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "verify-deformation")
     ds = config.deformation()
-    tol = config.tolerances["constraints"] if args.tol is None else args.tol
+    tol = _constraint_tol(config, args)
     start = time.perf_counter()
     linear = check_linear_relations(ds, tol)
     quadratic = check_quadratic_relations(ds, tol)
@@ -122,14 +147,10 @@ def cmd_verify_theory(config: RunConfig, args) -> int:
             return EXIT_FAIL
     variant = config.variant()
     seeds = [args.seed] if args.seed is not None else config.jet["seeds"]
-    degree = config.jet["degree"]
-    if args.degree is not None:
-        validate_degree(args.degree)
-        degree = args.degree
     tols = dict(config.tolerances)
     if args.tol is not None:
-        tols["composite"] = args.tol
-    out = run_identity_suite(variant, seeds, degree,
+        tols.update(dict.fromkeys(DEFAULT_TOLS, args.tol))
+    out = run_identity_suite(variant, seeds, _degree(config, args),
                              config.jet["amplitude"], config.checks, tols)
     for name, rep in out["reports"].items():
         report["checks"][name] = rep.as_dict()
@@ -149,6 +170,7 @@ _SAMPLER_BUILDERS = {
 def cmd_observables(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "observables")
     section = config.observables_section()
+    degree = _degree(config, args)
     seeds = [args.seed] if args.seed is not None else config.jet["seeds"]
     start = time.perf_counter()
     passed = True
@@ -197,7 +219,7 @@ def cmd_observables(config: RunConfig, args) -> int:
             report["checks"]["causality"] = causal
 
     if "trace" in section["checks"]:
-        ring = JetRing(config.jet["degree"])
+        ring = JetRing(degree)
         rng = np.random.default_rng(seeds[0])
         comps = rng.uniform(-1.0, 1.0, (3, 6, ring.width))
         star_p = LieForm(ring, 2, comps)
@@ -242,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--degree", type=int, default=None,
                          help="override the jet truncation degree")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="override the check tolerance")
+                         help="override the tolerance: every identity "
+                              "class (linear, polynomial, composite) of "
+                              "verify-theory, the constraint tolerance of "
+                              "verify-algebra and verify-deformation; "
+                              "observables does not use it")
         cmd.add_argument("--force", action="store_true",
                          help="run the theory suite even if the "
                               "deformation constraints fail")

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 
 _TOP_KEYS = {"algebra", "deformation", "jet", "checks", "tolerances",
-             "observables", "variant", "output"}
+             "observables", "variant"}
 _ALGEBRA_KEYS = {"dim", "family", "inner_product", "structure_constants"}
 _DEFORM_KEYS = {"family", "mass", "lambda", "v", "w", "cmap", "e", "dims",
                 "a", "b", "j", "k", "inner_product_a", "inner_product_b",
@@ -117,7 +117,6 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown checks: {sorted(unknown)}")
 
-        self.output = raw.get("output")
         self.variant_kind = raw.get("variant")
         if self.variant_kind is not None and \
                 self.variant_kind not in (LINEAR, GENERAL, EONLY):

@@ -39,9 +39,9 @@ import numpy as np
 
 from .deformations import (DeformationSet, check_e_mass_obstruction,
                            make_deformation)
-from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, direction_part,
-                    promote_form, random_field_config, random_gauge_params,
-                    scalar_pairing, volume_coefficient)
+from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, promote_form,
+                    random_field_config, random_gauge_params, scalar_pairing,
+                    tangent_parts, volume_coefficient)
 from .jets import JetRing, JetScalar, NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
@@ -367,25 +367,9 @@ def tangent_config(config: FieldConfig, directions) -> FieldConfig:
     once (vector forward mode).
     """
     ring = NilpotentExtension(config.ring.degree, len(directions))
-
-    def seeded(form: LieForm, tangents) -> LieForm:
-        lifted = promote_form(form, ring)
-        blocks = lifted.comps.reshape(form.n, -1, ring.blocks,
-                                      ring.base_width)
-        for i, tangent in enumerate(tangents):
-            blocks[:, :, 1 + i] = tangent.comps
-        order = min([form.order] + [t.order for t in tangents])
-        return LieForm(ring, form.p, lifted.comps, order)
-
-    return FieldConfig(seeded(config.A, [d[0] for d in directions]),
-                       seeded(config.B, [d[1] for d in directions]))
-
-
-def tangent_parts(form: LieForm) -> list:
-    """The tangent blocks of a form over a tangent ring, as base-ring forms."""
-    base = JetRing(form.ring.degree)
-    return [direction_part(form, base, i)
-            for i in range(form.ring.directions)]
+    along_a, along_b = zip(*directions)
+    return FieldConfig(promote_form(config.A, ring, along_a),
+                       promote_form(config.B, ring, along_b))
 
 
 def directional_lagrangians(variant: TheoryVariant, config: FieldConfig,
@@ -437,11 +421,10 @@ class SeedContext:
                            self.seed, self.amplitude)
 
     def variations(self, gp: GaugeParam) -> Variations:
-        """The gauge variation of the fields, ``gp`` lifted to their ring."""
+        """The gauge variation of the fields; ``gp``, on the base ring, is
+        lifted to their ring."""
         ring = self.config.ring
-        if gp.xi.ring is not ring:
-            gp = GaugeParam(promote_form(gp.xi, ring),
-                            promote_form(gp.chi, ring))
+        gp = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
         return gauge_variation(self.variant, self.config, self.strengths, gp)
 
     def remainder(self, gp: GaugeParam):
@@ -645,11 +628,10 @@ def gauge_commutators(ctx: SeedContext, gp1: GaugeParam,
     var1, var2 = ctx.variations(gp1), ctx.variations(gp2)
     tan = ctx.tangent([var1.xi, var1.chi, var2.xi, var2.chi])
     t1, t2 = tan.variations(gp1), tan.variations(gp2)
-    base = JetRing(ctx.config.ring.degree)
 
     def bracket(second, along_first: int, first, along_second: int):
-        return tuple(direction_part(x, base, along_first)
-                     - direction_part(y, base, along_second)
+        return tuple(tangent_parts(x)[along_first]
+                     - tangent_parts(y)[along_second]
                      for x, y in zip(second, first))
 
     return {"commutator-xi-xi": bracket(t2.xi, 0, t1.xi, 2),
@@ -777,15 +759,6 @@ def _el_directions(dim_a: int, dim_b: int):
         for i in range(len(COMPS[3])):
             dirs.append(("dB", a, i))
     return dirs
-
-
-def _promote_with_tangents(form: LieForm, ring: NilpotentExtension,
-                           slots: list) -> LieForm:
-    comps = np.stack([ring.promote(form.comps[a]) for a in range(form.n)])
-    view = comps.reshape(form.n, comps.shape[1], ring.blocks, ring.base_width)
-    for direction, (a, i) in slots:
-        view[a, i, 1 + direction, 0] = 1.0
-    return LieForm(ring, form.p, comps, form.order)
 
 
 def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
@@ -943,15 +916,20 @@ def _generic_el_of(builder, ds, config):
     dirs = _el_directions(n, m)
     ring = NilpotentExtension(config.ring.degree, len(dirs))
     base = JetRing(config.ring.degree)
-    slot_map = {"A": [], "B": [], "dA": [], "dB": []}
+    values = {"A": config.A, "B": config.B, "dA": config.A.d(),
+              "dB": config.B.d()}
+    # each direction is the unit constant tangent of one slot component
+    tangents = {slot: [None] * len(dirs) for slot in values}
+    slot_map = {slot: [] for slot in values}
     for idx, (slot, a, i) in enumerate(dirs):
+        form = values[slot]
+        tangents[slot][idx] = LieForm.basis(base, form.p, form.n, a, i)
         slot_map[slot].append((idx, (a, i)))
-    a_md = _promote_with_tangents(config.A, ring, slot_map["A"])
-    b_md = _promote_with_tangents(config.B, ring, slot_map["B"])
-    da_md = _promote_with_tangents(config.A.d(), ring, slot_map["dA"])
-    db_md = _promote_with_tangents(config.B.d(), ring, slot_map["dB"])
-    lag = builder(FieldConfig(a_md, b_md), da_md, db_md)
-    lt = lag.comps[0, 0].reshape(ring.blocks, ring.base_width)
+    lifted = {slot: promote_form(form, ring, tangents[slot])
+              for slot, form in values.items()}
+    lag = builder(FieldConfig(lifted["A"], lifted["B"]), lifted["dA"],
+                  lifted["dB"])
+    lt = [part.comps[0, 0] for part in tangent_parts(lag)]
     order = lag.order
 
     def conjugate(slot: str, p_slot: int, dim: int) -> LieForm:
@@ -960,7 +938,7 @@ def _generic_el_of(builder, ds, config):
             comp = COMPS[p_slot][i]
             rest = tuple(x for x in range(4) if x not in comp)
             sign = _perm_sign(comp + rest)
-            out[a, COMP_INDEX[4 - p_slot][rest]] = lt[1 + idx] / sign
+            out[a, COMP_INDEX[4 - p_slot][rest]] = lt[idx] / sign
         return LieForm(base, 4 - p_slot, out, order)
 
     phi_a = conjugate("A", 1, n)

@@ -22,6 +22,13 @@ exact arithmetic (the tangent of d(d chi), say) so stays live whatever its
 roundoff, and the work of a pipeline does not depend on the values it runs
 on.
 
+Forms move between the base ring and an extended ring (a nilpotent
+extension or an epsilon tower) through one lift and one read-back:
+:func:`promote_form` puts a base-ring form in the base block and a list of
+tangent forms in the blocks after it, and :func:`tangent_parts` returns
+those blocks of a form as base-ring forms.  Both go through the ring's
+block view, so the block layout is known only to :mod:`ymft.jets`.
+
 The epsilon-contraction duals that appear in component formulations of the
 theories differ from the Hodge dual by a constant per degree (2 on 2-forms,
 6 on 3-forms, from the absent 1/p! in the contraction).  All dynamical
@@ -411,8 +418,7 @@ def volume_coefficient(f: LieForm) -> JetScalar:
 
 
 def random_field_config(seed: int, amplitude: float, degree: int,
-                        dim_a: int, dim_b: int,
-                        ring: JetRing | None = None):
+                        dim_a: int, dim_b: int):
     """Reproducible random (A, B) pair: degree-1 and degree-2 forms.
 
     Coefficients are uniform in [-amplitude, amplitude]; the default
@@ -421,52 +427,45 @@ def random_field_config(seed: int, amplitude: float, degree: int,
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
     rng = np.random.default_rng(seed)
-    ring = ring or JetRing(degree)
-    base = JetRing(degree)
+    ring = JetRing(degree)
     a_co = rng.uniform(-amplitude, amplitude,
-                       (dim_a, len(COMPS[1]), base.width))
+                       (dim_a, len(COMPS[1]), ring.width))
     b_co = rng.uniform(-amplitude, amplitude,
-                       (dim_b, len(COMPS[2]), base.width))
-    if isinstance(ring, JetRing) and ring.blocks == 1:
-        return LieForm(ring, 1, a_co), LieForm(ring, 2, b_co)
-    return (LieForm(ring, 1, np.stack([ring.promote(c) for c in a_co])),
-            LieForm(ring, 2, np.stack([ring.promote(c) for c in b_co])))
+                       (dim_b, len(COMPS[2]), ring.width))
+    return LieForm(ring, 1, a_co), LieForm(ring, 2, b_co)
 
 
 def random_gauge_params(seed: int, amplitude: float, degree: int,
-                        dim_a: int, dim_b: int, ring: JetRing | None = None):
+                        dim_a: int, dim_b: int):
     """Reproducible random gauge parameters (xi 0-form on A, chi 1-form on A')."""
     rng = np.random.default_rng(seed)
-    ring = ring or JetRing(degree)
-    base = JetRing(degree)
-    xi_co = rng.uniform(-amplitude, amplitude, (dim_a, 1, base.width))
+    ring = JetRing(degree)
+    xi_co = rng.uniform(-amplitude, amplitude, (dim_a, 1, ring.width))
     chi_co = rng.uniform(-amplitude, amplitude,
-                         (dim_b, len(COMPS[1]), base.width))
-    if ring.blocks == 1:
-        return LieForm(ring, 0, xi_co), LieForm(ring, 1, chi_co)
-    return (LieForm(ring, 0, np.stack([ring.promote(c) for c in xi_co])),
-            LieForm(ring, 1, np.stack([ring.promote(c) for c in chi_co])))
+                         (dim_b, len(COMPS[1]), ring.width))
+    return LieForm(ring, 0, xi_co), LieForm(ring, 1, chi_co)
 
 
-def promote_form(f: LieForm, ring, tangent: LieForm | None = None,
-                 direction: int = 0) -> LieForm:
-    """Lift a base-ring form into a nilpotent-extension ring.
+def promote_form(f: LieForm, ring, tangents=()) -> LieForm:
+    """Lift a base-ring form into an extended ring: f in the base block and
+    the base-ring form ``tangents[i]`` in block 1 + i.
 
-    ``tangent`` seeds the given direction block, giving f + eps * tangent.
+    Over a nilpotent extension that is f + sum_i eps_i tangents[i], over an
+    epsilon tower f + sum_i eps^(i+1) tangents[i].  A block without a
+    tangent (or with None) is zero; the order is the least of the forms'.
     """
-    comps = np.stack([
-        ring.promote(f.comps[a]) for a in range(f.n)
-    ])
-    order = f.order
-    if tangent is not None:
-        blocks = comps.reshape(f.n, comps.shape[1], ring.blocks, ring.base_width)
-        blocks[:, :, 1 + direction, :] = tangent.comps
-        order = min(order, tangent.order)
+    tangents = list(tangents)
+    comps = ring.promote(f.comps, [t if t is None else t.comps
+                                   for t in tangents])
+    order = min([f.order] + [t.order for t in tangents if t is not None])
     return LieForm(ring, f.p, comps, order)
 
 
-def direction_part(f: LieForm, base_ring: JetRing, i: int = 0) -> LieForm:
-    """Extract direction block i of a nilpotent-ring form as a base form."""
+def tangent_parts(f: LieForm) -> list:
+    """The blocks after the base block of a form over an extended ring, as
+    base-ring forms: the k directional derivatives of a nilpotent
+    extension, the eps^1 .. eps^k parts of an epsilon tower."""
     ring = f.ring
-    comps = np.stack([ring.direction_block(f.comps[a], i) for a in range(f.n)])
-    return LieForm(base_ring, f.p, comps, f.order)
+    base = JetRing(ring.degree)
+    return [LieForm(base, f.p, ring.block(f.comps, i).copy(), f.order)
+            for i in range(1, ring.blocks)]

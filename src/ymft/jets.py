@@ -11,12 +11,19 @@ Two layers live here:
 
 * :class:`JetScalar` -- a convenience scalar type with operator overloading,
   used by tests, oracles and report code.
-* :class:`JetRing` / :class:`NilpotentExtension` -- flat ``ndarray`` rings
-  used by the form layer.  A ring value is any array whose trailing axis has
-  length ``ring.width``; multiplication is vectorized over the leading axes.
-  ``NilpotentExtension`` adjoins k directions eps_i with eps_i*eps_j = 0,
-  which gives exact first-order (directional / variational) derivatives of
-  arbitrary jet pipelines.
+* :class:`JetRing` / :class:`NilpotentExtension` / :class:`EpsilonTower` --
+  flat ``ndarray`` rings used by the form layer.  A ring value is any array
+  whose trailing axis has length ``ring.width``; multiplication is
+  vectorized over the leading axes.  ``NilpotentExtension`` adjoins k
+  directions eps_i with eps_i*eps_j = 0, which gives exact first-order
+  (directional / variational) derivatives of arbitrary jet pipelines;
+  ``EpsilonTower`` adjoins one eps with eps^(k+1) = 0, which gives the
+  exact expansion of a pipeline in powers of its fields.  Both store a
+  value as k+1 contiguous blocks of base-ring width.  That layout lives in
+  :class:`JetRing` alone (the one-block case): its block view, derivative,
+  truncation mask, constant part, block access and lift serve all three
+  rings, and an extended ring adds only its block count, its nonzero block
+  products and its product.
 
 Coefficients are stored densely in graded lexicographic monomial order, and
 truncated multiplication runs through a precomputed index-pair table sorted
@@ -247,16 +254,27 @@ class JetScalar:
 
 
 class JetRing:
-    """Flat-array jet arithmetic; values are ndarrays with trailing axis width."""
+    """Flat-array jet arithmetic; values are ndarrays with trailing axis width.
+
+    This class owns the block layout of every ring in this module.  A value
+    is ``blocks`` contiguous blocks of base-ring width, the base block
+    first, and :meth:`block_view` is the one place that splits it.
+    Derivatives, truncation masks, the constant part, block access and the
+    lift :meth:`promote` all act through that view, so an extended ring
+    defines only its block count, its nonzero block products
+    (``block_pairs``) and its product.  ``JetRing`` itself is the one-block
+    case.
+    """
+
+    blocks = 1  # blocks per value, the base block first
+    # nonzero block products (left block, right block, output block)
+    block_pairs = ((0, 0, 0),)
 
     def __init__(self, degree: int):
         self.algebra = jet_algebra(degree)
         self.degree = degree
-        self.width = self.algebra.n_terms
-        self.blocks = 1  # nilpotent blocks, incl. the base block
-        self.base_width = self.width
-        # nonzero block products (left block, right block, output block)
-        self.block_pairs = ((0, 0, 0),)
+        self.base_width = self.algebra.n_terms
+        self.width = self.blocks * self.base_width
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(tuple(shape) + (self.width,))
@@ -270,27 +288,48 @@ class JetRing:
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.algebra.mul_coeffs(x, y)
 
-    def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
-        return self.algebra.diff_coeffs(x, mu)
+    def block_view(self, x: np.ndarray) -> np.ndarray:
+        """(..., width) -> (..., blocks, base_width), as a view: writes to
+        it reach x."""
+        return x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
 
-    def mask_up_to(self, order: int) -> np.ndarray:
-        return self.algebra.mask_up_to(order)
+    def block(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Block i of x, as base-ring coefficients."""
+        return self.block_view(x)[..., i, :]
+
+    def base_block(self, x: np.ndarray) -> np.ndarray:
+        return self.block(x, 0)
 
     def constant_part(self, x: np.ndarray) -> np.ndarray:
         """Degree-zero coefficients of the base block."""
         return x[..., 0]
 
-    def base_block(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
+        """d/dx^mu, block by block."""
+        return self.algebra.diff_coeffs(self.block_view(x), mu).reshape(
+            x.shape)
 
-    def promote(self, x_base: np.ndarray) -> np.ndarray:
-        return x_base
+    def mask_up_to(self, order: int) -> np.ndarray:
+        """The coefficients of total degree <= order, in every block."""
+        return np.tile(self.algebra.mask_up_to(order), self.blocks)
+
+    def promote(self, x_base: np.ndarray, tangents=()) -> np.ndarray:
+        """Embed base-ring coefficients as the base block; block 1 + i holds
+        ``tangents[i]``, and blocks without a tangent (or with None) are
+        zero."""
+        out = self.zeros(x_base.shape[:-1])
+        view = self.block_view(out)
+        view[..., 0, :] = x_base
+        for i, t in enumerate(tangents):
+            if t is not None:
+                view[..., 1 + i, :] = t
+        return out
 
 
 class NilpotentExtension(JetRing):
     """Base jet ring extended by k directions eps_i with eps_i*eps_j = 0.
 
-    Values are laid out as (k+1) contiguous blocks of base-ring width:
+    A value has k+1 blocks in the layout of :class:`JetRing`:
     [value, d/d eps_1, ..., d/d eps_k].  Running a whole pipeline over this
     ring yields the pipeline value together with k exact directional
     derivatives; this is how gauge variations, commutators, linearizations
@@ -306,26 +345,19 @@ class NilpotentExtension(JetRing):
     """
 
     def __init__(self, degree: int, directions: int = 1):
-        super().__init__(degree)
-        self.base = JetRing(degree)
         self.directions = directions
         self.blocks = directions + 1
-        self.base_width = self.base.width
-        self.width = self.blocks * self.base_width
         self.block_pairs = ((0, 0, 0),) + tuple(
             pair for d in range(1, self.blocks)
             for pair in ((0, d, d), (d, 0, d)))
-
-    def _split(self, x):
-        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
-        return xs[..., 0, :], xs[..., 1:, :]
+        super().__init__(degree)
+        self.base = JetRing(degree)
 
     def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
         """The product; ``live`` is (lx, ly), for each factor the blocks
         that may be nonzero somewhere in the batch, as (k+1,) booleans (by
         default, those that are, as found by :meth:`live_blocks`)."""
-        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
-        ys = y.reshape(y.shape[:-1] + (self.blocks, self.base_width))
+        xs, ys = self.block_view(x), self.block_view(y)
         if live is None:
             live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
                     for z in (x, y)]
@@ -338,101 +370,39 @@ class NilpotentExtension(JetRing):
         left = np.concatenate([np.zeros(len(head), int), tx])
         right = np.concatenate([head, np.zeros(len(tx), int)])
         prod = self.base.mul(xs[..., left, :], ys[..., right, :])
-        out = np.zeros(prod.shape[:-2] + (self.blocks, self.base_width))
-        out[..., head, :] = prod[..., :len(head), :]
-        out[..., tx, :] += prod[..., len(head):, :]
-        return out.reshape(prod.shape[:-2] + (self.width,))
+        out = self.zeros(prod.shape[:-2])
+        blocks = self.block_view(out)
+        blocks[..., head, :] = prod[..., :len(head), :]
+        blocks[..., tx, :] += prod[..., len(head):, :]
+        return out
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., k+1) booleans: the blocks, value first,
         that hold a nonzero, NaN or inf; all others are exactly zero."""
-        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
-        # one gemv over |xs|, faster than xs.any(-1)
-        return (np.abs(xs) @ np.ones(self.base_width)) != 0
-
-    def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
-        xs = x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
-        out = self.base.diff(xs, mu)
-        return out.reshape(x.shape)
-
-    def mask_up_to(self, order: int) -> np.ndarray:
-        return np.tile(self.base.mask_up_to(order), self.blocks)
-
-    def constant_part(self, x: np.ndarray) -> np.ndarray:
-        return x[..., 0]
-
-    def base_block(self, x: np.ndarray) -> np.ndarray:
-        return self._split(x)[0]
-
-    def direction_block(self, x: np.ndarray, i: int = 0) -> np.ndarray:
-        return self._split(x)[1][..., i, :]
-
-    def promote(self, x_base: np.ndarray, tangents=None) -> np.ndarray:
-        """Embed base-ring coefficients, optionally seeding direction blocks.
-
-        ``tangents`` is a sequence of base-ring arrays (one per direction);
-        omitted directions are zero.
-        """
-        out = self.zeros(x_base.shape[:-1])
-        xs = out.reshape(out.shape[:-1] + (self.blocks, self.base_width))
-        xs[..., 0, :] = x_base
-        if tangents is not None:
-            for i, t in enumerate(tangents):
-                if t is not None:
-                    xs[..., 1 + i, :] = t
-        return xs.reshape(out.shape)
+        # one gemv over |x|, faster than x.any(-1)
+        return (np.abs(self.block_view(x)) @ np.ones(self.base_width)) != 0
 
 
 class EpsilonTower(JetRing):
     """Base jet ring extended by one eps with eps^(order+1) = 0.
 
-    Values carry blocks [1, eps, ..., eps^order]; running a pipeline on
-    fields seeded as eps * (A, B) extracts the exact homogeneous expansion
-    of the result in powers of the fields.
+    A value has order+1 blocks in the layout of :class:`JetRing`:
+    [1, eps, ..., eps^order].  Running a pipeline on fields lifted as
+    eps * (A, B) extracts the exact homogeneous expansion of the result in
+    powers of the fields.
     """
 
     def __init__(self, degree: int, order: int):
-        super().__init__(degree)
-        self.base = JetRing(degree)
-        self.order_eps = order
         self.blocks = order + 1
-        self.base_width = self.base.width
-        self.width = self.blocks * self.base_width
         self.block_pairs = tuple((i, j, i + j) for i in range(self.blocks)
                                  for j in range(self.blocks - i))
-
-    def _blocks(self, x):
-        return x.reshape(x.shape[:-1] + (self.blocks, self.base_width))
+        super().__init__(degree)
+        self.base = JetRing(degree)
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xs, ys = self._blocks(x), self._blocks(y)
-        out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
+        xs, ys = self.block_view(x), self.block_view(y)
+        out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+        blocks = self.block_view(out)
         for i, j, o in self.block_pairs:
-            out[..., o, :] += self.base.mul(xs[..., i, :], ys[..., j, :])
-        return out.reshape(out.shape[:-2] + (self.width,))
-
-    def diff(self, x: np.ndarray, mu: int) -> np.ndarray:
-        xs = self._blocks(x)
-        return self.base.diff(xs, mu).reshape(x.shape)
-
-    def mask_up_to(self, order: int) -> np.ndarray:
-        return np.tile(self.base.mask_up_to(order), self.blocks)
-
-    def constant_part(self, x: np.ndarray) -> np.ndarray:
-        return x[..., 0]
-
-    def base_block(self, x: np.ndarray) -> np.ndarray:
-        return self._blocks(x)[..., 0, :]
-
-    def eps_block(self, x: np.ndarray, power: int) -> np.ndarray:
-        return self._blocks(x)[..., power, :]
-
-    def promote(self, x_base: np.ndarray, tangents=None) -> np.ndarray:
-        out = self.zeros(x_base.shape[:-1])
-        xs = self._blocks(out)
-        xs[..., 0, :] = x_base
-        if tangents is not None:
-            for i, t in enumerate(tangents):
-                if t is not None:
-                    xs[..., 1 + i, :] = t
-        return xs.reshape(out.shape)
+            blocks[..., o, :] += self.base.mul(xs[..., i, :], ys[..., j, :])
+        return out

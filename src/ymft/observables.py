@@ -67,9 +67,7 @@ class StressEnergy:
                           for n in range(4)] for m in range(4)])
 
 
-def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray,
-                  include_q: bool = True,
-                  include_p: bool = True) -> StressEnergy:
+def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
     """T_{mu nu} from the dual strengths and the two inner products.
 
     T = g_ab(*P_{mu s} *P_{nu t} eta^{st}) + (1/2) g'(*Q_mu *Q_nu)
@@ -110,15 +108,8 @@ def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray,
     table = [[None] * 4 for _ in range(4)]
     for mu in range(4):
         for nu in range(mu, 4):
-            val = np.zeros(ring.width)
-            sub = np.zeros(ring.width)
-            if include_p:
-                val = val + pair_p(mu, nu)
-                sub = sub + p_sq
-            if include_q:
-                val = val + 0.5 * pair_q(mu, nu)
-                sub = sub + q_sq
-            val = val - 0.25 * ETA[mu, nu] * sub
+            val = (pair_p(mu, nu) + 0.5 * pair_q(mu, nu)
+                   - 0.25 * ETA[mu, nu] * (p_sq + q_sq))
             table[mu][nu] = js(val)
             table[nu][mu] = js(val.copy())
     return StressEnergy(table, ring.degree)

@@ -95,17 +95,14 @@ def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
 
 def _ring_product(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, K, w) x (K, M, w) -> (N, M, w), one base kernel per block pair."""
-    n, k, _ = a.shape
-    m = b.shape[1]
-    width = ring.base_width
-    a_blocks = a.reshape(n, k, ring.blocks, width)
-    b_blocks = b.reshape(k, m, ring.blocks, width)
-    out = np.zeros((n, m, ring.blocks, width))
+    a_blocks, b_blocks = ring.block_view(a), ring.block_view(b)
+    out = ring.zeros((a.shape[0], b.shape[1]))
+    out_blocks = ring.block_view(out)
     for i, j, o in ring.block_pairs:
         x, y = a_blocks[:, :, i], b_blocks[:, :, j]
         if x.any() and y.any():
-            out[:, :, o] += ring.algebra.matmul_coeffs(x, y)
-    return out.reshape(n, m, ring.width)
+            out_blocks[:, :, o] += ring.algebra.matmul_coeffs(x, y)
+    return out
 
 
 def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,10 +116,7 @@ def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _ring_identity(ring, size: int) -> np.ndarray:
-    eye = np.zeros((size, size, ring.width))
-    view = eye.reshape(size, size, ring.blocks, -1)
-    view[..., 0, 0] = np.eye(size)
-    return eye
+    return ring.const(np.eye(size))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +288,7 @@ class YInverse:
         self.yop = yop
         self.y0_inv = y0_inv
         ring, size = yop.ring, yop.size
-        self._blocks = yop.matrix.reshape(size, size, ring.blocks,
-                                          ring.base_width)
+        self._blocks = ring.block_view(yop.matrix)
         base = self._blocks[:, :, 0]
         # per output monomial t: the solved j of the non-constant pairs
         # (i, j) -> t, and the matching Y_i as one (size, size * r) matrix
@@ -321,21 +314,23 @@ class YInverse:
         """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
         ring, size = self.yop.ring, self.yop.size
         n = ring.base_width
-        rb = r.reshape(size, -1, ring.blocks, n)
+        x = np.empty(r.shape)
+        # (size, cols, blocks, n) views of r and of the solution
+        rb, xb = (ring.block_view(v.reshape(size, -1, ring.width))
+                  for v in (r, x))
         cols = rb.shape[1]
-        x = np.empty(rb.shape)
         by_block = self._blocks.transpose(2, 0, 1, 3)
         for wave, couplings in self._waves:
             rhs = rb[:, :, wave]
             for j, (pos, blocks) in couplings:
                 y_stack = by_block[blocks].reshape(len(blocks) * size, -1)
-                mul_x = ring.algebra.mul_matrix(x[:, :, j]).transpose(
+                mul_x = ring.algebra.mul_matrix(xb[:, :, j]).transpose(
                     0, 2, 1, 3).reshape(size * n, cols * n)
                 rhs[:, :, pos] -= (y_stack @ mul_x).reshape(
                     len(pos), size, cols, n).transpose(1, 2, 0, 3)
-            x[:, :, wave] = self._solve_base(
+            xb[:, :, wave] = self._solve_base(
                 rhs.reshape(size, -1, n)).reshape(rhs.shape)
-        return x.reshape(r.shape)
+        return x
 
 
 @dataclass

@@ -60,6 +60,15 @@ def test_unknown_key_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_output_key_is_unknown(tmp_path):
+    # the key was stored and never read; it is rejected like any other
+    cfg = write_config(tmp_path, {"algebra": {"family": "su2"},
+                                  "output": "report.json"})
+    proc = run_cli(["verify-algebra", "--config", cfg])
+    assert proc.returncode == 2
+    assert "unknown keys in config: ['output']" in proc.stderr
+
+
 def test_wrong_tensor_length_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"algebra": {"dim": 3,
                                               "structure_constants": [1.0]}})
@@ -144,6 +153,27 @@ def test_observables_command(tmp_path):
     assert report["checks"]["trace"]["passed"]
 
 
+def test_observables_degree_override_reaches_trace(tmp_path, monkeypatch,
+                                                  capsys):
+    from ymft import cli
+    degrees = []
+
+    class RecordingRing(cli.JetRing):
+        def __init__(self, degree):
+            degrees.append(degree)
+            super().__init__(degree)
+
+    monkeypatch.setattr(cli, "JetRing", RecordingRing)
+    cfg = write_config(tmp_path, {"observables": {"sampler": "zero",
+                                                  "checks": ["trace"]}})
+    assert cli.main(["observables", "--config", cfg, "--degree", "5"]) == 0
+    assert degrees == [5]
+    assert json.loads(capsys.readouterr().out)["checks"]["trace"]["passed"]
+    proc = run_cli(["observables", "--config", cfg, "--degree", "0"])
+    assert proc.returncode == 2
+    assert "jet.degree must be a positive integer" in proc.stderr
+
+
 def test_observables_zero_sampler(tmp_path):
     payload = {"observables": {"sampler": "zero", "checks": ["charge"]}}
     cfg = write_config(tmp_path, payload)
@@ -202,15 +232,37 @@ def test_empty_check_list_exits_2(tmp_path):
 
 
 def test_tol_zero_override_is_applied(tmp_path):
-    cfg = write_config(tmp_path, dict(BASE, checks=["gauge-invariance"]))
+    # linearization rows are of the "linear" class, gauge invariance of
+    # the "composite" one: --tol overrides both
+    cfg = write_config(tmp_path, dict(BASE, checks=["gauge-invariance",
+                                                    "linearization"]))
     proc = run_cli(["verify-theory", "--config", cfg, "--tol", "0"])
     report = json.loads(proc.stdout)
-    rows = report["checks"]["gauge-invariance"]["identities"]
+    rows = [row for name in ("gauge-invariance", "linearization")
+            for row in report["checks"][name]["identities"]]
     assert rows and all(row["tolerance"] == 0.0 for row in rows)
     # each verdict, and the exit code, follow the zero tolerance
     assert all(row["passed"] is (row["residual"] <= 0.0) for row in rows)
     assert report["passed"] is all(row["passed"] for row in rows)
     assert proc.returncode == (0 if report["passed"] else 1)
+
+
+def test_tol_override_reaches_algebra_report(tmp_path):
+    # su2 with one structure constant off by 1e-6: outside the default
+    # constraint tolerance 1e-10, inside --tol 1e-3
+    eps = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+           (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
+    c = [eps.get((a, b, d), 0.0)
+         for a in range(3) for b in range(3) for d in range(3)]
+    c[0 * 9 + 1 * 3 + 2] += 1e-6
+    cfg = write_config(tmp_path, {"algebra": {"dim": 3,
+                                              "structure_constants": c}})
+    assert run_cli(["verify-algebra", "--config", cfg]).returncode == 1
+    proc = run_cli(["verify-algebra", "--config", cfg, "--tol", "1e-3"])
+    assert proc.returncode == 0
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks["antisymmetry"]["residual"] > 1e-10
+    assert all(check["passed"] for check in checks.values())
 
 
 def test_tol_zero_override_reaches_deformation_report(tmp_path):
@@ -240,3 +292,25 @@ def test_bad_config_tolerance_exits_2(tmp_path, value):
     assert proc.returncode == 2
     assert "tolerances.composite must be a finite number >= 0" in proc.stderr
     assert proc.stdout == ""
+
+
+NAN_LINEAR = {"deformation": {"family": "linear", "dims": [3, 3],
+                              "mass_matrix": [float("nan")] + [0.0] * 8},
+              "jet": {"degree": 3, "amplitude": 0.1, "seeds": [1]},
+              "checks": ["gauge-invariance", "linearization"]}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_nan_residuals_are_strict_json(tmp_path, force):
+    # the constraint gate meets the NaN mass, and with --force the
+    # identity rows do; each writes it as the string "NaN"
+    cfg = write_config(tmp_path, NAN_LINEAR)
+    proc = run_cli(["verify-theory", "--config", cfg] + force)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert '"residual": "NaN"' in proc.stdout

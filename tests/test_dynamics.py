@@ -7,7 +7,7 @@ from ymft.deformations import (family_e_only, family_general,
 from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
                            GaugeParam, TheoryVariant,
                            Variations, boundary_theta, check_commutators,
-                           check_cubic_tower,
+                           check_cubic_tower, cubic_tower,
                            check_euler_lagrange_consistency,
                            check_gauge_invariance, check_linearization,
                            check_noether_identities,
@@ -19,9 +19,9 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
                            lagrangian_form, lagrangian_symmetric_form,
                            run_identity_suite, seed_contexts,
                            variant_e_only, variant_general, variant_linear)
-from ymft.forms import (LieForm, direction_part, promote_form,
-                        random_field_config, random_gauge_params)
-from ymft.jets import JetAlgebra, JetRing, NilpotentExtension
+from ymft.forms import (LieForm, promote_form, random_field_config,
+                        random_gauge_params, tangent_parts)
+from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import FieldConfig, b_transpose_pairing, compute_strengths
 
@@ -284,6 +284,27 @@ def test_cubic_tower_families():
         assert report.passed, report.as_dict()
 
 
+@pytest.mark.parametrize("name", ["su2-massive", "su2-massless"])
+def test_tower_lift_expands_the_lagrangian(name):
+    """Fields lifted as eps (A, B) into an epsilon tower: the eps^k block
+    of the full Lagrangian is its homogeneous part of order k in the
+    fields, the free Lagrangian at k = 2 and the cubic tower at k = 3."""
+    variant = VARIANTS[name]()
+    ds = variant.ds
+    config = FieldConfig(*random_field_config(3, 0.1, 3, 3, 3))
+    tower = EpsilonTower(3, 3)
+    lifted = FieldConfig(
+        promote_form(LieForm.zero(RING, 1, 3), tower, [config.A]),
+        promote_form(LieForm.zero(RING, 2, 3), tower, [config.B]))
+    lag = lagrangian_form(variant, lifted)
+    eps1, eps2, eps3 = tangent_parts(lag)
+    assert np.all(tower.base_block(lag.comps) == 0.0)
+    assert np.all(eps1.comps == 0.0)
+    free = variant_linear(ds.mass.m, space_a=ds.space_a, space_b=ds.space_b)
+    assert (eps2 - lagrangian_form(free, config)).max_abs() <= 1e-15
+    assert (eps3 - cubic_tower(ds, config)[0]).max_abs() <= 1e-15
+
+
 @pytest.mark.parametrize("name", ["linear-massless", "su2-massless",
                                   "su2-massive", "solvable", "e-only"])
 def test_strength_transformation(name):
@@ -392,27 +413,26 @@ def test_rich_general_family_suite():
 
 def dual_config(config, dir_a, dir_b):
     ring = NilpotentExtension(config.ring.degree, 1)
-    return FieldConfig(promote_form(config.A, ring, dir_a),
-                       promote_form(config.B, ring, dir_b)), ring
+    return FieldConfig(promote_form(config.A, ring, [dir_a]),
+                       promote_form(config.B, ring, [dir_b])), ring
 
 
 def directional_variations(variant, config, dir_a, dir_b, gp):
     """Derivative of the gauge-variation map along (dir_a, dir_b)."""
     dual_cfg, ring = dual_config(config, dir_a, dir_b)
-    base = JetRing(config.ring.degree)
     gp_dual = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
     strengths = None
     if variant.kind == GENERAL:
         strengths = compute_strengths(dual_cfg, variant.ds)
     var = gauge_variation(variant, dual_cfg, strengths, gp_dual)
-    return Variations(*(direction_part(f, base) for f in
+    return Variations(*(tangent_parts(f)[0] for f in
                         (var.xi_a, var.xi_b, var.chi_a, var.chi_b)))
 
 
 def one_direction_lagrangian(variant, config, dir_a, dir_b):
     dual_cfg, _ = dual_config(config, dir_a, dir_b)
-    return direction_part(lagrangian_form(variant, dual_cfg),
-                          JetRing(config.ring.degree))
+    [part] = tangent_parts(lagrangian_form(variant, dual_cfg))
+    return part
 
 
 def reference_commutators(variant, config, gp1, gp2):

@@ -145,10 +145,42 @@ def test_epsilon_tower_homogeneous_expansion():
     assert np.abs(blocks[:3]).max() == 0.0
 
 
+LAYOUT_METHODS = ("block_view", "block", "base_block", "constant_part",
+                  "diff", "mask_up_to", "promote")
+
+
+@pytest.mark.parametrize("ring", [JetRing(3), NilpotentExtension(3, 2),
+                                  EpsilonTower(3, 2)],
+                         ids=["jet", "nilpotent", "tower"])
+def test_block_layout_lives_in_jet_ring(ring):
+    # an extended ring inherits every layout method from JetRing
+    for name in LAYOUT_METHODS:
+        assert getattr(type(ring), name) is getattr(JetRing, name)
+    rng = np.random.default_rng(7)
+    base = rng.uniform(-1, 1, (2, ring.base_width))
+    tangents = [rng.uniform(-1, 1, base.shape)
+                for _ in range(ring.blocks - 1)]
+    x = ring.promote(base, tangents)
+    assert x.shape == (2, ring.width)
+    assert np.shares_memory(ring.block_view(x), x)
+    assert np.array_equal(ring.base_block(x), base)
+    assert np.array_equal(ring.constant_part(x), base[:, 0])
+    for i, t in enumerate([base] + tangents):
+        assert np.array_equal(ring.block(x, i), t)
+        for mu in range(4):
+            assert np.array_equal(ring.block(ring.diff(x, mu), i),
+                                  ring.algebra.diff_coeffs(t, mu))
+    for order in range(ring.degree + 1):
+        assert np.array_equal(ring.block_view(ring.mask_up_to(order)),
+                              np.tile(ring.algebra.mask_up_to(order),
+                                      (ring.blocks, 1)))
+
+
 def loop_nilpotent_mul(ring: NilpotentExtension, x, y):
     """Reference tangent product: one elementwise jet product per block."""
-    xr, xi = ring._split(x)
-    yr, yi = ring._split(y)
+    xs, ys = ring.block_view(x), ring.block_view(y)
+    xr, xi = xs[..., 0, :], xs[..., 1:, :]
+    yr, yi = ys[..., 0, :], ys[..., 1:, :]
     re = ring.base.mul(xr, yr)
     im = (ring.base.mul(xr[..., None, :], yi)
           + ring.base.mul(xi, yr[..., None, :]))

@@ -199,18 +199,18 @@ def test_substitution_identity_massive_form():
 
 def test_linearization_of_strengths():
     # order-eps part of (P, Q) for (eps A, eps B) is exactly (dA, dB/curl)
-    from ymft.forms import direction_part, promote_form
+    from ymft.forms import tangent_parts
     for mass, lam in ((0.0, 0.7), (2.0, 0.5)):
         ds = family_su2(mass, lam)
         dual = NilpotentExtension(3, 1)
         a_form, b_form = random_field_config(21, 0.1, 3, 3, 3)
         za = LieForm.zero(RING, 1, 3)
         zb = LieForm.zero(RING, 2, 3)
-        cfg = FieldConfig(promote_form(za, dual, a_form),
-                          promote_form(zb, dual, b_form))
+        cfg = FieldConfig(promote_form(za, dual, [a_form]),
+                          promote_form(zb, dual, [b_form]))
         pair = compute_strengths(cfg, ds)
-        lin_p = direction_part(pair.P, RING)
-        lin_q = direction_part(pair.Q, RING)
+        [lin_p] = tangent_parts(pair.P)
+        [lin_q] = tangent_parts(pair.Q)
         assert (lin_p - a_form.d()).max_abs() < 1e-13
         assert (lin_q - b_form.d()).max_abs() < 1e-13
 
@@ -299,7 +299,7 @@ def neumann_inverse(yop):
     yp[..., 0] -= y0
     x = np.zeros_like(yop.matrix)
     x[..., 0] = y0_inv
-    for _ in range(ring.degree + getattr(ring, "order_eps", 0)):
+    for _ in range(ring.degree + ring.blocks - 1):
         x = -np.einsum("ab,b...->a...", y0_inv, ring_matmul(ring, yp, x))
         x[..., 0] += y0_inv
     return x
@@ -389,7 +389,6 @@ def test_assemble_y_equals_probing_on_jet_ring(family, degree):
 
 @pytest.mark.parametrize("family", ASSEMBLY_FAMILIES)
 def test_assemble_y_equals_probing_on_nilpotent_ring(family):
-    from ymft.forms import promote_form
     ds = family()
     n, m = ds.space_a.dim, ds.space_b.dim
     a0, b0 = random_field_config(18, 0.1, 3, n, m)
@@ -399,13 +398,12 @@ def test_assemble_y_equals_probing_on_nilpotent_ring(family):
         ring = NilpotentExtension(3, directions)
         # A seeds the first and last directions, B the second (and the
         # middle one when there is room); the rest stay zero
-        a_form = promote_form(a0, ring, a1, direction=0)
-        a_form.comps.reshape(n, 4, ring.blocks, -1)[:, :, -1] = a2.comps
-        b_form = promote_form(b0, ring, b1, direction=1)
+        along_a, along_b = [None] * directions, [None] * directions
+        along_a[0], along_a[-1], along_b[1] = a1, a2, b1
         if directions > 2:
-            b_form.comps.reshape(m, 6, ring.blocks, -1)[
-                :, :, 1 + directions // 2] = b2.comps
-        cfg = FieldConfig(a_form, b_form)
+            along_b[directions // 2] = b2
+        cfg = FieldConfig(promote_form(a0, ring, along_a),
+                          promote_form(b0, ring, along_b))
         closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
         assert np.abs(closed.matrix - probed.matrix).max() == 0.0
 
@@ -446,10 +444,10 @@ def _nilpotent_config(ring, seed):
     a0, b0 = random_field_config(seed, 0.1, ring.degree, 3, 3)
     a1, _ = random_field_config(seed + 1, 0.1, ring.degree, 3, 3)
     a2, _ = random_field_config(seed + 2, 0.1, ring.degree, 3, 3)
-    a_form = promote_form(a0, ring, a1, direction=0)
+    along_a = [a1] + [None] * (ring.directions - 1)
     if ring.directions > 1:
-        a_form.comps.reshape(3, 4, ring.blocks, -1)[:, :, -1] = a2.comps
-    return FieldConfig(a_form, promote_form(b0, ring))
+        along_a[-1] = a2
+    return FieldConfig(promote_form(a0, ring, along_a), promote_form(b0, ring))
 
 
 SOLVE_RINGS = [
