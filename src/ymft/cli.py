@@ -30,7 +30,7 @@ from .config import (ConfigError, RunConfig, load_config, validate_degree,
 from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
-from .dynamics import DEFAULT_TOLS, run_identity_suite
+from .dynamics import CUBIC_TOWER_TOL, DEFAULT_TOLS, run_identity_suite
 from .forms import CONVENTION, LieForm
 from .jets import JetRing
 from .observables import (charge_line, charge_surface, coulomb_sampler,
@@ -245,6 +245,29 @@ COMMANDS = {
     "observables": cmd_observables,
 }
 
+# every command takes --config, --json and --timings; these options are
+# registered only on the commands that read them
+OPTIONS = {
+    "--seed": dict(type=int, help="override the config seeds with one seed"),
+    "--degree": dict(type=int, help="override the jet truncation degree"),
+    "--tol": dict(type=float,
+                  help="override the tolerance: the constraint tolerance of "
+                       "verify-algebra and verify-deformation, every "
+                       "identity class (linear, composite) of "
+                       "verify-theory; the cubic-tower rows of "
+                       "euler-lagrange stay at "
+                       f"min(composite, {CUBIC_TOWER_TOL:g})"),
+    "--force": dict(action="store_true",
+                    help="run the theory suite even if the deformation "
+                         "constraints fail"),
+}
+COMMAND_OPTIONS = {
+    "verify-algebra": ("--tol",),
+    "verify-deformation": ("--tol",),
+    "verify-theory": ("--seed", "--degree", "--tol", "--force"),
+    "observables": ("--seed", "--degree"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -259,19 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--json", default=None,
                          help="write the report to this path instead of "
                               "stdout")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed list with one seed")
-        cmd.add_argument("--degree", type=int, default=None,
-                         help="override the jet truncation degree")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="override the tolerance: every identity "
-                              "class (linear, polynomial, composite) of "
-                              "verify-theory, the constraint tolerance of "
-                              "verify-algebra and verify-deformation; "
-                              "observables does not use it")
-        cmd.add_argument("--force", action="store_true",
-                         help="run the theory suite even if the "
-                              "deformation constraints fail")
+        for option in COMMAND_OPTIONS[name]:
+            cmd.add_argument(option, **OPTIONS[option])
         cmd.add_argument("--timings", action="store_true",
                          help="embed wall times in the JSON report "
                               "(breaks byte-for-byte determinism)")
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:
             validate_tolerance(args.tol, "--tol")
         config = load_config(args.config)
         return COMMANDS[args.command](config, args)

@@ -32,7 +32,7 @@ _DEFORM_KEYS = {"family", "mass", "lambda", "v", "w", "cmap", "e", "dims",
                 "a", "b", "j", "k", "inner_product_a", "inner_product_b",
                 "mass_matrix", "h0", "mass_value"}
 _JET_KEYS = {"degree", "amplitude", "seeds"}
-_TOL_KEYS = {"linear", "polynomial", "composite", "constraints"}
+_TOL_KEYS = set(DEFAULT_TOLS) | {"constraints"}
 _OBS_KEYS = {"sampler", "parameter", "center", "radius", "grid", "points",
              "causality_samples", "checks"}
 _ALGEBRA_FAMILIES = {"su2", "su11", "abelian"}

@@ -156,9 +156,6 @@ class DeformationSet:
         """rho[w', :, :]: action of A'-basis element w' on A through b."""
         return np.einsum("pwc->wpc", self.b)
 
-    def is_parity_even(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.e).max() <= tol)
-
     def to_jsonable(self) -> dict:
         return {
             "dims": [self.space_a.dim, self.space_b.dim],

@@ -45,15 +45,18 @@ from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, promote_form,
 from .jets import JetRing, JetScalar, NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
-                        b_transpose_pairing, compute_strengths, stack_pair,
-                        substitution_residual_massless,
+                        b_transpose_pairing, block_metric, compute_strengths,
+                        stack_pair, substitution_residual_massless,
                         substitution_residual_massive, unstack_pair)
 
 LINEAR = "linear-abelian"
 GENERAL = "general-parity-even"
 EONLY = "e-only"
 
-DEFAULT_TOLS = {"linear": 1e-12, "polynomial": 1e-10, "composite": 1e-8}
+DEFAULT_TOLS = {"linear": 1e-12, "composite": 1e-8}
+# the cubic-tower rows of the euler-lagrange check are judged at
+# min(composite, CUBIC_TOWER_TOL)
+CUBIC_TOWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,38 +160,30 @@ def e_source_form(ds: DeformationSet, f_form: LieForm,
 
 
 def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
-                    strengths: StrengthPair | None = None,
-                    d_a: LieForm | None = None,
-                    d_b: LieForm | None = None) -> LieForm:
-    """The Lagrangian as a real-valued 4-form.
-
-    ``d_a`` / ``d_b`` override the derivative slots (used by the generic
-    Euler-Lagrange machinery, which differentiates with respect to the
-    pointwise values of A, B, dA, dB); by default they are the actual
-    exterior derivatives.
-    """
+                    strengths: StrengthPair | None = None) -> LieForm:
+    """The Lagrangian as a real-valued 4-form of A, B and the derivative
+    slots dA, dB of ``config`` (the generic Euler-Lagrange pass varies all
+    four independently)."""
     ds = variant.ds
     a_form, b_form = config.A, config.B
-    d_a = a_form.d() if d_a is None else d_a
-    d_b = b_form.d() if d_b is None else d_b
     mass = ds.mass.m
 
     if variant.kind == LINEAR:
-        f_form, h_form = d_a, d_b
+        f_form, h_form = config.dA, config.dB
         lag = (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
                - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
                + f_form.wedge(b_form, mass[None]))
         return lag
 
     if variant.kind == EONLY:
-        f_form, h_form = d_a, d_b
+        f_form, h_form = config.dA, config.dB
         s_form = e_source_form(ds, f_form, a_form)
         return (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
                 - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
                 + _pair4(s_form, h_form.hodge(), ds.gb)
                 - _pair4(s_form, s_form.hodge(), ds.gb).scale(0.5))
 
-    strengths = strengths or compute_strengths(config, ds, d_a=d_a, d_b=d_b)
+    strengths = strengths or compute_strengths(config, ds)
     return (_pair4(strengths.starP, strengths.F, ds.ga).scale(0.5)
             + _pair4(strengths.starQ, strengths.H, ds.gb).scale(0.5)
             + strengths.F.wedge(b_form, mass[None]))
@@ -204,31 +199,32 @@ def lagrangian_symmetric_form(variant: TheoryVariant, config: FieldConfig,
                               strengths: StrengthPair) -> JetScalar:
     """The cross-representation (1/2) M^T Y^{-1} M value (massless sets).
 
-    Evaluates the same Lagrangian through the solved stack and the block
-    pairing <(P,Q),(F,H)> = g_ab *P^a^F^b + g'_{a'b'} *Q^{a'}^H^{b'}.
+    M stacks (F, H); Y^{-1} M is solved afresh and paired with M through
+    the :func:`block_metric` of the pairing <(P,Q),(F,H)> =
+    g_ab *P^a^F^b + g'_{a'b'} *Q^{a'}^H^{b'}, with no wedge product.
     """
-    half = (_pair4(strengths.starP, strengths.F, variant.ds.ga).scale(0.5)
-            + _pair4(strengths.starQ, strengths.H, variant.ds.gb).scale(0.5))
-    return volume_coefficient(half)
+    ds, ring = variant.ds, config.ring
+    m = stack_pair(strengths.F, strengths.H)
+    metric = block_metric(ds.space_a.dim, ds.space_b.dim, ds.ga, ds.gb)
+    value = 0.5 * ring.mul(strengths.y_inv.apply(m), metric @ m).sum(0)
+    return JetScalar(ring.algebra, ring.base_block(value),
+                     min(strengths.F.order, strengths.H.order))
 
 
 def field_equations(variant: TheoryVariant, config: FieldConfig,
-                    strengths: StrengthPair | None = None,
-                    d_a: LieForm | None = None, d_b: LieForm | None = None):
+                    strengths: StrengthPair | None = None):
     """Hand-coded field equations: an A-valued 3-form and an A'-valued 2-form."""
     ds = variant.ds
     a_form, b_form = config.A, config.B
-    d_a = a_form.d() if d_a is None else d_a
-    d_b = b_form.d() if d_b is None else d_b
 
     if variant.kind == LINEAR:
-        f_form, h_form = d_a, d_b
+        f_form, h_form = config.dA, config.dB
         e_a = f_form.hodge().d() + apply_linear(ds.mass.map_b, h_form)
         e_b = h_form.hodge().d() + apply_linear(ds.mass.map_a, f_form)
         return e_a, e_b
 
     if variant.kind == EONLY:
-        f_form, h_form = d_a, d_b
+        f_form, h_form = config.dA, config.dB
         s_form = e_source_form(ds, f_form, a_form)
         star_h = h_form.hodge()
         star_s = s_form.hodge()
@@ -242,7 +238,7 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
         e_b = (star_h - star_s).d()
         return e_a, e_b
 
-    strengths = strengths or compute_strengths(config, ds, d_a=d_a, d_b=d_b)
+    strengths = strengths or compute_strengths(config, ds)
     p_form, q_form = strengths.P, strengths.Q
     star_p, star_q = strengths.starP, strengths.starQ
     ma, mb = ds.mass.map_a, ds.mass.map_b
@@ -308,8 +304,7 @@ def gauge_variation(variant: TheoryVariant, config: FieldConfig,
         return Variations(xi.d(), LieForm.zero(config.ring, 2, ds.space_b.dim),
                           zero_a, chi.d())
     if variant.kind == EONLY:
-        f_form = config.A.d()
-        return Variations(xi.d(), f_form.wedge(xi, ds.e), zero_a, chi.d())
+        return Variations(xi.d(), config.dA.wedge(xi, ds.e), zero_a, chi.d())
 
     if strengths is None:
         strengths = compute_strengths(config, ds)
@@ -333,9 +328,7 @@ def boundary_theta(variant: TheoryVariant, config: FieldConfig,
     if variant.kind == EONLY:
         return zero3, zero3
     if variant.kind == LINEAR:
-        f_form = config.A.d()
-        theta_chi = f_form.wedge(gp.chi, ds.mass.m[None])
-        return zero3, theta_chi
+        return zero3, config.dA.wedge(gp.chi, ds.mass.m[None])
 
     # Boundary data pinned against the exact invariance of the built-in
     # families (see CONVENTIONS.md): the 2-form factor is the dual *P and
@@ -492,9 +485,8 @@ def _noether_residuals(variant, config, strengths, e_a, e_b):
     if variant.kind == EONLY:
         # d(gE_A) + e(F, gE_B-pairing) closes; E_B is exactly d(...), so
         # its divergence identity is d E_B = 0.
-        f_form = config.A.d()
         pr = np.einsum("pbc->cbp", ds.e_low())   # [c, b, a']
-        res_a = (ea_low.d() - f_form.wedge(e_b, pr)).max_abs()
+        res_a = (ea_low.d() - config.dA.wedge(e_b, pr)).max_abs()
         return res_a, eb_low.d().max_abs()
 
     a_form, b_form = config.A, config.B
@@ -525,7 +517,7 @@ def check_strength_identities(contexts, tol: float | None = None
     for ctx in contexts:
         ds, config, strengths = ctx.variant.ds, ctx.config, ctx.strengths
         general = ctx.variant.kind == GENERAL
-        f_form = strengths.F if general else config.A.d()
+        f_form = strengths.F if general else config.dA
         bianchi = f_form.d() + config.A.wedge(f_form, ds.a)
         _worst(rows, "bianchi-F", bianchi.max_abs())
         if not general:
@@ -770,46 +762,49 @@ def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
     E_A = Phi_A + d Psi_A and E_B = Phi_B - d Psi_B, where Phi and Psi are
     the wedge-duals of the gradients in the value and derivative slots.
     """
-    return _generic_el_of(
-        lambda cfg, da, db: lagrangian_form(variant, cfg, None,
-                                            d_a=da, d_b=db),
-        variant.ds, config)
+    return _generic_el_of(functools.partial(lagrangian_form, variant),
+                          variant.ds, config)
 
 
-def cubic_tower(ds: DeformationSet, config: FieldConfig,
-                d_a: LieForm | None = None, d_b: LieForm | None = None):
-    """The cubic Lagrangian of the deformation tower and its quadratic
-    field-equation terms.
+def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
+    """The cubic Lagrangian L_3 of the deformation tower, a real-valued
+    4-form of A, B and the derivative slots dA, dB.
 
-    These are the first two rungs of the order-by-order deformation: the
-    generic Euler-Lagrange operator reproduces the quadratic equations from
-    the cubic Lagrangian, and the Euler homogeneity relation ties each
-    Lagrangian order to the previous field-equation order up to an exact
-    4-form.  The coefficient normalizations below were pinned against the
-    exact homogeneous expansion of the full nonlinear theory (an
-    eps-nilpotent extraction) and are frozen here.
+    L_3 and :func:`quadratic_equations` are the first two rungs of the
+    order-by-order deformation: the generic Euler-Lagrange operator
+    reproduces the quadratic equations from L_3, and the Euler homogeneity
+    relation ties each Lagrangian order to the previous field-equation
+    order up to an exact 4-form.  The coefficient normalizations of both
+    were pinned against the exact homogeneous expansion of the full
+    nonlinear theory (an eps-nilpotent extraction) and are frozen here.
     """
     a_form, b_form = config.A, config.B
-    f_form = a_form.d() if d_a is None else d_a
-    h_form = b_form.d() if d_b is None else d_b
+    f_form, h_form = config.dA, config.dB
+    star_f, star_h = f_form.hodge(), h_form.hodge()
+
+    def tri(x, y, z, tensor):
+        return _wedge3(x, y, z, np.asarray(tensor, dtype=float)[None])
+
+    return (tri(star_f, a_form, a_form, ds.a_low()).scale(0.5)
+            + tri(star_h, a_form, b_form, ds.j_low())
+            + tri(star_f, star_h, a_form, ds.b_low())
+            + tri(star_h, star_h, b_form, ds.k_low()).scale(0.5)
+            - tri(star_h, f_form, a_form, ds.e_low())
+            + tri(b_form, a_form, a_form,
+                  np.einsum("ap,abc->pbc", ds.mass.m, ds.a)).scale(0.5))
+
+
+def quadratic_equations(ds: DeformationSet, config: FieldConfig):
+    """The quadratic field-equation terms (E2_A, E2_B) of the deformation
+    tower, the Euler-Lagrange equations of :func:`cubic_lagrangian`."""
+    a_form, b_form = config.A, config.B
+    f_form, h_form = config.dA, config.dB
     star_f, star_h = f_form.hodge(), h_form.hodge()
     al, bl, jl, kl, el = (ds.a_low(), ds.b_low(), ds.j_low(), ds.k_low(),
                           ds.e_low())
     ga_inv, gb_inv = ds.space_a.inverse_metric, ds.space_b.inverse_metric
     ma, mb = ds.mass.map_a, ds.mass.map_b
     b_t = b_transpose_pairing(ds)
-
-    def tri(x, y, z, tensor):
-        return _wedge3(x, y, z, np.asarray(tensor, dtype=float)[None])
-
-    lag = (tri(star_f, a_form, a_form, al).scale(0.5)
-           + tri(star_h, a_form, b_form, jl)
-           + tri(star_f, star_h, a_form, bl)
-           + tri(star_h, star_h, b_form, kl).scale(0.5)
-           - tri(star_h, f_form, a_form, el)
-           + tri(b_form, a_form, a_form,
-                 np.einsum("ap,abc->pbc", ds.mass.m, ds.a)).scale(0.5))
-
     s_form = f_form.wedge(a_form, ds.e)
     pr_e = np.einsum("pbd,da->abp", el, ga_inv)        # e_{c'b}{}^a
     x_2form = (a_form.wedge(a_form, ds.a).scale(0.5)
@@ -832,8 +827,7 @@ def cubic_tower(ds: DeformationSet, config: FieldConfig,
             - a_form.wedge(star_h, np.einsum("qbz,zp->pbq", jl, gb_inv))
             + a_form.wedge(a_form,
                            np.einsum("pa,abc->pbc", ma, ds.a)).scale(0.5))
-    return lag, e2_a, e2_b
-
+    return e2_a, e2_b
 
 
 def check_euler_lagrange_consistency(contexts, tol: float | None = None
@@ -849,8 +843,7 @@ def check_euler_lagrange_consistency(contexts, tol: float | None = None
                                    generic, ctx.equations):
             _worst(rows, name, (gen - hand).max_abs())
     report = _collect("euler-lagrange", rows, tol, contexts)
-    tower = check_cubic_tower(contexts[:1],
-                              min(tol, DEFAULT_TOLS["polynomial"]))
+    tower = check_cubic_tower(contexts[:1], min(tol, CUBIC_TOWER_TOL))
     return IdentityReport("euler-lagrange", report.results + tower.results)
 
 
@@ -863,18 +856,19 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
     field factors, so each relation is checked pointwise with its explicit
     boundary term.
     """
-    tol = DEFAULT_TOLS["polynomial"] if tol is None else tol
+    tol = CUBIC_TOWER_TOL if tol is None else tol
     rows = {}
     for ctx in contexts:
         ds, config = ctx.variant.ds, ctx.config
         ga, gb, mass = ds.ga, ds.gb, ds.mass.m
         a_form, b_form = config.A, config.B
-        f_form, h_form = a_form.d(), b_form.d()
+        f_form, h_form = config.dA, config.dB
         star_f, star_h = f_form.hodge(), h_form.hodge()
 
-        lag3, e2_a, e2_b = cubic_tower(ds, config)
-        gen_a, gen_b = _generic_el_of(lambda cfg, da, db: cubic_tower(
-            ds, cfg, d_a=da, d_b=db)[0], ds, config)
+        lag3 = cubic_lagrangian(ds, config)
+        e2_a, e2_b = quadratic_equations(ds, config)
+        gen_a, gen_b = _generic_el_of(
+            functools.partial(cubic_lagrangian, ds), ds, config)
         _worst(rows, "cubic-el-A", (gen_a - e2_a).max_abs())
         _worst(rows, "cubic-el-B", (gen_b - e2_b).max_abs())
 
@@ -909,15 +903,17 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
 def _generic_el_of(builder, ds, config):
     """Generic EL equations of an arbitrary first-order Lagrangian builder.
 
-    ``builder(config, d_a, d_b)`` must return a real-valued 4-form treating
-    the derivative slots as independent.
+    ``builder(config)`` must return a real-valued 4-form of A, B and the
+    derivative slots dA, dB of ``config``.  Each of the four is lifted with
+    its own unit tangent directions; the lifted slots are assigned to the
+    one lifted config, so the builder differentiates dA and dB as
+    coordinates independent of A and B.
     """
     n, m = ds.space_a.dim, ds.space_b.dim
     dirs = _el_directions(n, m)
     ring = NilpotentExtension(config.ring.degree, len(dirs))
     base = JetRing(config.ring.degree)
-    values = {"A": config.A, "B": config.B, "dA": config.A.d(),
-              "dB": config.B.d()}
+    values = {"A": config.A, "B": config.B, "dA": config.dA, "dB": config.dB}
     # each direction is the unit constant tangent of one slot component
     tangents = {slot: [None] * len(dirs) for slot in values}
     slot_map = {slot: [] for slot in values}
@@ -927,8 +923,9 @@ def _generic_el_of(builder, ds, config):
         slot_map[slot].append((idx, (a, i)))
     lifted = {slot: promote_form(form, ring, tangents[slot])
               for slot, form in values.items()}
-    lag = builder(FieldConfig(lifted["A"], lifted["B"]), lifted["dA"],
-                  lifted["dB"])
+    lifted_config = FieldConfig(lifted["A"], lifted["B"])
+    lifted_config.dA, lifted_config.dB = lifted["dA"], lifted["dB"]
+    lag = builder(lifted_config)
     lt = [part.comps[0, 0] for part in tangent_parts(lag)]
     order = lag.order
 

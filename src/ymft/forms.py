@@ -217,20 +217,6 @@ class LieForm:
         comps[a, comp] = ring.const(value)
         return cls(ring, p, comps)
 
-    @classmethod
-    def from_scalars(cls, p: int, table):
-        """Build from a nested [internal][component] list of JetScalar."""
-        degree = table[0][0].algebra.degree
-        ring = JetRing(degree)
-        n = len(table)
-        comps = ring.zeros((n, len(COMPS[p])))
-        order = degree
-        for a in range(n):
-            for i in range(len(COMPS[p])):
-                comps[a, i] = table[a][i].coeffs
-                order = min(order, table[a][i].order)
-        return cls(ring, p, comps, order)
-
     # -- ring plumbing -----------------------------------------------------
 
     def _like(self, comps, order, live=None):

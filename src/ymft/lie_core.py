@@ -48,11 +48,6 @@ class InternalSpace:
                             axes=([1], [axis])).transpose(
             _restore_axis(tensor.ndim, axis))
 
-    def raise_(self, tensor: np.ndarray, axis: int = 0) -> np.ndarray:
-        return np.tensordot(self.inverse_metric, tensor,
-                            axes=([1], [axis])).transpose(
-            _restore_axis(tensor.ndim, axis))
-
 
 def _restore_axis(ndim: int, axis: int):
     # tensordot puts the contracted slot first; move it back to `axis`.
@@ -306,10 +301,9 @@ def derivation_residual(rho: np.ndarray, sc: StructureConstants) -> float:
 class AdjointMaps:
     """The family of adjoint maps attached to (A, A', h).
 
-    Provides ad, ad^T, ad* on each space and the h-coupled maps ad_{h,A},
-    ad_{h,A'} with their adjoints, plus the residual of the compatibility
-    relation ad*_{h,A}(.) h = -ad*_{A'}(h^T(.)) that holds when h is a
-    homomorphism.
+    Provides ad, ad^T, ad* on each space and the h-coupled map ad_{h,A}
+    with its adjoint, plus the residual of the compatibility relation
+    ad*_{h,A}(.) h = -ad*_{A'}(h^T(.)) that holds when h is a homomorphism.
     """
 
     def __init__(self, c_a: StructureConstants, c_b: StructureConstants,
@@ -347,17 +341,9 @@ class AdjointMaps:
         """ad_{h,A}(v): A' -> A, u' -> [v, h(u')]_A."""
         return self.ad_a(v) @ self.hmap.h
 
-    def ad_h_b(self, v_b):
-        """ad_{h,A'}(v'): A -> A', u -> [v', h^T(u)]_A'."""
-        return self.ad_b(v_b) @ self.hmap.h_t
-
     def ad_h_a_star(self, u):
         """ad*_{h,A}(u): A -> A', v -> -h^T(ad*_A(u) v)."""
         return -self.hmap.h_t @ self.ad_a_star(u)
-
-    def ad_h_b_star(self, u_b):
-        """ad*_{h,A'}(u'): A' -> A, v' -> -h(ad*_{A'}(u') v')."""
-        return -self.hmap.h @ self.ad_b_star(u_b)
 
     def invariance_residual_a(self) -> float:
         """Zero iff the A inner product is ad-invariant (ad* = ad)."""

@@ -188,9 +188,6 @@ class ChargeResult:
     grid: tuple
     estimated_error: float
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def charge_surface(sampler, kind: str = "electric", radius: float = 2.0,
                    grid: tuple = (64, 128)) -> ChargeResult:

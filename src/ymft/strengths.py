@@ -26,6 +26,7 @@ det(Y) != 0 restriction on admissible field configurations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,13 @@ DET_THRESHOLD = 1e-8
 
 @dataclass
 class FieldConfig:
-    """A degree-1 form on the first space and a degree-2 form on the second."""
+    """A degree-1 form A on the first space and a degree-2 form B on the
+    second, with their derivative slots dA and dB.
+
+    The slots default to A.d() and B.d(), taken on first use and kept.  The
+    generic Euler-Lagrange pass assigns them independent values; the
+    Lagrangians, strengths and field equations read dA and dB from here.
+    """
 
     A: LieForm
     B: LieForm
@@ -57,6 +64,14 @@ class FieldConfig:
     @property
     def ring(self):
         return self.A.ring
+
+    @functools.cached_property
+    def dA(self) -> LieForm:
+        return self.A.d()
+
+    @functools.cached_property
+    def dB(self) -> LieForm:
+        return self.B.d()
 
 
 def curvature_F(A: LieForm, a_tensor: np.ndarray) -> LieForm:
@@ -355,24 +370,18 @@ class StrengthPair:
         return max(lhs_p.max_abs(), lhs_q.max_abs())
 
 
-def compute_strengths(config: FieldConfig, ds: DeformationSet,
-                      d_a: LieForm | None = None,
-                      d_b: LieForm | None = None) -> StrengthPair:
+def compute_strengths(config: FieldConfig, ds: DeformationSet
+                      ) -> StrengthPair:
     """Solve the implicit strength definitions for (P, Q).
 
     The 3-form strength on the right-hand side is the plain curl dB at
     zero mass and the covariant curl dB + j(A, B) otherwise, the only
     consistent choice for the built-in families (the mass-j link forces
-    j = 0 at zero mass).
-
-    ``d_a`` / ``d_b`` override the derivative slots dA and dB (the generic
-    Euler-Lagrange machinery differentiates with respect to them); by
-    default they are the exterior derivatives of A and B.
+    j = 0 at zero mass).  dA and dB are the derivative slots of
+    ``config``.
     """
-    d_a = config.A.d() if d_a is None else d_a
-    d_b = config.B.d() if d_b is None else d_b
-    f_form = d_a + config.A.wedge(config.A, ds.a).scale(0.5)
-    h_form = d_b
+    f_form = config.dA + config.A.wedge(config.A, ds.a).scale(0.5)
+    h_form = config.dB
     if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
     yop = assemble_Y(config, ds)
@@ -429,6 +438,6 @@ def substitution_residual_massive(pair: StrengthPair, config: FieldConfig,
     adt_pairing = np.einsum("pq,zxq,zc->pxc", gbinv, cb, gb)
     h_inv_a = apply_linear(np.linalg.inv(h), config.A)
     connection = h_inv_a + pair.starQ
-    d_prime = config.B.d() - connection.wedge(config.B, adt_pairing)
+    d_prime = config.dB - connection.wedge(config.B, adt_pairing)
     gamma_a = pair.starP.wedge(config.A, b_transpose_pairing(ds))
     return (pair.Q - d_prime - gamma_a).max_abs()

@@ -274,13 +274,40 @@ def test_tol_zero_override_reaches_deformation_report(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify-algebra", "verify-deformation",
-                                     "verify-theory", "observables"])
+                                     "verify-theory"])
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_bad_tol_override_exits_2(tmp_path, command, tol):
     cfg = write_config(tmp_path, dict(BASE, algebra={"family": "su2"}))
     proc = run_cli([command, "--config", cfg, "--tol", tol])
     assert proc.returncode == 2
     assert "--tol must be a finite number >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+# each option is registered only on the commands that read it
+UNREAD_OPTIONS = [("observables", ["--tol", "0"]),
+                  ("observables", ["--force"])] + [
+    (command, option) for command in ("verify-algebra", "verify-deformation")
+    for option in (["--seed", "3"], ["--degree", "9"], ["--force"])]
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS,
+                         ids=[f"{c}-{o[0][2:]}" for c, o in UNREAD_OPTIONS])
+def test_unread_option_exits_2(tmp_path, command, option):
+    cfg = write_config(tmp_path, dict(BASE, algebra={"family": "su2"}))
+    proc = run_cli([command, "--config", cfg] + option)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_polynomial_tolerance_key_is_unknown(tmp_path):
+    # no check reads it: the cubic-tower rows are judged at
+    # min(composite, 1e-10) whatever the config says
+    cfg = write_config(tmp_path, dict(BASE, tolerances={"polynomial": 1e-30}))
+    proc = run_cli(["verify-theory", "--config", cfg])
+    assert proc.returncode == 2
+    assert "unknown keys in tolerances: ['polynomial']" in proc.stderr
     assert proc.stdout == ""
 
 

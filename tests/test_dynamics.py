@@ -7,7 +7,7 @@ from ymft.deformations import (family_e_only, family_general,
 from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
                            GaugeParam, TheoryVariant,
                            Variations, boundary_theta, check_commutators,
-                           check_cubic_tower, cubic_tower,
+                           check_cubic_tower, cubic_lagrangian,
                            check_euler_lagrange_consistency,
                            check_gauge_invariance, check_linearization,
                            check_noether_identities,
@@ -302,7 +302,26 @@ def test_tower_lift_expands_the_lagrangian(name):
     assert np.all(eps1.comps == 0.0)
     free = variant_linear(ds.mass.m, space_a=ds.space_a, space_b=ds.space_b)
     assert (eps2 - lagrangian_form(free, config)).max_abs() <= 1e-15
-    assert (eps3 - cubic_tower(ds, config)[0]).max_abs() <= 1e-15
+    assert (eps3 - cubic_lagrangian(ds, config)).max_abs() <= 1e-15
+
+
+def test_cubic_tower_differentiates_only_the_lagrangian(monkeypatch):
+    """The Euler-Lagrange pass over the tangent ring builds the cubic
+    Lagrangian alone; the quadratic equations it is compared against are
+    built once per context, on the base ring."""
+    rings = {"cubic_lagrangian": [], "quadratic_equations": []}
+    for name, seen in rings.items():
+        def wrapped(ds, config, _original=getattr(dynamics, name),
+                    _seen=seen):
+            _seen.append(type(config.ring))
+            return _original(ds, config)
+        monkeypatch.setattr(dynamics, name, wrapped)
+    report = check_cubic_tower(
+        seed_contexts(VARIANTS["su2-massive"](), [1, 2]), tol=1e-10)
+    assert report.passed, report.as_dict()
+    assert rings["quadratic_equations"] == [JetRing, JetRing]
+    assert sorted(rings["cubic_lagrangian"], key=lambda r: r.__name__) == [
+        JetRing, JetRing, NilpotentExtension, NilpotentExtension]
 
 
 @pytest.mark.parametrize("name", ["linear-massless", "su2-massless",
