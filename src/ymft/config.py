@@ -39,6 +39,7 @@ _ALGEBRA_FAMILIES = {"su2", "su11", "abelian"}
 _DEFORM_FAMILIES = {"su2", "solvable", "e_only", "linear", "explicit",
                     "general"}
 _SAMPLERS = {"coulomb", "radial-magnetic", "uniform-scalar", "zero"}
+_OBS_CHECKS = ("charge", "causality", "trace")
 
 
 def _require_keys(section: dict, allowed: set, where: str):
@@ -70,6 +71,38 @@ def validate_degree(degree) -> None:
     """Reject a jet degree that is not a positive integer."""
     if not isinstance(degree, int) or degree < 1:
         raise ConfigError("jet.degree must be a positive integer")
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value > 0
+
+
+def _validate_observables(section: dict) -> None:
+    """Reject observables settings (defaults filled in) under which a run
+    would check nothing or sample nothing."""
+    if not isinstance(section["sampler"], str) \
+            or section["sampler"] not in _SAMPLERS:
+        raise ConfigError(f"unknown sampler {section['sampler']!r}")
+    checks = section["checks"]
+    # an empty list would pass with no observable checked
+    if not isinstance(checks, list) or not checks:
+        raise ConfigError("observables.checks must be a non-empty list")
+    unknown = [check for check in checks if check not in _OBS_CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown observables checks: {unknown}")
+    for key in ("causality_samples", "points"):
+        if not _positive_int(section[key]):
+            raise ConfigError(f"observables.{key} must be a positive "
+                              f"integer")
+    grid = section["grid"]
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(map(_positive_int, grid))):
+        raise ConfigError("observables.grid must be two positive integers")
+    radius = section["radius"]
+    if isinstance(radius, bool) or not isinstance(radius, (int, float)) \
+            or not (np.isfinite(radius) and radius > 0):
+        raise ConfigError("observables.radius must be a finite number > 0")
 
 
 def validate_tolerance(tol, where: str) -> float:
@@ -128,9 +161,7 @@ class RunConfig:
             _require_keys(raw["deformation"], _DEFORM_KEYS, "deformation")
         if "observables" in raw:
             _require_keys(raw["observables"], _OBS_KEYS, "observables")
-            sampler = raw["observables"].get("sampler", "coulomb")
-            if sampler not in _SAMPLERS:
-                raise ConfigError(f"unknown sampler {sampler!r}")
+            _validate_observables(self.observables_section())
 
     # -- builders ----------------------------------------------------------
 
@@ -230,7 +261,7 @@ class RunConfig:
     def observables_section(self) -> dict:
         section = dict(sampler="coulomb", parameter=1.0, radius=2.0,
                        grid=[64, 128], points=256, causality_samples=1000,
-                       checks=["charge", "causality", "trace"])
+                       checks=list(_OBS_CHECKS))
         section.update(self.raw.get("observables", {}))
         return section
 

@@ -796,7 +796,9 @@ def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
 
 def quadratic_equations(ds: DeformationSet, config: FieldConfig):
     """The quadratic field-equation terms (E2_A, E2_B) of the deformation
-    tower, the Euler-Lagrange equations of :func:`cubic_lagrangian`."""
+    tower, the Euler-Lagrange equations of :func:`cubic_lagrangian`, and
+    the 2- and 3-form arguments X_A, Y_B of their total-derivative terms
+    d*X_A and d*Y_B."""
     a_form, b_form = config.A, config.B
     f_form, h_form = config.dA, config.dB
     star_f, star_h = f_form.hodge(), h_form.hodge()
@@ -827,7 +829,7 @@ def quadratic_equations(ds: DeformationSet, config: FieldConfig):
             - a_form.wedge(star_h, np.einsum("qbz,zp->pbq", jl, gb_inv))
             + a_form.wedge(a_form,
                            np.einsum("pa,abc->pbc", ma, ds.a)).scale(0.5))
-    return e2_a, e2_b
+    return e2_a, e2_b, x_2form, y_3form
 
 
 def check_euler_lagrange_consistency(contexts, tol: float | None = None
@@ -866,7 +868,7 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
         star_f, star_h = f_form.hodge(), h_form.hodge()
 
         lag3 = cubic_lagrangian(ds, config)
-        e2_a, e2_b = quadratic_equations(ds, config)
+        e2_a, e2_b, x_a, y_b = quadratic_equations(ds, config)
         gen_a, gen_b = _generic_el_of(
             functools.partial(cubic_lagrangian, ds), ds, config)
         _worst(rows, "cubic-el-A", (gen_a - e2_a).max_abs())
@@ -883,14 +885,9 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
                   + b_form.wedge(a_form, mass.T[None])).scale(0.5)
         _worst(rows, "homogeneity-k1", (lag2 - x1 - bound1.d()).max_abs())
 
-        # k = 2: boundary (-1/3)(*X_A ^ A - *(Y_B - S) ^ B) with X_A, Y_B
-        # the 2- and 3-form arguments of the total-derivative terms.
-        x_a = (a_form.wedge(a_form, ds.a).scale(0.5)
-               + star_h.wedge(a_form, ds.b))
-        y_b = (a_form.wedge(b_form, ds.j)
-               + star_h.wedge(b_form, ds.k)
-               + star_f.wedge(a_form, b_transpose_pairing(ds))
-               - f_form.wedge(a_form, ds.e))
+        # k = 2: boundary (-1/3)(*X_A ^ A - *Y_B ^ B) with X_A, Y_B the 2-
+        # and 3-form arguments of the total-derivative terms (Y_B includes
+        # the -S term), as quadratic_equations builds them.
         x2 = (e2_a.wedge(a_form, scalar_pairing(ga))
               - e2_b.wedge(b_form, scalar_pairing(gb))).scale(-1.0 / 3.0)
         bound2 = (x_a.hodge().wedge(a_form, scalar_pairing(ga))

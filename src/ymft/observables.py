@@ -7,6 +7,13 @@ checked on sampled values.  The charge integrals are global statements, so
 they operate on user-supplied closed-form samplers rather than on local
 jets; built-in samplers cover the radial electric, radial magnetic and
 uniform scalar configurations with known enclosed charges.
+
+Sampler contract: ``sampler(x, y, z)`` takes coordinate arrays of one shape
+S and returns the field at every point at once, an array of shape
+S + (n, 4, 4) for a 2-form (S + (n, 4, 4, 4) for a 3-form), antisymmetric
+in the form slots.  A scalar call (S = ()) gives (n, 4, 4).  Each
+quadrature grid is sampled with one call, and a result of the wrong shape
+or with non-finite entries is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -115,46 +122,36 @@ def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
     return StressEnergy(table, ring.degree)
 
 
-def random_unit_timelike(rng: np.random.Generator) -> np.ndarray:
-    chi = rng.uniform(0.0, 1.0)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return np.concatenate([[np.cosh(chi)], np.sinh(chi) * direction])
-
-
 def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
                            positive_definite: bool,
                            n_timelike: int = 8, seed: int = 0,
                            tol: float = 1e-12) -> dict:
     """Energy positivity and flux causality over sampled strength values.
 
-    ``samples`` is an iterable of (star_p values (n,4,4), star_q values
-    (m,4)) pointwise arrays (antisymmetric in the 2-form slot).  Refuses
-    indefinite internal metrics: the causal energy statements hold only for
-    positive-definite inner products.
+    ``samples`` is a non-empty iterable of (star_p values (n,4,4), star_q
+    values (m,4)) pointwise arrays (antisymmetric in the 2-form slot).  Each
+    sample is tested against ``n_timelike`` random unit timelike vectors.
+    Refuses indefinite internal metrics: the causal energy statements hold
+    only for positive-definite inner products.
     """
     if not positive_definite:
         raise ValueError("energy/causality checks require positive-definite "
                          "inner products; the supplied metric is not")
-    rng = np.random.default_rng(seed)
-    worst_energy = np.inf
-    worst_flux = -np.inf
-    count = 0
-    for sp_vals, sq_vals in samples:
-        sp_vals = np.asarray(sp_vals, dtype=float)
-        sq_vals = np.asarray(sq_vals, dtype=float)
-        t_mn = _pointwise_stress(sp_vals, sq_vals, ga, gb)
-        for _ in range(n_timelike):
-            t_vec = random_unit_timelike(rng)
-            energy = t_vec @ t_mn @ t_vec
-            flux = t_vec @ t_mn            # lower index nu
-            flux_up = ETA_INV @ flux
-            norm = flux @ flux_up
-            worst_energy = min(worst_energy, energy)
-            worst_flux = max(worst_flux, norm)
-        count += 1
+    samples = list(samples)
+    if not samples:
+        raise ValueError("energy/causality check needs at least one sample")
+    sp_vals = np.stack([np.asarray(sp, dtype=float) for sp, _ in samples])
+    sq_vals = np.stack([np.asarray(sq, dtype=float) for _, sq in samples])
+    t_mn = _pointwise_stress(sp_vals, sq_vals, ga, gb)      # (S, 4, 4)
+    t_vec = _random_unit_timelike(np.random.default_rng(seed),
+                                  (len(samples), n_timelike))
+    flux = t_vec @ t_mn                                     # lower index nu
+    energy = np.einsum("skn,skn->sk", flux, t_vec)
+    norm = np.einsum("skn,skn->sk", flux, flux * np.diag(ETA_INV))
+    worst_energy = energy.min()
+    worst_flux = norm.max()
     return {
-        "samples": count,
+        "samples": len(samples),
         "min_energy": float(worst_energy),
         "max_flux_norm": float(worst_flux),
         "energy_nonnegative": bool(worst_energy >= -tol),
@@ -162,12 +159,40 @@ def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
     }
 
 
+def _random_unit_timelike(rng: np.random.Generator, shape: tuple
+                          ) -> np.ndarray:
+    """Unit future timelike vectors (cosh chi, sinh chi n), shape + (4,).
+
+    Drawn vector by vector, the rapidity chi (one uniform on [0, 1)) and
+    then the direction n (three standard normals), so the vectors of a
+    given seed do not depend on how many are drawn at once.  ``random()``
+    and ``standard_normal(3)`` give the same numbers as ``uniform(0, 1)``
+    and ``normal(size=3)`` at lower call overhead.
+    """
+    count = int(np.prod(shape))
+    chi = np.empty(count)
+    direction = np.empty((count, 3))
+    random, normal = rng.random, rng.standard_normal
+    for i in range(count):
+        chi[i] = random()
+        direction[i] = normal(3)
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    vecs = np.concatenate([np.cosh(chi)[:, None],
+                           np.sinh(chi)[:, None] * direction], axis=-1)
+    return vecs.reshape(shape + (4,))
+
+
 def _pointwise_stress(sp_vals, sq_vals, ga, gb) -> np.ndarray:
-    p_pair = np.einsum("ab,ams,bnt,st->mn", ga, sp_vals, sp_vals, ETA_INV)
-    q_pair = np.einsum("ab,am,bn->mn", gb, sq_vals, sq_vals)
-    p_sq = np.einsum("mn,mn->", ETA_INV, p_pair)
-    q_sq = np.einsum("mn,mn->", ETA_INV, q_pair)
-    return p_pair + 0.5 * q_pair - 0.25 * ETA * (p_sq + q_sq)
+    """T_{mu nu} at each sample: (..., n, 4, 4) and (..., m, 4) values in,
+    (..., 4, 4) out."""
+    p_pair = np.einsum("ab,...ams,...bnt,st->...mn", ga, sp_vals, sp_vals,
+                       ETA_INV, optimize=True)
+    q_pair = np.einsum("ab,...am,...bn->...mn", gb, sq_vals, sq_vals,
+                       optimize=True)
+    p_sq = np.einsum("mn,...mn->...", ETA_INV, p_pair)
+    q_sq = np.einsum("mn,...mn->...", ETA_INV, q_pair)
+    return (p_pair + 0.5 * q_pair
+            - 0.25 * ETA * (p_sq + q_sq)[..., None, None])
 
 
 def random_strength_values(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -193,10 +218,12 @@ def charge_surface(sampler, kind: str = "electric", radius: float = 2.0,
                    grid: tuple = (64, 128)) -> ChargeResult:
     """(1/4pi) of the flux of sampler's 2-form through the radius sphere.
 
-    ``sampler(x, y, z)`` returns an antisymmetric (n, 4, 4) array; the
-    integrand is its (time, radial) contraction.  Gauss-Legendre in the
-    polar direction times trapezoid in azimuth; the error estimate is the
-    difference against the half-resolution grid.
+    ``sampler(x, y, z)`` takes coordinate arrays of shape S and returns an
+    array of shape S + (n, 4, 4), antisymmetric in the last two slots; it
+    is called once per grid.  The integrand is the (time, radial)
+    contraction.  Gauss-Legendre in the polar direction times trapezoid in
+    azimuth; the error estimate is the difference against the
+    half-resolution grid.
     """
     if kind not in ("electric", "magnetic"):
         raise ValueError(f"unknown surface charge kind {kind!r}")
@@ -206,34 +233,55 @@ def charge_surface(sampler, kind: str = "electric", radius: float = 2.0,
     return ChargeResult(value, grid, float(np.abs(value - coarse).max()))
 
 
+def _sample(sampler, coords: np.ndarray, rank: int) -> np.ndarray:
+    """One sampler call on the points ``coords`` (S + (3,)), checked to
+    return a finite array of shape S + (n,) + (4,) * rank."""
+    shape = coords.shape[:-1]
+    vals = np.asarray(sampler(*np.moveaxis(coords, -1, 0)), dtype=float)
+    if (vals.ndim != len(shape) + 1 + rank
+            or vals.shape[:len(shape)] != shape
+            or vals.shape[len(shape) + 1:] != (4,) * rank):
+        expected = ", ".join(map(str, shape + ("n",) + (4,) * rank))
+        raise ValueError(f"sampler returned shape {vals.shape}; expected "
+                         f"({expected}) for coordinate arrays of shape "
+                         f"{shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sampler returned non-finite values")
+    return vals
+
+
+def _sequential_sum(contribs: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, node after node in order."""
+    return np.add.accumulate(contribs, axis=0)[-1]
+
+
 def _sphere_quad(sampler, radius: float, grid: tuple) -> np.ndarray:
     n_theta, n_phi = grid
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    total = None
-    for u, w in zip(nodes, weights):
-        sin_theta = np.sqrt(1.0 - u * u)
-        for phi in phis:
-            normal = np.array([sin_theta * np.cos(phi),
-                               sin_theta * np.sin(phi), u])
-            x = radius * normal
-            vals = np.asarray(sampler(*x), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("sampler returned non-finite values")
-            flux = np.einsum("aij,j->ai", vals[:, :, 1:], normal)[:, 0]
-            contrib = w * (2.0 * np.pi / n_phi) * flux * radius ** 2
-            total = contrib if total is None else total + contrib
-    return total / (4.0 * np.pi)
+    sin_theta = np.sqrt(1.0 - nodes * nodes)[:, None]
+    # nodes theta-major, phi-minor: (n_theta, n_phi, 3)
+    normal = np.stack(np.broadcast_arrays(sin_theta * np.cos(phis),
+                                          sin_theta * np.sin(phis),
+                                          nodes[:, None]), axis=-1)
+    vals = _sample(sampler, radius * normal, 2)
+    flux = np.einsum("...aj,...j->...a", vals[..., 0, 1:], normal)
+    contrib = ((weights * (2.0 * np.pi / n_phi))[:, None, None] * flux
+               * radius ** 2)
+    return _sequential_sum(contrib.reshape(-1, flux.shape[-1])) / (4.0 * np.pi)
 
 
 def charge_line(sampler, radius: float = 2.0,
                 n_points: int = 256) -> ChargeResult:
     """(1/2pi) of the line integral of sampler's 3-form around a circle.
 
-    The circle lies in the z = 0 plane; the contraction is with the surface
-    normal (z), the hypersurface normal (t) and the tangent.  Trapezoid
-    rule, spectrally accurate on periodic integrands; the error estimate is
-    the difference against half the points.
+    ``sampler(x, y, z)`` takes coordinate arrays of shape S and returns an
+    array of shape S + (n, 4, 4, 4), antisymmetric in the last three slots;
+    it is called once per set of points.  The circle lies in the z = 0
+    plane; the contraction is with the surface normal (z), the hypersurface
+    normal (t) and the tangent.  Trapezoid rule, spectrally accurate on
+    periodic integrands; the error estimate is the difference against half
+    the points.
     """
     value = _circle_quad(sampler, radius, n_points)
     coarse = _circle_quad(sampler, radius, max(n_points // 2, 4))
@@ -243,19 +291,15 @@ def charge_line(sampler, radius: float = 2.0,
 
 def _circle_quad(sampler, radius: float, n_points: int) -> np.ndarray:
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    total = None
-    for phi in phis:
-        x = radius * np.cos(phi)
-        y = radius * np.sin(phi)
-        vals = np.asarray(sampler(x, y, 0.0), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sampler returned non-finite values")
-        tangent = np.array([0.0, -np.sin(phi), np.cos(phi), 0.0])
-        # contraction with n = z-direction (index 3) and t = time (index 0)
-        contrib = np.einsum("am,m->a", vals[:, 3, 0, :], tangent)
-        contrib = contrib * radius * (2.0 * np.pi / n_points)
-        total = contrib if total is None else total + contrib
-    return total / (2.0 * np.pi)
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    zeros = np.zeros(n_points)
+    vals = _sample(sampler, np.stack([radius * cos_phi, radius * sin_phi,
+                                      zeros], axis=-1), 3)
+    tangent = np.stack([zeros, -sin_phi, cos_phi, zeros], axis=-1)
+    # contraction with n = z-direction (index 3) and t = time (index 0)
+    contrib = np.einsum("...am,...m->...a", vals[..., 3, 0, :], tangent)
+    contrib = contrib * radius * (2.0 * np.pi / n_points)
+    return _sequential_sum(contrib) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +311,14 @@ def coulomb_sampler(q: float = 1.0, center=(0.0, 0.0, 0.0)):
     center = np.asarray(center, dtype=float)
 
     def sampler(x, y, z):
-        rel = np.array([x, y, z]) - center
-        r = np.linalg.norm(rel)
-        out = np.zeros((1, 4, 4))
-        out[0, 0, 1:] = q * rel / r ** 3
-        out[0, 1:, 0] = -q * rel / r ** 3
+        rel = np.stack(np.broadcast_arrays(x, y, z), axis=-1) - center
+        # |rel| from one dot product per point, as np.linalg.norm takes it
+        # for a single vector
+        r = np.sqrt(rel[..., None, :] @ rel[..., :, None])[..., 0]
+        field = q * rel / r ** 3
+        out = np.zeros(rel.shape[:-1] + (1, 4, 4))
+        out[..., 0, 0, 1:] = field
+        out[..., 0, 1:, 0] = -field
         return out
 
     return sampler
@@ -283,33 +330,27 @@ def radial_magnetic_sampler(g: float = 1.0):
 
 
 def uniform_scalar_sampler(s: float = 1.0):
-    """3-form with uniform angular component s/r around the z axis."""
+    """3-form with uniform angular component s/r around the z axis: the
+    alternating product of the z, t and azimuthal unit vectors times s/r."""
 
     def sampler(x, y, z):
+        x, y, z = np.broadcast_arrays(x, y, z)
         rho = np.hypot(x, y)
-        phi_hat = np.array([0.0, -y / rho, x / rho, 0.0])
-        n_hat = np.array([0.0, 0.0, 0.0, 1.0])
-        t_hat = np.array([1.0, 0.0, 0.0, 0.0])
-        tensor = _alternating3(n_hat, t_hat, phi_hat) * (s / rho)
-        return tensor[None]
+        scale = s / rho
+        out = np.zeros(rho.shape + (1, 4, 4, 4))
+        for axis, phi_hat in ((1, -y / rho), (2, x / rho)):
+            for perm in itertools.permutations(range(3)):
+                idx = tuple((3, 0, axis)[p] for p in perm)
+                out[(..., 0) + idx] = _perm_sign(perm) * phi_hat * scale
+        return out
 
     return sampler
-
-
-def _alternating3(u, v, w) -> np.ndarray:
-    out = np.zeros((4, 4, 4))
-    for perm in itertools.permutations(range(3)):
-        sign = _perm_sign(perm)
-        vecs = [u, v, w]
-        out += sign * np.einsum("i,j,k->ijk", vecs[perm[0]], vecs[perm[1]],
-                                vecs[perm[2]])
-    return out
 
 
 def zero_sampler(dim: int = 1, rank: int = 2):
     shape = (dim,) + (4,) * rank
 
     def sampler(x, y, z):
-        return np.zeros(shape)
+        return np.zeros(np.broadcast(x, y, z).shape + shape)
 
     return sampler

@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
@@ -184,7 +183,11 @@ def block_metric(dim_a: int, dim_b: int, ga=None, gb=None) -> np.ndarray:
     gb = np.eye(dim_b) if gb is None else np.asarray(gb, dtype=float)
     w2 = np.diag([_wedge_vol_factor(2, i) for i in range(len(COMPS[2]))])
     w3 = np.diag([_wedge_vol_factor(3, i) for i in range(len(COMPS[3]))])
-    return scipy.linalg.block_diag(np.kron(ga, w2), np.kron(gb, w3))
+    top, bottom = np.kron(ga, w2), np.kron(gb, w3)
+    out = np.zeros((len(top) + len(bottom),) * 2)
+    out[:len(top), :len(top)] = top
+    out[len(top):, len(top):] = bottom
+    return out
 
 
 def stack_pair(p_form: LieForm, q_form: LieForm) -> np.ndarray:

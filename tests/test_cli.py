@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = {
     "deformation": {"family": "su2", "mass": 2.0, "lambda": 0.5},
@@ -345,3 +348,53 @@ def test_nan_residuals_are_strict_json(tmp_path, force):
     report = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert report["passed"] is False
     assert '"residual": "NaN"' in proc.stdout
+
+
+# each of these passed with nothing checked or nothing sampled: no check
+# run, or a causality check over no samples with min_energy "Infinity"
+BAD_OBSERVABLES = [
+    ({"checks": []}, "observables.checks must be a non-empty list"),
+    ({"checks": ["chrge"]}, "unknown observables checks: ['chrge']"),
+    ({"checks": "charge"}, "observables.checks must be a non-empty list"),
+    ({"causality_samples": 0},
+     "observables.causality_samples must be a positive integer"),
+    ({"causality_samples": 2.5},
+     "observables.causality_samples must be a positive integer"),
+    ({"points": -4}, "observables.points must be a positive integer"),
+    ({"grid": [0, 8]}, "observables.grid must be two positive integers"),
+    ({"grid": [8]}, "observables.grid must be two positive integers"),
+    ({"radius": 0.0}, "observables.radius must be a finite number > 0"),
+    ({"radius": float("inf")},
+     "observables.radius must be a finite number > 0"),
+    ({"radius": "2.0"}, "observables.radius must be a finite number > 0"),
+    ({"sampler": ["coulomb"]}, "unknown sampler ['coulomb']"),
+]
+
+
+@pytest.mark.parametrize("section,message", BAD_OBSERVABLES,
+                         ids=[json.dumps(s) for s, _ in BAD_OBSERVABLES])
+def test_bad_observables_section_exits_2(tmp_path, capsys, section,
+                                         message):
+    from ymft import cli
+    cfg = write_config(tmp_path, {"observables": section})
+    assert cli.main(["observables", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a fresh interpreter in which any import of scipy fails
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ymft.cli import main\n"
+        "for argv in (['verify-theory', '--config', "
+        "'demos/configs/su2_massive.json', '--seed', '1'],\n"
+        "             ['observables', '--config', "
+        "'demos/configs/coulomb.json']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert sys.modules['scipy'] is None\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,11 @@ import pytest
 from ymft.deformations import family_su2
 from ymft.forms import LieForm, random_field_config
 from ymft.jets import JetRing
-from ymft.observables import (ChargeResult, charge_line, charge_surface,
-                              coulomb_sampler, energy_causality_check,
-                              radial_magnetic_sampler, random_strength_values,
-                              stress_energy, uniform_scalar_sampler,
-                              zero_sampler)
+from ymft.observables import (ETA_INV, ChargeResult, _pointwise_stress,
+                              charge_line, charge_surface, coulomb_sampler,
+                              energy_causality_check, radial_magnetic_sampler,
+                              random_strength_values, stress_energy,
+                              uniform_scalar_sampler, zero_sampler)
 from ymft.strengths import FieldConfig, compute_strengths
 
 RING = JetRing(3)
@@ -135,8 +135,8 @@ def test_zero_sampler_and_bad_kind():
 
 def test_nonfinite_sampler_rejected():
     def bad(x, y, z):
-        out = np.zeros((1, 4, 4))
-        out[0, 0, 1] = np.inf
+        out = np.zeros(np.shape(x) + (1, 4, 4))
+        out[..., 0, 0, 1] = np.inf
         return out
     with pytest.raises(ValueError):
         charge_surface(bad, "electric")
@@ -150,14 +150,18 @@ def test_scalar_line_charge_and_convergence():
     assert abs(fine.values[0] - 0.9) < 1e-12
 
 
+def lumpy(x, y, z):
+    """Coulomb field times a smooth non-polynomial angular factor."""
+    r = np.sqrt(x * x + y * y + z * z)
+    out = coulomb_sampler(1.0)(x, y, z)
+    out *= np.asarray(1.0 + 0.3 * np.exp(np.sin(3 * z / r)))[..., None,
+                                                            None, None]
+    return out
+
+
 def test_surface_quadrature_convergence_order():
     # smooth non-polynomial flux: quadrature error drops by >= 4x per
     # doubling (the rule converges much faster on this integrand)
-    def lumpy(x, y, z):
-        r = np.sqrt(x * x + y * y + z * z)
-        out = coulomb_sampler(1.0)(x, y, z)
-        out *= 1.0 + 0.3 * np.exp(np.sin(3 * z / r))
-        return out
     coarse = charge_surface(lumpy, "electric", 2.0, (4, 8))
     finer = charge_surface(lumpy, "electric", 2.0, (8, 16))
     finest = charge_surface(lumpy, "electric", 2.0, (32, 64))
@@ -173,3 +177,151 @@ def test_charge_result_error_estimate_shrinks():
                              "electric", 2.0, (64, 128))
     assert isinstance(res_big, ChargeResult)
     assert res_big.estimated_error <= max(res_small.estimated_error, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-point references for the batched quadratures and causality check: one
+# scalar sampler call per node and one loop pass per timelike vector
+
+
+def ref_sphere_quad(sampler, radius, grid):
+    n_theta, n_phi = grid
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    total = None
+    for u, w in zip(nodes, weights):
+        sin_theta = np.sqrt(1.0 - u * u)
+        for phi in phis:
+            normal = np.array([sin_theta * np.cos(phi),
+                               sin_theta * np.sin(phi), u])
+            x = radius * normal
+            vals = np.asarray(sampler(*x), dtype=float)
+            flux = np.einsum("aij,j->ai", vals[:, :, 1:], normal)[:, 0]
+            contrib = w * (2.0 * np.pi / n_phi) * flux * radius ** 2
+            total = contrib if total is None else total + contrib
+    return total / (4.0 * np.pi)
+
+
+def ref_circle_quad(sampler, radius, n_points):
+    phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    total = None
+    for phi in phis:
+        vals = np.asarray(sampler(radius * np.cos(phi), radius * np.sin(phi),
+                                  0.0), dtype=float)
+        tangent = np.array([0.0, -np.sin(phi), np.cos(phi), 0.0])
+        contrib = np.einsum("am,m->a", vals[:, 3, 0, :], tangent)
+        contrib = contrib * radius * (2.0 * np.pi / n_points)
+        total = contrib if total is None else total + contrib
+    return total / (2.0 * np.pi)
+
+
+def ref_energy_causality(samples, ga, gb, n_timelike, seed):
+    rng = np.random.default_rng(seed)
+    worst_energy, worst_flux = np.inf, -np.inf
+    for sp_vals, sq_vals in samples:
+        t_mn = _pointwise_stress(sp_vals, sq_vals, ga, gb)
+        for _ in range(n_timelike):
+            chi = rng.uniform(0.0, 1.0)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            t_vec = np.concatenate([[np.cosh(chi)], np.sinh(chi) * direction])
+            energy = t_vec @ t_mn @ t_vec
+            flux = t_vec @ t_mn
+            worst_energy = min(worst_energy, energy)
+            worst_flux = max(worst_flux, flux @ (ETA_INV @ flux))
+    return worst_energy, worst_flux
+
+
+SURFACE_SAMPLERS = {
+    "coulomb": coulomb_sampler(-2.5),
+    "offset-coulomb": coulomb_sampler(1.0, center=(0.4, -0.3, 0.2)),
+    "radial-magnetic": radial_magnetic_sampler(0.8),
+    "zero": zero_sampler(2),
+    "lumpy": lumpy,
+}
+GRIDS = [(64, 128), (16, 32), (5, 7)]
+
+
+@pytest.mark.parametrize("name", SURFACE_SAMPLERS)
+def test_sphere_quad_matches_per_point_reference(name):
+    sampler = SURFACE_SAMPLERS[name]
+    for grid in GRIDS:
+        res = charge_surface(sampler, "electric", 3.0, grid)
+        ref = ref_sphere_quad(sampler, 3.0, grid)
+        ref_coarse = ref_sphere_quad(sampler, 3.0, (max(grid[0] // 2, 2),
+                                                    max(grid[1] // 2, 4)))
+        ref_error = float(np.abs(ref - ref_coarse).max())
+        assert res.values.shape == ref.shape
+        if name == "coulomb":
+            # same operations in the same order: bit-equal
+            assert np.array_equal(res.values, ref)
+            assert res.estimated_error == ref_error
+        else:
+            assert np.abs(res.values - ref).max() <= 1e-15
+            assert abs(res.estimated_error - ref_error) <= 1e-15
+
+
+@pytest.mark.parametrize("sampler", [uniform_scalar_sampler(0.9),
+                                     zero_sampler(1, 3)],
+                         ids=["uniform-scalar", "zero"])
+def test_circle_quad_matches_per_point_reference(sampler):
+    for n_points in (256, 64, 9):
+        res = charge_line(sampler, 2.0, n_points)
+        ref = ref_circle_quad(sampler, 2.0, n_points)
+        ref_coarse = ref_circle_quad(sampler, 2.0, max(n_points // 2, 4))
+        assert np.abs(res.values - ref).max() <= 1e-15
+        assert abs(res.estimated_error
+                   - float(np.abs(ref - ref_coarse).max())) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_causality_matches_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    samples = [random_strength_values(rng, 3, 2) for _ in range(150)]
+    ga, gb = np.diag([1.0, 2.0, 0.5]), 1.5 * np.eye(2)
+    for n_timelike in (8, 3):
+        rep = energy_causality_check(samples, ga, gb, True,
+                                     n_timelike=n_timelike, seed=seed)
+        energy, flux = ref_energy_causality(samples, ga, gb, n_timelike,
+                                            seed)
+        assert rep["samples"] == len(samples)
+        assert abs(rep["min_energy"] - energy) <= 4e-15 * abs(energy)
+        assert abs(rep["max_flux_norm"] - flux) <= 4e-15 * abs(flux)
+        assert rep["energy_nonnegative"] is bool(energy >= -1e-12)
+        assert rep["flux_causal"] is bool(flux <= 1e-12)
+
+
+def test_causality_rejects_empty_sample_set():
+    with pytest.raises(ValueError, match="at least one sample"):
+        energy_causality_check([], np.eye(3), np.eye(3), True)
+    with pytest.raises(ValueError, match="at least one sample"):
+        energy_causality_check(iter([]), np.eye(3), np.eye(3), True)
+
+
+def test_wrong_sampler_shape_rejected():
+    def per_point(x, y, z):
+        # ignores the batch shape: the old one-point contract
+        return coulomb_sampler(1.0)(0.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match=r"expected \(8, 16, n, 4, 4\)"):
+        charge_surface(per_point, "electric", 2.0, (8, 16))
+    with pytest.raises(ValueError, match=r"expected \(64, n, 4, 4, 4\)"):
+        charge_line(zero_sampler(1, 2), 2.0, 64)
+    with pytest.raises(ValueError, match=r"expected \(8, 16, n, 4, 4\)"):
+        charge_surface(zero_sampler(1, 3), "electric", 2.0, (8, 16))
+
+
+@pytest.mark.parametrize("sampler,rank", [
+    (coulomb_sampler(1.0, center=(0.1, 0.2, 0.3)), 2),
+    (radial_magnetic_sampler(0.8), 2), (uniform_scalar_sampler(0.9), 3),
+    (zero_sampler(), 2), (zero_sampler(2, 3), 3)],
+    ids=["coulomb", "radial-magnetic", "uniform-scalar", "zero", "zero-3"])
+def test_builtin_samplers_scalar_and_batched_calls(sampler, rank):
+    point = (0.7, -1.1, 0.4)
+    one = sampler(*point)
+    assert one.shape[1:] == (4,) * rank and one.ndim == rank + 1
+    xs = np.array([[point[0], 1.3], [0.2, -0.5]])
+    ys = np.array([[point[1], 0.4], [0.9, 0.1]])
+    zs = np.array([[point[2], -0.8], [0.0, 1.5]])
+    batch = sampler(xs, ys, zs)
+    assert batch.shape == (2, 2) + one.shape
+    assert np.array_equal(batch[0, 0], one)

@@ -9,7 +9,8 @@ from ymft.forms import (COMPS, LieForm, epsilon_dual, promote_form,
 from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
-                            _ring_identity, assemble_Y, b_transpose_pairing,
+                            _ring_identity, _wedge_vol_factor, assemble_Y,
+                            b_transpose_pairing, block_metric,
                             compute_strengths, connection_curvature,
                             covariant_curl_H, curvature_F, invert_Y,
                             ring_matmul, ring_matvec,
@@ -23,6 +24,21 @@ CMAP = np.array([[0.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
 def su2_config(seed, amplitude=0.1):
     a_form, b_form = random_field_config(seed, amplitude, 3, 3, 3)
     return FieldConfig(a_form, b_form)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 1), (1, 4)])
+def test_block_metric_matches_np_block(dims):
+    n, m = dims
+    rng = np.random.default_rng(n + 10 * m)
+    ga, gb = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+    w2 = np.diag([_wedge_vol_factor(2, i) for i in range(len(COMPS[2]))])
+    w3 = np.diag([_wedge_vol_factor(3, i) for i in range(len(COMPS[3]))])
+    top, bottom = np.kron(ga, w2), np.kron(gb, w3)
+    ref = np.block([[top, np.zeros((len(top), len(bottom)))],
+                    [np.zeros((len(bottom), len(top))), bottom]])
+    assert np.array_equal(block_metric(n, m, ga, gb), ref)
+    assert np.array_equal(block_metric(n, m),
+                          block_metric(n, m, np.eye(n), np.eye(m)))
 
 
 def test_curvature_zero_and_abelian():
