@@ -37,8 +37,7 @@ print("  2-form sector trace:",
 
 rng = np.random.default_rng(1)
 samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-report = energy_causality_check(samples, np.eye(3), np.eye(3),
-                                positive_definite=True)
+report = energy_causality_check(samples, np.eye(3), np.eye(3))
 print("\n1000 random strength samples, random unit timelike observers")
 print("  minimum energy density:", f"{report['min_energy']:.3f}",
       "(nonnegative:", report["energy_nonnegative"], ")")

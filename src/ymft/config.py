@@ -78,6 +78,11 @@ def _positive_int(value) -> bool:
         and value > 0
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and bool(np.isfinite(value))
+
+
 def _validate_observables(section: dict) -> None:
     """Reject observables settings (defaults filled in) under which a run
     would check nothing or sample nothing."""
@@ -100,9 +105,12 @@ def _validate_observables(section: dict) -> None:
             and all(map(_positive_int, grid))):
         raise ConfigError("observables.grid must be two positive integers")
     radius = section["radius"]
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)) \
-            or not (np.isfinite(radius) and radius > 0):
+    if not (_finite_number(radius) and radius > 0):
         raise ConfigError("observables.radius must be a finite number > 0")
+    center = section["center"]
+    if not (isinstance(center, list) and len(center) == 3
+            and all(map(_finite_number, center))):
+        raise ConfigError("observables.center must be three finite numbers")
 
 
 def validate_tolerance(tol, where: str) -> float:
@@ -144,8 +152,10 @@ class RunConfig:
         self.checks = raw.get("checks")
         if self.checks is not None:
             # an empty list would pass with no identity checked
-            if not isinstance(self.checks, list) or not self.checks:
-                raise ConfigError("checks must be a non-empty list")
+            if not isinstance(self.checks, list) or not self.checks \
+                    or not all(isinstance(c, str) for c in self.checks):
+                raise ConfigError("checks must be a non-empty list of check "
+                                  "names")
             unknown = set(self.checks) - set(CHECK_FUNCTIONS)
             if unknown:
                 raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -259,8 +269,9 @@ class RunConfig:
         return variant_general(ds)
 
     def observables_section(self) -> dict:
-        section = dict(sampler="coulomb", parameter=1.0, radius=2.0,
-                       grid=[64, 128], points=256, causality_samples=1000,
+        section = dict(sampler="coulomb", parameter=1.0,
+                       center=[0.0, 0.0, 0.0], radius=2.0, grid=[64, 128],
+                       points=256, causality_samples=1000,
                        checks=list(_OBS_CHECKS))
         section.update(self.raw.get("observables", {}))
         return section

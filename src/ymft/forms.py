@@ -13,11 +13,12 @@ theory, so jet products run only for the internal pairs (a, b) the pairing
 couples: one ring product per component pair over exactly those, then a
 contraction with their coupling columns.
 
-Over a nilpotent tangent ring a form also records which blocks of each
-component, value and tangents, may be nonzero (:attr:`LieForm.live`).  A
-form built from an array reads them off its values; sums, products,
-exterior derivatives and Hodge duals derive them from their operands, and a
-product multiplies only those blocks.  A block that cancels to zero in
+Over an extended ring (a nilpotent extension or an epsilon tower) a form
+also records which blocks of each component may be nonzero
+(:attr:`LieForm.live`).  A form built from an array reads them off its
+values; sums, products, exterior derivatives and Hodge duals derive them
+from their operands (a product by the ring's block rule), and a product
+multiplies only those blocks.  A block that cancels to zero in
 exact arithmetic (the tangent of d(d chi), say) so stays live whatever its
 roundoff, and the work of a pipeline does not depend on the values it runs
 on.
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import NVARS, JetRing, JetScalar, jet_algebra
+from .jets import NVARS, ExtendedRing, JetRing, JetScalar, jet_algebra
 
 # Canonical ordered-component bases per form degree.
 COMPS: dict[int, list[tuple[int, ...]]] = {
@@ -195,11 +196,11 @@ class LieForm:
 
     @property
     def live(self) -> np.ndarray | None:
-        """(n, #components, k+1) booleans over a ring with k tangent
-        directions, None over other rings: the blocks of each component,
-        value first, that may be nonzero.  Unless an operation supplied
-        them, they are the blocks that hold a nonzero, NaN or inf."""
-        if self._live is None and hasattr(self.ring, "live_blocks"):
+        """(n, #components, blocks) booleans over an extended ring, None
+        over the base ring: the blocks of each component, value first, that
+        may be nonzero.  Unless an operation supplied them, they are the
+        blocks that hold a nonzero, NaN or inf."""
+        if self._live is None and isinstance(self.ring, ExtendedRing):
             self._live = self.ring.live_blocks(self.comps)
         return self._live
 
@@ -226,7 +227,7 @@ class LieForm:
         return self._like(self.comps.copy(), self.order, self.live)
 
     def scalar(self, a: int = 0, comp: int = 0) -> JetScalar:
-        """One component as a JetScalar (base block for nilpotent rings)."""
+        """One component as a JetScalar (base block for extended rings)."""
         block = self.ring.base_block(self.comps[a, comp])
         return JetScalar(jet_algebra(self.ring.degree), block, self.order)
 
@@ -324,7 +325,7 @@ class LieForm:
 
 def _no_live(form: LieForm, out: np.ndarray) -> np.ndarray | None:
     """All-dead live flags for the components ``out`` of a form derived
-    from ``form``; None if its ring has no tangent directions."""
+    from ``form``; None over the base ring."""
     if form.live is None:
         return None
     return np.zeros(out.shape[:-1] + (form.ring.blocks,), dtype=bool)
@@ -337,9 +338,9 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
     ``table`` lists (i, j, k, sign).  Only the internal pairs (a, b) with a
     nonzero coupling are multiplied: one ring product per table entry over
     those pairs, then a contraction with their coupling columns.  Returns
-    the components and their live flags (None off tangent rings).  Of a
-    product eps-block d may be nonzero where the value block of one factor
-    and block d of the other may be, and only those blocks are multiplied.
+    the components and their live flags (None over the base ring).  Which
+    blocks of a product may be nonzero, and which block products run, is
+    the ring's rule (:meth:`ymft.jets.ExtendedRing.live_product`).
     """
     pairing = np.asarray(pairing, dtype=float)
     if pairing.ndim != 3 or pairing.shape[1] != left.n \
@@ -354,9 +355,9 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
     coupling = pairing[:, a, b]
     if live is not None:
         ti, tj = [[entry[n] for entry in table] for n in (0, 1)]
-        lx, ly = left.live[a][:, ti], right.live[b][:, tj]  # (pairs, T, k+1)
-        hit = lx[..., :1] & ly
-        hit[..., 1:] |= lx[..., 1:] & ly[..., :1]
+        # (pairs, T, blocks) flags of the factors of each product
+        lx, ly = left.live[a][:, ti], right.live[b][:, tj]
+        hit = ring.live_product(lx, ly)
         # hit[c, t]: the blocks product t may make nonzero in slot c
         hit = ((coupling != 0) @ hit.reshape(len(a), -1)).reshape(
             (len(coupling),) + hit.shape[1:])

@@ -22,24 +22,26 @@ Two layers live here:
   value as k+1 contiguous blocks of base-ring width.  That layout lives in
   :class:`JetRing` alone (the one-block case): its block view, derivative,
   truncation mask, constant part, block access and lift serve all three
-  rings, and an extended ring adds only its block count, its nonzero block
-  products and its product.
+  rings.  The two extended rings define only their block count and their
+  nonzero block products (``block_pairs``); their common base
+  :class:`ExtendedRing` turns that table into the product and the
+  live-flag rule.
 
 Coefficients are stored densely in graded lexicographic monomial order, and
 truncated multiplication runs through a precomputed index-pair table sorted
 by output monomial: a product gathers both factors at the pairs, multiplies
 them, and sums each output monomial's run of pairs in one
-``np.add.reduceat``.  The same table grouped by output monomial turns a
-product of ring-valued matrices into one dense real matmul per monomial
-(Taylor propagation in the sense of Griewank & Walther, *Evaluating
-Derivatives*, ch. 13); extended rings expose the nonzero products of their
-blocks as a block-pair table so that the matrix product runs the base kernel
-once per block pair.  The same pairs indexed by (input, output) monomial
-give each jet ``a`` a multiplication matrix, ``b @ mul_matrix(a) == a * b``,
-which the graded strength solve uses.  A nilpotent extension multiplies a
-tangent block of one factor by the other factor's value only where both are
-flagged live, in the same pair-table call as the value product; every other
-tangent block stays exactly zero (sparse vector-mode forward propagation,
+``np.add.reduceat``.  The same table cut by the degree level of the output
+monomial gives products of ring-valued matrices: the pairs (0, k) are one
+batched matmul, and every other pair feeds its output from strictly lower
+levels, so each level is one gathered batched matmul plus one
+``np.add.reduceat`` (Taylor propagation in the sense of Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).  The graded strength solve runs the same
+level kernel.  The pairs indexed by (input, output) monomial give each jet
+``a`` a multiplication matrix, ``b @ mul_matrix(a) == a * b``, which couples
+the tangent blocks in that solve.  An extended ring multiplies only the
+block pairs whose two blocks are flagged live, in one pair-table call; every
+other block stays exactly zero (sparse vector-mode forward propagation,
 ibid., ch. 7).  The flags are the blocks nonzero somewhere in the batch
 unless the caller passes them: the form layer derives them from the
 operations that built its operands, so the work does not follow roundoff.
@@ -97,10 +99,19 @@ class JetAlgebra:
         self.pair_j = np.array(jj)[order]
         kk = kk[order]
         self.group_starts = np.flatnonzero(np.diff(kk, prepend=-1))
-        # the same pairs grouped by output monomial: (I_k, J_k) per k
-        self.pair_groups = list(zip(
-            np.split(self.pair_i, self.group_starts[1:]),
-            np.split(self.pair_j, self.group_starts[1:])))
+        # the pairs with i != 0 by degree level d = 1..degree of their
+        # output monomial, as (the level's monomials, (I, J, the start of
+        # each monomial's run)); the monomials of one level are contiguous,
+        # and each has the pair (k, 0), so its run is never empty
+        bounds = np.searchsorted(self.term_degree, np.arange(degree + 2))
+        rest = self.pair_i != 0
+        ri, rj, rk = self.pair_i[rest], self.pair_j[rest], kk[rest]
+        cuts = np.searchsorted(rk, bounds)
+        self.levels = [
+            (slice(bounds[d], bounds[d + 1]),
+             (ri[lo:hi], rj[lo:hi],
+              np.flatnonzero(np.diff(rk[lo:hi], prepend=-1))))
+            for d, lo, hi in zip(range(1, degree + 1), cuts[1:], cuts[2:])]
         # mul_index[j, k] = i for the unique pair (i, j, k) (exponents
         # i = k - j), and n_terms where there is none
         self.mul_index = np.full((self.n_terms, self.n_terms), self.n_terms)
@@ -127,20 +138,26 @@ class JetAlgebra:
         padded = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
         return padded[..., self.mul_index]
 
+    def level_product(self, pairs, a: np.ndarray, b: np.ndarray
+                      ) -> np.ndarray:
+        """(n, N, K) x (n, K, M) -> (T, N, M) for the pairs of one level
+        (an entry of ``levels``): per monomial t of the level, the sum of
+        a[i] @ b[j] over its pairs (i, j) -> t with i != 0, as one batched
+        matmul over the level's pairs and one ``np.add.reduceat``."""
+        ik, jk, starts = pairs
+        return np.add.reduceat(a[ik] @ b[jk], starts, axis=0)
+
     def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, K, n) x (K, M, n) -> (N, M, n): jet-valued matrix product.
 
-        Output monomial k collects the pairs (I_k, J_k) and the inner index
-        in one real matmul of shape (N, K r_k) @ (K r_k, M).
+        The pairs (0, k) are one batched matmul a_0 @ b_k; the others run
+        level by level through :meth:`level_product`.
         """
-        n, k, _ = a.shape
-        m = b.shape[1]
-        bt = b.transpose(0, 2, 1)
-        out = np.empty((n, m, self.n_terms))
-        for t, (ik, jk) in enumerate(self.pair_groups):
-            out[:, :, t] = (a[:, :, ik].reshape(n, -1)
-                            @ bt[:, jk].reshape(-1, m))
-        return out
+        at, bt = a.transpose(2, 0, 1), b.transpose(2, 0, 1)
+        out = at[0] @ bt
+        for t, pairs in self.levels:
+            out[t] += self.level_product(pairs, at, bt)
+        return out.transpose(1, 2, 0)
 
     def diff_coeffs(self, a: np.ndarray, mu: int) -> np.ndarray:
         return a @ self.deriv[mu]
@@ -261,9 +278,8 @@ class JetRing:
     first, and :meth:`block_view` is the one place that splits it.
     Derivatives, truncation masks, the constant part, block access and the
     lift :meth:`promote` all act through that view, so an extended ring
-    defines only its block count, its nonzero block products
-    (``block_pairs``) and its product.  ``JetRing`` itself is the one-block
-    case.
+    defines only its block count and its nonzero block products
+    (``block_pairs``).  ``JetRing`` itself is the one-block case.
     """
 
     blocks = 1  # blocks per value, the base block first
@@ -326,22 +342,76 @@ class JetRing:
         return out
 
 
-class NilpotentExtension(JetRing):
+class ExtendedRing(JetRing):
+    """Base jet ring extended by nilpotent directions, value block first.
+
+    A subclass sets its block count and ``block_pairs``, the table of
+    nonzero block products (i, j, o): block i of one factor times block j
+    of the other adds to block o of the product.  That table alone drives
+    both rules here: :meth:`mul` and :meth:`live_product`.
+
+    Each factor carries live flags, the blocks that may be nonzero
+    somewhere in the batch; they are passed by the caller or found in one
+    pass over each factor (:meth:`live_blocks`: a nonzero, NaN or inf).  A
+    product multiplies only the pairs whose two blocks are both live, in one
+    pair-table call, and sums each output block's products in one
+    ``np.add.reduceat``.  An output block that no live pair reaches comes
+    out exactly 0.0, even where the other factor holds inf or NaN.
+    """
+
+    def __init__(self, degree: int):
+        super().__init__(degree)
+        self.base = JetRing(degree)
+        # the pairs sorted by output block, stably, so each output block
+        # sums its products in table order
+        pairs = sorted(self.block_pairs, key=lambda pair: pair[2])
+        self._left, self._right, self._out = np.array(pairs).T
+        # every block o has the pair (0, o, o), so each starts a run
+        self._out_starts = np.flatnonzero(np.diff(self._out, prepend=-1))
+
+    def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
+        """The product; ``live`` is (lx, ly), for each factor the blocks
+        that may be nonzero somewhere in the batch, as (blocks,) booleans
+        (by default, those that are, as found by :meth:`live_blocks`)."""
+        if live is None:
+            live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
+                    for z in (x, y)]
+        lx, ly = live
+        keep = np.flatnonzero(lx[self._left] & ly[self._right])
+        out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+        if keep.size:
+            xs, ys = self.block_view(x), self.block_view(y)
+            prod = self.base.mul(xs[..., self._left[keep], :],
+                                 ys[..., self._right[keep], :])
+            outs = self._out[keep]
+            starts = np.flatnonzero(np.diff(outs, prepend=-1))
+            self.block_view(out)[..., outs[starts], :] = np.add.reduceat(
+                prod, starts, axis=-2)
+        return out
+
+    def live_blocks(self, x: np.ndarray) -> np.ndarray:
+        """(..., width) -> (..., blocks) booleans: the blocks, value first,
+        that hold a nonzero, NaN or inf; all others are exactly zero."""
+        # one gemv over |x|, faster than x.any(-1)
+        return (np.abs(self.block_view(x)) @ np.ones(self.base_width)) != 0
+
+    def live_product(self, lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+        """(..., blocks) live flags of two factors -> those of their
+        product: block o may be nonzero where a pair (i, j, o) meets live
+        blocks i and j."""
+        hit = lx[..., self._left] & ly[..., self._right]
+        return np.logical_or.reduceat(hit, self._out_starts, axis=-1)
+
+
+class NilpotentExtension(ExtendedRing):
     """Base jet ring extended by k directions eps_i with eps_i*eps_j = 0.
 
     A value has k+1 blocks in the layout of :class:`JetRing`:
     [value, d/d eps_1, ..., d/d eps_k].  Running a whole pipeline over this
     ring yields the pipeline value together with k exact directional
     derivatives; this is how gauge variations, commutators, linearizations
-    and Euler-Lagrange gradients are extracted below.
-
-    A product multiplies a tangent block of one factor by the other
-    factor's value only where both blocks are flagged live somewhere in the
-    batch, in one pair-table call together with the value product.  The
-    flags are passed by the caller or found in one pass over each factor
-    (:meth:`live_blocks`: a nonzero, NaN or inf).  A tangent block that
-    meets no live partner comes out exactly 0.0, even where the other
-    factor holds inf or NaN.
+    and Euler-Lagrange gradients are extracted below.  A tangent block of
+    the product is the tangent of one factor times the value of the other.
     """
 
     def __init__(self, degree: int, directions: int = 1):
@@ -351,39 +421,9 @@ class NilpotentExtension(JetRing):
             pair for d in range(1, self.blocks)
             for pair in ((0, d, d), (d, 0, d)))
         super().__init__(degree)
-        self.base = JetRing(degree)
-
-    def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
-        """The product; ``live`` is (lx, ly), for each factor the blocks
-        that may be nonzero somewhere in the batch, as (k+1,) booleans (by
-        default, those that are, as found by :meth:`live_blocks`)."""
-        xs, ys = self.block_view(x), self.block_view(y)
-        if live is None:
-            live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
-                    for z in (x, y)]
-        lx, ly = live
-        # the tangent blocks of one factor met by the other's value
-        tx = 1 + np.flatnonzero(lx[1:] & ly[0])
-        ty = 1 + np.flatnonzero(ly[1:] & lx[0])
-        # one pair-kernel call on the block pairs (0, 0), (0, ty), (tx, 0)
-        head = np.concatenate([[0], ty])
-        left = np.concatenate([np.zeros(len(head), int), tx])
-        right = np.concatenate([head, np.zeros(len(tx), int)])
-        prod = self.base.mul(xs[..., left, :], ys[..., right, :])
-        out = self.zeros(prod.shape[:-2])
-        blocks = self.block_view(out)
-        blocks[..., head, :] = prod[..., :len(head), :]
-        blocks[..., tx, :] += prod[..., len(head):, :]
-        return out
-
-    def live_blocks(self, x: np.ndarray) -> np.ndarray:
-        """(..., width) -> (..., k+1) booleans: the blocks, value first,
-        that hold a nonzero, NaN or inf; all others are exactly zero."""
-        # one gemv over |x|, faster than x.any(-1)
-        return (np.abs(self.block_view(x)) @ np.ones(self.base_width)) != 0
 
 
-class EpsilonTower(JetRing):
+class EpsilonTower(ExtendedRing):
     """Base jet ring extended by one eps with eps^(order+1) = 0.
 
     A value has order+1 blocks in the layout of :class:`JetRing`:
@@ -397,12 +437,3 @@ class EpsilonTower(JetRing):
         self.block_pairs = tuple((i, j, i + j) for i in range(self.blocks)
                                  for j in range(self.blocks - i))
         super().__init__(degree)
-        self.base = JetRing(degree)
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xs, ys = self.block_view(x), self.block_view(y)
-        out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
-        blocks = self.block_view(out)
-        for i, j, o in self.block_pairs:
-            blocks[..., o, :] += self.base.mul(xs[..., i, :], ys[..., j, :])
-        return out

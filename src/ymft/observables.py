@@ -123,7 +123,6 @@ def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
 
 
 def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
-                           positive_definite: bool,
                            n_timelike: int = 8, seed: int = 0,
                            tol: float = 1e-12) -> dict:
     """Energy positivity and flux causality over sampled strength values.
@@ -131,12 +130,17 @@ def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
     ``samples`` is a non-empty iterable of (star_p values (n,4,4), star_q
     values (m,4)) pointwise arrays (antisymmetric in the 2-form slot).  Each
     sample is tested against ``n_timelike`` random unit timelike vectors.
-    Refuses indefinite internal metrics: the causal energy statements hold
-    only for positive-definite inner products.
+    Refuses internal metrics ``ga``, ``gb`` that are not symmetric with
+    smallest eigenvalue > 0: the causal energy statements hold only for
+    positive-definite inner products.
     """
-    if not positive_definite:
-        raise ValueError("energy/causality checks require positive-definite "
-                         "inner products; the supplied metric is not")
+    for name, g in (("ga", ga), ("gb", gb)):
+        g = np.asarray(g, dtype=float)
+        if not (np.allclose(g, g.T, atol=1e-13)
+                and np.linalg.eigvalsh(g).min() > 0):
+            raise ValueError(f"energy/causality checks require "
+                             f"positive-definite inner products; {name} is "
+                             f"not")
     samples = list(samples)
     if not samples:
         raise ValueError("energy/causality check needs at least one sample")

@@ -16,11 +16,13 @@ and with the coefficient arrays of A or B, elementwise over the whole ring
 width, so assembly makes no jet products and works over every ring.  Y is
 never inverted: the inverse Y0^{-1} of its constant block is formed once,
 and Y x = r is solved order by order on right-hand-side columns.  On the
-base block each output monomial is Y0^{-1} applied to its right-hand side
-less one real matmul over the already-solved lower orders; the blocks of
-an extended ring follow in waves, their couplings to solved blocks
-subtracted first and the blocks of one wave stacked as extra columns of a
-single base solve.  Invertibility of the constant block is exactly the
+base block the monomials of one total degree are solved together: Y0^{-1}
+applied to their right-hand sides less the couplings to the lower degrees,
+which are the level kernel of :mod:`ymft.jets`, one gathered batched
+matmul and one ``np.add.reduceat`` per degree.  The blocks of an extended
+ring follow in waves, their couplings to solved blocks subtracted first
+and the blocks of one wave stacked as extra columns of a single base
+solve.  Invertibility of the constant block is exactly the
 det(Y) != 0 restriction on admissible field configurations.
 """
 
@@ -294,39 +296,41 @@ def _solve_waves(ring, nonzero):
 class YInverse:
     """Solves Y x = r order by order; Y^{-1} itself is never formed.
 
-    On the base block the output monomials t are walked in graded order,
-    x_t = Y0^{-1}(r_t - sum_{(i, j) -> t, i != 0} Y_i x_j), one real matmul
-    per monomial over the already-solved x_j.  The blocks of the ring are
+    On the base block the degree levels d = 0..D are walked in turn,
+    x_t = Y0^{-1}(r_t - sum_{(i, j) -> t, i != 0} Y_i x_j) for every
+    monomial t of degree d at once.  Each x_j on the right has degree < d,
+    so it is solved already, and the sum is
+    :meth:`ymft.jets.JetAlgebra.level_product`: D + 1 Python steps, and no
+    per-monomial table is kept between solves.  The blocks of the ring are
     solved in waves (:func:`_solve_waves`): the couplings Y_i x_j to solved
     blocks are one matmul per j against the multiplication matrices of x_j,
-    and the blocks of a wave are extra columns of one base solve.
+    and the blocks of a wave are extra columns of one base solve.  A solver
+    holds Y, Y0^{-1}, its base block in monomial-first order and its wave
+    plan.
     """
 
     def __init__(self, yop: YOperator, y0_inv: np.ndarray):
         self.yop = yop
         self.y0_inv = y0_inv
-        ring, size = yop.ring, yop.size
+        ring = yop.ring
         self._blocks = ring.block_view(yop.matrix)
-        base = self._blocks[:, :, 0]
-        # per output monomial t: the solved j of the non-constant pairs
-        # (i, j) -> t, and the matching Y_i as one (size, size * r) matrix
-        self._steps = []
-        for ik, jk in ring.algebra.pair_groups:
-            ik, jk = ik[ik != 0], jk[ik != 0]
-            self._steps.append(
-                (jk, base[:, :, ik].reshape(size, size * len(ik))))
+        # the base block, monomial first: (n, size, size)
+        self._base = np.ascontiguousarray(
+            np.moveaxis(self._blocks[:, :, 0], -1, 0))
         nonzero = [bool(self._blocks[:, :, i].any())
                    for i in range(ring.blocks)]
         self._waves = _solve_waves(ring, nonzero)
 
     def _solve_base(self, rhs: np.ndarray) -> np.ndarray:
         """(size, M, n) -> (size, M, n): the graded solve on the base block."""
-        size, cols, n = rhs.shape
-        x = np.empty((size, n, cols))
-        for t, (jk, y_t) in enumerate(self._steps):
-            x[:, t] = self.y0_inv @ (
-                rhs[:, :, t] - y_t @ x[:, jk].reshape(-1, cols))
-        return x.transpose(0, 2, 1)
+        alg = self.yop.ring.algebra
+        rt = rhs.transpose(2, 0, 1)
+        x = np.empty(rt.shape)
+        x[0] = self.y0_inv @ rt[0]
+        for t, pairs in alg.levels:
+            x[t] = self.y0_inv @ (
+                rt[t] - alg.level_product(pairs, self._base, x))
+        return x.transpose(1, 2, 0)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
@@ -361,7 +365,6 @@ class StrengthPair:
     starQ: LieForm
     F: LieForm
     H: LieForm
-    y_op: YOperator
     y_inv: YInverse
 
     def defining_residual(self, config: FieldConfig,
@@ -387,8 +390,7 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet
     h_form = config.dB
     if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
-    yop = assemble_Y(config, ds)
-    yinv = invert_Y(yop)
+    yinv = invert_Y(assemble_Y(config, ds))
     vec = yinv.apply(stack_pair(f_form, h_form))
     order = min(f_form.order, h_form.order)
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
@@ -396,7 +398,7 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet
     return StrengthPair(p_form, q_form,
                         epsilon_dual(p_form, "2form"),
                         epsilon_dual(q_form, "3form"),
-                        f_form, h_form, yop, yinv)
+                        f_form, h_form, yinv)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_9_observables():
 
     rng = np.random.default_rng(2)
     samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-    causal = energy_causality_check(samples, np.eye(3), np.eye(3), True,
+    causal = energy_causality_check(samples, np.eye(3), np.eye(3),
                                     n_timelike=4)
 
     ring = JetRing(3)

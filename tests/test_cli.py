@@ -225,13 +225,16 @@ def test_degree_override_below_one_exits_2(tmp_path, degree):
 
 
 def test_empty_check_list_exits_2(tmp_path):
-    # a suite with no checks would report "passed": true
-    payload = dict(BASE, checks=[])
-    cfg = write_config(tmp_path, payload)
-    proc = run_cli(["verify-theory", "--config", cfg])
-    assert proc.returncode == 2
-    assert "checks must be a non-empty list" in proc.stderr
-    assert proc.stdout == ""
+    # a suite with no checks would report "passed": true, and an entry
+    # that is not a check name ended in a traceback
+    for checks in ([], [["noether"]]):
+        cfg = write_config(tmp_path, dict(BASE, checks=checks))
+        proc = run_cli(["verify-theory", "--config", cfg])
+        assert proc.returncode == 2
+        assert "checks must be a non-empty list of check names" \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_tol_zero_override_is_applied(tmp_path):
@@ -368,6 +371,12 @@ BAD_OBSERVABLES = [
      "observables.radius must be a finite number > 0"),
     ({"radius": "2.0"}, "observables.radius must be a finite number > 0"),
     ({"sampler": ["coulomb"]}, "unknown sampler ['coulomb']"),
+    ({"center": [0, 0]}, "observables.center must be three finite numbers"),
+    ({"center": [0, 0, float("nan")]},
+     "observables.center must be three finite numbers"),
+    ({"center": [0, "0", 0]},
+     "observables.center must be three finite numbers"),
+    ({"center": 0.5}, "observables.center must be three finite numbers"),
 ]
 
 

@@ -29,16 +29,25 @@ def test_truncated_product_against_brute_force(degree):
 
 @pytest.mark.parametrize("degree", range(8))
 def test_pair_groups_keep_row_major_order(degree):
-    # the graded Y solve sums each group's pairs in this order
+    # the graded Y solve and matmul_coeffs sum each monomial's pairs with
+    # i != 0 level by level, in this order
     alg = jet_algebra(degree)
-    seen = []
-    for k, (ik, jk) in enumerate(alg.pair_groups):
-        pairs = list(zip(ik.tolist(), jk.tolist()))
-        assert pairs == sorted(pairs)
-        assert all(alg.mul_index[j, k] == i for i, j in pairs)
-        seen += pairs
-    assert sorted(seen) == sorted(zip(alg.pair_i.tolist(),
-                                      alg.pair_j.tolist()))
+    seen, monomials = [], []
+    for d, (level, (ik, jk, starts)) in enumerate(alg.levels, start=1):
+        ts = range(alg.n_terms)[level]
+        assert all(alg.term_degree[t] == d for t in ts)
+        assert len(starts) == len(ts) and starts[0] == 0
+        runs = np.split(np.stack([ik, jk], axis=1), starts[1:])
+        for t, run in zip(ts, runs):
+            pairs = [tuple(pair) for pair in run.tolist()]
+            assert pairs == sorted(pairs)
+            assert all(i != 0 and alg.mul_index[j, t] == i for i, j in pairs)
+            seen += pairs
+        monomials += ts
+    # the levels tile the non-constant monomials and hold each pair once
+    assert monomials == list(range(1, alg.n_terms))
+    assert sorted(seen) == sorted((i, j) for i, j in zip(
+        alg.pair_i.tolist(), alg.pair_j.tolist()) if i != 0)
 
 
 def test_monomial_count_degree3():
@@ -314,10 +323,43 @@ def test_nilpotent_mul_skips_tangents_against_a_zero_value(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(ring.base, "mul", recorded)
-    # each way round: the value product and x's three live tangents
-    # times y's value
+    # each way round: x's three live tangents times y's value; the dead
+    # value block of x skips the value product too
     for a, b in ((x, y), (y, x)):
         rows.clear()
         got = ring.mul(a, b)
-        assert rows == [1 + 3]
+        assert rows == [3]
         assert _rel_err(got, loop_nilpotent_mul(ring, a, b)) <= 1e-14
+
+
+def loop_tower_mul(ring: EpsilonTower, x, y):
+    """Reference tower product: one jet product per block pair."""
+    xs, ys = ring.block_view(x), ring.block_view(y)
+    out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
+    for i in range(ring.blocks):
+        for j in range(ring.blocks - i):
+            out[..., i + j, :] += ring.base.mul(xs[..., i, :], ys[..., j, :])
+    return out.reshape(out.shape[:-2] + (ring.width,))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_tower_mul_is_one_kernel_call_on_live_pairs(order, monkeypatch):
+    ring = EpsilonTower(3, order)
+    rng = np.random.default_rng(63 + order)
+    x = rng.uniform(-1, 1, (3, 1, ring.blocks, ring.base_width))
+    y = rng.uniform(-1, 1, (1, 3, ring.blocks, ring.base_width))
+    x[..., 0, :] = 0.0  # x lifted as eps * f: its value block is dead
+    x, y = x.reshape(3, 1, -1), y.reshape(1, 3, -1)
+    rows = []
+    original = ring.base.mul
+
+    def recorded(a, b):
+        rows.append(a.shape[-2])
+        return original(a, b)
+
+    monkeypatch.setattr(ring.base, "mul", recorded)
+    got = ring.mul(x, y)
+    # the pairs (i, j, i + j) with i >= 1, all in one call
+    assert rows == [order * (order + 1) // 2]
+    assert _rel_err(got, loop_tower_mul(ring, x, y)) <= 1e-15
+    assert np.all(ring.block(got, 0) == 0.0)

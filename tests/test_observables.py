@@ -89,21 +89,32 @@ def test_stress_energy_unchanged_under_second_type_variation_linear():
 def test_causality_sampling():
     rng = np.random.default_rng(1)
     samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-    rep = energy_causality_check(samples, np.eye(3), np.eye(3), True,
+    rep = energy_causality_check(samples, np.eye(3), np.eye(3),
                                  n_timelike=4)
     assert rep["energy_nonnegative"] and rep["flux_causal"]
     assert rep["samples"] == 1000
 
 
 def test_causality_refuses_indefinite_metric():
-    with pytest.raises(ValueError):
-        energy_causality_check([], np.diag([1.0, 1.0, -1.0]), np.eye(3),
-                               False)
+    # each metric is checked, gb too: an indefinite gb once passed when the
+    # caller vouched for it
+    samples = [random_strength_values(np.random.default_rng(3), 3, 3)]
+    indefinite = np.diag([1.0, 1.0, -1.0])
+    skew = np.eye(3) + np.triu(np.ones((3, 3)), 1)  # not symmetric
+    for ga, gb, name in ((indefinite, np.eye(3), "ga"),
+                         (np.eye(3), indefinite, "gb"),
+                         (np.eye(3), -np.eye(3), "gb"),
+                         (skew, np.eye(3), "ga")):
+        with pytest.raises(ValueError, match=f"positive-definite inner "
+                                             f"products; {name} is not"):
+            energy_causality_check(samples, ga, gb)
+    with pytest.raises(ValueError, match="ga is not"):
+        energy_causality_check([], indefinite, np.eye(3))
 
 
 def test_causality_zero_strengths():
     rep = energy_causality_check([(np.zeros((3, 4, 4)), np.zeros((3, 4)))],
-                                 np.eye(3), np.eye(3), True)
+                                 np.eye(3), np.eye(3))
     assert rep["min_energy"] == 0.0 and abs(rep["max_flux_norm"]) == 0.0
 
 
@@ -280,7 +291,7 @@ def test_causality_matches_per_point_reference(seed):
     samples = [random_strength_values(rng, 3, 2) for _ in range(150)]
     ga, gb = np.diag([1.0, 2.0, 0.5]), 1.5 * np.eye(2)
     for n_timelike in (8, 3):
-        rep = energy_causality_check(samples, ga, gb, True,
+        rep = energy_causality_check(samples, ga, gb,
                                      n_timelike=n_timelike, seed=seed)
         energy, flux = ref_energy_causality(samples, ga, gb, n_timelike,
                                             seed)
@@ -293,9 +304,9 @@ def test_causality_matches_per_point_reference(seed):
 
 def test_causality_rejects_empty_sample_set():
     with pytest.raises(ValueError, match="at least one sample"):
-        energy_causality_check([], np.eye(3), np.eye(3), True)
+        energy_causality_check([], np.eye(3), np.eye(3))
     with pytest.raises(ValueError, match="at least one sample"):
-        energy_causality_check(iter([]), np.eye(3), np.eye(3), True)
+        energy_causality_check(iter([]), np.eye(3), np.eye(3))
 
 
 def test_wrong_sampler_shape_rejected():
