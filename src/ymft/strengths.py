@@ -305,8 +305,7 @@ class YInverse:
     solved in waves (:func:`_solve_waves`): the couplings Y_i x_j to solved
     blocks are one matmul per j against the multiplication matrices of x_j,
     and the blocks of a wave are extra columns of one base solve.  A solver
-    holds Y, Y0^{-1}, its base block in monomial-first order and its wave
-    plan.
+    holds only Y, Y0^{-1} and its wave plan.
     """
 
     def __init__(self, yop: YOperator, y0_inv: np.ndarray):
@@ -314,9 +313,6 @@ class YInverse:
         self.y0_inv = y0_inv
         ring = yop.ring
         self._blocks = ring.block_view(yop.matrix)
-        # the base block, monomial first: (n, size, size)
-        self._base = np.ascontiguousarray(
-            np.moveaxis(self._blocks[:, :, 0], -1, 0))
         nonzero = [bool(self._blocks[:, :, i].any())
                    for i in range(ring.blocks)]
         self._waves = _solve_waves(ring, nonzero)
@@ -324,12 +320,14 @@ class YInverse:
     def _solve_base(self, rhs: np.ndarray) -> np.ndarray:
         """(size, M, n) -> (size, M, n): the graded solve on the base block."""
         alg = self.yop.ring.algebra
+        # the base block monomial first, (n, size, size), copied so that
+        # each level gathers whole matrices
+        base = np.ascontiguousarray(np.moveaxis(self._blocks[:, :, 0], -1, 0))
         rt = rhs.transpose(2, 0, 1)
         x = np.empty(rt.shape)
         x[0] = self.y0_inv @ rt[0]
         for t, pairs in alg.levels:
-            x[t] = self.y0_inv @ (
-                rt[t] - alg.level_product(pairs, self._base, x))
+            x[t] = self.y0_inv @ (rt[t] - alg.level_product(pairs, base, x))
         return x.transpose(1, 2, 0)
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -225,8 +225,8 @@ def test_degree_override_below_one_exits_2(tmp_path, degree):
 
 
 def test_empty_check_list_exits_2(tmp_path):
-    # a suite with no checks would report "passed": true, and an entry
-    # that is not a check name ended in a traceback
+    # a suite with no checks would report "passed": true; an entry that
+    # is not a check name is a schema error, not a crash
     for checks in ([], [["noether"]]):
         cfg = write_config(tmp_path, dict(BASE, checks=checks))
         proc = run_cli(["verify-theory", "--config", cfg])

@@ -96,15 +96,14 @@ def test_causality_sampling():
 
 
 def test_causality_refuses_indefinite_metric():
-    # each metric is checked, gb too: an indefinite gb once passed when the
-    # caller vouched for it
+    # each metric is checked on its own, gb as well as ga
     samples = [random_strength_values(np.random.default_rng(3), 3, 3)]
     indefinite = np.diag([1.0, 1.0, -1.0])
-    skew = np.eye(3) + np.triu(np.ones((3, 3)), 1)  # not symmetric
+    asymmetric = np.eye(3) + np.triu(np.ones((3, 3)), 1)
     for ga, gb, name in ((indefinite, np.eye(3), "ga"),
                          (np.eye(3), indefinite, "gb"),
                          (np.eye(3), -np.eye(3), "gb"),
-                         (skew, np.eye(3), "ga")):
+                         (asymmetric, np.eye(3), "ga")):
         with pytest.raises(ValueError, match=f"positive-definite inner "
                                              f"products; {name} is not"):
             energy_causality_check(samples, ga, gb)
