@@ -354,9 +354,10 @@ class ExtendedRing(JetRing):
     somewhere in the batch; they are passed by the caller or found in one
     pass over each factor (:meth:`live_blocks`: a nonzero, NaN or inf).  A
     product multiplies only the pairs whose two blocks are both live, in one
-    pair-table call, and sums each output block's products in one
-    ``np.add.reduceat``.  An output block that no live pair reaches comes
-    out exactly 0.0, even where the other factor holds inf or NaN.
+    pair-table call, and sums the products of each output block in one
+    ``np.add.reduceat`` (needed only where a block has two).  An output
+    block that no live pair reaches comes out exactly 0.0, even where the
+    other factor holds inf or NaN.
     """
 
     def __init__(self, degree: int):
@@ -368,6 +369,7 @@ class ExtendedRing(JetRing):
         self._left, self._right, self._out = np.array(pairs).T
         # every block o has the pair (0, o, o), so each starts a run
         self._out_starts = np.flatnonzero(np.diff(self._out, prepend=-1))
+        self._plans = {}  # live flags of both factors -> their pairs
 
     def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
         """The product; ``live`` is (lx, ly), for each factor the blocks
@@ -376,18 +378,31 @@ class ExtendedRing(JetRing):
         if live is None:
             live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
                     for z in (x, y)]
-        lx, ly = live
-        keep = np.flatnonzero(lx[self._left] & ly[self._right])
+        left, right, outs, starts = self._live_pairs(*live)
         out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
-        if keep.size:
+        if len(left):
             xs, ys = self.block_view(x), self.block_view(y)
-            prod = self.base.mul(xs[..., self._left[keep], :],
-                                 ys[..., self._right[keep], :])
+            prod = self.base.mul(xs[..., left, :], ys[..., right, :])
+            if starts is not None:
+                prod = np.add.reduceat(prod, starts, axis=-2)
+            self.block_view(out)[..., outs, :] = prod
+        return out
+
+    def _live_pairs(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
+        """The pairs (i, j, o) with lx[i] and ly[j], as (left blocks, right
+        blocks, output blocks, the start of each output's run of pairs, or
+        None where no output has two).  Kept per pattern of flags: a
+        pipeline repeats few patterns, and this saves their index work."""
+        key = lx.tobytes() + ly.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            keep = np.flatnonzero(lx[self._left] & ly[self._right])
             outs = self._out[keep]
             starts = np.flatnonzero(np.diff(outs, prepend=-1))
-            self.block_view(out)[..., outs[starts], :] = np.add.reduceat(
-                prod, starts, axis=-2)
-        return out
+            plan = self._plans[key] = (
+                self._left[keep], self._right[keep], outs[starts],
+                None if len(starts) == len(keep) else starts)
+        return plan
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., blocks) booleans: the blocks, value first,
