@@ -138,9 +138,8 @@ def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
         g = np.asarray(g, dtype=float)
         if not (np.allclose(g, g.T, atol=1e-13)
                 and np.linalg.eigvalsh(g).min() > 0):
-            raise ValueError(f"energy/causality checks require "
-                             f"positive-definite inner products; {name} is "
-                             f"not")
+            raise ValueError("energy/causality checks require positive-"
+                             f"definite inner products; {name} is not")
     samples = list(samples)
     if not samples:
         raise ValueError("energy/causality check needs at least one sample")
