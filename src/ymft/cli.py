@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, lie_core
 from .config import (ConfigError, RunConfig, load_config, validate_degree,
-                     validate_tolerance)
+                     validate_seed, validate_tolerance)
 from .deformations import (check_all_relations, check_e_mass_obstruction,
                            check_linear_relations, check_quadratic_relations,
                            parity_grade)
@@ -96,6 +96,13 @@ def _degree(config: RunConfig, args) -> int:
     return args.degree
 
 
+def _seeds(config: RunConfig, args) -> list:
+    if args.seed is None:
+        return config.jet["seeds"]
+    validate_seed(args.seed, "--seed")
+    return [args.seed]
+
+
 def cmd_verify_algebra(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "verify-algebra")
     sc = config.structure_constants()
@@ -146,7 +153,7 @@ def cmd_verify_theory(config: RunConfig, args) -> int:
             _emit(report, args, None)
             return EXIT_FAIL
     variant = config.variant()
-    seeds = [args.seed] if args.seed is not None else config.jet["seeds"]
+    seeds = _seeds(config, args)
     tols = dict(config.tolerances)
     if args.tol is not None:
         tols.update(dict.fromkeys(DEFAULT_TOLS, args.tol))
@@ -171,7 +178,7 @@ def cmd_observables(config: RunConfig, args) -> int:
     report = _report_skeleton(config, "observables")
     section = config.observables_section()
     degree = _degree(config, args)
-    seeds = [args.seed] if args.seed is not None else config.jet["seeds"]
+    seeds = _seeds(config, args)
     start = time.perf_counter()
     passed = True
 

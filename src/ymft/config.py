@@ -67,15 +67,25 @@ def _tensor(section: dict, key: str, shape: tuple, where: str,
         raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
-def validate_degree(degree) -> None:
-    """Reject a jet degree that is not a positive integer."""
-    if not isinstance(degree, int) or degree < 1:
-        raise ConfigError("jet.degree must be a positive integer")
+def _integer(value) -> bool:
+    """An int that is not a bool (JSON true and false are ints here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value > 0
+    return _integer(value) and value > 0
+
+
+def validate_degree(degree) -> None:
+    """Reject a jet degree that is not a positive integer."""
+    if not _positive_int(degree):
+        raise ConfigError("jet.degree must be a positive integer")
+
+
+def validate_seed(seed, where: str) -> None:
+    """Reject a field seed that is not an integer >= 0."""
+    if not (_integer(seed) and seed >= 0):
+        raise ConfigError(f"{where} must be an integer >= 0")
 
 
 def _finite_number(value) -> bool:
@@ -113,6 +123,16 @@ def _validate_observables(section: dict) -> None:
         raise ConfigError("observables.center must be three finite numbers")
 
 
+def _dims(section: dict) -> tuple:
+    """The internal dimensions (dim A, dim A') of a deformation section."""
+    dims = section.get("dims")
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(map(_positive_int, dims))):
+        raise ConfigError("deformation.dims must be [dim A, dim A'], two "
+                          "positive integers")
+    return tuple(dims)
+
+
 def validate_tolerance(tol, where: str) -> float:
     """A tolerance as a float; reject one that is not finite and >= 0."""
     try:
@@ -137,10 +157,13 @@ class RunConfig:
             _require_keys(raw["jet"], _JET_KEYS, "jet")
             self.jet.update(raw["jet"])
         if not isinstance(self.jet["seeds"], list) or not self.jet["seeds"] \
-                or not all(isinstance(s, int) for s in self.jet["seeds"]):
+                or not all(_integer(s) and s >= 0 for s in self.jet["seeds"]):
             raise ConfigError("jet.seeds must be a non-empty list of "
-                              "integers")
+                              "integers >= 0")
         validate_degree(self.jet["degree"])
+        amplitude = self.jet["amplitude"]
+        if not (_finite_number(amplitude) and amplitude >= 0):
+            raise ConfigError("jet.amplitude must be a finite number >= 0")
 
         self.tolerances = dict(DEFAULT_TOLS, constraints=1e-10)
         if "tolerances" in raw:
@@ -180,15 +203,14 @@ class RunConfig:
         if section is None:
             raise ConfigError("config has no algebra section")
         family = section.get("family")
+        dim = section.get("dim", None if family is None else 3)
+        if not _positive_int(dim):
+            raise ConfigError("algebra.dim must be a positive integer")
         if family is not None:
             if family not in _ALGEBRA_FAMILIES:
                 raise ConfigError(f"unknown algebra family {family!r}")
             return {"su2": lie_core.su2, "su11": lie_core.su11,
-                    "abelian": lambda: lie_core.abelian(
-                        section.get("dim", 3))}[family]()
-        dim = section.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("algebra.dim must be a positive integer")
+                    "abelian": lambda: lie_core.abelian(dim)}[family]()
         metric = _tensor(section, "inner_product", (dim, dim), "algebra",
                          default=np.eye(dim))
         c = _tensor(section, "structure_constants", (dim, dim, dim),
@@ -212,11 +234,7 @@ class RunConfig:
                            default=np.zeros((3, 3)))
             return family_solvable(v, w, cmap)
         if family == "e_only":
-            dims = section.get("dims")
-            if (not isinstance(dims, list) or len(dims) != 2
-                    or not all(isinstance(d, int) for d in dims)):
-                raise ConfigError("deformation.dims must be [dim A, dim A']")
-            n, m = dims
+            n, m = _dims(section)
             e = _tensor(section, "e", (m, n, n), "deformation")
             return family_e_only(e)
         if family == "general":
@@ -228,11 +246,7 @@ class RunConfig:
                                   massless_b=lie_core.su2(), h0=h0,
                                   massive=lie_core.abelian(1),
                                   mass_value=mass_value)
-        dims = section.get("dims")
-        if (not isinstance(dims, list) or len(dims) != 2
-                or not all(isinstance(d, int) for d in dims)):
-            raise ConfigError("deformation.dims must be [dim A, dim A']")
-        n, m = dims
+        n, m = _dims(section)
         mass = _tensor(section, "mass_matrix", (n, m), "deformation",
                        default=np.zeros((n, m)))
         if family == "linear":

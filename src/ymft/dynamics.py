@@ -15,10 +15,13 @@ coefficients: gauge variations, commutators and linearizations are taken by
 running the whole pipeline over a nilpotent ring extension, so no finite
 differencing enters anywhere.  A check seeds every direction it needs into
 one tangent ring (:func:`tangent_config`) and runs the pipeline over it
-once.  Statements that hold "on solutions" are verified in their off-shell
-form with the explicit field-equation remainder terms; remainders without a
-closed display were derived once against random-jet data and are frozen
-below (see CONVENTIONS.md).
+once.  The Euler-Lagrange gradients, where one scalar is differentiated
+along every slot component, come instead from one reverse sweep over the
+base ring (:func:`generic_field_equations`).  Statements that hold "on
+solutions" are verified in their off-shell form with the explicit
+field-equation remainder terms; remainders without a closed display were
+derived once against random-jet data and are frozen below (see
+CONVENTIONS.md).
 
 A :class:`SeedContext` holds one seed's fields and computes their strengths
 and field equations once, when first needed.  The suite driver builds one
@@ -39,14 +42,14 @@ import numpy as np
 
 from .deformations import (DeformationSet, check_e_mass_obstruction,
                            make_deformation)
-from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, promote_form,
-                    random_field_config, random_gauge_params, scalar_pairing,
-                    tangent_parts, volume_coefficient)
-from .jets import JetRing, JetScalar, NilpotentExtension
+from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, adjoints,
+                    mark_leaf, promote_form, random_field_config,
+                    random_gauge_params, scalar_pairing, tangent_parts)
+from .jets import NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
-                        b_transpose_pairing, block_metric, compute_strengths,
-                        stack_pair, substitution_residual_massless,
+                        b_transpose_pairing, compute_strengths, stack_pair,
+                        substitution_residual_massless,
                         substitution_residual_massive, unstack_pair)
 
 LINEAR = "linear-abelian"
@@ -187,28 +190,6 @@ def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
     return (_pair4(strengths.starP, strengths.F, ds.ga).scale(0.5)
             + _pair4(strengths.starQ, strengths.H, ds.gb).scale(0.5)
             + strengths.F.wedge(b_form, mass[None]))
-
-
-def lagrangian(variant: TheoryVariant, config: FieldConfig,
-               strengths: StrengthPair | None = None) -> JetScalar:
-    """Volume coefficient of the Lagrangian 4-form."""
-    return volume_coefficient(lagrangian_form(variant, config, strengths))
-
-
-def lagrangian_symmetric_form(variant: TheoryVariant, config: FieldConfig,
-                              strengths: StrengthPair) -> JetScalar:
-    """The cross-representation (1/2) M^T Y^{-1} M value (massless sets).
-
-    M stacks (F, H); Y^{-1} M is solved afresh and paired with M through
-    the :func:`block_metric` of the pairing <(P,Q),(F,H)> =
-    g_ab *P^a^F^b + g'_{a'b'} *Q^{a'}^H^{b'}, with no wedge product.
-    """
-    ds, ring = variant.ds, config.ring
-    m = stack_pair(strengths.F, strengths.H)
-    metric = block_metric(ds.space_a.dim, ds.space_b.dim, ds.ga, ds.gb)
-    value = 0.5 * ring.mul(strengths.y_inv.apply(m), metric @ m).sum(0)
-    return JetScalar(ring.algebra, ring.base_block(value),
-                     min(strengths.F.order, strengths.H.order))
 
 
 def field_equations(variant: TheoryVariant, config: FieldConfig,
@@ -573,16 +554,14 @@ def _q_identity(ds, config, strengths, e_a, e_b) -> LieForm:
 
 def _wedge3(f: LieForm, g: LieForm, h: LieForm,
             tensor: np.ndarray) -> LieForm:
-    """out^o = tensor[o, i, j, k] f^i ^ g^j ^ h^k (triple internal pairing)."""
+    """out^o = tensor[o, i, j, k] f^i ^ g^j ^ h^k (triple internal pairing):
+    f ^ g into the pairs (o, k), then one wedge with h that contracts k."""
     tensor = np.asarray(tensor, dtype=float)
-    n_out = tensor.shape[0]
-    out = None
-    glue = np.eye(n_out)[:, :, None]
-    for k in range(h.n):
-        h_k = LieForm(h.ring, h.p, h.comps[k:k + 1], h.order)
-        term = f.wedge(g, tensor[:, :, :, k]).wedge(h_k, glue)
-        out = term if out is None else out + term
-    return out
+    n_out, n_h = tensor.shape[0], tensor.shape[3]
+    f_g = f.wedge(g, tensor.transpose(0, 3, 1, 2).reshape(n_out * n_h,
+                                                           f.n, g.n))
+    glue = np.einsum("op,kl->opkl", np.eye(n_out), np.eye(n_h))
+    return f_g.wedge(h, glue.reshape(n_out, n_out * n_h, n_h))
 
 
 def strength_remainder(variant: TheoryVariant, config: FieldConfig,
@@ -736,34 +715,18 @@ def check_linearization(contexts, tol: float | None = None
 # generic Euler-Lagrange machinery
 
 
-def _el_directions(dim_a: int, dim_b: int):
-    dirs = []
-    for a in range(dim_a):
-        for i in range(len(COMPS[1])):
-            dirs.append(("A", a, i))
-    for a in range(dim_b):
-        for i in range(len(COMPS[2])):
-            dirs.append(("B", a, i))
-    for a in range(dim_a):
-        for i in range(len(COMPS[2])):
-            dirs.append(("dA", a, i))
-    for a in range(dim_b):
-        for i in range(len(COMPS[3])):
-            dirs.append(("dB", a, i))
-    return dirs
-
-
 def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
     """Euler-Lagrange equations from the Lagrangian alone.
 
-    Forward-mode differentiation with respect to the pointwise jet
-    coordinates (A, B, dA, dB) in one multi-direction nilpotent pass,
-    followed by one exterior derivative for the conjugate-slot terms:
-    E_A = Phi_A + d Psi_A and E_B = Phi_B - d Psi_B, where Phi and Psi are
-    the wedge-duals of the gradients in the value and derivative slots.
+    The gradient of the Lagrangian with respect to the pointwise jet
+    coordinates (A, B, dA, dB) comes from one reverse (adjoint) sweep over
+    the base ring (:func:`_generic_el_of`), and one exterior derivative
+    adds the conjugate-slot terms: E_A = Phi_A + d Psi_A and
+    E_B = Phi_B - d Psi_B, where Phi and Psi are the wedge-duals of the
+    gradients in the value and derivative slots.
     """
     return _generic_el_of(functools.partial(lagrangian_form, variant),
-                          variant.ds, config)
+                          config)
 
 
 def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
@@ -870,7 +833,7 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
         lag3 = cubic_lagrangian(ds, config)
         e2_a, e2_b, x_a, y_b = quadratic_equations(ds, config)
         gen_a, gen_b = _generic_el_of(
-            functools.partial(cubic_lagrangian, ds), ds, config)
+            functools.partial(cubic_lagrangian, ds), config)
         _worst(rows, "cubic-el-A", (gen_a - e2_a).max_abs())
         _worst(rows, "cubic-el-B", (gen_b - e2_b).max_abs())
 
@@ -897,48 +860,36 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
     return _collect("cubic-tower", rows, tol, contexts)
 
 
-def _generic_el_of(builder, ds, config):
+def _generic_el_of(builder, config: FieldConfig):
     """Generic EL equations of an arbitrary first-order Lagrangian builder.
 
     ``builder(config)`` must return a real-valued 4-form of A, B and the
-    derivative slots dA, dB of ``config``.  Each of the four is lifted with
-    its own unit tangent directions; the lifted slots are assigned to the
-    one lifted config, so the builder differentiates dA and dB as
-    coordinates independent of A and B.
+    derivative slots dA, dB of ``config``, built from sums, scales, Hodge
+    duals, wedge products and strength solves.  The four are marked as
+    independent leaves (:func:`ymft.forms.mark_leaf`) and assigned to one
+    config, so the builder runs once on their values and treats dA and dB
+    as coordinates independent of A and B.  One reverse sweep
+    (:func:`ymft.forms.adjoints`) then gives, per slot component, the
+    ring-valued derivative of the volume coefficient; its wedge-dual is
+    the conjugate form of the slot.
     """
-    n, m = ds.space_a.dim, ds.space_b.dim
-    dirs = _el_directions(n, m)
-    ring = NilpotentExtension(config.ring.degree, len(dirs))
-    base = JetRing(config.ring.degree)
-    values = {"A": config.A, "B": config.B, "dA": config.dA, "dB": config.dB}
-    # each direction is the unit constant tangent of one slot component
-    tangents = {slot: [None] * len(dirs) for slot in values}
-    slot_map = {slot: [] for slot in values}
-    for idx, (slot, a, i) in enumerate(dirs):
-        form = values[slot]
-        tangents[slot][idx] = LieForm.basis(base, form.p, form.n, a, i)
-        slot_map[slot].append((idx, (a, i)))
-    lifted = {slot: promote_form(form, ring, tangents[slot])
-              for slot, form in values.items()}
-    lifted_config = FieldConfig(lifted["A"], lifted["B"])
-    lifted_config.dA, lifted_config.dB = lifted["dA"], lifted["dB"]
-    lag = builder(lifted_config)
-    lt = [part.comps[0, 0] for part in tangent_parts(lag)]
-    order = lag.order
+    base = config.ring
+    slots = [mark_leaf(form) for form in (config.A, config.B, config.dA,
+                                          config.dB)]
+    marked = FieldConfig(slots[0], slots[1])
+    marked.dA, marked.dB = slots[2], slots[3]
+    lag = builder(marked)
 
-    def conjugate(slot: str, p_slot: int, dim: int) -> LieForm:
-        out = base.zeros((dim, len(COMPS[4 - p_slot])))
-        for idx, (a, i) in slot_map[slot]:
-            comp = COMPS[p_slot][i]
+    def conjugate(slot: LieForm, grad: np.ndarray) -> LieForm:
+        out = base.zeros((slot.n, len(COMPS[4 - slot.p])))
+        for i, comp in enumerate(COMPS[slot.p]):
             rest = tuple(x for x in range(4) if x not in comp)
-            sign = _perm_sign(comp + rest)
-            out[a, COMP_INDEX[4 - p_slot][rest]] = lt[idx] / sign
-        return LieForm(base, 4 - p_slot, out, order)
+            out[:, COMP_INDEX[4 - slot.p][rest]] = \
+                grad[:, i] / _perm_sign(comp + rest)
+        return LieForm(base, 4 - slot.p, out, lag.order)
 
-    phi_a = conjugate("A", 1, n)
-    phi_b = conjugate("B", 2, m)
-    psi_a = conjugate("dA", 2, n)
-    psi_b = conjugate("dB", 3, m)
+    phi_a, phi_b, psi_a, psi_b = map(conjugate, slots,
+                                     adjoints(lag, slots))
     return phi_a + psi_a.d(), phi_b - psi_b.d()
 
 

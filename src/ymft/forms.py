@@ -23,6 +23,18 @@ exact arithmetic (the tangent of d(d chi), say) so stays live whatever its
 roundoff, and the work of a pipeline does not depend on the values it runs
 on.
 
+Gradients run the other way, by one reverse (adjoint) sweep over the base
+ring (Griewank & Walther, *Evaluating Derivatives*, ch. 3-4).  A form made
+by :func:`mark_leaf` is an independent variable; every sum, difference,
+negation, scale, Hodge dual and wedge product of a marked form records a
+:class:`Node`, its operands' nodes and the rule that maps the adjoint of its
+output to theirs.  :func:`adjoints` walks those nodes back from one output.
+The jet ring is commutative, so the adjoint of a product is again a ring
+product: a wedge pulls back its output adjoint with two ring products per
+table entry.  An operation on unmarked forms records nothing; ``d``,
+interior products and :func:`ymft.strengths.apply_linear` refuse a marked
+form rather than drop it from the record.
+
 Forms move between the base ring and an extended ring (a nilpotent
 extension or an epsilon tower) through one lift and one read-back:
 :func:`promote_form` puts a base-ring form in the base block and a list of
@@ -170,19 +182,42 @@ class JetOrderExhausted(ValueError):
     pass
 
 
+class Node:
+    """One recorded operation of a reverse sweep (see :func:`adjoints`).
+
+    ``parents`` are the nodes of its operands, None for an operand that
+    depends on no marked leaf.  ``backward`` maps the adjoint of its output
+    to one adjoint per parent (None where a parent gets none).  A leaf has
+    neither.
+    """
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents=(), backward=None):
+        self.parents = tuple(parents)
+        self.backward = backward
+
+
+def _recorded(*forms) -> bool:
+    return any(f.node is not None for f in forms)
+
+
 class LieForm:
     """Internal-vector-space-valued p-form with jet components.
 
     ``comps`` has shape (internal dim, #ordered p-components, ring width).
     ``order`` is the valid jet order shared by all components; exterior
     derivatives lower it, products take the minimum.  ``live`` is given by
-    the form operations themselves (see :attr:`live`).
+    the form operations themselves (see :attr:`live`).  ``node`` is the
+    recorded operation that made the form, None unless it depends on a
+    form marked by :func:`mark_leaf`.
     """
 
-    __slots__ = ("ring", "p", "n", "comps", "order", "_live")
+    __slots__ = ("ring", "p", "n", "comps", "order", "_live", "node")
 
     def __init__(self, ring: JetRing, p: int, comps: np.ndarray,
-                 order: int | None = None, live: np.ndarray | None = None):
+                 order: int | None = None, live: np.ndarray | None = None,
+                 node: Node | None = None):
         self.ring = ring
         self.p = p
         comps = np.asarray(comps, dtype=float)
@@ -193,6 +228,7 @@ class LieForm:
         self.comps = comps
         self.order = ring.degree if order is None else order
         self._live = live
+        self.node = node
 
     @property
     def live(self) -> np.ndarray | None:
@@ -220,8 +256,8 @@ class LieForm:
 
     # -- ring plumbing -----------------------------------------------------
 
-    def _like(self, comps, order, live=None):
-        return LieForm(self.ring, self.p, comps, order, live)
+    def _like(self, comps, order, live=None, node=None):
+        return LieForm(self.ring, self.p, comps, order, live, node)
 
     def copy(self):
         return self._like(self.comps.copy(), self.order, self.live)
@@ -237,17 +273,23 @@ class LieForm:
         live = self.live
         if live is not None:
             live = live | other.live
+        node = None
+        if _recorded(self, other):
+            node = Node((self.node, other.node), lambda g: (g, g))
         return self._like(self.comps + other.comps,
-                          min(self.order, other.order), live)
+                          min(self.order, other.order), live, node)
 
     def __sub__(self, other: "LieForm") -> "LieForm":
         return self + (-other)
 
     def __neg__(self):
-        return self._like(-self.comps, self.order, self.live)
+        return self.scale(-1.0)
 
     def scale(self, s: float) -> "LieForm":
-        return self._like(self.comps * s, self.order, self.live)
+        node = None
+        if _recorded(self):
+            node = Node((self.node,), lambda g: (g * s,))
+        return self._like(self.comps * s, self.order, self.live, node)
 
     # -- calculus ----------------------------------------------------------
 
@@ -256,6 +298,8 @@ class LieForm:
             raise ValueError("cannot apply d to a top-degree form")
         if self.order < 1:
             raise JetOrderExhausted("jet order exhausted by exterior derivative")
+        if _recorded(self):
+            raise ValueError("d of a marked form is not recorded")
         out = self.ring.zeros((self.n, len(COMPS[self.p + 1])))
         live = _no_live(self, out)
         for mu, i, k, sign in D_TABLE[self.p]:
@@ -274,11 +318,16 @@ class LieForm:
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
-        out, live = _paired_products(self, other, pairing,
-                                     WEDGE_TABLE[(self.p, other.p)],
+        table = WEDGE_TABLE[(self.p, other.p)]
+        out, live = _paired_products(self, other, pairing, table,
                                      len(COMPS[self.p + other.p]))
+        node = None
+        if _recorded(self, other):
+            node = Node((self.node, other.node),
+                        lambda g: _paired_adjoints(self, other, pairing,
+                                                   table, g))
         return LieForm(self.ring, self.p + other.p, out,
-                       min(self.order, other.order), live)
+                       min(self.order, other.order), live, node)
 
     def hodge(self) -> "LieForm":
         out = self.ring.zeros((self.n, len(COMPS[NVARS - self.p])))
@@ -287,7 +336,15 @@ class LieForm:
             out[:, k] = sign * self.comps[:, i]
             if live is not None:
                 live[:, k] = self.live[:, i]
-        return LieForm(self.ring, NVARS - self.p, out, self.order, live)
+        node = None
+        if _recorded(self):
+            # the dual permutes components with signs: its adjoint reads
+            # each component's image back with the same sign
+            k, sign = np.array(HODGE_TABLE[self.p]).T
+            node = Node((self.node,), lambda g: (
+                g[:, k.astype(int)] * sign[:, None],))
+        return LieForm(self.ring, NVARS - self.p, out, self.order, live,
+                       node)
 
     def interior(self, oneform: "LieForm", pairing: np.ndarray) -> "LieForm":
         """Contract a metric-raised 1-form into the first slot of this form.
@@ -298,6 +355,9 @@ class LieForm:
         """
         if self.p < 1 or oneform.p != 1:
             raise ValueError("interior product needs a 1-form and p >= 1")
+        if _recorded(self, oneform):
+            raise ValueError("interior products of marked forms are not "
+                             "recorded")
         out, live = _paired_products(oneform, self, pairing,
                                      INTERIOR_TABLE[self.p],
                                      len(COMPS[self.p - 1]))
@@ -342,17 +402,12 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
     blocks of a product may be nonzero, and which block products run, is
     the ring's rule (:meth:`ymft.jets.ExtendedRing.live_product`).
     """
-    pairing = np.asarray(pairing, dtype=float)
-    if pairing.ndim != 3 or pairing.shape[1] != left.n \
-            or pairing.shape[2] != right.n:
-        raise ValueError("pairing shape mismatch")
+    a, b, coupling = _coupled_pairs(left, right, pairing)
     ring = left.ring
-    out = ring.zeros((pairing.shape[0], n_comps))
+    out = ring.zeros((len(coupling), n_comps))
     live = _no_live(left, out)
-    a, b = np.nonzero(pairing.any(axis=0))
     if not a.size:
         return out, live
-    coupling = pairing[:, a, b]
     if live is not None:
         ti, tj = [[entry[n] for entry in table] for n in (0, 1)]
         # (pairs, T, blocks) flags of the factors of each product
@@ -371,6 +426,98 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
             live[:, k] |= hit[:, t]
         out[:, k] += sign * np.einsum("cp,p...->c...", coupling, prod)
     return out, live
+
+
+def _coupled_pairs(left: LieForm, right: LieForm, pairing) -> tuple:
+    """The internal pairs (a, b) that ``pairing`` couples, and their
+    coupling columns pairing[:, a, b]."""
+    pairing = np.asarray(pairing, dtype=float)
+    if pairing.ndim != 3 or pairing.shape[1] != left.n \
+            or pairing.shape[2] != right.n:
+        raise ValueError("pairing shape mismatch")
+    a, b = np.nonzero(pairing.any(axis=0))
+    return a, b, pairing[:, a, b]
+
+
+def _paired_adjoints(left: LieForm, right: LieForm, pairing, table,
+                     g: np.ndarray) -> tuple:
+    """The adjoints of the two factors of :func:`_paired_products` from
+    the adjoint ``g`` of its output; None for a factor that is not
+    recorded.
+
+    The adjoint of table entry t's products over the coupled pairs p is
+    sign_t sum_c coupling[c, p] g[c, k_t]; each factor's adjoint is that
+    times the other factor, one ring product per table entry and pair,
+    summed onto the factor's components.
+    """
+    a, b, coupling = _coupled_pairs(left, right, pairing)
+    adj = [None, None]
+    if not a.size:
+        return adj
+    ti, tj, tk = (np.array([entry[n] for entry in table]) for n in range(3))
+    sign = np.array([entry[3] for entry in table])
+    # (T, pairs, width): the adjoint of every product
+    g_prod = np.einsum("cp,ctw->tpw", coupling, g[:, tk]) \
+        * sign[:, None, None]
+    factors = ((left, a, ti), (right, b, tj))
+    for n, (form, idx, comp) in enumerate(factors):
+        if form.node is None:
+            continue
+        other, o_idx, o_comp = factors[1 - n]
+        prod = left.ring.mul(g_prod,
+                             other.comps[o_idx][:, o_comp].swapaxes(0, 1))
+        adj[n] = np.zeros(form.comps.shape)
+        np.add.at(adj[n], (idx[None, :], comp[:, None]), prod)
+    return adj
+
+
+def mark_leaf(f: LieForm) -> LieForm:
+    """``f`` as an independent variable of a reverse sweep: a form with
+    the same components whose operations are recorded."""
+    return LieForm(f.ring, f.p, f.comps, f.order, node=Node())
+
+
+def adjoints(output: LieForm, leaves, seed: np.ndarray | None = None
+             ) -> list:
+    """The adjoints of marked leaves, by one reverse sweep over the nodes
+    recorded from them.
+
+    ``seed`` is the adjoint of ``output``, by default the ring unit on a
+    real-valued 4-form, which makes the result the gradient of its volume
+    coefficient.  Each node, visited after every node that used its
+    output, pulls its adjoint back to its parents, and the adjoints
+    reaching a leaf add up.  Returns, per leaf, the ring-valued adjoint
+    with the shape of its components: for the default seed, entry (a, i)
+    is the derivative of the volume coefficient with respect to component
+    (a, i) of the leaf, taken as a point value.  A leaf the output does not
+    depend on gets zeros.
+    """
+    if seed is None:
+        if output.p != NVARS or output.n != 1:
+            raise ValueError("expected a real-valued 4-form")
+        seed = output.ring.const(np.ones((1, 1)))
+    # the nodes in an order that puts every node after its parents
+    order, seen = [], set()
+    stack = [(output.node, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node is not None and node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node.parents)
+    adj = {}
+    if output.node is not None:
+        adj[output.node] = seed
+    for node in reversed(order):
+        if node.backward is None or node not in adj:
+            continue
+        for parent, g in zip(node.parents, node.backward(adj.pop(node))):
+            if parent is not None and g is not None:
+                adj[parent] = adj[parent] + g if parent in adj else g
+    return [adj.get(leaf.node, np.zeros(leaf.comps.shape))
+            for leaf in leaves]
 
 
 def epsilon_dual(f: LieForm, kind: str) -> LieForm:

@@ -16,7 +16,9 @@ Two layers live here:
   whose trailing axis has length ``ring.width``; multiplication is
   vectorized over the leading axes.  ``NilpotentExtension`` adjoins k
   directions eps_i with eps_i*eps_j = 0, which gives exact first-order
-  (directional / variational) derivatives of arbitrary jet pipelines;
+  directional derivatives of arbitrary jet pipelines (the gradients of the
+  Euler-Lagrange pass come from a reverse sweep instead, see
+  :mod:`ymft.forms`);
   ``EpsilonTower`` adjoins one eps with eps^(k+1) = 0, which gives the
   exact expansion of a pipeline in powers of its fields.  Both store a
   value as k+1 contiguous blocks of base-ring width.  That layout lives in
@@ -424,8 +426,8 @@ class NilpotentExtension(ExtendedRing):
     A value has k+1 blocks in the layout of :class:`JetRing`:
     [value, d/d eps_1, ..., d/d eps_k].  Running a whole pipeline over this
     ring yields the pipeline value together with k exact directional
-    derivatives; this is how gauge variations, commutators, linearizations
-    and Euler-Lagrange gradients are extracted below.  A tangent block of
+    derivatives; this is how gauge variations, commutators and
+    linearizations are extracted.  A tangent block of
     the product is the tangent of one factor times the value of the other.
     """
 

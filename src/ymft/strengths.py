@@ -24,6 +24,11 @@ ring follow in waves, their couplings to solved blocks subtracted first
 and the blocks of one wave stacked as extra columns of a single base
 solve.  Invertibility of the constant block is exactly the
 det(Y) != 0 restriction on admissible field configurations.
+
+On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
+the reverse sweep: its adjoint solves with the transpose of Y, multiplies
+the result into the solution once per coupling block of Y, and contracts
+that with the transposed assembly einsums.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
-                    epsilon_dual)
+                    Node, epsilon_dual)
 
 
 class SingularYError(RuntimeError):
@@ -51,7 +56,7 @@ class FieldConfig:
     second, with their derivative slots dA and dB.
 
     The slots default to A.d() and B.d(), taken on first use and kept.  The
-    generic Euler-Lagrange pass assigns them independent values; the
+    generic Euler-Lagrange pass assigns them independent marked leaves; the
     Lagrangians, strengths and field equations read dA and dB from here.
     """
 
@@ -100,6 +105,8 @@ def b_transpose_pairing(ds: DeformationSet) -> np.ndarray:
 
 def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
     """Apply an internal-space linear map to every component of a form."""
+    if form.node is not None:
+        raise ValueError("linear maps of marked forms are not recorded")
     comps = np.einsum("ap,p...->a...", np.asarray(matrix, dtype=float),
                       form.comps)
     return LieForm(form.ring, form.p, comps, form.order)
@@ -223,32 +230,39 @@ def _dual_wedge_signs(p: int, q: int, scale: float) -> np.ndarray:
     return out
 
 
+def _y_blocks(ds: DeformationSet) -> list:
+    """The coupling blocks of Y - 1, as (rows, columns, sign tensor,
+    pairing, field): the block is einsum("ijk,cab,bjw->ckaiw", signs,
+    pairing, coefficients of the field), reshaped to (rows, columns, w)."""
+    n_p, n_q = ds.space_a.dim * len(COMPS[2]), ds.space_b.dim * len(COMPS[3])
+    p_rows, q_rows = slice(0, n_p), slice(n_p, n_p + n_q)
+    c2 = CONVENTION.epsilon_dual_constants[2]
+    c3 = CONVENTION.epsilon_dual_constants[3]
+    return [(q_rows, p_rows, _dual_wedge_signs(2, 1, -c2),
+             b_transpose_pairing(ds), "A"),
+            (p_rows, q_rows, _dual_wedge_signs(3, 1, -c3), ds.b, "A"),
+            (q_rows, q_rows, _dual_wedge_signs(3, 2, -c3), ds.k, "B")]
+
+
 def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     """Identity plus the (A, B)-linear coupling blocks, in closed form.
 
     The column of Y - 1 for a basis P^a dx^I holds -b^T(c_2 *dx^I e_a, A) in
     the Q rows; the column for a basis Q^a dx^J holds -b(c_3 *dx^J e_a, A) in
     the P rows and -k(c_3 *dx^J e_a, B) in the Q rows (c_p the dual
-    constants on ``CONVENTION``).  Each block is one real einsum of the
-    pairing with a sign tensor from :func:`_dual_wedge_signs` and with the
-    coefficient arrays of A or B over the whole ring width.
+    constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is one
+    real einsum of the pairing with a sign tensor from
+    :func:`_dual_wedge_signs` and with the coefficient arrays of A or B
+    over the whole ring width.
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
-    n_p, n_q = n * len(COMPS[2]), m * len(COMPS[3])
-    c2 = CONVENTION.epsilon_dual_constants[2]
-    c3 = CONVENTION.epsilon_dual_constants[3]
-    a_co, b_co = config.A.comps, config.B.comps
-    matrix = _ring_identity(ring, n_p + n_q)
-    matrix[n_p:, :n_p] += np.einsum(
-        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(2, 1, -c2),
-        b_transpose_pairing(ds), a_co, optimize=True).reshape(n_q, n_p, -1)
-    matrix[:n_p, n_p:] += np.einsum(
-        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 1, -c3), ds.b,
-        a_co, optimize=True).reshape(n_p, n_q, -1)
-    matrix[n_p:, n_p:] += np.einsum(
-        "ijk,cab,bjw->ckaiw", _dual_wedge_signs(3, 2, -c3), ds.k,
-        b_co, optimize=True).reshape(n_q, n_q, -1)
+    fields = {"A": config.A.comps, "B": config.B.comps}
+    matrix = _ring_identity(ring, n * len(COMPS[2]) + m * len(COMPS[3]))
+    for rows, cols, signs, pairing, field in _y_blocks(ds):
+        block = matrix[rows, cols]
+        block += np.einsum("ijk,cab,bjw->ckaiw", signs, pairing,
+                           fields[field], optimize=True).reshape(block.shape)
     order = min(config.A.order, config.B.order)
     return YOperator(ring, n, m, matrix, order)
 
@@ -316,6 +330,14 @@ class YInverse:
         nonzero = [bool(self._blocks[:, :, i].any())
                    for i in range(ring.blocks)]
         self._waves = _solve_waves(ring, nonzero)
+
+    def transpose(self) -> "YInverse":
+        """The solver of Y^T, whose constant block has the inverse
+        ``y0_inv.T``."""
+        yop = self.yop
+        return YInverse(YOperator(yop.ring, yop.dim_a, yop.dim_b,
+                                  yop.matrix.transpose(1, 0, 2), yop.order),
+                        self.y0_inv.T)
 
     def _solve_base(self, rhs: np.ndarray) -> np.ndarray:
         """(size, M, n) -> (size, M, n): the graded solve on the base block."""
@@ -393,10 +415,59 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet
     order = min(f_form.order, h_form.order)
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
                                   ds.space_b.dim, vec, order)
+    _record_solve(config, ds, f_form, h_form, yinv, vec, p_form, q_form)
     return StrengthPair(p_form, q_form,
                         epsilon_dual(p_form, "2form"),
                         epsilon_dual(q_form, "3form"),
                         f_form, h_form, yinv)
+
+
+def _record_solve(config: FieldConfig, ds: DeformationSet, f_form: LieForm,
+                  h_form: LieForm, yinv: YInverse, x: np.ndarray,
+                  p_form: LieForm, q_form: LieForm) -> None:
+    """Record the solve x = Y(A, B)^{-1} r, r = (F, H), as one node and
+    give P and Q the nodes of their rows of x; nothing when none of A, B,
+    F, H is recorded.
+
+    With the adjoint x_bar of x: r_bar = Y^{-T} x_bar (the solver of the
+    transpose), Y_bar = -r_bar x^T (a ring product per coupling block of Y,
+    the others are constant), and the adjoints of A and B are the
+    transposes of the block einsums of :func:`assemble_Y` applied to
+    Y_bar.
+    """
+    parents = (config.A.node, config.B.node, f_form.node, h_form.node)
+    if all(node is None for node in parents):
+        return
+    ring, n_p = config.ring, p_form.n * len(COMPS[2])
+    fields = {"A": config.A, "B": config.B}
+
+    def backward(x_bar):
+        r_bar = yinv.transpose().apply(x_bar)
+        adj = dict.fromkeys(fields)
+        for rows, cols, signs, pairing, field in _y_blocks(ds):
+            if fields[field].node is None:
+                continue
+            # this block of Y_bar, as the (c, k, a, i) axes of the einsum
+            y_bar = -ring.mul(r_bar[rows, None], x[None, cols]).reshape(
+                len(pairing), signs.shape[2], pairing.shape[1],
+                signs.shape[0], -1)
+            term = np.einsum("ijk,cab,ckaiw->bjw", signs, pairing, y_bar,
+                             optimize=True)
+            adj[field] = term if adj[field] is None else adj[field] + term
+        return (adj["A"], adj["B"], r_bar[:n_p].reshape(f_form.comps.shape),
+                r_bar[n_p:].reshape(h_form.comps.shape))
+
+    solve = Node(parents, backward)
+
+    def rows_of(form, lo, hi):
+        def place(g):
+            x_bar = np.zeros(x.shape)
+            x_bar[lo:hi] = g.reshape(hi - lo, -1)
+            return (x_bar,)
+        form.node = Node((solve,), place)
+
+    rows_of(p_form, 0, n_p)
+    rows_of(q_form, n_p, len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ymft import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,6 +19,20 @@ BASE = {
 
 
 def run_cli(args):
+    """``ymft`` with ``args``, in this process: the exit code and what it
+    printed, as from a subprocess (an argparse error exits with 2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_module(args):
+    """``python -m ymft.cli`` with ``args``, in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "ymft.cli"] + args,
                           capture_output=True, text=True)
 
@@ -23,6 +41,25 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# one run per command through the module entry point; every other test
+# calls cli.main in this process
+MODULE_RUNS = {
+    "verify-algebra": {"algebra": {"family": "su2"}},
+    "verify-deformation": BASE,
+    "verify-theory": dict(BASE, checks=["linearization"]),
+    "observables": {"observables": {"sampler": "zero",
+                                    "checks": ["charge", "trace"]}},
+}
+
+
+@pytest.mark.parametrize("command", list(MODULE_RUNS))
+def test_module_entry_point(tmp_path, command):
+    cfg = write_config(tmp_path, MODULE_RUNS[command])
+    proc = run_module([command, "--config", cfg])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == command
 
 
 def test_verify_algebra_su2(tmp_path):
@@ -158,7 +195,6 @@ def test_observables_command(tmp_path):
 
 def test_observables_degree_override_reaches_trace(tmp_path, monkeypatch,
                                                   capsys):
-    from ymft import cli
     degrees = []
 
     class RecordingRing(cli.JetRing):
@@ -384,7 +420,6 @@ BAD_OBSERVABLES = [
                          ids=[json.dumps(s) for s, _ in BAD_OBSERVABLES])
 def test_bad_observables_section_exits_2(tmp_path, capsys, section,
                                          message):
-    from ymft import cli
     cfg = write_config(tmp_path, {"observables": section})
     assert cli.main(["observables", "--config", cfg]) == 2
     out, err = capsys.readouterr()
@@ -406,4 +441,76 @@ def test_runtime_needs_no_scipy(tmp_path):
         "assert sys.modules['scipy'] is None\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+
+
+# each bad value exits 2 with a message that names its key, not with a
+# traceback from the numerical layers or a run that reads it as another
+# value (JSON true as 1)
+BAD_KEYS = [
+    ({"jet": {"amplitude": "x"}},
+     "jet.amplitude must be a finite number >= 0"),
+    ({"jet": {"amplitude": float("nan")}},
+     "jet.amplitude must be a finite number >= 0"),
+    ({"jet": {"amplitude": float("inf")}},
+     "jet.amplitude must be a finite number >= 0"),
+    ({"jet": {"amplitude": -1}}, "jet.amplitude must be a finite number >= 0"),
+    ({"jet": {"amplitude": True}},
+     "jet.amplitude must be a finite number >= 0"),
+    ({"jet": {"degree": True}}, "jet.degree must be a positive integer"),
+    ({"jet": {"seeds": [True]}},
+     "jet.seeds must be a non-empty list of integers >= 0"),
+    ({"jet": {"seeds": [1, -5]}},
+     "jet.seeds must be a non-empty list of integers >= 0"),
+    ({"deformation": {"family": "linear", "dims": [0, 2]}},
+     "deformation.dims must be [dim A, dim A'], two positive integers"),
+    ({"deformation": {"family": "e_only", "dims": [3, -2], "e": []}},
+     "deformation.dims must be [dim A, dim A'], two positive integers"),
+    ({"deformation": {"family": "explicit", "dims": [True, 3]}},
+     "deformation.dims must be [dim A, dim A'], two positive integers"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_KEYS,
+                         ids=[json.dumps(o) for o, _ in BAD_KEYS])
+def test_bad_theory_key_exits_2(tmp_path, override, message):
+    payload = dict(BASE, checks=["linearization"])
+    for section, values in override.items():
+        payload[section] = dict(payload[section], **values)
+    if "family" in override.get("deformation", {}):
+        payload["deformation"] = override["deformation"]
+    proc = run_cli(["verify-theory", "--config",
+                    write_config(tmp_path, payload)])
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("section", [
+    {"dim": True, "structure_constants": [0.0]},
+    {"family": "abelian", "dim": True},
+    {"family": "abelian", "dim": 0},
+], ids=["explicit-true", "abelian-true", "abelian-zero"])
+def test_bad_algebra_dim_exits_2(tmp_path, section):
+    proc = run_cli(["verify-algebra", "--config",
+                    write_config(tmp_path, {"algebra": section})])
+    assert proc.returncode == 2
+    assert "algebra.dim must be a positive integer" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify-theory", "observables"])
+def test_negative_seed_override_exits_2(tmp_path, command):
+    cfg = write_config(tmp_path, dict(BASE, checks=["linearization"]))
+    proc = run_cli([command, "--config", cfg, "--seed", "-3"])
+    assert proc.returncode == 2
+    assert "--seed must be an integer >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_seed_zero_and_amplitude_zero_are_valid(tmp_path):
+    payload = dict(BASE, checks=["linearization"],
+                   jet={"degree": 2, "amplitude": 0, "seeds": [0]})
+    proc = run_cli(["verify-theory", "--config",
+                    write_config(tmp_path, payload)])
     assert proc.returncode == 0, proc.stderr

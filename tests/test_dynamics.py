@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,17 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
                            check_strength_transformation,
                            directional_lagrangians, field_equations,
                            gauge_commutators, gauge_variation,
-                           generic_field_equations, lagrangian,
-                           lagrangian_form, lagrangian_symmetric_form,
+                           generic_field_equations, lagrangian_form,
                            run_identity_suite, seed_contexts,
                            variant_e_only, variant_general, variant_linear)
-from ymft.forms import (LieForm, promote_form, random_field_config,
-                        random_gauge_params, tangent_parts)
-from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
+from ymft.forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, promote_form,
+                        random_field_config, random_gauge_params,
+                        tangent_parts, volume_coefficient)
+from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
+                       NilpotentExtension)
 from ymft.lie_core import InternalSpace
-from ymft.strengths import FieldConfig, b_transpose_pairing, compute_strengths
+from ymft.strengths import (FieldConfig, b_transpose_pairing, block_metric,
+                            compute_strengths, stack_pair)
 
 RING = JetRing(3)
 CMAP = np.array([[0.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
@@ -44,6 +48,26 @@ VARIANTS = {
         family_solvable([1, 0, 0], [0, 0, 1], CMAP)),
     "e-only": lambda: variant_e_only(family_e_only(sym_e())),
 }
+
+
+def lagrangian(variant, config, strengths=None) -> JetScalar:
+    """Volume coefficient of the Lagrangian 4-form."""
+    return volume_coefficient(lagrangian_form(variant, config, strengths))
+
+
+def lagrangian_symmetric_form(variant, config, strengths) -> JetScalar:
+    """The cross-representation (1/2) M^T Y^{-1} M value (massless sets).
+
+    M stacks (F, H); Y^{-1} M is solved afresh and paired with M through
+    the :func:`block_metric` of the pairing <(P,Q),(F,H)> =
+    g_ab *P^a^F^b + g'_{a'b'} *Q^{a'}^H^{b'}, with no wedge product.
+    """
+    ds, ring = variant.ds, config.ring
+    m = stack_pair(strengths.F, strengths.H)
+    metric = block_metric(ds.space_a.dim, ds.space_b.dim, ds.ga, ds.gb)
+    value = 0.5 * ring.mul(strengths.y_inv.apply(m), metric @ m).sum(0)
+    return JetScalar(ring.algebra, ring.base_block(value),
+                     min(strengths.F.order, strengths.H.order))
 
 
 def test_variant_validation():
@@ -306,22 +330,22 @@ def test_tower_lift_expands_the_lagrangian(name):
 
 
 def test_cubic_tower_differentiates_only_the_lagrangian(monkeypatch):
-    """The Euler-Lagrange pass over the tangent ring builds the cubic
-    Lagrangian alone; the quadratic equations it is compared against are
-    built once per context, on the base ring."""
-    rings = {"cubic_lagrangian": [], "quadratic_equations": []}
-    for name, seen in rings.items():
+    """The Euler-Lagrange pass records the cubic Lagrangian alone; the
+    quadratic equations it is compared against are built once per context,
+    unrecorded."""
+    recorded = {"cubic_lagrangian": [], "quadratic_equations": []}
+    for name, seen in recorded.items():
         def wrapped(ds, config, _original=getattr(dynamics, name),
                     _seen=seen):
-            _seen.append(type(config.ring))
+            assert type(config.ring) is JetRing
+            _seen.append(config.A.node is not None)
             return _original(ds, config)
         monkeypatch.setattr(dynamics, name, wrapped)
     report = check_cubic_tower(
         seed_contexts(VARIANTS["su2-massive"](), [1, 2]), tol=1e-10)
     assert report.passed, report.as_dict()
-    assert rings["quadratic_equations"] == [JetRing, JetRing]
-    assert sorted(rings["cubic_lagrangian"], key=lambda r: r.__name__) == [
-        JetRing, JetRing, NilpotentExtension, NilpotentExtension]
+    assert recorded["quadratic_equations"] == [False, False]
+    assert sorted(recorded["cubic_lagrangian"]) == [False, False, True, True]
 
 
 @pytest.mark.parametrize("name", ["linear-massless", "su2-massless",
@@ -403,7 +427,9 @@ def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
     base_solves = []
 
     def counted(config, *args, **kwargs):
-        if not isinstance(config.ring, NilpotentExtension):
+        # the Euler-Lagrange pass records its own solve on marked fields
+        if not isinstance(config.ring, NilpotentExtension) \
+                and config.A.node is None:
             base_solves.append(config)
         return solve(config, *args, **kwargs)
 
@@ -590,3 +616,86 @@ def test_product_work_does_not_depend_on_the_seed(monkeypatch, name):
         work.append(0)
         check_gauge_invariance(seed_contexts(variant, [seed], degree=3))
     assert len(set(work)) == 1, work
+
+
+# ---------------------------------------------------------------------------
+# the reverse Euler-Lagrange pass against the forward-mode reference: one
+# pass over a nilpotent extension with a unit tangent per slot component
+
+
+def el_directions(dim_a: int, dim_b: int):
+    """(slot, internal index, component) of every forward direction."""
+    return [(slot, a, i)
+            for slot, dim, p in (("A", dim_a, 1), ("B", dim_b, 2),
+                                 ("dA", dim_a, 2), ("dB", dim_b, 3))
+            for a in range(dim) for i in range(len(COMPS[p]))]
+
+
+def forward_el_of(builder, config):
+    """Generic EL equations by forward mode: each of A, B, dA and dB is
+    lifted with its own unit tangent directions, the lifted slots are
+    assigned to one lifted config, and the builder runs once over the
+    extended ring."""
+    n, m = config.A.n, config.B.n
+    dirs = el_directions(n, m)
+    ring = NilpotentExtension(config.ring.degree, len(dirs))
+    base = JetRing(config.ring.degree)
+    values = {"A": config.A, "B": config.B, "dA": config.dA, "dB": config.dB}
+    # each direction is the unit constant tangent of one slot component
+    tangents = {slot: [None] * len(dirs) for slot in values}
+    slot_map = {slot: [] for slot in values}
+    for idx, (slot, a, i) in enumerate(dirs):
+        form = values[slot]
+        tangents[slot][idx] = LieForm.basis(base, form.p, form.n, a, i)
+        slot_map[slot].append((idx, (a, i)))
+    lifted = {slot: promote_form(form, ring, tangents[slot])
+              for slot, form in values.items()}
+    lifted_config = FieldConfig(lifted["A"], lifted["B"])
+    lifted_config.dA, lifted_config.dB = lifted["dA"], lifted["dB"]
+    lag = builder(lifted_config)
+    lt = [part.comps[0, 0] for part in tangent_parts(lag)]
+
+    def conjugate(slot: str, p_slot: int, dim: int) -> LieForm:
+        out = base.zeros((dim, len(COMPS[4 - p_slot])))
+        for idx, (a, i) in slot_map[slot]:
+            comp = COMPS[p_slot][i]
+            rest = tuple(x for x in range(4) if x not in comp)
+            sign = _perm_sign(comp + rest)
+            out[a, COMP_INDEX[4 - p_slot][rest]] = lt[idx] / sign
+        return LieForm(base, 4 - p_slot, out, lag.order)
+
+    return (conjugate("A", 1, n) + conjugate("dA", 2, n).d(),
+            conjugate("B", 2, m) - conjugate("dB", 3, m).d())
+
+
+EL_VARIANTS = {name: VARIANTS[name] for name in (
+    "linear-massive", "su2-massless", "su2-massive", "solvable", "e-only")}
+EL_VARIANTS["mixed-general"] = lambda: variant_general(
+    mixed_rotation_family())
+EL_BUILDERS = {
+    "lagrangian_form": lambda v: functools.partial(lagrangian_form, v),
+    "cubic_lagrangian": lambda v: functools.partial(cubic_lagrangian, v.ds),
+}
+
+
+@pytest.mark.parametrize("builder", list(EL_BUILDERS))
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("name", list(EL_VARIANTS))
+def test_reverse_el_matches_forward_reference(name, degree, builder):
+    v = EL_VARIANTS[name]()
+    ctx, = seed_contexts(v, [1], degree)
+    build = EL_BUILDERS[builder](v)
+    reverse = dynamics._generic_el_of(build, ctx.config)
+    forward = forward_el_of(build, ctx.config)
+    for form, ref in zip(reverse, forward):
+        assert form.p == ref.p and form.order == ref.order
+        assert_matches_reference(form, ref)
+
+
+def test_reverse_el_leaves_unmarked_fields_unrecorded():
+    v = VARIANTS["su2-massive"]()
+    ctx, = seed_contexts(v, [1])
+    generic_field_equations(v, ctx.config)
+    forms = [ctx.config.A, ctx.config.B, ctx.config.dA, ctx.config.dB]
+    assert all(form.node is None for form in forms)
+    assert lagrangian_form(v, ctx.config).node is None

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, WEDGE_TABLE,
-                        LieForm, epsilon_dual, literal_epsilon_contraction,
-                        random_field_config, scalar_pairing,
+                        LieForm, adjoints, epsilon_dual,
+                        literal_epsilon_contraction, mark_leaf, promote_form,
+                        random_field_config, scalar_pairing, tangent_parts,
                         volume_coefficient)
 from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import levi_civita3
+from ymft.strengths import apply_linear
 
 RING = JetRing(3)
 
@@ -401,3 +403,131 @@ def test_forms_off_tangent_rings_have_no_live_flags():
     f = random_form(JetRing(3), 1, 2, rng)
     assert f.live is None and f.d().live is None
     assert f.wedge(f, np.ones((1, 2, 2))).live is None
+
+
+# ---------------------------------------------------------------------------
+# adjoint rules: <y_bar, J x_dot> = <J^T y_bar, x_dot> in the ring pairing
+# <u, v> = sum over components of the ring products u v, with J x_dot the
+# tangent of a one-direction nilpotent pass
+
+
+def ring_dot(ring, u, v):
+    return ring.mul(u, v).reshape(-1, ring.width).sum(axis=0)
+
+
+def assert_transpose_identity(op, forms, degree, seed):
+    """``op`` maps base-ring forms to one form; the sweep over its
+    recorded nodes pulls a random output adjoint back to adjoints that pair
+    with random input tangents as the output tangent pairs with the output
+    adjoint."""
+    rng = np.random.default_rng(seed)
+    ring = JetRing(degree)
+    dual = NilpotentExtension(degree, 1)
+    dots = [LieForm(ring, f.p, rng.uniform(-1, 1, f.comps.shape))
+            for f in forms]
+    leaves = [mark_leaf(f) for f in forms]
+    out = op(*leaves)
+    y_dot, = tangent_parts(op(*[promote_form(f, dual, [t])
+                                for f, t in zip(forms, dots)]))
+    y_bar = rng.uniform(-1, 1, out.comps.shape)
+    x_bars = adjoints(out, leaves, y_bar)
+    lhs = ring_dot(ring, y_bar, y_dot.comps)
+    terms = [ring_dot(ring, x_bar, t.comps) for x_bar, t in zip(x_bars, dots)]
+    # relative to the largest pairing: the terms may cancel (x ^ x = 0)
+    scale = max(np.abs(term).max() for term in [lhs] + terms)
+    assert scale > 0.1
+    assert np.abs(lhs - sum(terms)).max() <= 1e-14 * scale
+
+
+ADJOINT_PAIRINGS = {name: PAIRINGS[name] for name in (
+    "diagonal-metric", "su2", "single-entry", "random-dense")}
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("pairing_name", ADJOINT_PAIRINGS)
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (0, 3)])
+def test_wedge_adjoint_is_the_transpose(p, q, pairing_name, degree):
+    rng = np.random.default_rng(p + 10 * q)
+    pairing = ADJOINT_PAIRINGS[pairing_name](rng)
+    ring = JetRing(degree)
+    f = random_form(ring, p, pairing.shape[1], rng)
+    g = random_form(ring, q, pairing.shape[2], rng)
+    assert_transpose_identity(lambda x, y: x.wedge(y, pairing), [f, g],
+                              degree, seed=degree)
+    if p == q:
+        # both factors the same form: the two adjoints add up (a random
+        # pairing, since x ^ x vanishes under a pairing of its parity)
+        dense = rng.uniform(-1, 1, (2, f.n, f.n))
+        assert_transpose_identity(lambda x: x.wedge(x, dense), [f],
+                                  degree, seed=degree + 1)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("p", range(5))
+def test_hodge_adjoint_is_the_transpose(p, degree):
+    rng = np.random.default_rng(p)
+    f = random_form(JetRing(degree), p, 2, rng)
+    assert_transpose_identity(LieForm.hodge, [f], degree, seed=degree)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_scale_and_sum_adjoints_are_the_transpose(degree):
+    rng = np.random.default_rng(degree)
+    ring = JetRing(degree)
+    f, g = random_form(ring, 2, 3, rng), random_form(ring, 2, 3, rng)
+    assert_transpose_identity(lambda x, y: x.scale(-0.75) + y - x, [f, g],
+                              degree, seed=degree)
+    assert_transpose_identity(lambda x, y: -(x - y.scale(2.0)), [f, g],
+                              degree, seed=degree + 1)
+
+
+def test_unmarked_forms_record_nothing():
+    rng = np.random.default_rng(3)
+    f, g = random_form(RING, 1, 3, rng), random_form(RING, 2, 3, rng)
+    out = f.wedge(g, levi_civita3()).hodge().scale(2.0) - f.hodge().hodge()
+    assert out.node is None and g.d().node is None
+    leaf = mark_leaf(f)
+    assert leaf.node is not None and leaf.comps is f.comps
+    assert (leaf + f).node is not None and (f + leaf).node is not None
+
+
+def test_marked_forms_refuse_unrecorded_operations():
+    rng = np.random.default_rng(4)
+    f, g = random_form(RING, 1, 3, rng), random_form(RING, 2, 3, rng)
+    with pytest.raises(ValueError, match="not recorded"):
+        mark_leaf(f).d()
+    with pytest.raises(ValueError, match="not recorded"):
+        g.interior(mark_leaf(f), np.ones((1, 3, 3)))
+    with pytest.raises(ValueError, match="not recorded"):
+        apply_linear(np.eye(3), mark_leaf(g))
+
+
+def test_adjoints_sum_over_every_path():
+    # L = (1/2) F ^ *F + F ^ g with F = f ^ f: the sweep adds the adjoints
+    # of both uses of F and of both factors of f ^ f, and matches the
+    # forward gradient along every component of f and g
+    rng = np.random.default_rng(6)
+    ring = JetRing(3)
+    f, g = random_form(ring, 1, 3, rng), random_form(ring, 2, 1, rng)
+    pairing = levi_civita3()
+
+    def lagrangian(x, y):
+        big_f = x.wedge(x, pairing)
+        return (big_f.wedge(big_f.hodge(), scalar_pairing(np.eye(3)))
+                .scale(0.5) + big_f.wedge(y, np.ones((1, 3, 1))))
+
+    leaves = [mark_leaf(f), mark_leaf(g)]
+    reverse = np.concatenate([adj.reshape(-1, ring.width) for adj in
+                              adjoints(lagrangian(*leaves), leaves)])
+    units = np.eye(len(reverse))
+    dual = NilpotentExtension(3, len(reverse))
+    lifted = []
+    for form, cols in ((f, units[:, :12]), (g, units[:, 12:])):
+        tangents = [ring.const(col.reshape(form.comps.shape[:2]))
+                    for col in cols]
+        lifted.append(LieForm(dual, form.p,
+                              dual.promote(form.comps, tangents)))
+    forward = np.array([part.comps[0, 0] for part in
+                        tangent_parts(lagrangian(*lifted))])
+    assert np.abs(reverse - forward).max() <= 1e-14
+    assert np.abs(forward).max() > 0.1

@@ -4,8 +4,8 @@ import pytest
 from ymft import lie_core
 from ymft.deformations import (family_general, family_solvable, family_su2,
                                make_deformation)
-from ymft.forms import (COMPS, LieForm, epsilon_dual, promote_form,
-                        random_field_config)
+from ymft.forms import (COMPS, LieForm, adjoints, epsilon_dual, mark_leaf,
+                        promote_form, random_field_config, tangent_parts)
 from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
@@ -13,7 +13,7 @@ from ymft.strengths import (FieldConfig, SingularYError, YOperator,
                             b_transpose_pairing, block_metric,
                             compute_strengths, connection_curvature,
                             covariant_curl_H, curvature_F, invert_Y,
-                            ring_matmul, ring_matvec,
+                            ring_matmul, ring_matvec, stack_pair,
                             substitution_residual_massive,
                             substitution_residual_massless)
 
@@ -537,3 +537,97 @@ def test_solve_identity_y_returns_rhs(ring):
     inv = invert_Y(yop)
     assert np.abs(inv.apply(r) - r).max() == 0.0
     assert np.abs(inv.apply(r[:, 1]) - r[:, 1]).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the recorded strength solve: <x_bar, J x_dot> = <J^T x_bar, x_dot> in the
+# ring pairing, J x_dot from a one-direction nilpotent pass
+
+
+def ring_dot(ring, u, v):
+    return ring.mul(u, v).reshape(-1, ring.width).sum(axis=0)
+
+
+def marked_config(ds, degree, seed):
+    """Random fields with A, B, dA and dB marked as independent leaves."""
+    a_form, b_form = random_field_config(seed, 0.1, degree, ds.space_a.dim,
+                                         ds.space_b.dim)
+    config = FieldConfig(mark_leaf(a_form), mark_leaf(b_form))
+    config.dA, config.dB = mark_leaf(a_form.d()), mark_leaf(b_form.d())
+    return config
+
+
+ADJOINT_FAMILIES = [
+    pytest.param(lambda: family_su2(2.0, 0.5), id="su2-massive"),
+    pytest.param(lambda: family_solvable([1, 0, 0], [0, 0, 1], CMAP),
+                 id="solvable"),
+    pytest.param(mixed_family, id="mixed"),
+]
+
+
+@pytest.mark.parametrize("family", ADJOINT_FAMILIES)
+@pytest.mark.parametrize("degree", [3, 5])
+def test_strength_solve_adjoint_is_the_transpose(family, degree):
+    ds = family()
+    config = marked_config(ds, degree, seed=degree)
+    pair = compute_strengths(config, ds)
+    solve, = pair.P.node.parents
+    assert pair.Q.node.parents == (solve,)
+    assert solve.parents == (config.A.node, config.B.node, pair.F.node,
+                             pair.H.node)
+    rng = np.random.default_rng(degree)
+    ring = config.ring
+    a_dot, b_dot = (rng.uniform(-1, 1, f.comps.shape)
+                    for f in (config.A, config.B))
+    r = stack_pair(pair.F, pair.H)
+    r_dot = rng.uniform(-1, 1, r.shape)
+    x_bar = rng.uniform(-1, 1, r.shape)
+    a_bar, b_bar, f_bar, h_bar = solve.backward(x_bar)
+    # x + eps x_dot = Y(A + eps A_dot, B + eps B_dot)^{-1} (r + eps r_dot)
+    dual = NilpotentExtension(degree, 1)
+    lifted = FieldConfig(LieForm(dual, 1, dual.promote(config.A.comps,
+                                                       [a_dot])),
+                         LieForm(dual, 2, dual.promote(config.B.comps,
+                                                       [b_dot])))
+    x = invert_Y(assemble_Y(lifted, ds)).apply(dual.promote(r, [r_dot]))
+    x_dot = dual.block(x, 1)
+    lhs = ring_dot(ring, x_bar, x_dot)
+    terms = [ring_dot(ring, a_bar, a_dot), ring_dot(ring, b_bar, b_dot),
+             ring_dot(ring, np.concatenate([f_bar.reshape(-1, ring.width),
+                                            h_bar.reshape(-1, ring.width)]),
+                      r_dot)]
+    scale = max(np.abs(term).max() for term in [lhs] + terms)
+    assert scale > 0.1
+    assert np.abs(lhs - sum(terms)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("family", ADJOINT_FAMILIES)
+def test_strength_adjoints_match_forward_tangents(family):
+    # the whole of compute_strengths, from (A, B, dA, dB) to P and to Q
+    ds = family()
+    config = marked_config(ds, 3, seed=8)
+    pair = compute_strengths(config, ds)
+    leaves = [config.A, config.B, config.dA, config.dB]
+    rng = np.random.default_rng(9)
+    dots = [rng.uniform(-1, 1, f.comps.shape) for f in leaves]
+    dual = NilpotentExtension(3, 1)
+    lifted = [LieForm(dual, f.p, dual.promote(f.comps, [t]))
+              for f, t in zip(leaves, dots)]
+    lifted_config = FieldConfig(lifted[0], lifted[1])
+    lifted_config.dA, lifted_config.dB = lifted[2], lifted[3]
+    lifted_pair = compute_strengths(lifted_config, ds)
+    ring = config.ring
+    for out, lifted_out in ((pair.P, lifted_pair.P), (pair.Q, lifted_pair.Q)):
+        y_dot, = tangent_parts(lifted_out)
+        y_bar = rng.uniform(-1, 1, out.comps.shape)
+        lhs = ring_dot(ring, y_bar, y_dot.comps)
+        terms = [ring_dot(ring, adj, t) for adj, t in
+                 zip(adjoints(out, leaves, y_bar), dots)]
+        scale = max(np.abs(term).max() for term in [lhs] + terms)
+        assert np.abs(lhs - sum(terms)).max() <= 1e-14 * scale
+
+
+def test_unmarked_solve_records_nothing():
+    pair = compute_strengths(su2_config(1), family_su2(2.0, 0.5))
+    assert all(form.node is None for form in (pair.P, pair.Q, pair.starP,
+                                              pair.starQ, pair.F, pair.H))
