@@ -14,14 +14,14 @@ couples: one ring product per component pair over exactly those, then a
 contraction with their coupling columns.
 
 Over an extended ring (a nilpotent extension or an epsilon tower) a form
-also records which blocks of each component may be nonzero
-(:attr:`LieForm.live`).  A form built from an array reads them off its
-values; sums, products, exterior derivatives and Hodge duals derive them
-from their operands (a product by the ring's block rule), and a product
-multiplies only those blocks.  A block that cancels to zero in
-exact arithmetic (the tangent of d(d chi), say) so stays live whatever its
-roundoff, and the work of a pipeline does not depend on the values it runs
-on.
+also records which blocks may be nonzero anywhere in it: one flag vector
+per form (:attr:`LieForm.live`).  A form built from an array reads them
+off its values; a sum takes the union of its operands' flags, a scale,
+exterior derivative or Hodge dual keeps them, and a product derives them
+by the ring's block rule and multiplies only those blocks.  A block that
+cancels to zero in exact arithmetic (the tangent of d(d chi), say) so
+stays live whatever its roundoff, and the work of a pipeline does not
+depend on the values it runs on.
 
 Gradients run the other way, by one reverse (adjoint) sweep over the base
 ring (Griewank & Walther, *Evaluating Derivatives*, ch. 3-4).  A form made
@@ -207,8 +207,9 @@ class LieForm:
 
     ``comps`` has shape (internal dim, #ordered p-components, ring width).
     ``order`` is the valid jet order shared by all components; exterior
-    derivatives lower it, products take the minimum.  ``live`` is given by
-    the form operations themselves (see :attr:`live`).  ``node`` is the
+    derivatives lower it, products take the minimum.  ``live`` names the
+    blocks that may be nonzero anywhere in the form, as given by the form
+    operations themselves (see :attr:`live`).  ``node`` is the
     recorded operation that made the form, None unless it depends on a
     form marked by :func:`mark_leaf`.
     """
@@ -232,10 +233,10 @@ class LieForm:
 
     @property
     def live(self) -> np.ndarray | None:
-        """(n, #components, blocks) booleans over an extended ring, None
-        over the base ring: the blocks of each component, value first, that
-        may be nonzero.  Unless an operation supplied them, they are the
-        blocks that hold a nonzero, NaN or inf."""
+        """(blocks,) booleans over an extended ring, None over the base
+        ring: the blocks, value first, that may be nonzero in some
+        component.  Unless an operation supplied them, they are the blocks
+        that hold a nonzero, NaN or inf somewhere."""
         if self._live is None and isinstance(self.ring, ExtendedRing):
             self._live = self.ring.live_blocks(self.comps)
         return self._live
@@ -258,9 +259,6 @@ class LieForm:
 
     def _like(self, comps, order, live=None, node=None):
         return LieForm(self.ring, self.p, comps, order, live, node)
-
-    def copy(self):
-        return self._like(self.comps.copy(), self.order, self.live)
 
     def scalar(self, a: int = 0, comp: int = 0) -> JetScalar:
         """One component as a JetScalar (base block for extended rings)."""
@@ -301,12 +299,10 @@ class LieForm:
         if _recorded(self):
             raise ValueError("d of a marked form is not recorded")
         out = self.ring.zeros((self.n, len(COMPS[self.p + 1])))
-        live = _no_live(self, out)
         for mu, i, k, sign in D_TABLE[self.p]:
             out[:, k] += sign * self.ring.diff(self.comps[:, i], mu)
-            if live is not None:
-                live[:, k] |= self.live[:, i]
-        return LieForm(self.ring, self.p + 1, out, self.order - 1, live)
+        return LieForm(self.ring, self.p + 1, out, self.order - 1,
+                       self.live)
 
     def wedge(self, other: "LieForm", pairing: np.ndarray) -> "LieForm":
         """Pairing-valued wedge product.
@@ -331,11 +327,8 @@ class LieForm:
 
     def hodge(self) -> "LieForm":
         out = self.ring.zeros((self.n, len(COMPS[NVARS - self.p])))
-        live = _no_live(self, out)
         for i, (k, sign) in enumerate(HODGE_TABLE[self.p]):
             out[:, k] = sign * self.comps[:, i]
-            if live is not None:
-                live[:, k] = self.live[:, i]
         node = None
         if _recorded(self):
             # the dual permutes components with signs: its adjoint reads
@@ -343,8 +336,8 @@ class LieForm:
             k, sign = np.array(HODGE_TABLE[self.p]).T
             node = Node((self.node,), lambda g: (
                 g[:, k.astype(int)] * sign[:, None],))
-        return LieForm(self.ring, NVARS - self.p, out, self.order, live,
-                       node)
+        return LieForm(self.ring, NVARS - self.p, out, self.order,
+                       self.live, node)
 
     def interior(self, oneform: "LieForm", pairing: np.ndarray) -> "LieForm":
         """Contract a metric-raised 1-form into the first slot of this form.
@@ -383,14 +376,6 @@ class LieForm:
         return float(np.abs(self.comps[..., mask]).max())
 
 
-def _no_live(form: LieForm, out: np.ndarray) -> np.ndarray | None:
-    """All-dead live flags for the components ``out`` of a form derived
-    from ``form``; None over the base ring."""
-    if form.live is None:
-        return None
-    return np.zeros(out.shape[:-1] + (form.ring.blocks,), dtype=bool)
-
-
 def _paired_products(left: LieForm, right: LieForm, pairing, table,
                      n_comps: int) -> tuple:
     """Components sum sign * pairing[c, a, b] left^a_i right^b_j -> out[c, k].
@@ -400,30 +385,22 @@ def _paired_products(left: LieForm, right: LieForm, pairing, table,
     those pairs, then a contraction with their coupling columns.  Returns
     the components and their live flags (None over the base ring).  Which
     blocks of a product may be nonzero, and which block products run, is
-    the ring's rule (:meth:`ymft.jets.ExtendedRing.live_product`).
+    the ring's rule (:meth:`ymft.jets.ExtendedRing.live_product`) on the
+    flags of the two factors.
     """
     a, b, coupling = _coupled_pairs(left, right, pairing)
     ring = left.ring
     out = ring.zeros((len(coupling), n_comps))
-    live = _no_live(left, out)
+    if left.live is None:
+        flags, live = (), None
+    else:
+        flags = ((left.live, right.live),)
+        # a pairing that couples no pair multiplies nothing
+        live = ring.live_product(left.live, right.live) & bool(a.size)
     if not a.size:
         return out, live
-    if live is not None:
-        ti, tj = [[entry[n] for entry in table] for n in (0, 1)]
-        # (pairs, T, blocks) flags of the factors of each product
-        lx, ly = left.live[a][:, ti], right.live[b][:, tj]
-        hit = ring.live_product(lx, ly)
-        # hit[c, t]: the blocks product t may make nonzero in slot c
-        hit = ((coupling != 0) @ hit.reshape(len(a), -1)).reshape(
-            (len(coupling),) + hit.shape[1:])
-        lx, ly = lx.any(axis=0), ly.any(axis=0)
-    for t, (i, j, k, sign) in enumerate(table):
-        if live is None:
-            prod = ring.mul(left.comps[a, i], right.comps[b, j])
-        else:
-            prod = ring.mul(left.comps[a, i], right.comps[b, j],
-                            (lx[t], ly[t]))
-            live[:, k] |= hit[:, t]
+    for i, j, k, sign in table:
+        prod = ring.mul(left.comps[a, i], right.comps[b, j], *flags)
         out[:, k] += sign * np.einsum("cp,p...->c...", coupling, prod)
     return out, live
 

@@ -44,9 +44,10 @@ level kernel.  The pairs indexed by (input, output) monomial give each jet
 the tangent blocks in that solve.  An extended ring multiplies only the
 block pairs whose two blocks are flagged live, in one pair-table call; every
 other block stays exactly zero (sparse vector-mode forward propagation,
-ibid., ch. 7).  The flags are the blocks nonzero somewhere in the batch
-unless the caller passes them: the form layer derives them from the
-operations that built its operands, so the work does not follow roundoff.
+ibid., ch. 7).  The flags are one vector per factor, the blocks nonzero
+somewhere in the batch unless the caller passes them: the form layer keeps
+one per form and derives it from the operations that built the form, so
+the work does not follow roundoff.
 """
 
 from __future__ import annotations
@@ -352,10 +353,11 @@ class ExtendedRing(JetRing):
     of the other adds to block o of the product.  That table alone drives
     both rules here: :meth:`mul` and :meth:`live_product`.
 
-    Each factor carries live flags, the blocks that may be nonzero
-    somewhere in the batch; they are passed by the caller or found in one
-    pass over each factor (:meth:`live_blocks`: a nonzero, NaN or inf).  A
-    product multiplies only the pairs whose two blocks are both live, in one
+    Each factor carries one (blocks,) vector of live flags, the blocks that
+    may be nonzero somewhere in the batch; the caller passes them (the form
+    layer keeps one per form) or they are found in one pass over each
+    factor (:meth:`live_blocks`: a nonzero, NaN or inf).  A product
+    multiplies only the pairs whose two blocks are both live, in one
     pair-table call, and sums the products of each output block in one
     ``np.add.reduceat`` (needed only where a block has two).  An output
     block that no live pair reaches comes out exactly 0.0, even where the
@@ -378,8 +380,7 @@ class ExtendedRing(JetRing):
         that may be nonzero somewhere in the batch, as (blocks,) booleans
         (by default, those that are, as found by :meth:`live_blocks`)."""
         if live is None:
-            live = [self.live_blocks(z).reshape(-1, self.blocks).any(axis=0)
-                    for z in (x, y)]
+            live = [self.live_blocks(z) for z in (x, y)]
         left, right, outs, starts = self._live_pairs(*live)
         out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
         if len(left):
@@ -407,17 +408,19 @@ class ExtendedRing(JetRing):
         return plan
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
-        """(..., width) -> (..., blocks) booleans: the blocks, value first,
-        that hold a nonzero, NaN or inf; all others are exactly zero."""
+        """(..., width) -> (blocks,) booleans: the blocks, value first, that
+        hold a nonzero, NaN or inf somewhere in the batch; all others are
+        exactly zero."""
         # one gemv over |x|, faster than x.any(-1)
-        return (np.abs(self.block_view(x)) @ np.ones(self.base_width)) != 0
+        nonzero = (np.abs(self.block_view(x)) @ np.ones(self.base_width)) != 0
+        return nonzero.reshape(-1, self.blocks).any(axis=0)
 
     def live_product(self, lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
-        """(..., blocks) live flags of two factors -> those of their
-        product: block o may be nonzero where a pair (i, j, o) meets live
-        blocks i and j."""
-        hit = lx[..., self._left] & ly[..., self._right]
-        return np.logical_or.reduceat(hit, self._out_starts, axis=-1)
+        """(blocks,) live flags of two factors -> those of their product:
+        block o may be nonzero where a pair (i, j, o) meets live blocks i
+        and j."""
+        hit = lx[self._left] & ly[self._right]
+        return np.logical_or.reduceat(hit, self._out_starts)
 
 
 class NilpotentExtension(ExtendedRing):

@@ -354,8 +354,9 @@ def sparse_tangent_form(ring, p, n, rng):
 
 
 def assert_live_covers_values(form):
+    # every block nonzero anywhere in the form is flagged
     nonzero = form.ring.live_blocks(form.comps)
-    assert form.live.shape == nonzero.shape
+    assert form.live.shape == nonzero.shape == (form.ring.blocks,)
     assert not (nonzero & ~form.live).any()
 
 
@@ -380,6 +381,31 @@ def test_live_flags_cover_every_nonzero_block(n_out, n, m, degrees, seed,
         derived.append(g.interior(f, pairing))
     for form in derived:
         assert_live_covers_values(form)
+
+
+@pytest.mark.parametrize("ring", [NilpotentExtension(3, 3),
+                                  EpsilonTower(3, 3)],
+                         ids=["nilpotent", "tower"])
+def test_product_flags_follow_the_ring_rule(ring):
+    rng = np.random.default_rng(10)
+    if isinstance(ring, EpsilonTower):
+        # f lifted as eps * f: its value block is dead
+        f = promote_form(LieForm.zero(JetRing(3), 1, 3), ring,
+                         [random_form(JetRing(3), 1, 3, rng)])
+        g = random_form(ring, 2, 3, rng, directions=(0,))
+    else:
+        f = random_form(ring, 1, 3, rng, directions=(0,))
+        g = random_form(ring, 2, 3, rng, directions=(1,))
+    assert not np.array_equal(f.live, g.live)
+    want = ring.live_product(f.live, g.live)
+    assert want.any() and not want.all()
+    assert np.array_equal(f.wedge(g, levi_civita3()).live, want)
+    assert np.array_equal(g.interior(f, levi_civita3()).live, want)
+    # a pairing that couples no internal pair flags nothing
+    zero = np.zeros((2, 3, 3))
+    for product in (f.wedge(g, zero), g.interior(f, zero)):
+        assert product.live.shape == (ring.blocks,)
+        assert not product.live.any()
 
 
 def test_blocks_that_cancel_stay_live():
