@@ -48,7 +48,8 @@ from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, adjoints,
 from .jets import NilpotentExtension
 from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
-                        b_transpose_pairing, compute_strengths, stack_pair,
+                        b_transpose_pairing, compute_strengths,
+                        recorded_strengths, stack_pair,
                         substitution_residual_massless,
                         substitution_residual_massive, unstack_pair)
 
@@ -715,7 +716,8 @@ def check_linearization(contexts, tol: float | None = None
 # generic Euler-Lagrange machinery
 
 
-def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
+def generic_field_equations(variant: TheoryVariant, config: FieldConfig,
+                            strengths: StrengthPair | None = None):
     """Euler-Lagrange equations from the Lagrangian alone.
 
     The gradient of the Lagrangian with respect to the pointwise jet
@@ -723,10 +725,15 @@ def generic_field_equations(variant: TheoryVariant, config: FieldConfig):
     the base ring (:func:`_generic_el_of`), and one exterior derivative
     adds the conjugate-slot terms: E_A = Phi_A + d Psi_A and
     E_B = Phi_B - d Psi_B, where Phi and Psi are the wedge-duals of the
-    gradients in the value and derivative slots.
+    gradients in the value and derivative slots.  Given ``strengths``,
+    those of ``config``, the sweep records their solve instead of solving.
     """
-    return _generic_el_of(functools.partial(lagrangian_form, variant),
-                          config)
+    def builder(marked: FieldConfig) -> LieForm:
+        return lagrangian_form(variant, marked, None if strengths is None
+                               else recorded_strengths(marked, variant.ds,
+                                                       strengths))
+
+    return _generic_el_of(builder, config)
 
 
 def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
@@ -803,7 +810,8 @@ def check_euler_lagrange_consistency(contexts, tol: float | None = None
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
     for ctx in contexts:
-        generic = generic_field_equations(ctx.variant, ctx.config)
+        generic = generic_field_equations(ctx.variant, ctx.config,
+                                          ctx.strengths)
         for name, gen, hand in zip(("euler-lagrange-A", "euler-lagrange-B"),
                                    generic, ctx.equations):
             _worst(rows, name, (gen - hand).max_abs())

@@ -33,21 +33,18 @@ Coefficients are stored densely in graded lexicographic monomial order, and
 truncated multiplication runs through a precomputed index-pair table sorted
 by output monomial: a product gathers both factors at the pairs, multiplies
 them, and sums each output monomial's run of pairs in one
-``np.add.reduceat``.  The same table cut by the degree level of the output
-monomial gives products of ring-valued matrices: the pairs (0, k) are one
-batched matmul, and every other pair feeds its output from strictly lower
-levels, so each level is one gathered batched matmul plus one
-``np.add.reduceat`` (Taylor propagation in the sense of Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).  The graded strength solve runs the same
-level kernel.  The pairs indexed by (input, output) monomial give each jet
-``a`` a multiplication matrix, ``b @ mul_matrix(a) == a * b``, which couples
-the tangent blocks in that solve.  An extended ring multiplies only the
-block pairs whose two blocks are flagged live, in one pair-table call; every
-other block stays exactly zero (sparse vector-mode forward propagation,
-ibid., ch. 7).  The flags are one vector per factor, the blocks nonzero
-somewhere in the batch unless the caller passes them: the form layer keeps
-one per form and derives it from the operations that built the form, so
-the work does not follow roundoff.
+``np.add.reduceat``.  Products of jet-valued matrices and the graded
+strength solve share one kernel, :meth:`JetAlgebra.push`: the products
+a_i x_j of one degree level L of the right factor x are one GEMM, as the i
+with |i| <= D - L are a prefix of the monomials (Taylor propagation,
+Griewank & Walther, *Evaluating Derivatives*, ch. 13).  A derivative is one
+gather and one scale.  An extended ring multiplies only
+the block pairs whose two blocks are flagged live, in one pair-table call;
+every other block stays exactly zero (sparse vector-mode forward
+propagation, ibid., ch. 7).  The flags are one vector per factor, the
+blocks nonzero somewhere in the batch unless the caller passes them: the
+form layer keeps one per form and derives it from the operations that
+built the form, so the work does not follow roundoff.
 """
 
 from __future__ import annotations
@@ -81,89 +78,83 @@ class JetAlgebra:
         self.exponents = _monomial_exponents(degree)
         self.n_terms = len(self.exponents)
         self.index = {e: i for i, e in enumerate(self.exponents)}
-        self.term_degree = np.array([sum(e) for e in self.exponents])
-
-        ii, jj, kk = [], [], []
-        for i, ei in enumerate(self.exponents):
-            di = sum(ei)
-            for j, ej in enumerate(self.exponents):
-                if di + sum(ej) > degree:
-                    continue
-                ii.append(i)
-                jj.append(j)
-                kk.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-        # the pairs sorted by output monomial (stably, so each group keeps
-        # its pairs in row-major (i, j) order); every monomial k has at
-        # least the pair (0, k), so the groups start at strictly
-        # increasing offsets
-        kk = np.array(kk)
+        exps = np.array(self.exponents).reshape(-1, NVARS)
+        self.term_degree = exps.sum(axis=1)
+        # monomial index by exponents in radix degree + 2 (0 where none)
+        radix = (degree + 2) ** np.arange(NVARS)
+        lookup = np.zeros((degree + 2) ** NVARS, dtype=int)
+        lookup[exps @ radix] = np.arange(self.n_terms)
+        # the pairs (i, j) with |i| + |j| <= degree, row-major, sorted by
+        # output monomial k (stably, so each group keeps its pairs in
+        # row-major order); every monomial k has at least the pair (0, k),
+        # so the groups start at strictly increasing offsets
+        ii, jj = np.nonzero(self.term_degree[:, None] + self.term_degree
+                            <= degree)
+        kk = lookup[(exps[ii] + exps[jj]) @ radix]
         order = np.argsort(kk, kind="stable")
-        self.pair_i = np.array(ii)[order]
-        self.pair_j = np.array(jj)[order]
-        kk = kk[order]
+        self.pair_i, self.pair_j, kk = ii[order], jj[order], kk[order]
         self.group_starts = np.flatnonzero(np.diff(kk, prepend=-1))
-        # the pairs with i != 0 by degree level d = 1..degree of their
-        # output monomial, as (the level's monomials, (I, J, the start of
-        # each monomial's run)); the monomials of one level are contiguous,
-        # and each has the pair (k, 0), so its run is never empty
-        bounds = np.searchsorted(self.term_degree, np.arange(degree + 2))
-        rest = self.pair_i != 0
-        ri, rj, rk = self.pair_i[rest], self.pair_j[rest], kk[rest]
-        cuts = np.searchsorted(rk, bounds)
-        self.levels = [
-            (slice(bounds[d], bounds[d + 1]),
-             (ri[lo:hi], rj[lo:hi],
-              np.flatnonzero(np.diff(rk[lo:hi], prepend=-1))))
-            for d, lo, hi in zip(range(1, degree + 1), cuts[1:], cuts[2:])]
-        # mul_index[j, k] = i for the unique pair (i, j, k) (exponents
-        # i = k - j), and n_terms where there is none
-        self.mul_index = np.full((self.n_terms, self.n_terms), self.n_terms)
-        self.mul_index[self.pair_j, kk] = self.pair_i
-
-        # d/dx^mu as a matrix acting on coefficient vectors (right-multiply).
-        self.deriv = []
-        for mu in range(NVARS):
-            dm = np.zeros((self.n_terms, self.n_terms))
-            for i, e in enumerate(self.exponents):
-                if e[mu] > 0:
-                    tgt = list(e)
-                    tgt[mu] -= 1
-                    dm[i, self.index[tuple(tgt)]] = e[mu]
-            self.deriv.append(dm)
+        # the monomials of degree d are level_bounds[d]:level_bounds[d + 1]
+        bounds = self.level_bounds = np.searchsorted(
+            self.term_degree, np.arange(degree + 2))
+        # per degree level L of j, its pairs as (k, i, j), k and j counted
+        # from bounds[L], split by rank in the row-major run of k: rank 0
+        # has one pair per k of degree >= L, in order, the (0, j) first
+        self.level_pairs = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            keep = (self.pair_j >= lo) & (self.pair_j < hi)
+            i, j, k = self.pair_i[keep], self.pair_j[keep] - lo, kk[keep] - lo
+            rank = np.arange(len(k)) - np.searchsorted(k, k)
+            self.level_pairs.append([
+                (k[rank == r], i[rank == r], j[rank == r])
+                for r in range(rank.max() + 1)])
+        # d/dx^mu: coefficient t is (e_t[mu] + 1) times that of t + e_mu,
+        # and 0 at the top degree (index 0, scale 0)
+        self.diff_source = [lookup[exps @ radix + radix[mu]]
+                            for mu in range(NVARS)]
+        self.diff_scale = [(exps[:, mu] + 1.0) * (self.term_degree < degree)
+                           for mu in range(NVARS)]
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.add.reduceat(a.take(self.pair_i, axis=-1)
                                * b.take(self.pair_j, axis=-1),
                                self.group_starts, axis=-1)
 
-    def mul_matrix(self, a: np.ndarray) -> np.ndarray:
-        """(..., n) -> (..., n, n) with M[j, k] = a[k - j]: b @ M == a * b."""
-        padded = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
-        return padded[..., self.mul_index]
-
-    def level_product(self, pairs, a: np.ndarray, b: np.ndarray
-                      ) -> np.ndarray:
-        """(n, N, K) x (n, K, M) -> (T, N, M) for the pairs of one level
-        (an entry of ``levels``): per monomial t of the level, the sum of
-        a[i] @ b[j] over its pairs (i, j) -> t with i != 0, as one batched
-        matmul over the level's pairs and one ``np.add.reduceat``."""
-        ik, jk, starts = pairs
-        return np.add.reduceat(a[ik] @ b[jk], starts, axis=0)
+    def push(self, a: np.ndarray, x: np.ndarray, level: int,
+             constant: bool = True) -> np.ndarray:
+        """Sum a_i @ x_j per output monomial over the pairs (i, j) with j
+        of degree ``level``, for a (n, N, K) C-contiguous and x (K, n_L, M):
+        (N, T, M) for the last T monomials, those of degree >= ``level``
+        (> ``level`` with ``constant=False``, without the pairs (0, j)).
+        The i are a prefix, |i| <= D - level, so the products are one GEMM;
+        each output then adds its pairs in row-major order, rank by rank.
+        """
+        (_, i, j), *ranks = self.level_pairs[level]
+        first, skip = (0, 0) if constant else (1, x.shape[1])
+        end = self.level_bounds[self.degree - level + 1]
+        inner = a.shape[2]
+        # (n_L, M, n_i, N): each pair's product as M rows of N
+        prod = (x.reshape(inner, -1).T
+                @ a[first:end].reshape(-1, inner).T).reshape(
+                    x.shape[1], -1, end - first, a.shape[1])
+        out = prod[j[skip:], :, i[skip:] - first]
+        for k, ik, jk in ranks:
+            out[k - skip] += prod[jk, :, ik - first]
+        return out.transpose(2, 0, 1)
 
     def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(N, K, n) x (K, M, n) -> (N, M, n): jet-valued matrix product.
-
-        The pairs (0, k) are one batched matmul a_0 @ b_k; the others run
-        level by level through :meth:`level_product`.
-        """
-        at, bt = a.transpose(2, 0, 1), b.transpose(2, 0, 1)
-        out = at[0] @ bt
-        for t, pairs in self.levels:
-            out[t] += self.level_product(pairs, at, bt)
-        return out.transpose(1, 2, 0)
+        """(N, K, n) x (K, M, n) -> (N, M, n), one :meth:`push` per degree
+        level of b; a transposed C-contiguous (n, N, K) ``a`` is not copied."""
+        at = np.ascontiguousarray(a.transpose(2, 0, 1))
+        bt, bounds = b.transpose(0, 2, 1), self.level_bounds
+        out = self.push(at, bt[:, :1], 0)
+        for level in range(1, self.degree + 1):
+            lo, hi = bounds[level], bounds[level + 1]
+            out[:, lo:] += self.push(at, bt[:, lo:hi], level)
+        return out.transpose(0, 2, 1)
 
     def diff_coeffs(self, a: np.ndarray, mu: int) -> np.ndarray:
-        return a @ self.deriv[mu]
+        return a.take(self.diff_source[mu], axis=-1) * self.diff_scale[mu]
 
     def mask_up_to(self, order: int) -> np.ndarray:
         return self.term_degree <= order

@@ -15,15 +15,14 @@ tensor (b^T, b or k) contracted with a constant dual-then-wedge sign tensor
 and with the coefficient arrays of A or B, elementwise over the whole ring
 width, so assembly makes no jet products and works over every ring.  Y is
 never inverted: the inverse Y0^{-1} of its constant block is formed once,
-and Y x = r is solved order by order on right-hand-side columns.  On the
-base block the monomials of one total degree are solved together: Y0^{-1}
-applied to their right-hand sides less the couplings to the lower degrees,
-which are the level kernel of :mod:`ymft.jets`, one gathered batched
-matmul and one ``np.add.reduceat`` per degree.  The blocks of an extended
-ring follow in waves, their couplings to solved blocks subtracted first
-and the blocks of one wave stacked as extra columns of a single base
-solve.  Invertibility of the constant block is exactly the
-det(Y) != 0 restriction on admissible field configurations.
+and Y x = r is solved right-looking, one degree level of the jet at a time
+(column-oriented forward substitution, Golub & Van Loan, *Matrix
+Computations*, 3.1): each solved level is pushed into the right-hand sides
+of the higher levels by the jet-matrix kernel of :mod:`ymft.jets`, which
+also gives the couplings between the blocks of an extended ring.  The
+blocks of one wave are extra columns of a single base solve.
+Invertibility of the constant block is exactly the det(Y) != 0 restriction
+on admissible field configurations.
 
 On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
 the reverse sweep: its adjoint solves with the transpose of Y, multiplies
@@ -116,8 +115,9 @@ def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
 # ring-valued linear algebra
 
 
-def _ring_product(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, K, w) x (K, M, w) -> (N, M, w), one base kernel per block pair."""
+def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring, one
+    jet-matrix product per block pair whose blocks are both nonzero."""
     a_blocks, b_blocks = ring.block_view(a), ring.block_view(b)
     out = ring.zeros((a.shape[0], b.shape[1]))
     out_blocks = ring.block_view(out)
@@ -128,14 +128,9 @@ def _ring_product(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring."""
-    return _ring_product(ring, a, b)
-
-
 def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(N, K, w) x (K, w) -> (N, w) over the jet ring."""
-    return _ring_product(ring, a, v[:, None, :])[:, 0]
+    return ring_matmul(ring, a, v[:, None, :])[:, 0]
 
 
 def _ring_identity(ring, size: int) -> np.ndarray:
@@ -285,8 +280,8 @@ def _solve_waves(ring, nonzero):
     """The blocks of the ring in solve order, grouped into waves.
 
     Block o needs Y_i x_j for every block pair (i, j, o) with i != 0, so a
-    wave closes when a block needs one inside it.  Each wave comes with its
-    couplings: per solved block j, the wave positions of the blocks o and
+    wave closes when a block needs one inside it.  Each wave, a slice of
+    blocks, comes with its couplings: per solved block j, the blocks o and
     the blocks i of the pairs (i, j, o) whose Y_i is nonzero.
     """
     waves = []
@@ -300,26 +295,22 @@ def _solve_waves(ring, nonzero):
         couplings = {}
         for i, j, o in ring.block_pairs:
             if i and o in wave and nonzero[i]:
-                pos, blocks = couplings.setdefault(j, ([], []))
-                pos.append(wave.index(o))
+                outs, blocks = couplings.setdefault(j, ([], []))
+                outs.append(o)
                 blocks.append(i)
-        plan.append((wave, list(couplings.items())))
+        plan.append((slice(wave[0], wave[-1] + 1), list(couplings.items())))
     return plan
 
 
 class YInverse:
     """Solves Y x = r order by order; Y^{-1} itself is never formed.
 
-    On the base block the degree levels d = 0..D are walked in turn,
-    x_t = Y0^{-1}(r_t - sum_{(i, j) -> t, i != 0} Y_i x_j) for every
-    monomial t of degree d at once.  Each x_j on the right has degree < d,
-    so it is solved already, and the sum is
-    :meth:`ymft.jets.JetAlgebra.level_product`: D + 1 Python steps, and no
-    per-monomial table is kept between solves.  The blocks of the ring are
-    solved in waves (:func:`_solve_waves`): the couplings Y_i x_j to solved
-    blocks are one matmul per j against the multiplication matrices of x_j,
-    and the blocks of a wave are extra columns of one base solve.  A solver
-    holds only Y, Y0^{-1} and its wave plan.
+    Every product is the kernel :meth:`ymft.jets.JetAlgebra.push`.  On
+    the base block, x_L = Y0^{-1} r_L for all monomials of degree level L
+    at once, then Y_i x_L for every i != 0 with |i| <= D - L leaves the
+    pending right-hand sides of the higher levels.  The blocks of the ring
+    are solved in waves (:func:`_solve_waves`), after their couplings to
+    solved blocks.  A solver holds Y, Y0^{-1} and its wave plan.
     """
 
     def __init__(self, yop: YOperator, y0_inv: np.ndarray):
@@ -339,40 +330,34 @@ class YInverse:
                                   yop.matrix.transpose(1, 0, 2), yop.order),
                         self.y0_inv.T)
 
-    def _solve_base(self, rhs: np.ndarray) -> np.ndarray:
-        """(size, M, n) -> (size, M, n): the graded solve on the base block."""
-        alg = self.yop.ring.algebra
-        # the base block monomial first, (n, size, size), copied so that
-        # each level gathers whole matrices
-        base = np.ascontiguousarray(np.moveaxis(self._blocks[:, :, 0], -1, 0))
-        rt = rhs.transpose(2, 0, 1)
-        x = np.empty(rt.shape)
-        x[0] = self.y0_inv @ rt[0]
-        for t, pairs in alg.levels:
-            x[t] = self.y0_inv @ (rt[t] - alg.level_product(pairs, base, x))
-        return x.transpose(1, 2, 0)
+    def _stacked(self, blocks) -> np.ndarray:
+        """The listed Y blocks as rows, C-contiguous, monomial first."""
+        return np.ascontiguousarray(self._blocks[:, :, blocks].transpose(
+            3, 2, 0, 1)).reshape(self.yop.ring.base_width, -1, self.yop.size)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
         ring, size = self.yop.ring, self.yop.size
-        n = ring.base_width
-        x = np.empty(r.shape)
-        # (size, cols, blocks, n) views of r and of the solution
-        rb, xb = (ring.block_view(v.reshape(size, -1, ring.width))
-                  for v in (r, x))
-        cols = rb.shape[1]
-        by_block = self._blocks.transpose(2, 0, 1, 3)
+        alg, bounds = ring.algebra, ring.algebra.level_bounds
+        # r as (size, n, blocks, cols), the kernel's layout, solved in place
+        z = ring.block_view(r.reshape(size, -1, ring.width)).transpose(
+            0, 3, 2, 1).copy()
+        base = self._stacked([0])
         for wave, couplings in self._waves:
-            rhs = rb[:, :, wave]
-            for j, (pos, blocks) in couplings:
-                y_stack = by_block[blocks].reshape(len(blocks) * size, -1)
-                mul_x = ring.algebra.mul_matrix(xb[:, :, j]).transpose(
-                    0, 2, 1, 3).reshape(size * n, cols * n)
-                rhs[:, :, pos] -= (y_stack @ mul_x).reshape(
-                    len(pos), size, cols, n).transpose(1, 2, 0, 3)
-            xb[:, :, wave] = self._solve_base(
-                rhs.reshape(size, -1, n)).reshape(rhs.shape)
-        return x
+            for j, (outs, blocks) in couplings:
+                prod = alg.matmul_coeffs(self._stacked(blocks).transpose(
+                    1, 2, 0), z[:, :, j].transpose(0, 2, 1))
+                z[:, :, outs] -= prod.reshape(
+                    len(blocks), size, -1, alg.n_terms).transpose(1, 3, 0, 2)
+            zw = z[:, :, wave]
+            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                x = self.y0_inv @ zw[:, lo:hi].reshape(size, -1)
+                zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
+                if hi < alg.n_terms:
+                    zw[:, hi:] -= alg.push(
+                        base, x.reshape(size, hi - lo, -1), level,
+                        constant=False).reshape(zw[:, hi:].shape)
+        return z.transpose(0, 3, 2, 1).reshape(r.shape)
 
 
 @dataclass
@@ -406,12 +391,27 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet
     j = 0 at zero mass).  dA and dB are the derivative slots of
     ``config``.
     """
+    return _strengths(config, ds, None)
+
+
+def recorded_strengths(config: FieldConfig, ds: DeformationSet,
+                       solved: StrengthPair) -> StrengthPair:
+    """The strengths ``solved`` of the values of ``config`` over its
+    marked fields, recording the solve of ``solved`` without running it."""
+    return _strengths(config, ds, solved)
+
+
+def _strengths(config: FieldConfig, ds: DeformationSet,
+               solved: StrengthPair | None) -> StrengthPair:
     f_form = config.dA + config.A.wedge(config.A, ds.a).scale(0.5)
     h_form = config.dB
     if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
-    yinv = invert_Y(assemble_Y(config, ds))
-    vec = yinv.apply(stack_pair(f_form, h_form))
+    if solved is None:
+        yinv = invert_Y(assemble_Y(config, ds))
+        vec = yinv.apply(stack_pair(f_form, h_form))
+    else:
+        yinv, vec = solved.y_inv, stack_pair(solved.P, solved.Q)
     order = min(f_form.order, h_form.order)
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
                                   ds.space_b.dim, vec, order)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ymft import dynamics, lie_core
+from ymft import strengths as strengths_module
 from ymft.deformations import (family_e_only, family_general,
                                family_solvable, family_su2, make_deformation)
 from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
@@ -427,9 +428,9 @@ def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
     base_solves = []
 
     def counted(config, *args, **kwargs):
-        # the Euler-Lagrange pass records its own solve on marked fields
-        if not isinstance(config.ring, NilpotentExtension) \
-                and config.A.node is None:
+        # the Euler-Lagrange pass records the seed's solve on its marked
+        # fields and solves nothing
+        if not isinstance(config.ring, NilpotentExtension):
             base_solves.append(config)
         return solve(config, *args, **kwargs)
 
@@ -690,6 +691,24 @@ def test_reverse_el_matches_forward_reference(name, degree, builder):
     for form, ref in zip(reverse, forward):
         assert form.p == ref.p and form.order == ref.order
         assert_matches_reference(form, ref)
+
+
+def test_reverse_el_records_the_seed_solve_without_solving(monkeypatch):
+    v = VARIANTS["su2-massive"]()
+    ctx, = seed_contexts(v, [1], 4)
+    fresh = generic_field_equations(v, ctx.config)
+    strengths = ctx.strengths
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the recorded pass solved Y again")
+
+    monkeypatch.setattr(strengths_module, "invert_Y", no_solve)
+    reused = generic_field_equations(v, ctx.config, strengths)
+    for form, ref in zip(reused, fresh):
+        assert np.array_equal(form.comps, ref.comps)
+        assert form.order == ref.order
+    # the shared strengths stay unrecorded for the other checks
+    assert strengths.P.node is None and strengths.Q.node is None
 
 
 def test_reverse_el_leaves_unmarked_fields_unrecorded():

@@ -27,27 +27,59 @@ def test_truncated_product_against_brute_force(degree):
                        atol=1e-14)
 
 
-@pytest.mark.parametrize("degree", range(8))
-def test_pair_groups_keep_row_major_order(degree):
-    # the graded Y solve and matmul_coeffs sum each monomial's pairs with
-    # i != 0 level by level, in this order
+@pytest.mark.parametrize("degree", range(9))
+def test_level_pairs_hold_each_pair_once(degree):
+    # the kernel of the jet-matrix product and of the graded Y solve pushes
+    # one degree level of the right factor at a time; each output monomial
+    # adds its pairs rank by rank, in row-major order
     alg = jet_algebra(degree)
-    seen, monomials = [], []
-    for d, (level, (ik, jk, starts)) in enumerate(alg.levels, start=1):
-        ts = range(alg.n_terms)[level]
-        assert all(alg.term_degree[t] == d for t in ts)
-        assert len(starts) == len(ts) and starts[0] == 0
-        runs = np.split(np.stack([ik, jk], axis=1), starts[1:])
-        for t, run in zip(ts, runs):
-            pairs = [tuple(pair) for pair in run.tolist()]
-            assert pairs == sorted(pairs)
-            assert all(i != 0 and alg.mul_index[j, t] == i for i, j in pairs)
-            seen += pairs
-        monomials += ts
-    # the levels tile the non-constant monomials and hold each pair once
-    assert monomials == list(range(1, alg.n_terms))
-    assert sorted(seen) == sorted((i, j) for i, j in zip(
-        alg.pair_i.tolist(), alg.pair_j.tolist()) if i != 0)
+    bounds = alg.level_bounds
+    seen = []
+    for level, ranks in enumerate(alg.level_pairs):
+        lo, hi = bounds[level], bounds[level + 1]
+        assert (alg.term_degree[lo:hi] == level).all()
+        # rank 0: one pair per monomial of degree >= level, in order, the
+        # pairs (0, j) of the level first
+        assert ranks[0][0].tolist() == list(range(alg.n_terms - lo))
+        assert ranks[0][1][:hi - lo].tolist() == [0] * (hi - lo)
+        assert ranks[0][2][:hi - lo].tolist() == list(range(hi - lo))
+        runs = {}
+        for targets, ik, jk in ranks:
+            assert len(set(targets.tolist())) == len(targets)
+            for k, i, j in zip(targets.tolist(), ik.tolist(), jk.tolist()):
+                j += lo
+                assert alg.term_degree[j] == level
+                total = tuple(x + y for x, y in zip(alg.exponents[i],
+                                                    alg.exponents[j]))
+                assert alg.index[total] == k + lo
+                runs.setdefault(k, []).append((i, j))
+                seen.append((i, j))
+        # the ranks follow the row-major order of each output's pairs
+        assert all(run == sorted(run) for run in runs.values())
+    every = [(i, j) for i, ei in enumerate(alg.exponents)
+             for j, ej in enumerate(alg.exponents)
+             if sum(ei) + sum(ej) <= degree]
+    assert sorted(seen) == every
+
+
+def dense_derivative(alg: JetAlgebra, mu: int) -> np.ndarray:
+    """d/dx^mu as an n x n matrix acting on coefficient rows."""
+    out = np.zeros((alg.n_terms, alg.n_terms))
+    for i, e in enumerate(alg.exponents):
+        if e[mu] > 0:
+            lower = list(e)
+            lower[mu] -= 1
+            out[i, alg.index[tuple(lower)]] = e[mu]
+    return out
+
+
+@pytest.mark.parametrize("degree", range(11))
+def test_diff_coeffs_matches_dense_derivative(degree):
+    alg = jet_algebra(degree)
+    a = np.random.default_rng(degree).uniform(-1, 1, (3, 6, alg.n_terms))
+    for mu in range(4):
+        assert np.array_equal(alg.diff_coeffs(a, mu),
+                              a @ dense_derivative(alg, mu))
 
 
 def test_monomial_count_degree3():
@@ -199,17 +231,6 @@ def loop_nilpotent_mul(ring: NilpotentExtension, x, y):
 
 def _rel_err(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
-
-
-@pytest.mark.parametrize("degree", range(6))
-def test_mul_matrix_matches_mul_coeffs(degree):
-    alg = jet_algebra(degree)
-    rng = np.random.default_rng(40 + degree)
-    a = rng.uniform(-1, 1, (4, 3, alg.n_terms))
-    b = rng.uniform(-1, 1, (4, 3, alg.n_terms))
-    got = (b[..., None, :] @ alg.mul_matrix(a))[..., 0, :]
-    assert got.shape == a.shape
-    assert _rel_err(got, alg.mul_coeffs(a, b)) <= 1e-15
 
 
 @pytest.mark.parametrize("directions", [1, 3, 50, 60])

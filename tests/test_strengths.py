@@ -334,7 +334,7 @@ def _rel_err(x, ref):
 
 
 PRODUCT_RINGS = [
-    *(pytest.param(JetRing(d), (), id=f"jet-d{d}") for d in range(6)),
+    *(pytest.param(JetRing(d), (), id=f"jet-d{d}") for d in (*range(6), 8)),
     pytest.param(NilpotentExtension(3, 1), (), id="nil-d3x1"),
     pytest.param(NilpotentExtension(4, 3), (2,), id="nil-d4x3-zero-block"),
     pytest.param(NilpotentExtension(2, 60), (7, 30), id="nil-d2x60"),
@@ -513,6 +513,25 @@ def test_solve_residual_multi_column(ring):
     r = _random_ring_array(rng, ring, (yop.size, 5))
     x = invert_Y(yop).apply(r)
     assert np.abs(ring_matmul(ring, yop.matrix, x) - r).max() < 1e-12
+
+
+@pytest.mark.parametrize("ring", [JetRing(8), NilpotentExtension(8, 3),
+                                  EpsilonTower(8, 2)],
+                         ids=["jet-d8", "nil-d8x3", "eps-d8x2"])
+def test_solve_residual_degree_8(ring):
+    # Y and its transpose, the solver of the reverse pass, at a jet degree
+    # where every level of the right-looking solve has many pairs
+    ds = family_su2(2.0, 0.5)
+    inv = invert_Y(assemble_Y(_solve_config(ring, 80), ds))
+    r = _random_ring_array(np.random.default_rng(81), ring,
+                           (inv.yop.size, 2))
+    for solver in (inv, inv.transpose()):
+        x = solver.apply(r)
+        assert np.abs(ring_matmul(ring, solver.yop.matrix, x) - r).max() \
+            < 1e-12
+        assert np.abs(ring_matvec(ring, solver.yop.matrix,
+                                  solver.apply(r[:, 0])) - r[:, 0]).max() \
+            < 1e-12
 
 
 EXACT_RINGS = [JetRing(3), NilpotentExtension(3, 4), EpsilonTower(2, 3)]
