@@ -8,10 +8,15 @@ and documented in CONVENTIONS.md.
 
 Wedge and interior products are paired over internal indices by a coupling
 tensor ``pairing[c, a, b]`` (structure constants, metrics, the deformation
-couplings).  Those tensors are sparse, often entirely zero for a given
-theory, so jet products run only for the internal pairs (a, b) the pairing
-couples: one ring product per component pair over exactly those, then a
-contraction with their coupling columns.
+couplings) and over components by a sign table.  Both are constants, so one
+GEMM with no jet products folds them and the left factor x into a jet
+matrix L[(c, k), (b, j)] = sum_{a, i} sign_{ijk} pairing[c, a, b] x^a_i,
+which multiplies the right factor by the jet-matrix kernel
+(:meth:`ymft.jets.JetRing.bilinear`).  A zero pairing multiplies nothing
+and gives the exact zero form.  A non-finite coefficient can reach every
+output component of its jet matrix (inf * 0 = NaN in the GEMM); blocks that
+no live pair reaches stay exactly 0.0.  The exterior derivative is likewise
+one derivative per direction over all components, then one signed matrix.
 
 Over an extended ring (a nilpotent extension or an epsilon tower) a form
 also records which blocks may be nonzero anywhere in it: one flag vector
@@ -29,11 +34,11 @@ by :func:`mark_leaf` is an independent variable; every sum, difference,
 negation, scale, Hodge dual and wedge product of a marked form records a
 :class:`Node`, its operands' nodes and the rule that maps the adjoint of its
 output to theirs.  :func:`adjoints` walks those nodes back from one output.
-The jet ring is commutative, so the adjoint of a product is again a ring
-product: a wedge pulls back its output adjoint with two ring products per
-table entry.  An operation on unmarked forms records nothing; ``d``,
-interior products and :func:`ymft.strengths.apply_linear` refuse a marked
-form rather than drop it from the record.
+The jet ring is commutative, so the adjoint of a wedge is again a product
+over the same fold: L^T g for the right factor, R^T g for the left, R the
+jet matrix of the right factor.  An operation on unmarked forms records
+nothing; ``d``, interior products and :func:`ymft.strengths.apply_linear`
+refuse a marked form rather than drop it from the record.
 
 Forms move between the base ring and an extended ring (a nilpotent
 extension or an epsilon tower) through one lift and one read-back:
@@ -110,41 +115,46 @@ HODGE_SQUARE_SIGN = {p: HODGE_TABLE[NVARS - p][HODGE_TABLE[p][i][0]][1]
                      for i in [0]}
 
 
-def _wedge_table(p: int, q: int):
-    table = []
+def _wedge_table(p: int, q: int) -> np.ndarray:
+    """S[i, j, k] with dx^{I_i} ^ dx^{J_j} = S[i, j, k] dx^{K_k}, for the
+    ordered p-, q- and (p + q)-components I, J and K."""
+    out = np.zeros((len(COMPS[p]), len(COMPS[q]), len(COMPS[p + q])))
     for i, ci in enumerate(COMPS[p]):
         for j, cj in enumerate(COMPS[q]):
             merged, sign = _sort_sign(ci + cj)
             if sign:
-                table.append((i, j, COMP_INDEX[p + q][merged], float(sign)))
-    return table
+                out[i, j, COMP_INDEX[p + q][merged]] = sign
+    return out
 
 WEDGE_TABLE = {(p, q): _wedge_table(p, q)
                for p in range(NVARS + 1) for q in range(NVARS + 1)
                if p + q <= NVARS}
 
 
-def _d_table(p: int):
-    table = []
+def _d_table(p: int) -> np.ndarray:
+    """d on p-forms as a signed (comps_p+1, 4 * comps_p) matrix acting on
+    the derivatives d_mu of every component, mu-major."""
+    out = np.zeros((len(COMPS[p + 1]), NVARS, len(COMPS[p])))
     for i, ci in enumerate(COMPS[p]):
         for mu in range(NVARS):
             merged, sign = _sort_sign((mu,) + ci)
             if sign:
-                table.append((mu, i, COMP_INDEX[p + 1][merged], float(sign)))
-    return table
+                out[COMP_INDEX[p + 1][merged], mu, i] = sign
+    return out.reshape(len(out), -1)
 
 D_TABLE = {p: _d_table(p) for p in range(NVARS)}
 
 
-def _interior_table(p: int):
-    """(1-form component sigma, p-component i, output index, sign) entries."""
-    table = []
+def _interior_table(p: int) -> np.ndarray:
+    """Signs S[sigma, i, k] of the interior product of dx^sigma, raised,
+    into the ordered p-component i, onto the (p - 1)-component k."""
+    out = np.zeros((NVARS, len(COMPS[p]), len(COMPS[p - 1])))
     for i, ci in enumerate(COMPS[p]):
         for pos, sigma in enumerate(ci):
             rest = ci[:pos] + ci[pos + 1:]
-            table.append((sigma, i, COMP_INDEX[p - 1][rest],
-                          (-1.0) ** pos * SIGNATURE[sigma]))
-    return table
+            out[sigma, i, COMP_INDEX[p - 1][rest]] = \
+                (-1.0) ** pos * SIGNATURE[sigma]
+    return out
 
 INTERIOR_TABLE = {p: _interior_table(p) for p in range(1, NVARS + 1)}
 
@@ -200,6 +210,14 @@ class Node:
 
 def _recorded(*forms) -> bool:
     return any(f.node is not None for f in forms)
+
+
+def _same_ring(f: "LieForm", g: "LieForm") -> None:
+    """Forms combine only over rings of one class, degree and block count
+    (not one instance: :func:`random_field_config` makes its own)."""
+    rf, rg = f.ring, g.ring
+    if (type(rf), rf.degree, rf.blocks) != (type(rg), rg.degree, rg.blocks):
+        raise ValueError("ring mismatch")
 
 
 class LieForm:
@@ -268,6 +286,7 @@ class LieForm:
     def __add__(self, other: "LieForm") -> "LieForm":
         if other.p != self.p or other.n != self.n:
             raise ValueError("form shape mismatch")
+        _same_ring(self, other)
         live = self.live
         if live is not None:
             live = live | other.live
@@ -298,9 +317,9 @@ class LieForm:
             raise JetOrderExhausted("jet order exhausted by exterior derivative")
         if _recorded(self):
             raise ValueError("d of a marked form is not recorded")
-        out = self.ring.zeros((self.n, len(COMPS[self.p + 1])))
-        for mu, i, k, sign in D_TABLE[self.p]:
-            out[:, k] += sign * self.ring.diff(self.comps[:, i], mu)
+        derivs = np.stack([self.ring.diff(self.comps, mu)
+                           for mu in range(NVARS)], axis=1)
+        out = D_TABLE[self.p] @ derivs.reshape(self.n, -1, self.ring.width)
         return LieForm(self.ring, self.p + 1, out, self.order - 1,
                        self.live)
 
@@ -308,20 +327,18 @@ class LieForm:
         """Pairing-valued wedge product.
 
         ``pairing[c, a, b]`` multiplies self^a wedge other^b into slot c of
-        the output; use shape (1, n, m) for real-valued pairings.  Jet
-        products run only for the internal pairs (a, b) the pairing
-        couples, so a zero pairing gives the exact zero form.
+        the output; use shape (1, n, m) for real-valued pairings.  A zero
+        pairing runs no jet product and gives the exact zero form.
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
-        table = WEDGE_TABLE[(self.p, other.p)]
-        out, live = _paired_products(self, other, pairing, table,
-                                     len(COMPS[self.p + other.p]))
+        signs = WEDGE_TABLE[(self.p, other.p)]
+        out, live = _paired_products(self, other, pairing, signs)
         node = None
         if _recorded(self, other):
             node = Node((self.node, other.node),
                         lambda g: _paired_adjoints(self, other, pairing,
-                                                   table, g))
+                                                   signs, g))
         return LieForm(self.ring, self.p + other.p, out,
                        min(self.order, other.order), live, node)
 
@@ -352,8 +369,7 @@ class LieForm:
             raise ValueError("interior products of marked forms are not "
                              "recorded")
         out, live = _paired_products(oneform, self, pairing,
-                                     INTERIOR_TABLE[self.p],
-                                     len(COMPS[self.p - 1]))
+                                     INTERIOR_TABLE[self.p])
         return LieForm(self.ring, self.p - 1, out,
                        min(self.order, oneform.order), live)
 
@@ -376,76 +392,54 @@ class LieForm:
         return float(np.abs(self.comps[..., mask]).max())
 
 
-def _paired_products(left: LieForm, right: LieForm, pairing, table,
-                     n_comps: int) -> tuple:
-    """Components sum sign * pairing[c, a, b] left^a_i right^b_j -> out[c, k].
-
-    ``table`` lists (i, j, k, sign).  Only the internal pairs (a, b) with a
-    nonzero coupling are multiplied: one ring product per table entry over
-    those pairs, then a contraction with their coupling columns.  Returns
-    the components and their live flags (None over the base ring).  Which
-    blocks of a product may be nonzero, and which block products run, is
-    the ring's rule (:meth:`ymft.jets.ExtendedRing.live_product`) on the
-    flags of the two factors.
-    """
-    a, b, coupling = _coupled_pairs(left, right, pairing)
-    ring = left.ring
-    out = ring.zeros((len(coupling), n_comps))
-    if left.live is None:
-        flags, live = (), None
-    else:
-        flags = ((left.live, right.live),)
-        # a pairing that couples no pair multiplies nothing
-        live = ring.live_product(left.live, right.live) & bool(a.size)
-    if not a.size:
-        return out, live
-    for i, j, k, sign in table:
-        prod = ring.mul(left.comps[a, i], right.comps[b, j], *flags)
-        out[:, k] += sign * np.einsum("cp,p...->c...", coupling, prod)
-    return out, live
-
-
-def _coupled_pairs(left: LieForm, right: LieForm, pairing) -> tuple:
-    """The internal pairs (a, b) that ``pairing`` couples, and their
-    coupling columns pairing[:, a, b]."""
+def _paired_products(left: LieForm, right: LieForm, pairing,
+                     signs: np.ndarray) -> tuple:
+    """The components of :func:`_pair` of two forms, and their live flags
+    (None over the base ring): the ring's rule
+    (:meth:`ymft.jets.ExtendedRing.live_product`) on the factors' flags."""
+    _same_ring(left, right)
     pairing = np.asarray(pairing, dtype=float)
     if pairing.ndim != 3 or pairing.shape[1] != left.n \
             or pairing.shape[2] != right.n:
         raise ValueError("pairing shape mismatch")
-    a, b = np.nonzero(pairing.any(axis=0))
-    return a, b, pairing[:, a, b]
+    live, flags = None, ()
+    if left.live is not None:
+        flags = ((left.live, right.live),)
+        # a pairing that couples no pair multiplies nothing
+        live = left.ring.live_product(*flags[0]) & pairing.any()
+    return _pair(left.ring, left.comps, right.comps, pairing, signs,
+                 *flags), live
 
 
-def _paired_adjoints(left: LieForm, right: LieForm, pairing, table,
-                     g: np.ndarray) -> tuple:
+def _pair(ring, x, y, pairing, signs, *flags) -> np.ndarray:
+    """sum signs[i, j, k] pairing[c, a, b] x[a, i] y[b, j] -> out[c, k],
+    as one :meth:`ymft.jets.JetRing.bilinear`: x folds with the constants
+    into the jet matrix L[(c, k), (b, j)], which multiplies y.  A pairing
+    that couples nothing gives zeros and runs no product."""
+    (c, a, b), (i, j, k) = pairing.shape, signs.shape
+    if not pairing.any():
+        return ring.zeros((c, k))
+    fold = (pairing.transpose(1, 0, 2)[:, None, :, None, :, None]
+            * signs.transpose(0, 2, 1)[None, :, None, :, None, :])
+    return ring.bilinear(x.reshape(a * i, -1), fold.reshape(
+        a * i, c * k, b * j), y.reshape(b * j, -1), *flags).reshape(c, k, -1)
+
+
+def _paired_adjoints(left: LieForm, right: LieForm, pairing, signs,
+                     g: np.ndarray) -> list:
     """The adjoints of the two factors of :func:`_paired_products` from
     the adjoint ``g`` of its output; None for a factor that is not
-    recorded.
-
-    The adjoint of table entry t's products over the coupled pairs p is
-    sign_t sum_c coupling[c, p] g[c, k_t]; each factor's adjoint is that
-    times the other factor, one ring product per table entry and pair,
-    summed onto the factor's components.
-    """
-    a, b, coupling = _coupled_pairs(left, right, pairing)
-    adj = [None, None]
-    if not a.size:
-        return adj
-    ti, tj, tk = (np.array([entry[n] for entry in table]) for n in range(3))
-    sign = np.array([entry[3] for entry in table])
-    # (T, pairs, width): the adjoint of every product
-    g_prod = np.einsum("cp,ctw->tpw", coupling, g[:, tk]) \
-        * sign[:, None, None]
-    factors = ((left, a, ti), (right, b, tj))
-    for n, (form, idx, comp) in enumerate(factors):
-        if form.node is None:
-            continue
-        other, o_idx, o_comp = factors[1 - n]
-        prod = left.ring.mul(g_prod,
-                             other.comps[o_idx][:, o_comp].swapaxes(0, 1))
-        adj[n] = np.zeros(form.comps.shape)
-        np.add.at(adj[n], (idx[None, :], comp[:, None]), prod)
-    return adj
+    recorded.  Each is again a :func:`_pair`, of the other factor and g
+    with the pairing and the signs transposed: with out = L right =
+    R left, for L and R the jet matrices of the two factors, the left
+    factor's adjoint is R^T g and the right factor's L^T g."""
+    pairing, ring = np.asarray(pairing, dtype=float), left.ring
+    return [None if left.node is None else _pair(
+                ring, right.comps, g, pairing.transpose(1, 2, 0),
+                signs.transpose(1, 2, 0)),
+            None if right.node is None else _pair(
+                ring, left.comps, g, pairing.transpose(2, 1, 0),
+                signs.transpose(0, 2, 1))]
 
 
 def mark_leaf(f: LieForm) -> LieForm:

@@ -29,22 +29,25 @@ Two layers live here:
   :class:`ExtendedRing` turns that table into the product and the
   live-flag rule.
 
-Coefficients are stored densely in graded lexicographic monomial order, and
-truncated multiplication runs through a precomputed index-pair table sorted
-by output monomial: a product gathers both factors at the pairs, multiplies
-them, and sums each output monomial's run of pairs in one
-``np.add.reduceat``.  Products of jet-valued matrices and the graded
-strength solve share one kernel, :meth:`JetAlgebra.push`: the products
-a_i x_j of one degree level L of the right factor x are one GEMM, as the i
-with |i| <= D - L are a prefix of the monomials (Taylor propagation,
-Griewank & Walther, *Evaluating Derivatives*, ch. 13).  A derivative is one
-gather and one scale.  An extended ring multiplies only
-the block pairs whose two blocks are flagged live, in one pair-table call;
-every other block stays exactly zero (sparse vector-mode forward
-propagation, ibid., ch. 7).  The flags are one vector per factor, the
-blocks nonzero somewhere in the batch unless the caller passes them: the
-form layer keeps one per form and derives it from the operations that
-built the form, so the work does not follow roundoff.
+Coefficients are stored densely in graded lexicographic monomial order.  A
+scalar product (``mul``) gathers both factors at a precomputed index-pair
+table sorted by output monomial, multiplies them, and sums each output's
+run of pairs in one ``np.add.reduceat``.  Every other product runs one
+kernel, :meth:`JetAlgebra.push`: the products a_i x_j of one degree level L
+of the right factor x are one GEMM, as the i with |i| <= D - L are a prefix
+of the monomials (Taylor propagation, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13), and each output adds its pairs rank by rank.  It
+serves products of jet-valued matrices, the graded strength solve and
+``bilinear``, which folds one factor of a constant-coefficient bilinear map
+(the wedge and interior products of forms and their adjoints) into a jet
+matrix by one GEMM, with no jet products, then pushes the other factor
+through it.  A derivative is one gather and one scale.  An extended ring
+multiplies only the block pairs whose two blocks are flagged live; every
+other block stays exactly zero (sparse vector-mode forward propagation,
+ibid., ch. 7).  The flags are one vector per factor, the blocks nonzero
+somewhere in the batch unless the caller passes them: the form layer keeps
+one per form and derives it from the operations that built the form, so
+the work does not follow roundoff.
 """
 
 from __future__ import annotations
@@ -97,17 +100,25 @@ class JetAlgebra:
         # the monomials of degree d are level_bounds[d]:level_bounds[d + 1]
         bounds = self.level_bounds = np.searchsorted(
             self.term_degree, np.arange(degree + 2))
-        # per degree level L of j, its pairs as (k, i, j), k and j counted
-        # from bounds[L], split by rank in the row-major run of k: rank 0
-        # has one pair per k of degree >= L, in order, the (0, j) first
+        # per degree level L of j: the place of each output k (degree >= L,
+        # from bounds[L]) in an order where those with an r-th pair in their
+        # row-major run are a prefix (most pairs first, degree L, whose one
+        # pair is (0, j), last), and per rank r the rows of those pairs in
+        # the products of :meth:`push`: j * n_i + i (n_i = end, every i)
+        # and j * (n_i - 1) + i - 1 (without i = 0)
         self.level_pairs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             keep = (self.pair_j >= lo) & (self.pair_j < hi)
             i, j, k = self.pair_i[keep], self.pair_j[keep] - lo, kk[keep] - lo
             rank = np.arange(len(k)) - np.searchsorted(k, k)
-            self.level_pairs.append([
-                (k[rank == r], i[rank == r], j[rank == r])
-                for r in range(rank.max() + 1)])
+            count = np.bincount(k)
+            place = np.argsort(np.lexsort((np.arange(len(count)) < hi - lo,
+                                           -count)))
+            end = bounds[degree - level + 1]
+            rows = np.array([j * end + i, j * (end - 1) + i - 1])
+            by_rank = rows[:, np.lexsort((place[k], rank))]
+            self.level_pairs.append((place, np.split(
+                by_rank, np.cumsum(np.bincount(rank))[:-1], axis=1)))
         # d/dx^mu: coefficient t is (e_t[mu] + 1) times that of t + e_mu,
         # and 0 at the top degree (index 0, scale 0)
         self.diff_source = [lookup[exps @ radix + radix[mu]]
@@ -127,20 +138,23 @@ class JetAlgebra:
         (N, T, M) for the last T monomials, those of degree >= ``level``
         (> ``level`` with ``constant=False``, without the pairs (0, j)).
         The i are a prefix, |i| <= D - level, so the products are one GEMM;
-        each output then adds its pairs in row-major order, rank by rank.
+        each output then adds its pairs in row-major order, rank by rank,
+        each rank a prefix of the outputs in the order of ``level_pairs``.
         """
-        (_, i, j), *ranks = self.level_pairs[level]
+        place, (first_rank, *ranks) = self.level_pairs[level]
         first, skip = (0, 0) if constant else (1, x.shape[1])
         end = self.level_bounds[self.degree - level + 1]
-        inner = a.shape[2]
-        # (n_L, M, n_i, N): each pair's product as M rows of N
+        n_out, inner = len(place) - skip, a.shape[2]
+        # each pair's product as one row of (M, N); copied unless M == 1
         prod = (x.reshape(inner, -1).T
                 @ a[first:end].reshape(-1, inner).T).reshape(
-                    x.shape[1], -1, end - first, a.shape[1])
-        out = prod[j[skip:], :, i[skip:] - first]
-        for k, ik, jk in ranks:
-            out[k - skip] += prod[jk, :, ik - first]
-        return out.transpose(2, 0, 1)
+                    x.shape[1], -1, end - first, a.shape[1]).swapaxes(1, 2)
+        prod = prod.reshape(-1, prod.shape[2] * a.shape[1])
+        out = prod.take(first_rank[first, :n_out], axis=0)
+        for rows in ranks:
+            out[:rows.shape[1]] += prod.take(rows[first], axis=0)
+        return out.take(place[skip:], axis=0).reshape(
+            n_out, x.shape[2], -1).transpose(2, 0, 1)
 
     def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, K, n) x (K, M, n) -> (N, M, n), one :meth:`push` per degree
@@ -298,6 +312,17 @@ class JetRing:
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.algebra.mul_coeffs(x, y)
 
+    def bilinear(self, x: np.ndarray, coeffs: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """sum over a, k of coeffs[a, n, k] x_a y_k, for x (A, w), constant
+        coeffs (A, N, K) and y (K, w): (N, w).  x and coeffs fold into one
+        jet matrix, sum_a x_a coeffs[a], by one GEMM and no jet products;
+        it multiplies y by one :meth:`JetAlgebra.push` per degree level."""
+        mat = (x.T @ coeffs.reshape(len(x), -1)).reshape(
+            (self.width,) + coeffs.shape[1:])
+        return self.algebra.matmul_coeffs(mat.transpose(1, 2, 0),
+                                          y[:, None])[:, 0]
+
     def block_view(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., blocks, base_width), as a view: writes to
         it reach x."""
@@ -342,7 +367,7 @@ class ExtendedRing(JetRing):
     A subclass sets its block count and ``block_pairs``, the table of
     nonzero block products (i, j, o): block i of one factor times block j
     of the other adds to block o of the product.  That table alone drives
-    both rules here: :meth:`mul` and :meth:`live_product`.
+    the rules here: :meth:`mul`, :meth:`bilinear` and :meth:`live_product`.
 
     Each factor carries one (blocks,) vector of live flags, the blocks that
     may be nonzero somewhere in the batch; the caller passes them (the form
@@ -352,7 +377,7 @@ class ExtendedRing(JetRing):
     pair-table call, and sums the products of each output block in one
     ``np.add.reduceat`` (needed only where a block has two).  An output
     block that no live pair reaches comes out exactly 0.0, even where the
-    other factor holds inf or NaN.
+    other factor holds inf or NaN; :meth:`bilinear` keeps the same rule.
     """
 
     def __init__(self, degree: int):
@@ -379,14 +404,41 @@ class ExtendedRing(JetRing):
             prod = self.base.mul(xs[..., left, :], ys[..., right, :])
             if starts is not None:
                 prod = np.add.reduceat(prod, starts, axis=-2)
+                outs = outs[starts]
             self.block_view(out)[..., outs, :] = prod
+        return out
+
+    def bilinear(self, x: np.ndarray, coeffs: np.ndarray, y: np.ndarray,
+                 live=None) -> np.ndarray:
+        """:meth:`JetRing.bilinear` on the live block pairs (``live`` as
+        for :meth:`mul`): one GEMM folds the live left blocks into their
+        jet matrices, and each live right block is one product, whose rows
+        are the matrices of every live left block that meets it."""
+        if live is None:
+            live = [self.live_blocks(z) for z in (x, y)]
+        left, right, outs, _ = self._live_pairs(*live)
+        out, (n_out, inner) = self.zeros(coeffs.shape[1:2]), coeffs.shape[1:]
+        used = np.unique(left)
+        mats = (self.block_view(x)[:, used].transpose(2, 1, 0).reshape(
+            -1, len(x)) @ coeffs.reshape(len(x), -1)).reshape(
+                self.base_width, -1, n_out * inner)
+        for j in np.unique(right):
+            meets = right == j
+            rows = mats[:, np.searchsorted(used, left[meets])]
+            prod = self.algebra.matmul_coeffs(rows.reshape(
+                self.base_width, -1, inner).transpose(1, 2, 0),
+                self.block(y, j)[:, None])
+            for o, block in zip(outs[meets], prod.reshape(-1, n_out,
+                                                          self.base_width)):
+                self.block_view(out)[:, o] += block
         return out
 
     def _live_pairs(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
         """The pairs (i, j, o) with lx[i] and ly[j], as (left blocks, right
         blocks, output blocks, the start of each output's run of pairs, or
-        None where no output has two).  Kept per pattern of flags: a
-        pipeline repeats few patterns, and this saves their index work."""
+        None where no output has two), sorted by output block.  Kept per
+        pattern of flags: a pipeline repeats few patterns, and this saves
+        their index work."""
         key = lx.tobytes() + ly.tobytes()
         plan = self._plans.get(key)
         if plan is None:
@@ -394,7 +446,7 @@ class ExtendedRing(JetRing):
             outs = self._out[keep]
             starts = np.flatnonzero(np.diff(outs, prepend=-1))
             plan = self._plans[key] = (
-                self._left[keep], self._right[keep], outs[starts],
+                self._left[keep], self._right[keep], outs,
                 None if len(starts) == len(keep) else starts)
         return plan
 

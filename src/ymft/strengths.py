@@ -175,10 +175,7 @@ class YOperator:
 def _wedge_vol_factor(p: int, i: int) -> float:
     """Scalar s with *e_i ^ e_i = s vol for the i-th ordered p-component."""
     comp_dual, sign = HODGE_TABLE[p][i]
-    for a, b, _, s in WEDGE_TABLE[(4 - p, p)]:
-        if a == comp_dual and b == i:
-            return sign * s
-    return 0.0
+    return sign * WEDGE_TABLE[(4 - p, p)][comp_dual, i, 0]
 
 
 def block_metric(dim_a: int, dim_b: int, ga=None, gb=None) -> np.ndarray:
@@ -215,14 +212,9 @@ def _dual_wedge_signs(p: int, q: int, scale: float) -> np.ndarray:
     the (4 - p + q)-components; the Hodge dual comes from HODGE_TABLE and the
     wedge from WEDGE_TABLE.
     """
-    wedge = {(i, j): (k, sign) for i, j, k, sign in WEDGE_TABLE[(4 - p, q)]}
-    out = np.zeros((len(COMPS[p]), len(COMPS[q]), len(COMPS[4 - p + q])))
-    for i, (dual, hodge_sign) in enumerate(HODGE_TABLE[p]):
-        for j in range(len(COMPS[q])):
-            if (dual, j) in wedge:
-                k, sign = wedge[dual, j]
-                out[i, j, k] = scale * hodge_sign * sign
-    return out
+    dual, sign = np.array(HODGE_TABLE[p]).T
+    return (scale * sign[:, None, None]
+            * WEDGE_TABLE[(4 - p, q)][dual.astype(int)])
 
 
 def _y_blocks(ds: DeformationSet) -> list:

@@ -604,14 +604,20 @@ def test_product_work_does_not_depend_on_the_seed(monkeypatch, name):
     # holds roundoff for some seeds and an exact 0.0 for others, and the
     # blocks a product multiplies must not follow it
     work = []
-    original = JetAlgebra.mul_coeffs
 
-    def counted(self, a, b):
-        out = original(self, a, b)
-        work[-1] += out.size
-        return out
+    def counted(kernel):
+        original = getattr(JetAlgebra, kernel)
 
-    monkeypatch.setattr(JetAlgebra, "mul_coeffs", counted)
+        def run(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            work[-1] += out.size
+            return out
+
+        monkeypatch.setattr(JetAlgebra, kernel, run)
+
+    # the scalar products and the jet-matrix kernel of the wedges
+    counted("mul_coeffs")
+    counted("push")
     variant = VARIANTS[name]()
     for seed in range(1, 13):
         work.append(0)

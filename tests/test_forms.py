@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, WEDGE_TABLE,
-                        LieForm, adjoints, epsilon_dual,
+from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, SIGNATURE,
+                        WEDGE_TABLE, LieForm, adjoints, epsilon_dual,
                         literal_epsilon_contraction, mark_leaf, promote_form,
                         random_field_config, scalar_pairing, tangent_parts,
                         volume_coefficient)
-from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
+from ymft.jets import (EpsilonTower, ExtendedRing, JetAlgebra, JetRing,
+                       NilpotentExtension)
 from ymft.lie_core import levi_civita3
 from ymft.strengths import apply_linear
 
@@ -182,17 +183,37 @@ def test_interior_product_component_oracle():
         assert np.allclose(out.comps[0, mu], want, atol=1e-13)
 
 
-# -- the wedge over coupled internal pairs against the dense reference -----
+# -- the wedge as a jet-matrix product against the per-entry reference -----
+
+def wedge_entries(p, q):
+    """The nonzero entries (i, j, k, sign) of the wedge sign table."""
+    table = WEDGE_TABLE[(p, q)]
+    return [(i, j, k, table[i, j, k]) for i, j, k in zip(*np.nonzero(table))]
+
 
 def dense_wedge(f, g, pairing):
     """Reference wedge: every internal pair multiplied, then contracted."""
     pairing = np.asarray(pairing, dtype=float)
     ring = f.ring
     out = ring.zeros((pairing.shape[0], len(COMPS[f.p + g.p])))
-    for i, j, k, sign in WEDGE_TABLE[(f.p, g.p)]:
+    for i, j, k, sign in wedge_entries(f.p, g.p):
         prod = ring.mul(f.comps[:, None, i], g.comps[None, :, j])
         out[:, k] += sign * np.einsum("cab,ab...->c...", pairing, prod)
     return LieForm(ring, f.p + g.p, out, min(f.order, g.order))
+
+
+def dense_interior(s, x, pairing):
+    """Reference interior product eta^{nu sigma} x_nu s_{sigma mu2...}:
+    every internal pair and every index multiplied, then contracted."""
+    ring = s.ring
+    out = ring.zeros((pairing.shape[0], len(COMPS[s.p - 1])))
+    for k, rest in enumerate(COMPS[s.p - 1]):
+        for nu in range(4):
+            prod = ring.mul(x.comps[:, None, nu],
+                            s.tensor_component((nu,) + rest)[None, :])
+            out[:, k] += SIGNATURE[nu] * np.einsum("cab,ab...->c...",
+                                                   pairing, prod)
+    return LieForm(ring, s.p - 1, out, min(s.order, x.order))
 
 
 def wedge_magnitude(f, g, pairing):
@@ -203,7 +224,7 @@ def wedge_magnitude(f, g, pairing):
     """
     ring = f.ring
     out = ring.zeros((pairing.shape[0], len(COMPS[f.p + g.p])))
-    for i, j, k, _ in WEDGE_TABLE[(f.p, g.p)]:
+    for i, j, k, _ in wedge_entries(f.p, g.p):
         prod = ring.mul(np.abs(f.comps[:, None, i]), np.abs(g.comps[None, :, j]))
         out[:, k] += np.einsum("cab,ab...->c...", np.abs(pairing), prod)
     return out
@@ -222,9 +243,10 @@ def random_form(ring, p, n, rng, order=None, directions=None):
     return LieForm(ring, p, ring.promote(base, tangents), order)
 
 
-def assert_matches_dense(f, g, pairing):
-    got = f.wedge(g, pairing)
-    want = dense_wedge(f, g, pairing)
+def assert_matches_dense(f, g, pairing, interior=False):
+    got = g.interior(f, pairing) if interior else f.wedge(g, pairing)
+    want = (dense_interior if interior else dense_wedge)(
+        *((g, f) if interior else (f, g)), pairing)
     assert got.p == want.p and got.order == want.order
     assert got.comps.shape == want.comps.shape
     scale = np.abs(want.comps).max()
@@ -249,29 +271,39 @@ PAIRINGS = {
     "random-dense": lambda rng: rng.uniform(-1, 1, (2, 3, 3)),
 }
 
+# name -> (ring, tangents seeded in the left factor, in the right factor;
+# None seeds every tangent)
 RINGS = {
-    "jet3": lambda: JetRing(3),
-    "jet5": lambda: JetRing(5),
-    "nilpotent-4x60": lambda: NilpotentExtension(4, 60),
-    "tower-3x2": lambda: EpsilonTower(3, 2),
+    "jet3": (lambda: JetRing(3), None, None),
+    "jet5": (lambda: JetRing(5), None, None),
+    "jet8": (lambda: JetRing(8), None, None),
+    "nilpotent-4x60": (lambda: NilpotentExtension(4, 60), (0, 59), (0, 59)),
+    # several live left tangents against a right factor whose only live
+    # block is the base: one jet-matrix product per wedge
+    "nilpotent-3x5-left": (lambda: NilpotentExtension(3, 5),
+                           (0, 1, 2, 3, 4), ()),
+    "tower-3x2": (lambda: EpsilonTower(3, 2), None, None),
+    "tower-4x3": (lambda: EpsilonTower(4, 3), None, None),
 }
 
 
 @pytest.mark.parametrize("pairing_name", PAIRINGS)
 @pytest.mark.parametrize("ring_name", RINGS)
 def test_wedge_matches_dense_reference(ring_name, pairing_name):
-    ring = RINGS[ring_name]()
+    make, left, right = RINGS[ring_name]
+    ring = make()
     rng = np.random.default_rng(17)
     pairing = PAIRINGS[pairing_name](rng)
-    seeded = (0, 59) if ring_name.startswith("nilpotent") else None
-    for p, q in ((1, 1), (1, 2), (2, 2), (0, 3)):
-        f = random_form(ring, p, 3, rng, directions=seeded)
-        g = random_form(ring, q, 3, rng, ring.degree - 1, directions=seeded)
+    for p, q in ((1, 1), (1, 2), (2, 2), (0, 3), (1, 3)):
+        f = random_form(ring, p, 3, rng, directions=left)
+        g = random_form(ring, q, 3, rng, ring.degree - 1, directions=right)
         got = assert_matches_dense(f, g, pairing)
-        if seeded is not None:
-            blocks = got.comps.reshape(got.comps.shape[:2]
-                                       + (ring.blocks, ring.base_width))
-            assert np.all(blocks[:, :, 2:60] == 0.0)
+        if p == 1:
+            assert_matches_dense(f, g, pairing, interior=True)
+        if ring.blocks > 1:
+            # the blocks no live pair reaches are exact zeros
+            dead = ~ring.live_product(f.live, g.live)
+            assert np.all(ring.block_view(got.comps)[:, :, dead] == 0.0)
 
 
 def test_wedge_with_zero_pairing_is_exact_zero_form(monkeypatch):
@@ -280,14 +312,103 @@ def test_wedge_with_zero_pairing_is_exact_zero_form(monkeypatch):
     f = random_form(ring, 1, 3, rng, order=2)
     g = random_form(ring, 2, 2, rng)
 
-    def no_products(x, y):
+    def no_products(*args, **kwargs):
         raise AssertionError("ring product run for an uncoupled pair")
 
     monkeypatch.setattr(ring, "mul", no_products)
+    monkeypatch.setattr(JetAlgebra, "push", no_products)
     w = f.wedge(g, np.zeros((4, 3, 2)))
     assert (w.p, w.n, w.order) == (3, 4, 2)
     assert w.comps.shape == (4, len(COMPS[3]), ring.width)
     assert np.all(w.comps == 0.0)
+
+
+@pytest.mark.parametrize("ring", [NilpotentExtension(3, 2),
+                                  EpsilonTower(3, 2)],
+                         ids=["nilpotent", "tower"])
+def test_blocks_no_live_pair_reaches_stay_exact_zeros(ring):
+    # block 0 of the product needs the pair (0, 0), and the right factor's
+    # base block is dead: it stays 0.0 next to an inf in the left factor
+    rng = np.random.default_rng(12)
+    f = random_form(ring, 1, 3, rng, directions=(0,))
+    ring.block_view(f.comps)[1, 2, 0, 5] = np.inf
+    g = promote_form(LieForm.zero(JetRing(3), 2, 3), ring,
+                     [random_form(JetRing(3), 2, 3, rng)])
+    with np.errstate(invalid="ignore"):
+        products = (f.wedge(g, levi_civita3()), g.interior(f, levi_civita3()))
+    for product in products:
+        blocks = ring.block_view(product.comps)
+        dead = ~ring.live_product(f.live, g.live)
+        assert dead[0] and not dead.all()
+        assert np.all(blocks[:, :, dead] == 0.0)
+        assert not np.isfinite(blocks[:, :, ~dead]).all()
+
+
+def test_live_left_blocks_against_a_base_right_factor_are_one_product(
+        monkeypatch):
+    # the value and four tangents of the left factor meet the right
+    # factor's base block only: their jet matrices are the rows of one
+    # jet-matrix product
+    ring = NilpotentExtension(3, 4)
+    rng = np.random.default_rng(15)
+    f = random_form(ring, 1, 3, rng)
+    g = random_form(ring, 2, 3, rng, directions=())
+    calls, original = [], JetAlgebra.matmul_coeffs
+
+    def counted(self, a, b):
+        calls.append(a.shape[:2])
+        return original(self, a, b)
+
+    monkeypatch.setattr(JetAlgebra, "matmul_coeffs", counted)
+    w = f.wedge(g, levi_civita3())
+    assert calls == [(5 * 3 * len(COMPS[3]), 3 * len(COMPS[2]))]
+    assert w.live.all()
+
+
+def test_wedges_and_their_adjoints_run_no_scalar_jet_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar jet product in a paired product")
+
+    rng = np.random.default_rng(13)
+    eps, metric = levi_civita3(), scalar_pairing(np.eye(3))
+    rings = [(JetRing(4), None), (NilpotentExtension(4, 3), (0, 2)),
+             (EpsilonTower(4, 2), None)]
+    forms = [(random_form(ring, 1, 3, rng, directions=seeded),
+              random_form(ring, 2, 3, rng, directions=seeded))
+             for ring, seeded in rings]
+    f, g = forms[0]
+    leaves = [mark_leaf(f), mark_leaf(g)]
+    output = leaves[0].wedge(leaves[1], eps).wedge(leaves[0], metric)
+    for owner in (JetAlgebra, JetRing, ExtendedRing):
+        monkeypatch.setattr(owner, "mul_coeffs" if owner is JetAlgebra
+                            else "mul", refuse)
+    for one, two in forms:
+        one.wedge(two, eps), two.wedge(one, eps), two.interior(one, eps)
+    assert all(np.abs(adj).max() > 0 for adj in adjoints(output, leaves))
+
+
+@pytest.mark.parametrize("op", ["add", "wedge", "interior"])
+def test_forms_over_different_rings_do_not_mix(op):
+    # equal widths: only the ring's class, degree or block count tells
+    # these forms apart
+    pairing = np.ones((1, 1, 1))
+    ops = {"add": lambda x, y: x + y,
+           "wedge": lambda x, y: x.wedge(y, pairing),
+           "interior": lambda x, y: y.interior(x, pairing)}
+    rng = np.random.default_rng(14)
+    rings = [JetRing(4), NilpotentExtension(3, 1), EpsilonTower(3, 1),
+             NilpotentExtension(4, 0)]
+    assert len({ring.width for ring in rings[:3]}) == 1
+    forms = [LieForm(ring, 1, rng.uniform(-1, 1, (1, 4, ring.width)))
+             for ring in rings]
+    for x, y in itertools.permutations(forms, 2):
+        if x.ring.width == y.ring.width:
+            with pytest.raises(ValueError, match="ring mismatch"):
+                ops[op](x, y)
+    # rings equal in class, degree and block count combine, whatever the
+    # instance
+    twin = LieForm(NilpotentExtension(3, 1), 1, forms[1].comps)
+    assert ops[op](forms[1], twin).ring.blocks == 2
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3, 1)])
@@ -469,7 +590,7 @@ ADJOINT_PAIRINGS = {name: PAIRINGS[name] for name in (
     "diagonal-metric", "su2", "single-entry", "random-dense")}
 
 
-@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("degree", [3, 5, 8])
 @pytest.mark.parametrize("pairing_name", ADJOINT_PAIRINGS)
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (0, 3)])
 def test_wedge_adjoint_is_the_transpose(p, q, pairing_name, degree):

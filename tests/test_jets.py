@@ -31,29 +31,37 @@ def test_truncated_product_against_brute_force(degree):
 def test_level_pairs_hold_each_pair_once(degree):
     # the kernel of the jet-matrix product and of the graded Y solve pushes
     # one degree level of the right factor at a time; each output monomial
-    # adds its pairs rank by rank, in row-major order
+    # adds its pairs rank by rank, in row-major order, and the outputs with
+    # an r-th pair are a prefix of the level's output order
     alg = jet_algebra(degree)
     bounds = alg.level_bounds
     seen = []
-    for level, ranks in enumerate(alg.level_pairs):
+    for level, (place, ranks) in enumerate(alg.level_pairs):
         lo, hi = bounds[level], bounds[level + 1]
+        end = bounds[degree - level + 1]
         assert (alg.term_degree[lo:hi] == level).all()
-        # rank 0: one pair per monomial of degree >= level, in order, the
-        # pairs (0, j) of the level first
-        assert ranks[0][0].tolist() == list(range(alg.n_terms - lo))
-        assert ranks[0][1][:hi - lo].tolist() == [0] * (hi - lo)
-        assert ranks[0][2][:hi - lo].tolist() == list(range(hi - lo))
+        # one place per monomial of degree >= level; those of the level,
+        # whose one pair is (0, j), come last
+        order = np.argsort(place)
+        assert sorted(place.tolist()) == list(range(alg.n_terms - lo))
+        assert sorted(order[lo - hi:].tolist()) == list(range(hi - lo))
+        assert ranks[0].shape[1] == alg.n_terms - lo
         runs = {}
-        for targets, ik, jk in ranks:
-            assert len(set(targets.tolist())) == len(targets)
-            for k, i, j in zip(targets.tolist(), ik.tolist(), jk.tolist()):
-                j += lo
-                assert alg.term_degree[j] == level
-                total = tuple(x + y for x, y in zip(alg.exponents[i],
-                                                    alg.exponents[j]))
+        for r, rows in enumerate(ranks):
+            j, i = np.divmod(rows[0], end)
+            # the same pairs in the products without i = 0
+            assert (rows[1] == j * (end - 1) + i - 1)[i > 0].all()
+            zeros = np.flatnonzero(i == 0).tolist()
+            assert zeros == (list(range(lo - hi + len(i), len(i))) if r == 0
+                             else [])
+            for k, ik, jk in zip(order.tolist(), i.tolist(), j.tolist()):
+                jk += lo
+                assert alg.term_degree[jk] == level
+                total = tuple(x + y for x, y in zip(alg.exponents[ik],
+                                                    alg.exponents[jk]))
                 assert alg.index[total] == k + lo
-                runs.setdefault(k, []).append((i, j))
-                seen.append((i, j))
+                runs.setdefault(k, []).append((ik, jk))
+                seen.append((ik, jk))
         # the ranks follow the row-major order of each output's pairs
         assert all(run == sorted(run) for run in runs.values())
     every = [(i, j) for i, ei in enumerate(alg.exponents)
