@@ -34,9 +34,9 @@ by :func:`mark_leaf` is an independent variable; every sum, difference,
 negation, scale, Hodge dual and wedge product of a marked form records a
 :class:`Node`, its operands' nodes and the rule that maps the adjoint of its
 output to theirs.  :func:`adjoints` walks those nodes back from one output.
-The jet ring is commutative, so the adjoint of a wedge is again a product
-over the same fold: L^T g for the right factor, R^T g for the left, R the
-jet matrix of the right factor.  An operation on unmarked forms records
+The jet ring is commutative, so the adjoint of a wedge's right factor is a
+product over the same fold, L^T g (:func:`wedge_adjoint`); the left factor
+is the swapped wedge's right.  An operation on unmarked forms records
 nothing; ``d``, interior products and :func:`ymft.strengths.apply_linear`
 refuse a marked form rather than drop it from the record.
 
@@ -332,13 +332,16 @@ class LieForm:
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
-        signs = WEDGE_TABLE[(self.p, other.p)]
-        out, live = _paired_products(self, other, pairing, signs)
+        pairing = np.asarray(pairing, dtype=float)
+        out, live = _paired_products(self, other, pairing,
+                                     WEDGE_TABLE[(self.p, other.p)])
         node = None
         if _recorded(self, other):
-            node = Node((self.node, other.node),
-                        lambda g: _paired_adjoints(self, other, pairing,
-                                                   signs, g))
+            # self is the right factor of other ^ self = (-1)^(pq) self ^ other
+            swap = pairing.transpose(0, 2, 1) * (-1.0) ** (self.p * other.p)
+            node = Node((self.node, other.node), lambda g: (
+                self.node and wedge_adjoint(other, self, swap, g),
+                other.node and wedge_adjoint(self, other, pairing, g)))
         return LieForm(self.ring, self.p + other.p, out,
                        min(self.order, other.order), live, node)
 
@@ -411,6 +414,15 @@ def _paired_products(left: LieForm, right: LieForm, pairing,
                  *flags), live
 
 
+def _coefficients(pairing: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """signs[i, j, k] pairing[c, a, b] as the coefficients of a fold,
+    [(a, i), (c, k), (b, j)]: the factor folded, the output, the other."""
+    (c, a, b), (i, j, k) = pairing.shape, signs.shape
+    return (pairing.transpose(1, 0, 2)[:, None, :, None, :, None]
+            * signs.transpose(0, 2, 1)[None, :, None, :, None, :]).reshape(
+                a * i, c * k, b * j)
+
+
 def _pair(ring, x, y, pairing, signs, *flags) -> np.ndarray:
     """sum signs[i, j, k] pairing[c, a, b] x[a, i] y[b, j] -> out[c, k],
     as one :meth:`ymft.jets.JetRing.bilinear`: x folds with the constants
@@ -419,27 +431,26 @@ def _pair(ring, x, y, pairing, signs, *flags) -> np.ndarray:
     (c, a, b), (i, j, k) = pairing.shape, signs.shape
     if not pairing.any():
         return ring.zeros((c, k))
-    fold = (pairing.transpose(1, 0, 2)[:, None, :, None, :, None]
-            * signs.transpose(0, 2, 1)[None, :, None, :, None, :])
-    return ring.bilinear(x.reshape(a * i, -1), fold.reshape(
-        a * i, c * k, b * j), y.reshape(b * j, -1), *flags).reshape(c, k, -1)
+    return ring.bilinear(x.reshape(a * i, -1), _coefficients(pairing, signs),
+                         y.reshape(b * j, -1), *flags).reshape(c, k, -1)
 
 
-def _paired_adjoints(left: LieForm, right: LieForm, pairing, signs,
-                     g: np.ndarray) -> list:
-    """The adjoints of the two factors of :func:`_paired_products` from
-    the adjoint ``g`` of its output; None for a factor that is not
-    recorded.  Each is again a :func:`_pair`, of the other factor and g
-    with the pairing and the signs transposed: with out = L right =
-    R left, for L and R the jet matrices of the two factors, the left
-    factor's adjoint is R^T g and the right factor's L^T g."""
-    pairing, ring = np.asarray(pairing, dtype=float), left.ring
-    return [None if left.node is None else _pair(
-                ring, right.comps, g, pairing.transpose(1, 2, 0),
-                signs.transpose(1, 2, 0)),
-            None if right.node is None else _pair(
-                ring, left.comps, g, pairing.transpose(2, 1, 0),
-                signs.transpose(0, 2, 1))]
+def wedge_matrix(p: int, right: LieForm, pairing) -> np.ndarray:
+    """The jet matrix R[(c, k), (a, i)] of u -> u.wedge(right, pairing) on
+    p-forms u, (rows, columns, width): ``right`` folded with the wedge's
+    constants, over every block of its ring."""
+    coeffs = _coefficients(pairing.transpose(0, 2, 1),
+                           WEDGE_TABLE[(p, right.p)].transpose(1, 0, 2))
+    return right.ring.fold(right.comps.reshape(len(coeffs), -1),
+                           coeffs).transpose(1, 2, 0)
+
+
+def wedge_adjoint(left: LieForm, right: LieForm, pairing,
+                  g: np.ndarray) -> np.ndarray:
+    """L^T g, for L the jet matrix of ``left``: the adjoint of the right factor
+    of left.wedge(right, pairing) from that of the product, ``g``."""
+    return _pair(left.ring, left.comps, g, pairing.transpose(2, 1, 0),
+                 WEDGE_TABLE[(left.p, right.p)].transpose(0, 2, 1))
 
 
 def mark_leaf(f: LieForm) -> LieForm:

@@ -39,8 +39,8 @@ of the monomials (Taylor propagation, Griewank & Walther, *Evaluating
 Derivatives*, ch. 13), and each output adds its pairs rank by rank.  It
 serves products of jet-valued matrices, the graded strength solve and
 ``bilinear``, which folds one factor of a constant-coefficient bilinear map
-(the wedge and interior products of forms and their adjoints) into a jet
-matrix by one GEMM, with no jet products, then pushes the other factor
+(the wedge and interior products and their adjoints) into a jet matrix by
+one GEMM, ``fold`` (which also builds Y), then pushes the other factor
 through it.  A derivative is one gather and one scale.  An extended ring
 multiplies only the block pairs whose two blocks are flagged live; every
 other block stays exactly zero (sparse vector-mode forward propagation,
@@ -312,16 +312,21 @@ class JetRing:
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.algebra.mul_coeffs(x, y)
 
+    @staticmethod
+    def fold(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """sum_a x_a coeffs[a] for x (A, w) and constant coeffs (A, N, K):
+        the (w, N, K) jet matrix that :meth:`JetAlgebra.push` takes."""
+        return (x.T @ coeffs.reshape(len(x), -1)).reshape(
+            x.shape[1:] + coeffs.shape[1:])
+
     def bilinear(self, x: np.ndarray, coeffs: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
         """sum over a, k of coeffs[a, n, k] x_a y_k, for x (A, w), constant
-        coeffs (A, N, K) and y (K, w): (N, w).  x and coeffs fold into one
-        jet matrix, sum_a x_a coeffs[a], by one GEMM and no jet products;
-        it multiplies y by one :meth:`JetAlgebra.push` per degree level."""
-        mat = (x.T @ coeffs.reshape(len(x), -1)).reshape(
-            (self.width,) + coeffs.shape[1:])
-        return self.algebra.matmul_coeffs(mat.transpose(1, 2, 0),
-                                          y[:, None])[:, 0]
+        coeffs (A, N, K) and y (K, w): (N, w).  x and coeffs make one jet
+        matrix (:meth:`fold`), which multiplies y by one
+        :meth:`JetAlgebra.push` per degree level."""
+        return self.algebra.matmul_coeffs(
+            self.fold(x, coeffs).transpose(1, 2, 0), y[:, None])[:, 0]
 
     def block_view(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., blocks, base_width), as a view: writes to
@@ -411,17 +416,17 @@ class ExtendedRing(JetRing):
     def bilinear(self, x: np.ndarray, coeffs: np.ndarray, y: np.ndarray,
                  live=None) -> np.ndarray:
         """:meth:`JetRing.bilinear` on the live block pairs (``live`` as
-        for :meth:`mul`): one GEMM folds the live left blocks into their
-        jet matrices, and each live right block is one product, whose rows
-        are the matrices of every live left block that meets it."""
+        for :meth:`mul`): one :meth:`fold` makes the jet matrices of the
+        live left blocks, and each live right block is one product, whose
+        rows are the matrices of every live left block that meets it."""
         if live is None:
             live = [self.live_blocks(z) for z in (x, y)]
         left, right, outs, _ = self._live_pairs(*live)
         out, (n_out, inner) = self.zeros(coeffs.shape[1:2]), coeffs.shape[1:]
         used = np.unique(left)
-        mats = (self.block_view(x)[:, used].transpose(2, 1, 0).reshape(
-            -1, len(x)) @ coeffs.reshape(len(x), -1)).reshape(
-                self.base_width, -1, n_out * inner)
+        mats = self.fold(self.block_view(x)[:, used].transpose(0, 2, 1)
+                         .reshape(len(x), -1), coeffs).reshape(
+                             self.base_width, -1, n_out * inner)
         for j in np.unique(right):
             meets = right == j
             rows = mats[:, np.searchsorted(used, left[meets])]

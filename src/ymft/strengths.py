@@ -10,10 +10,10 @@ variants).  Stacking the component functions of an (A-valued 2-form,
 A'-valued 3-form) pair into a vector of length 6n + 4n' turns the left side
 into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
 
-Y - 1 is assembled in closed form: each coupling block is the pairing
-tensor (b^T, b or k) contracted with a constant dual-then-wedge sign tensor
-and with the coefficient arrays of A or B, elementwise over the whole ring
-width, so assembly makes no jet products and works over every ring.  Y is
+Y - 1 is three wedges of the dualised unknown, -(c_2 *P) ^ A, -(c_3 *Q) ^ A
+and -(c_3 *Q) ^ B.  Each coupling block is the jet matrix of one of them
+(:func:`ymft.forms.wedge_matrix`, no jet products, every ring), with its
+columns taken through the Hodge dual of the unknown's components.  Y is
 never inverted: the inverse Y0^{-1} of its constant block is formed once,
 and Y x = r is solved right-looking, one degree level of the jet at a time
 (column-oriented forward substitution, Golub & Van Loan, *Matrix
@@ -25,9 +25,9 @@ Invertibility of the constant block is exactly the det(Y) != 0 restriction
 on admissible field configurations.
 
 On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
-the reverse sweep: its adjoint solves with the transpose of Y, multiplies
-the result into the solution once per coupling block of Y, and contracts
-that with the transposed assembly einsums.
+the reverse sweep: its adjoint solves with the transpose of Y, then adds
+per coupling block the adjoint of the wedge's right factor, A or B
+(:func:`ymft.forms.wedge_adjoint`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
-                    Node, epsilon_dual)
+                    Node, epsilon_dual, wedge_adjoint, wedge_matrix)
 
 
 class SingularYError(RuntimeError):
@@ -108,7 +108,7 @@ def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
         raise ValueError("linear maps of marked forms are not recorded")
     comps = np.einsum("ap,p...->a...", np.asarray(matrix, dtype=float),
                       form.comps)
-    return LieForm(form.ring, form.p, comps, form.order)
+    return LieForm(form.ring, form.p, comps, form.order, form.live)
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +205,14 @@ def unstack_pair(ring, dim_a: int, dim_b: int, vec: np.ndarray, order: int):
     return p_form, q_form
 
 
-def _dual_wedge_signs(p: int, q: int, scale: float) -> np.ndarray:
-    """S[i, j, k] with scale * (*dx^{I_i}) ^ dx^{J_j} = S[i, j, k] dx^{K_k}.
-
-    I runs over the ordered p-components, J over the q-components and K over
-    the (4 - p + q)-components; the Hodge dual comes from HODGE_TABLE and the
-    wedge from WEDGE_TABLE.
-    """
-    dual, sign = np.array(HODGE_TABLE[p]).T
-    return (scale * sign[:, None, None]
-            * WEDGE_TABLE[(4 - p, q)][dual.astype(int)])
-
-
 def _y_blocks(ds: DeformationSet) -> list:
-    """The coupling blocks of Y - 1, as (rows, columns, sign tensor,
-    pairing, field): the block is einsum("ijk,cab,bjw->ckaiw", signs,
-    pairing, coefficients of the field), reshaped to (rows, columns, w)."""
+    """The coupling blocks of Y - 1, the wedges -(c_p *x) ^ field of the
+    unknown x, as (rows, columns, degree p of x, field, pairing)."""
     n_p, n_q = ds.space_a.dim * len(COMPS[2]), ds.space_b.dim * len(COMPS[3])
     p_rows, q_rows = slice(0, n_p), slice(n_p, n_p + n_q)
-    c2 = CONVENTION.epsilon_dual_constants[2]
-    c3 = CONVENTION.epsilon_dual_constants[3]
-    return [(q_rows, p_rows, _dual_wedge_signs(2, 1, -c2),
-             b_transpose_pairing(ds), "A"),
-            (p_rows, q_rows, _dual_wedge_signs(3, 1, -c3), ds.b, "A"),
-            (q_rows, q_rows, _dual_wedge_signs(3, 2, -c3), ds.k, "B")]
+    return [(q_rows, p_rows, 2, "A", b_transpose_pairing(ds)),
+            (p_rows, q_rows, 3, "A", ds.b),
+            (q_rows, q_rows, 3, "B", ds.k)]
 
 
 def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
@@ -237,19 +221,21 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     The column of Y - 1 for a basis P^a dx^I holds -b^T(c_2 *dx^I e_a, A) in
     the Q rows; the column for a basis Q^a dx^J holds -b(c_3 *dx^J e_a, A) in
     the P rows and -k(c_3 *dx^J e_a, B) in the Q rows (c_p the dual
-    constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is one
-    real einsum of the pairing with a sign tensor from
-    :func:`_dual_wedge_signs` and with the coefficient arrays of A or B
-    over the whole ring width.
+    constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is the jet
+    matrix of the wedge with A or B on (4 - p)-forms, whose column for
+    *dx^I, times -c_p and the sign of the Hodge dual, is that for dx^I.
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
-    fields = {"A": config.A.comps, "B": config.B.comps}
     matrix = _ring_identity(ring, n * len(COMPS[2]) + m * len(COMPS[3]))
-    for rows, cols, signs, pairing, field in _y_blocks(ds):
-        block = matrix[rows, cols]
-        block += np.einsum("ijk,cab,bjw->ckaiw", signs, pairing,
-                           fields[field], optimize=True).reshape(block.shape)
+    for rows, cols, p, field, pairing in _y_blocks(ds):
+        dual, sign = np.array(HODGE_TABLE[p]).T
+        wedge = wedge_matrix(4 - p, getattr(config, field), pairing)
+        # the columns (a, i) as a and the p-component i
+        block = matrix[rows, cols].reshape(len(wedge), -1, len(COMPS[p]),
+                                           ring.width)
+        block -= (wedge.reshape(block.shape)[:, :, dual.astype(int)]
+                  * (CONVENTION.epsilon_dual_constants[p] * sign[:, None]))
     order = min(config.A.order, config.B.order)
     return YOperator(ring, n, m, matrix, order)
 
@@ -422,30 +408,26 @@ def _record_solve(config: FieldConfig, ds: DeformationSet, f_form: LieForm,
     F, H is recorded.
 
     With the adjoint x_bar of x: r_bar = Y^{-T} x_bar (the solver of the
-    transpose), Y_bar = -r_bar x^T (a ring product per coupling block of Y,
-    the others are constant), and the adjoints of A and B are the
-    transposes of the block einsums of :func:`assemble_Y` applied to
-    Y_bar.
+    transpose) and Y_bar = -r_bar x^T.  A block of Y - 1 is the wedge
+    -(c_p *x[cols]) ^ field, so the signs cancel: the field's adjoint adds
+    that of the right factor of (c_p *x[cols]) ^ field, from r_bar[rows].
     """
     parents = (config.A.node, config.B.node, f_form.node, h_form.node)
     if all(node is None for node in parents):
         return
     ring, n_p = config.ring, p_form.n * len(COMPS[2])
-    fields = {"A": config.A, "B": config.B}
+    # c_p *x, taken from P and Q before they are recorded
+    duals = {f.p: epsilon_dual(f, f"{f.p}form") for f in (p_form, q_form)}
 
     def backward(x_bar):
         r_bar = yinv.transpose().apply(x_bar)
-        adj = dict.fromkeys(fields)
-        for rows, cols, signs, pairing, field in _y_blocks(ds):
-            if fields[field].node is None:
-                continue
-            # this block of Y_bar, as the (c, k, a, i) axes of the einsum
-            y_bar = -ring.mul(r_bar[rows, None], x[None, cols]).reshape(
-                len(pairing), signs.shape[2], pairing.shape[1],
-                signs.shape[0], -1)
-            term = np.einsum("ijk,cab,ckaiw->bjw", signs, pairing, y_bar,
-                             optimize=True)
-            adj[field] = term if adj[field] is None else adj[field] + term
+        adj = dict.fromkeys("AB")
+        for rows, _, p, field, pairing in _y_blocks(ds):
+            right = getattr(config, field)
+            if right.node is not None:
+                seed = r_bar[rows].reshape(len(pairing), -1, ring.width)
+                term = wedge_adjoint(duals[p], right, pairing, seed)
+                adj[field] = term if adj[field] is None else adj[field] + term
         return (adj["A"], adj["B"], r_bar[:n_p].reshape(f_form.comps.shape),
                 r_bar[n_p:].reshape(h_form.comps.shape))
 

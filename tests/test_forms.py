@@ -543,6 +543,23 @@ def test_blocks_that_cancel_stay_live():
     assert not ddchi.live[..., 1].any()
 
 
+def test_internal_linear_maps_keep_live_flags():
+    # both tangent blocks cancel to exactly 0.0 but stay live; a linear
+    # map of the internal space keeps the flags, as a scale does
+    ring = NilpotentExtension(3, 2)
+    rng = np.random.default_rng(15)
+    f = random_form(ring, 2, 3, rng)
+    tangents_only = LieForm(ring, 2, ring.promote(
+        np.zeros(f.comps.shape[:2] + (ring.base_width,)),
+        [ring.block(f.comps, 1), ring.block(f.comps, 2)]))
+    cancelled = f - tangents_only
+    assert np.all(ring.block_view(cancelled.comps)[..., 1:, :] == 0.0)
+    assert cancelled.live.all() and cancelled.scale(2.0).live.all()
+    mapped = apply_linear(np.eye(3), cancelled)
+    assert np.array_equal(mapped.comps, cancelled.comps)
+    assert mapped.live.all()
+
+
 def test_forms_off_tangent_rings_have_no_live_flags():
     # the base ring has one block and no flags; every extended ring,
     # an epsilon tower too, has them

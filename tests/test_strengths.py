@@ -6,7 +6,8 @@ from ymft.deformations import (family_general, family_solvable, family_su2,
                                make_deformation)
 from ymft.forms import (COMPS, LieForm, adjoints, epsilon_dual, mark_leaf,
                         promote_form, random_field_config, tangent_parts)
-from ymft.jets import EpsilonTower, JetRing, NilpotentExtension
+from ymft.jets import (EpsilonTower, ExtendedRing, JetAlgebra, JetRing,
+                       NilpotentExtension)
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
                             _ring_identity, _wedge_vol_factor, assemble_Y,
@@ -404,20 +405,21 @@ def test_assemble_y_equals_probing_on_jet_ring(family, degree):
 
 
 @pytest.mark.parametrize("family", ASSEMBLY_FAMILIES)
-def test_assemble_y_equals_probing_on_nilpotent_ring(family):
+def test_assemble_y_equals_probing_on_extended_ring(family):
     ds = family()
     n, m = ds.space_a.dim, ds.space_b.dim
     a0, b0 = random_field_config(18, 0.1, 3, n, m)
     a1, b1 = random_field_config(19, 0.1, 3, n, m)
     a2, b2 = random_field_config(20, 0.1, 3, n, m)
-    for directions in (2, 60):
-        ring = NilpotentExtension(3, directions)
-        # A seeds the first and last directions, B the second (and the
-        # middle one when there is room); the rest stay zero
-        along_a, along_b = [None] * directions, [None] * directions
+    for ring in (NilpotentExtension(3, 2), NilpotentExtension(3, 60),
+                 EpsilonTower(3, 2)):
+        # A seeds the first and last blocks after the value, B the second
+        # (and the middle one when there is room); the rest stay zero
+        tangents = ring.blocks - 1
+        along_a, along_b = [None] * tangents, [None] * tangents
         along_a[0], along_a[-1], along_b[1] = a1, a2, b1
-        if directions > 2:
-            along_b[directions // 2] = b2
+        if tangents > 2:
+            along_b[tangents // 2] = b2
         cfg = FieldConfig(promote_form(a0, ring, along_a),
                           promote_form(b0, ring, along_b))
         closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
@@ -567,12 +569,19 @@ def ring_dot(ring, u, v):
     return ring.mul(u, v).reshape(-1, ring.width).sum(axis=0)
 
 
-def marked_config(ds, degree, seed):
-    """Random fields with A, B, dA and dB marked as independent leaves."""
+LEAVES = ("A", "B", "dA", "dB")
+
+
+def marked_config(ds, degree, seed, marked=LEAVES):
+    """Random fields with those of A, B, dA and dB named in ``marked``
+    marked as independent leaves."""
     a_form, b_form = random_field_config(seed, 0.1, degree, ds.space_a.dim,
                                          ds.space_b.dim)
-    config = FieldConfig(mark_leaf(a_form), mark_leaf(b_form))
-    config.dA, config.dB = mark_leaf(a_form.d()), mark_leaf(b_form.d())
+    fields = {"A": a_form, "B": b_form, "dA": a_form.d(), "dB": b_form.d()}
+    fields = {name: mark_leaf(f) if name in marked else f
+              for name, f in fields.items()}
+    config = FieldConfig(fields["A"], fields["B"])
+    config.dA, config.dB = fields["dA"], fields["dB"]
     return config
 
 
@@ -582,6 +591,12 @@ ADJOINT_FAMILIES = [
                  id="solvable"),
     pytest.param(mixed_family, id="mixed"),
 ]
+# every family with all four leaves marked, as the Euler-Lagrange pass
+# marks them, and one with B and dA only: Y then depends on a field, A,
+# whose blocks the solve's adjoint skips
+ADJOINT_CASES = [pytest.param(*case.values, LEAVES, id=case.id)
+                 for case in ADJOINT_FAMILIES] + [
+    pytest.param(mixed_family, ("B", "dA"), id="mixed-B-dA")]
 
 
 @pytest.mark.parametrize("family", ADJOINT_FAMILIES)
@@ -620,15 +635,17 @@ def test_strength_solve_adjoint_is_the_transpose(family, degree):
     assert np.abs(lhs - sum(terms)).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("family", ADJOINT_FAMILIES)
-def test_strength_adjoints_match_forward_tangents(family):
-    # the whole of compute_strengths, from (A, B, dA, dB) to P and to Q
+@pytest.mark.parametrize("family,marked", ADJOINT_CASES)
+def test_strength_adjoints_match_forward_tangents(family, marked):
+    # the whole of compute_strengths, from (A, B, dA, dB) to P and to Q;
+    # a leaf that is not marked gets no adjoint and is held fixed
     ds = family()
-    config = marked_config(ds, 3, seed=8)
+    config = marked_config(ds, 3, seed=8, marked=marked)
     pair = compute_strengths(config, ds)
     leaves = [config.A, config.B, config.dA, config.dB]
     rng = np.random.default_rng(9)
-    dots = [rng.uniform(-1, 1, f.comps.shape) for f in leaves]
+    dots = [rng.uniform(-1, 1, f.comps.shape) if f.node is not None
+            else np.zeros(f.comps.shape) for f in leaves]
     dual = NilpotentExtension(3, 1)
     lifted = [LieForm(dual, f.p, dual.promote(f.comps, [t]))
               for f, t in zip(leaves, dots)]
@@ -644,6 +661,26 @@ def test_strength_adjoints_match_forward_tangents(family):
                  zip(adjoints(out, leaves, y_bar), dots)]
         scale = max(np.abs(term).max() for term in [lhs] + terms)
         assert np.abs(lhs - sum(terms)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("family", ADJOINT_FAMILIES)
+def test_strength_solve_and_its_adjoint_run_no_scalar_jet_products(
+        family, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar jet product in the strength solve")
+
+    ds = family()
+    config = marked_config(ds, 4, seed=10)
+    leaves = [config.A, config.B, config.dA, config.dB]
+    for owner in (JetAlgebra, JetRing, ExtendedRing):
+        monkeypatch.setattr(owner, "mul_coeffs" if owner is JetAlgebra
+                            else "mul", refuse)
+    pair = compute_strengths(config, ds)
+    rng = np.random.default_rng(11)
+    for out in (pair.P, pair.Q):
+        seed = rng.uniform(-1, 1, out.comps.shape)
+        assert all(np.abs(adj).max() > 0
+                   for adj in adjoints(out, leaves, seed))
 
 
 def test_unmarked_solve_records_nothing():
