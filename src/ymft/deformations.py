@@ -125,8 +125,9 @@ class DeformationSet:
     def e_low(self):
         return np.einsum("pq,qbc->pbc", self.gb, self.e)
 
-    def validate_basic(self, tol: float = 1e-12):
+    def validate_basic(self):
         """Structural symmetries of the stored tensors (not the relations)."""
+        tol = 1e-12
         if np.abs(self.a + self.a.transpose(0, 2, 1)).max() > tol:
             raise ValueError("a must be antisymmetric in its last two slots")
         if np.abs(self.e - self.e.transpose(0, 2, 1)).max() > tol:
@@ -296,15 +297,12 @@ def check_e_mass_obstruction(ds: DeformationSet,
     return bool(np.abs(comp).max() <= tol)
 
 
-def parity_grade(ds: DeformationSet, tol: float = 0.0) -> str:
+def parity_grade(ds: DeformationSet) -> str:
     """'even' / 'odd' / 'mixed' under the parity that flips the Hodge dual."""
-    e_zero = np.abs(ds.e).max() <= tol
-    rest_zero = max(np.abs(ds.a).max(), np.abs(ds.b).max(),
-                    np.abs(ds.j).max(), np.abs(ds.k).max(),
-                    np.abs(ds.mass.m).max()) <= tol
-    if e_zero:
+    if not ds.e.any():
         return "even"
-    return "odd" if rest_zero else "mixed"
+    rest = (ds.a, ds.b, ds.j, ds.k, ds.mass.m)
+    return "mixed" if any(t.any() for t in rest) else "odd"
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +365,10 @@ def family_solvable(v, w, cmap=None) -> DeformationSet:
         np.zeros((3, 3, 3)), np.zeros((3, 3)), h_map=h, label="solvable")
 
 
-def family_e_only(e, dim_a: int | None = None,
-                  dim_b: int | None = None) -> DeformationSet:
+def family_e_only(e) -> DeformationSet:
     """Opposite-parity family: only the symmetric e-coupling, zero mass."""
     e = np.atleast_3d(np.asarray(e, dtype=float))
     m, n = e.shape[0], e.shape[1]
-    if dim_a is not None and n != dim_a or dim_b is not None and m != dim_b:
-        raise ValueError("e tensor does not match the requested dimensions")
     if e.shape != (m, n, n):
         raise ValueError("e must have shape (dim A', dim A, dim A)")
     if np.abs(e - e.transpose(0, 2, 1)).max() > 1e-12 * max(1.0, np.abs(e).max()):

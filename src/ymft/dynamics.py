@@ -81,16 +81,17 @@ class TheoryVariant:
                                  "a = b = j = k = 0 and zero mass")
 
 
-def variant_linear(mass_matrix, dim_a: int = 3, dim_b: int = 3,
-                   space_a: InternalSpace | None = None,
+def variant_linear(mass_matrix, space_a: InternalSpace | None = None,
                    space_b: InternalSpace | None = None) -> TheoryVariant:
-    space_a = space_a or InternalSpace(dim_a)
-    space_b = space_b or InternalSpace(dim_b)
+    """The free theory of mass (dim A, dim A'); the spaces default to
+    Euclidean ones of the mass matrix's shape."""
+    mass = np.asarray(mass_matrix, dtype=float)
+    space_a = space_a or InternalSpace(mass.shape[0])
+    space_b = space_b or InternalSpace(mass.shape[1])
     n, m = space_a.dim, space_b.dim
     z = np.zeros
     ds = make_deformation(space_a, space_b, z((n, n, n)), z((n, m, n)),
-                          z((m, n, m)), z((m, m, m)), z((m, n, n)),
-                          np.asarray(mass_matrix, dtype=float),
+                          z((m, n, m)), z((m, m, m)), z((m, n, n)), mass,
                           label="linear")
     return TheoryVariant(LINEAR, ds)
 

@@ -262,8 +262,8 @@ class LieForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, ring: JetRing, p: int, n: int, order: int | None = None):
-        return cls(ring, p, ring.zeros((n, len(COMPS[p]))), order)
+    def zero(cls, ring: JetRing, p: int, n: int):
+        return cls(ring, p, ring.zeros((n, len(COMPS[p]))))
 
     @classmethod
     def basis(cls, ring: JetRing, p: int, n: int, a: int, comp: int,

@@ -24,30 +24,38 @@ Two layers live here:
   value as k+1 contiguous blocks of base-ring width.  That layout lives in
   :class:`JetRing` alone (the one-block case): its block view, derivative,
   truncation mask, constant part, block access and lift serve all three
-  rings.  The two extended rings define only their block count and their
-  nonzero block products (``block_pairs``); their common base
-  :class:`ExtendedRing` turns that table into the product and the
-  live-flag rule.
+  rings.  The extended rings define only their block count and their
+  nonzero block products (``block_pairs``), and every block rule follows
+  from that table: the planned block product, the solve order (``waves``)
+  and the live-flag rule of their common base :class:`ExtendedRing`.
 
 Coefficients are stored densely in graded lexicographic monomial order.  A
-scalar product (``mul``) gathers both factors at a precomputed index-pair
-table sorted by output monomial, multiplies them, and sums each output's
-run of pairs in one ``np.add.reduceat``.  Every other product runs one
-kernel, :meth:`JetAlgebra.push`: the products a_i x_j of one degree level L
-of the right factor x are one GEMM, as the i with |i| <= D - L are a prefix
-of the monomials (Taylor propagation, Griewank & Walther, *Evaluating
-Derivatives*, ch. 13), and each output adds its pairs rank by rank.  It
-serves products of jet-valued matrices, the graded strength solve and
+scalar product (:meth:`JetAlgebra.mul_coeffs`, for :class:`JetScalar` and
+the reference ``JetRing.mul``) gathers both factors at a precomputed
+index-pair table sorted by output monomial, multiplies them, and sums each
+output's run of pairs in one ``np.add.reduceat``.  Every other product runs
+one kernel, :meth:`JetAlgebra.push`: the products a_i x_j of one degree
+level L of the right factor x are one GEMM, as the i with |i| <= D - L are
+a prefix of the monomials (Taylor propagation, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), and each output adds its pairs rank by
+rank.  It serves products of jet-valued matrices (``matmul``), the graded
+solve (``solve``, which Y(A, B) of :mod:`ymft.strengths` uses) and
 ``bilinear``, which folds one factor of a constant-coefficient bilinear map
-(the wedge and interior products and their adjoints) into a jet matrix by
-one GEMM, ``fold`` (which also builds Y), then pushes the other factor
-through it.  A derivative is one gather and one scale.  An extended ring
-multiplies only the block pairs whose two blocks are flagged live; every
-other block stays exactly zero (sparse vector-mode forward propagation,
-ibid., ch. 7).  The flags are one vector per factor, the blocks nonzero
-somewhere in the batch unless the caller passes them: the form layer keeps
-one per form and derives it from the operations that built the form, so
-the work does not follow roundoff.
+(the wedge and interior products and their adjoints, the stress tensor)
+into a jet matrix by one GEMM, ``fold`` (which also builds Y), then pushes
+the other factor through it.  A derivative is one gather and one scale.
+
+On an extended ring these three run one planned block product: per
+pattern of live flags, a plan lists the left blocks used and, per live
+right block, the left blocks that meet it, and one loop runs one
+jet-matrix product per live right block, its rows stacking those left
+blocks.  Only block pairs whose two blocks are flagged live are
+multiplied; every other block stays exactly zero (sparse vector-mode
+forward propagation, ibid., ch. 7).  The flags are one vector per factor,
+the blocks nonzero somewhere in the batch unless the caller passes them:
+the form layer keeps one per form and derives it from the operations that
+built the form, and Y keeps those of its wedges, so the work does not
+follow roundoff.
 """
 
 from __future__ import annotations
@@ -179,6 +187,13 @@ class JetAlgebra:
         return float(coeffs @ mono)
 
 
+def _as_run(index: np.ndarray):
+    """Sorted block indices as a slice where they are consecutive."""
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 @functools.lru_cache(maxsize=None)
 def jet_algebra(degree: int) -> JetAlgebra:
     return JetAlgebra(degree)
@@ -287,7 +302,11 @@ class JetRing:
     Derivatives, truncation masks, the constant part, block access and the
     lift :meth:`promote` all act through that view, so an extended ring
     defines only its block count and its nonzero block products
-    (``block_pairs``).  ``JetRing`` itself is the one-block case.
+    (``block_pairs``).  The plans of the block product (:meth:`_plan`), the
+    one loop that runs them (:meth:`_products`) and the solve order
+    (``waves``) follow from that table here too.  ``JetRing`` itself is
+    the one-block case, whose ``bilinear`` and ``matmul`` are one
+    jet-matrix product with no plan.
     """
 
     blocks = 1  # blocks per value, the base block first
@@ -299,6 +318,18 @@ class JetRing:
         self.degree = degree
         self.base_width = self.algebra.n_terms
         self.width = self.blocks * self.base_width
+        self._left, self._right, self._out = np.array(self.block_pairs).T
+        self._plans = {}  # live flags of both factors -> their plan
+        # the blocks in solve order, as slices: block o needs y_i x_j for
+        # every pair (i, j, o) with i != 0, so a wave closes when a block
+        # needs one inside it
+        waves = [[]]
+        for o in range(self.blocks):
+            if any(i and k == o and j in waves[-1]
+                   for i, j, k in self.block_pairs):
+                waves.append([])
+            waves[-1].append(o)
+        self.waves = [slice(wave[0], wave[-1] + 1) for wave in waves]
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(tuple(shape) + (self.width,))
@@ -310,7 +341,18 @@ class JetRing:
         return out
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.algebra.mul_coeffs(x, y)
+        """The product, one scalar jet product per block pair: the
+        reference that the planned products are tested against."""
+        xs, ys = self.block_view(x), self.block_view(y)
+        out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
+        for i, j, o in self.block_pairs:
+            out[..., o, :] += self.algebra.mul_coeffs(xs[..., i, :],
+                                                      ys[..., j, :])
+        return out.reshape(out.shape[:-2] + (self.width,))
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, K, w) x (K, M, w) -> (N, M, w)."""
+        return self.algebra.matmul_coeffs(a, b)
 
     @staticmethod
     def fold(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -327,6 +369,85 @@ class JetRing:
         :meth:`JetAlgebra.push` per degree level."""
         return self.algebra.matmul_coeffs(
             self.fold(x, coeffs).transpose(1, 2, 0), y[:, None])[:, 0]
+
+    def solve(self, y: np.ndarray, y0_inv: np.ndarray, r: np.ndarray,
+              live=None) -> np.ndarray:
+        """Solve y x = r for y (size, size, w) and r (size, w) or (size, M,
+        w), given the inverse ``y0_inv`` of y's constant block; ``live``
+        is y's (blocks,) flags (by default every block).
+
+        Right-looking, one degree level of the jet at a time
+        (column-oriented forward substitution, Golub & Van Loan, *Matrix
+        Computations*, 3.1): x_L = y0_inv r_L for all monomials of level L
+        at once, then y_i x_L for every i != 0 with |i| <= D - L, one
+        :meth:`JetAlgebra.push`, leaves the pending right-hand sides of the
+        higher levels.  The blocks of one wave (:attr:`waves`) are extra
+        columns of that solve; the solved wave is then pushed into every
+        later block through y's live blocks i != 0, by the plan of those
+        pairs.
+        """
+        size, alg = len(y0_inv), self.algebra
+        bounds = alg.level_bounds
+        # r as (size, n, blocks, cols), the kernel's layout, solved in place
+        z = self.block_view(r.reshape(size, -1, self.width)).transpose(
+            0, 3, 2, 1).copy()
+        blocks = self.block_view(y).transpose(3, 2, 0, 1)
+        base = np.ascontiguousarray(blocks[:, 0])
+        lx = np.ones(self.blocks, dtype=bool) if live is None else live.copy()
+        lx[0] = False
+        for wave in self.waves:
+            zw = z[:, :, wave]
+            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                x = y0_inv @ zw[:, lo:hi].reshape(size, -1)
+                zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
+                if hi < alg.n_terms:
+                    zw[:, hi:] -= alg.push(
+                        base, x.reshape(size, hi - lo, -1), level,
+                        constant=False).reshape(zw[:, hi:].shape)
+            if wave.stop < self.blocks:
+                ly = np.zeros(self.blocks, dtype=bool)
+                ly[wave] = True
+                used, steps, _ = self._plan(lx, ly)
+                mats = np.ascontiguousarray(blocks[:, used])
+                for outs, prod in self._products(steps, mats,
+                                                 z.transpose(2, 0, 3, 1)):
+                    z[:, :, outs] -= prod.transpose(1, 3, 0, 2)
+        return z.transpose(0, 3, 2, 1).reshape(r.shape)
+
+    def _plan(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
+        """The block product of factors with live flags lx and ly, as (the
+        left blocks used, the steps, the live flags of the product).  A
+        step is (j, at, outs) for each live right block j: the places among
+        the used blocks of the left blocks that meet it, and their output
+        blocks.  Block sets that are runs are slices.  Kept per pattern of
+        flags: a pipeline repeats few patterns, and this saves their index
+        work."""
+        key = lx.tobytes() + ly.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            keep = lx[self._left] & ly[self._right]
+            left, right, outs = (self._left[keep], self._right[keep],
+                                 self._out[keep])
+            used = np.unique(left)
+            steps = [(j, _as_run(np.searchsorted(used, left[right == j])),
+                      outs[right == j]) for j in np.unique(right)]
+            live = np.zeros(self.blocks, dtype=bool)
+            live[outs] = True
+            plan = self._plans[key] = (_as_run(used), steps, live)
+        return plan
+
+    def _products(self, steps, mats: np.ndarray, right: np.ndarray):
+        """Run the steps of a plan: per live right block j, one
+        :meth:`JetAlgebra.matmul_coeffs` of ``right[j]`` (K, M, n) by the
+        jet matrices ``mats[:, at]`` (n, used, N, K) of the left blocks
+        that meet it, stacked as rows.  Yields each step's output blocks
+        and its (outputs, N, M, n) products."""
+        n, _, rows, inner = mats.shape
+        for j, at, outs in steps:
+            prod = self.algebra.matmul_coeffs(
+                mats[:, at].reshape(n, -1, inner).transpose(1, 2, 0),
+                right[j])
+            yield outs, prod.reshape((len(outs), rows) + prod.shape[1:])
 
     def block_view(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., blocks, base_width), as a view: writes to
@@ -372,88 +493,51 @@ class ExtendedRing(JetRing):
     A subclass sets its block count and ``block_pairs``, the table of
     nonzero block products (i, j, o): block i of one factor times block j
     of the other adds to block o of the product.  That table alone drives
-    the rules here: :meth:`mul`, :meth:`bilinear` and :meth:`live_product`.
+    the rules here, through the plans of :class:`JetRing`:
+    :meth:`bilinear`, :meth:`matmul` and :meth:`live_product`.
 
     Each factor carries one (blocks,) vector of live flags, the blocks that
     may be nonzero somewhere in the batch; the caller passes them (the form
     layer keeps one per form) or they are found in one pass over each
     factor (:meth:`live_blocks`: a nonzero, NaN or inf).  A product
-    multiplies only the pairs whose two blocks are both live, in one
-    pair-table call, and sums the products of each output block in one
-    ``np.add.reduceat`` (needed only where a block has two).  An output
-    block that no live pair reaches comes out exactly 0.0, even where the
-    other factor holds inf or NaN; :meth:`bilinear` keeps the same rule.
+    multiplies only the pairs whose two blocks are both live, one jet-matrix
+    product per live right block.  An output block that no live pair
+    reaches comes out exactly 0.0, even where the other factor holds inf or
+    NaN.
     """
-
-    def __init__(self, degree: int):
-        super().__init__(degree)
-        self.base = JetRing(degree)
-        # the pairs sorted by output block, stably, so each output block
-        # sums its products in table order
-        pairs = sorted(self.block_pairs, key=lambda pair: pair[2])
-        self._left, self._right, self._out = np.array(pairs).T
-        # every block o has the pair (0, o, o), so each starts a run
-        self._out_starts = np.flatnonzero(np.diff(self._out, prepend=-1))
-        self._plans = {}  # live flags of both factors -> their pairs
-
-    def mul(self, x: np.ndarray, y: np.ndarray, live=None) -> np.ndarray:
-        """The product; ``live`` is (lx, ly), for each factor the blocks
-        that may be nonzero somewhere in the batch, as (blocks,) booleans
-        (by default, those that are, as found by :meth:`live_blocks`)."""
-        if live is None:
-            live = [self.live_blocks(z) for z in (x, y)]
-        left, right, outs, starts = self._live_pairs(*live)
-        out = self.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
-        if len(left):
-            xs, ys = self.block_view(x), self.block_view(y)
-            prod = self.base.mul(xs[..., left, :], ys[..., right, :])
-            if starts is not None:
-                prod = np.add.reduceat(prod, starts, axis=-2)
-                outs = outs[starts]
-            self.block_view(out)[..., outs, :] = prod
-        return out
 
     def bilinear(self, x: np.ndarray, coeffs: np.ndarray, y: np.ndarray,
                  live=None) -> np.ndarray:
-        """:meth:`JetRing.bilinear` on the live block pairs (``live`` as
-        for :meth:`mul`): one :meth:`fold` makes the jet matrices of the
-        live left blocks, and each live right block is one product, whose
-        rows are the matrices of every live left block that meets it."""
+        """:meth:`JetRing.bilinear` on the live block pairs; ``live`` is
+        (lx, ly), for each factor the blocks that may be nonzero somewhere
+        in the batch, as (blocks,) booleans (by default, those that are, as
+        found by :meth:`live_blocks`).  One :meth:`fold` makes the jet
+        matrices of the live left blocks."""
         if live is None:
             live = [self.live_blocks(z) for z in (x, y)]
-        left, right, outs, _ = self._live_pairs(*live)
-        out, (n_out, inner) = self.zeros(coeffs.shape[1:2]), coeffs.shape[1:]
-        used = np.unique(left)
+        used, steps, _ = self._plan(*live)
         mats = self.fold(self.block_view(x)[:, used].transpose(0, 2, 1)
                          .reshape(len(x), -1), coeffs).reshape(
-                             self.base_width, -1, n_out * inner)
-        for j in np.unique(right):
-            meets = right == j
-            rows = mats[:, np.searchsorted(used, left[meets])]
-            prod = self.algebra.matmul_coeffs(rows.reshape(
-                self.base_width, -1, inner).transpose(1, 2, 0),
-                self.block(y, j)[:, None])
-            for o, block in zip(outs[meets], prod.reshape(-1, n_out,
-                                                          self.base_width)):
-                self.block_view(out)[:, o] += block
-        return out
+                             (self.base_width, -1) + coeffs.shape[1:])
+        return self._sum(steps, mats, y[:, None])[:, 0]
 
-    def _live_pairs(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
-        """The pairs (i, j, o) with lx[i] and ly[j], as (left blocks, right
-        blocks, output blocks, the start of each output's run of pairs, or
-        None where no output has two), sorted by output block.  Kept per
-        pattern of flags: a pipeline repeats few patterns, and this saves
-        their index work."""
-        key = lx.tobytes() + ly.tobytes()
-        plan = self._plans.get(key)
-        if plan is None:
-            keep = np.flatnonzero(lx[self._left] & ly[self._right])
-            outs = self._out[keep]
-            starts = np.flatnonzero(np.diff(outs, prepend=-1))
-            plan = self._plans[key] = (
-                self._left[keep], self._right[keep], outs,
-                None if len(starts) == len(keep) else starts)
-        return plan
+    def matmul(self, a: np.ndarray, b: np.ndarray, live=None) -> np.ndarray:
+        """(N, K, w) x (K, M, w) -> (N, M, w) on the live block pairs
+        (``live`` as for :meth:`bilinear`)."""
+        if live is None:
+            live = [self.live_blocks(z) for z in (a, b)]
+        used, steps, _ = self._plan(*live)
+        return self._sum(steps, np.ascontiguousarray(
+            self.block_view(a).transpose(3, 2, 0, 1)[:, used]), b)
+
+    def _sum(self, steps, mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The products of a plan's steps (:meth:`_products`) summed into
+        their output blocks: (N, M, w) for the right factor b (K, M, w)."""
+        out = self.zeros((mats.shape[2], b.shape[1]))
+        right = np.moveaxis(self.block_view(b), -2, 0)
+        for outs, prod in self._products(steps, mats, right):
+            self.block_view(out)[:, :, outs] += prod.transpose(1, 2, 0, 3)
+        return out
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (blocks,) booleans: the blocks, value first, that
@@ -467,8 +551,7 @@ class ExtendedRing(JetRing):
         """(blocks,) live flags of two factors -> those of their product:
         block o may be nonzero where a pair (i, j, o) meets live blocks i
         and j."""
-        hit = lx[self._left] & ly[self._right]
-        return np.logical_or.reduceat(hit, self._out_starts)
+        return self._plan(lx, ly)[2].copy()
 
 
 class NilpotentExtension(ExtendedRing):

@@ -43,18 +43,6 @@ class InternalSpace:
     def inverse_metric(self) -> np.ndarray:
         return np.linalg.inv(self.inner_product)
 
-    def lower(self, tensor: np.ndarray, axis: int = 0) -> np.ndarray:
-        return np.tensordot(self.inner_product, tensor,
-                            axes=([1], [axis])).transpose(
-            _restore_axis(tensor.ndim, axis))
-
-
-def _restore_axis(ndim: int, axis: int):
-    # tensordot puts the contracted slot first; move it back to `axis`.
-    perm = list(range(1, ndim))
-    perm.insert(axis, 0)
-    return perm
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -171,8 +159,8 @@ class MassTensor:
         """(dim A, dim A'): u'^{a'} -> m_{a'}^{a} u'^{a'}."""
         return self.space_a.inverse_metric @ self.m
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.m).max() <= tol)
+    def is_zero(self) -> bool:
+        return not self.m.any()
 
     def consistency_residual(self) -> float:
         """Index raising check: both maps reproduce m against the metrics."""
@@ -208,31 +196,31 @@ class SubspaceSplit:
         }
 
 
-def decompose_mass_subspaces(mass: MassTensor,
-                             tol: float = 1e-10) -> SubspaceSplit:
+def decompose_mass_subspaces(mass: MassTensor) -> SubspaceSplit:
     """Split both spaces into the kernel of the mass map and its
     metric-orthogonal complement.
 
     The two massive blocks always have a common rank, which is returned as
-    ``massive_dim``; m = 0 and full-rank m are both fine.
+    ``massive_dim``; m = 0 and full-rank m are both fine.  A singular
+    value counts toward the rank above 1e-10 of the largest (or of 1).
     """
     p0_a, pm_a, rank_a = _kernel_projectors(mass.map_a,
-                                            mass.space_a.inner_product, tol)
+                                            mass.space_a.inner_product)
     p0_b, pm_b, rank_b = _kernel_projectors(mass.map_b,
-                                            mass.space_b.inner_product, tol)
+                                            mass.space_b.inner_product)
     if rank_a != rank_b:
         raise ValueError("mass tensor rank mismatch between spaces")
     return SubspaceSplit(p0_a, pm_a, p0_b, pm_b, rank_a)
 
 
-def _kernel_projectors(mat: np.ndarray, metric: np.ndarray, tol: float):
+def _kernel_projectors(mat: np.ndarray, metric: np.ndarray):
     m, n = np.asarray(mat).shape
     u, s, vt = np.linalg.svd(mat) if mat.size else (None, np.array([]), None)
     if mat.size == 0:
         rank = 0
         kernel = np.eye(n)
     else:
-        cutoff = tol * max(1.0, s.max() if s.size else 0.0)
+        cutoff = 1e-10 * max(1.0, s.max() if s.size else 0.0)
         rank = int(np.sum(s > cutoff))
         kernel = vt[rank:].T  # Euclidean kernel basis, columns
     if kernel.shape[1] == 0:

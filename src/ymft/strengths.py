@@ -13,16 +13,14 @@ into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
 Y - 1 is three wedges of the dualised unknown, -(c_2 *P) ^ A, -(c_3 *Q) ^ A
 and -(c_3 *Q) ^ B.  Each coupling block is the jet matrix of one of them
 (:func:`ymft.forms.wedge_matrix`, no jet products, every ring), with its
-columns taken through the Hodge dual of the unknown's components.  Y is
-never inverted: the inverse Y0^{-1} of its constant block is formed once,
-and Y x = r is solved right-looking, one degree level of the jet at a time
-(column-oriented forward substitution, Golub & Van Loan, *Matrix
-Computations*, 3.1): each solved level is pushed into the right-hand sides
-of the higher levels by the jet-matrix kernel of :mod:`ymft.jets`, which
-also gives the couplings between the blocks of an extended ring.  The
-blocks of one wave are extra columns of a single base solve.
-Invertibility of the constant block is exactly the det(Y) != 0 restriction
-on admissible field configurations.
+columns taken through the Hodge dual of the unknown's components; over an
+extended ring, Y's live blocks follow from those of A and B.  Y is never
+inverted: the inverse Y0^{-1} of its constant block is formed once, and
+the ring solves Y x = r right-looking, one degree level of the jet and one
+wave of blocks at a time (:meth:`ymft.jets.JetRing.solve`), so this module
+knows nothing of the ring's blocks or its kernel.  Invertibility of the
+constant block is exactly the det(Y) != 0 restriction on admissible field
+configurations.
 
 On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
 the reverse sweep: its adjoint solves with the transpose of Y, then adds
@@ -116,16 +114,8 @@ def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:
 
 
 def ring_matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring, one
-    jet-matrix product per block pair whose blocks are both nonzero."""
-    a_blocks, b_blocks = ring.block_view(a), ring.block_view(b)
-    out = ring.zeros((a.shape[0], b.shape[1]))
-    out_blocks = ring.block_view(out)
-    for i, j, o in ring.block_pairs:
-        x, y = a_blocks[:, :, i], b_blocks[:, :, j]
-        if x.any() and y.any():
-            out_blocks[:, :, o] += ring.algebra.matmul_coeffs(x, y)
-    return out
+    """(N, K, w) x (K, M, w) -> (N, M, w) over the jet ring."""
+    return ring.matmul(a, b)
 
 
 def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -146,15 +136,18 @@ class YOperator:
 
     Row/column layout: P-block first (internal index major, then the six
     ordered 2-form components), Q-block after (four 3-form components).
+    ``live`` holds, over an extended ring, the (blocks,) flags of the blocks
+    that may be nonzero (None: every block).
     """
 
     def __init__(self, ring, dim_a: int, dim_b: int, matrix: np.ndarray,
-                 order: int):
+                 order: int, live: np.ndarray | None = None):
         self.ring = ring
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.matrix = matrix
         self.order = order
+        self.live = live
         self.n_p = dim_a * len(COMPS[2])
         self.n_q = dim_b * len(COMPS[3])
         self.size = self.n_p + self.n_q
@@ -224,20 +217,27 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is the jet
     matrix of the wedge with A or B on (4 - p)-forms, whose column for
     *dx^I, times -c_p and the sign of the Hodge dual, is that for dx^I.
+    Over an extended ring, Y's live flags follow from the operations: block
+    0, the identity's, and every block where a wedge's field is live and
+    its pairing is nonzero.
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     matrix = _ring_identity(ring, n * len(COMPS[2]) + m * len(COMPS[3]))
+    live = None if config.A.live is None else np.arange(ring.blocks) == 0
     for rows, cols, p, field, pairing in _y_blocks(ds):
         dual, sign = np.array(HODGE_TABLE[p]).T
-        wedge = wedge_matrix(4 - p, getattr(config, field), pairing)
+        right = getattr(config, field)
+        if live is not None:
+            live |= right.live & pairing.any()
+        wedge = wedge_matrix(4 - p, right, pairing)
         # the columns (a, i) as a and the p-component i
         block = matrix[rows, cols].reshape(len(wedge), -1, len(COMPS[p]),
                                            ring.width)
         block -= (wedge.reshape(block.shape)[:, :, dual.astype(int)]
                   * (CONVENTION.epsilon_dual_constants[p] * sign[:, None]))
     order = min(config.A.order, config.B.order)
-    return YOperator(ring, n, m, matrix, order)
+    return YOperator(ring, n, m, matrix, order, live)
 
 
 def invert_Y(yop: YOperator) -> "YInverse":
@@ -254,88 +254,26 @@ def invert_Y(yop: YOperator) -> "YInverse":
     return YInverse(yop, np.linalg.inv(y0))
 
 
-def _solve_waves(ring, nonzero):
-    """The blocks of the ring in solve order, grouped into waves.
-
-    Block o needs Y_i x_j for every block pair (i, j, o) with i != 0, so a
-    wave closes when a block needs one inside it.  Each wave, a slice of
-    blocks, comes with its couplings: per solved block j, the blocks o and
-    the blocks i of the pairs (i, j, o) whose Y_i is nonzero.
-    """
-    waves = []
-    for o in range(ring.blocks):
-        needs = {j for i, j, k in ring.block_pairs if k == o and i}
-        if not waves or needs & set(waves[-1]):
-            waves.append([])
-        waves[-1].append(o)
-    plan = []
-    for wave in waves:
-        couplings = {}
-        for i, j, o in ring.block_pairs:
-            if i and o in wave and nonzero[i]:
-                outs, blocks = couplings.setdefault(j, ([], []))
-                outs.append(o)
-                blocks.append(i)
-        plan.append((slice(wave[0], wave[-1] + 1), list(couplings.items())))
-    return plan
-
-
 class YInverse:
-    """Solves Y x = r order by order; Y^{-1} itself is never formed.
-
-    Every product is the kernel :meth:`ymft.jets.JetAlgebra.push`.  On
-    the base block, x_L = Y0^{-1} r_L for all monomials of degree level L
-    at once, then Y_i x_L for every i != 0 with |i| <= D - L leaves the
-    pending right-hand sides of the higher levels.  The blocks of the ring
-    are solved in waves (:func:`_solve_waves`), after their couplings to
-    solved blocks.  A solver holds Y, Y0^{-1} and its wave plan.
-    """
+    """Solves Y x = r order by order (:meth:`ymft.jets.JetRing.solve`);
+    Y^{-1} itself is never formed.  A solver holds Y and Y0^{-1}."""
 
     def __init__(self, yop: YOperator, y0_inv: np.ndarray):
         self.yop = yop
         self.y0_inv = y0_inv
-        ring = yop.ring
-        self._blocks = ring.block_view(yop.matrix)
-        nonzero = [bool(self._blocks[:, :, i].any())
-                   for i in range(ring.blocks)]
-        self._waves = _solve_waves(ring, nonzero)
 
     def transpose(self) -> "YInverse":
         """The solver of Y^T, whose constant block has the inverse
         ``y0_inv.T``."""
         yop = self.yop
         return YInverse(YOperator(yop.ring, yop.dim_a, yop.dim_b,
-                                  yop.matrix.transpose(1, 0, 2), yop.order),
-                        self.y0_inv.T)
-
-    def _stacked(self, blocks) -> np.ndarray:
-        """The listed Y blocks as rows, C-contiguous, monomial first."""
-        return np.ascontiguousarray(self._blocks[:, :, blocks].transpose(
-            3, 2, 0, 1)).reshape(self.yop.ring.base_width, -1, self.yop.size)
+                                  yop.matrix.transpose(1, 0, 2), yop.order,
+                                  yop.live), self.y0_inv.T)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
-        ring, size = self.yop.ring, self.yop.size
-        alg, bounds = ring.algebra, ring.algebra.level_bounds
-        # r as (size, n, blocks, cols), the kernel's layout, solved in place
-        z = ring.block_view(r.reshape(size, -1, ring.width)).transpose(
-            0, 3, 2, 1).copy()
-        base = self._stacked([0])
-        for wave, couplings in self._waves:
-            for j, (outs, blocks) in couplings:
-                prod = alg.matmul_coeffs(self._stacked(blocks).transpose(
-                    1, 2, 0), z[:, :, j].transpose(0, 2, 1))
-                z[:, :, outs] -= prod.reshape(
-                    len(blocks), size, -1, alg.n_terms).transpose(1, 3, 0, 2)
-            zw = z[:, :, wave]
-            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                x = self.y0_inv @ zw[:, lo:hi].reshape(size, -1)
-                zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
-                if hi < alg.n_terms:
-                    zw[:, hi:] -= alg.push(
-                        base, x.reshape(size, hi - lo, -1), level,
-                        constant=False).reshape(zw[:, hi:].shape)
-        return z.transpose(0, 3, 2, 1).reshape(r.shape)
+        yop = self.yop
+        return yop.ring.solve(yop.matrix, self.y0_inv, r, yop.live)
 
 
 @dataclass

@@ -227,12 +227,12 @@ def test_block_layout_lives_in_jet_ring(ring):
 
 def loop_nilpotent_mul(ring: NilpotentExtension, x, y):
     """Reference tangent product: one elementwise jet product per block."""
+    base = JetRing(ring.degree)
     xs, ys = ring.block_view(x), ring.block_view(y)
     xr, xi = xs[..., 0, :], xs[..., 1:, :]
     yr, yi = ys[..., 0, :], ys[..., 1:, :]
-    re = ring.base.mul(xr, yr)
-    im = (ring.base.mul(xr[..., None, :], yi)
-          + ring.base.mul(xi, yr[..., None, :]))
+    re = base.mul(xr, yr)
+    im = base.mul(xr[..., None, :], yi) + base.mul(xi, yr[..., None, :])
     out = np.concatenate([re[..., None, :], im], axis=-2)
     return out.reshape(out.shape[:-2] + (ring.width,))
 
@@ -299,17 +299,39 @@ def test_nilpotent_mul_live_directions_match_loop(data, directions, degree,
         z[..., 1:, :] *= rng.integers(0, 2, z.shape[:-1] + (1,))[..., 1:, :]
     x = x.reshape(shapes[0] + (ring.width,))
     y = y.reshape(shapes[1] + (ring.width,))
-    ref = loop_nilpotent_mul(ring, x, y)
-    got = ring.mul(x, y)
-    assert got.shape == ref.shape
-    # relative to the largest entry; exact where the product is all zero
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-    blocks = got.reshape(got.shape[:-1] + (ring.blocks, ring.base_width))
-    for d in set(range(directions)) - live[0] - live[1]:
-        assert np.all(blocks[..., 1 + d, :] == 0.0)
+    # the plain loop, and the planned product as the outer product of the
+    # two batches (K = 1)
+    a, b = x.reshape(-1, 1, ring.width), y.reshape(1, -1, ring.width)
+    for got, ref in ((ring.mul(x, y), loop_nilpotent_mul(ring, x, y)),
+                     (ring.matmul(a, b), ring.mul(a, b))):
+        assert got.shape == ref.shape
+        # relative to the largest entry; exact where the product is all zero
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        blocks = ring.block_view(got)
+        for d in set(range(directions)) - live[0] - live[1]:
+            assert np.all(blocks[..., 1 + d, :] == 0.0)
     # flags naming more blocks than are nonzero change nothing
     every = np.ones(ring.blocks, dtype=bool)
-    assert np.array_equal(ring.mul(x, y, (every, every)), got)
+    assert np.array_equal(ring.matmul(a, b, (every, every)), got)
+
+
+def outer(ring, x, y):
+    """The planned product of two batches of ring values (..., blocks, n)
+    as an outer product, (len(x), 1, w) x (1, len(y), w)."""
+    return ring.matmul(x.reshape(len(x), 1, -1), y.reshape(1, len(y), -1))
+
+
+def recorded_matmul(monkeypatch) -> list:
+    """The stacked rows of each jet-matrix product that runs."""
+    rows = []
+    original = JetAlgebra.matmul_coeffs
+
+    def recorded(self, a, b):
+        rows.append(a.shape[0])
+        return original(self, a, b)
+
+    monkeypatch.setattr(JetAlgebra, "matmul_coeffs", recorded)
+    return rows
 
 
 def test_nilpotent_mul_live_rows_carry_nan_and_inf():
@@ -324,16 +346,16 @@ def test_nilpotent_mul_live_rows_carry_nan_and_inf():
     y[1, 3, 0] = np.inf  # direction 2: zero but for one inf
     y[1, 0, 0] = np.inf  # an inf in a value block
     with np.errstate(invalid="ignore"):  # 0 * inf in the live rows
-        out = ring.mul(x.reshape(2, -1), y.reshape(2, -1)).reshape(x.shape)
-    assert np.isnan(out[0, 2]).any()
-    assert not np.isfinite(out[1, 3]).all()
+        out = outer(ring, x, y).reshape(2, 2, ring.blocks, n)
+    assert np.isnan(out[0, :, 2]).any()
+    assert not np.isfinite(out[:, 1, 3]).all()
     # directions 3-5 are zero in both factors: 0.0, not 0 * inf = NaN
-    assert np.all(out[:, 4:] == 0.0)
+    assert np.all(out[..., 4:, :] == 0.0)
     # nor does a zero value block meet the other factor's inf tangent
     x[..., :2, :] = 0.0
     with np.errstate(invalid="ignore"):
-        out = ring.mul(x.reshape(2, -1), y.reshape(2, -1)).reshape(x.shape)
-    assert np.all(out[:, 1, :] == 0.0) and np.all(out[:, 3, :] == 0.0)
+        out = outer(ring, x, y).reshape(2, 2, ring.blocks, n)
+    assert np.all(out[..., 1, :] == 0.0) and np.all(out[..., 3, :] == 0.0)
 
 
 def test_nilpotent_mul_skips_tangents_against_a_zero_value(monkeypatch):
@@ -343,52 +365,72 @@ def test_nilpotent_mul_skips_tangents_against_a_zero_value(monkeypatch):
     y = rng.uniform(-1, 1, (3, ring.blocks, ring.base_width))
     x[..., 0, :] = 0.0  # x has no value: y's tangents meet nothing
     x[..., 4:, :] = 0.0
-    x, y = x.reshape(3, -1), y.reshape(3, -1)
-    rows = []
-    original = ring.base.mul
-
-    def recorded(a, b):
-        rows.append(a.shape[-2])
-        return original(a, b)
-
-    monkeypatch.setattr(ring.base, "mul", recorded)
-    # each way round: x's three live tangents times y's value; the dead
-    # value block of x skips the value product too
-    for a, b in ((x, y), (y, x)):
-        rows.clear()
-        got = ring.mul(a, b)
-        assert rows == [3]
-        assert _rel_err(got, loop_nilpotent_mul(ring, a, b)) <= 1e-14
+    rows = recorded_matmul(monkeypatch)
+    # x's three live tangents times y's value: one product, whose rows
+    # stack the three; the dead value block of x skips the value product
+    got = outer(ring, x, y)
+    assert rows == [3 * 3]
+    ref = loop_nilpotent_mul(ring, x.reshape(3, 1, -1), y.reshape(1, 3, -1))
+    assert _rel_err(got, ref) <= 1e-14
+    # the other way round, y's value times each of x's live tangents
+    rows.clear()
+    got = outer(ring, y, x)
+    assert rows == [3, 3, 3]
+    ref = loop_nilpotent_mul(ring, y.reshape(3, 1, -1), x.reshape(1, 3, -1))
+    assert _rel_err(got, ref) <= 1e-14
 
 
 def loop_tower_mul(ring: EpsilonTower, x, y):
     """Reference tower product: one jet product per block pair."""
+    base = JetRing(ring.degree)
     xs, ys = ring.block_view(x), ring.block_view(y)
     out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
     for i in range(ring.blocks):
         for j in range(ring.blocks - i):
-            out[..., i + j, :] += ring.base.mul(xs[..., i, :], ys[..., j, :])
+            out[..., i + j, :] += base.mul(xs[..., i, :], ys[..., j, :])
     return out.reshape(out.shape[:-2] + (ring.width,))
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
-def test_tower_mul_is_one_kernel_call_on_live_pairs(order, monkeypatch):
+def test_tower_matmul_is_one_product_per_live_right_block(order,
+                                                          monkeypatch):
     ring = EpsilonTower(3, order)
     rng = np.random.default_rng(63 + order)
-    x = rng.uniform(-1, 1, (3, 1, ring.blocks, ring.base_width))
-    y = rng.uniform(-1, 1, (1, 3, ring.blocks, ring.base_width))
+    x = rng.uniform(-1, 1, (3, ring.blocks, ring.base_width))
+    y = rng.uniform(-1, 1, (3, ring.blocks, ring.base_width))
     x[..., 0, :] = 0.0  # x lifted as eps * f: its value block is dead
-    x, y = x.reshape(3, 1, -1), y.reshape(1, 3, -1)
-    rows = []
-    original = ring.base.mul
-
-    def recorded(a, b):
-        rows.append(a.shape[-2])
-        return original(a, b)
-
-    monkeypatch.setattr(ring.base, "mul", recorded)
-    got = ring.mul(x, y)
-    # the pairs (i, j, i + j) with i >= 1, all in one call
-    assert rows == [order * (order + 1) // 2]
-    assert _rel_err(got, loop_tower_mul(ring, x, y)) <= 1e-15
+    rows = recorded_matmul(monkeypatch)
+    got = outer(ring, x, y)
+    # the pairs (i, j, i + j) with i >= 1: per right block j, the rows of
+    # the left blocks 1..order - j, and none for j = order
+    assert rows == [3 * (order - j) for j in range(order)]
+    ref = loop_tower_mul(ring, x.reshape(3, 1, -1), y.reshape(1, 3, -1))
+    assert _rel_err(got, ref) <= 1e-15
     assert np.all(ring.block(got, 0) == 0.0)
+
+
+@pytest.mark.parametrize("ring", [NilpotentExtension(3, 3),
+                                  EpsilonTower(3, 3)],
+                         ids=["nilpotent", "tower"])
+def test_matmul_matches_plain_loop_mul(ring):
+    rng = np.random.default_rng(64)
+    a = rng.uniform(-1, 1, (4, 5, ring.blocks, ring.base_width))
+    b = rng.uniform(-1, 1, (5, 2, ring.blocks, ring.base_width))
+    a[..., 2, :] = 0.0  # a dead block in the middle of the left factor
+    a, b = a.reshape(4, 5, -1), b.reshape(5, 2, -1)
+    ref = ring.mul(a[:, :, None], b[None]).sum(axis=1)
+    assert _rel_err(ring.matmul(a, b), ref) <= 1e-14
+    assert np.abs(ring.matmul(np.zeros_like(a), b)).max() == 0.0
+
+
+def test_matmul_plans_once_per_flag_pattern():
+    ring = NilpotentExtension(2, 4)
+    rng = np.random.default_rng(65)
+    a = rng.uniform(-1, 1, (3, 2, ring.width))
+    b = rng.uniform(-1, 1, (2, 3, ring.width))
+    first = ring.matmul(a, b)
+    plan, = ring._plans.values()
+    # the same flags on other values: the kept plan, no new one
+    assert np.array_equal(ring.matmul(2 * a, b), 2 * first)
+    assert len(ring._plans) == 1
+    assert next(iter(ring._plans.values())) is plan

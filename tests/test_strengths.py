@@ -6,8 +6,7 @@ from ymft.deformations import (family_general, family_solvable, family_su2,
                                make_deformation)
 from ymft.forms import (COMPS, LieForm, adjoints, epsilon_dual, mark_leaf,
                         promote_form, random_field_config, tangent_parts)
-from ymft.jets import (EpsilonTower, ExtendedRing, JetAlgebra, JetRing,
-                       NilpotentExtension)
+from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
                             _ring_identity, _wedge_vol_factor, assemble_Y,
@@ -297,7 +296,7 @@ def neumann_inverse(yop):
     """
     ring, size = yop.ring, yop.size
     if isinstance(ring, NilpotentExtension):
-        base = ring.base
+        base = JetRing(ring.degree)
         blocks = yop.matrix.reshape(size, size, ring.blocks, ring.base_width)
         x_re = neumann_inverse(YOperator(
             base, yop.dim_a, yop.dim_b,
@@ -536,6 +535,39 @@ def test_solve_residual_degree_8(ring):
             < 1e-12
 
 
+def test_solve_work_follows_flags_not_values(monkeypatch):
+    # A and B flagged live in every block, block 2 exactly zero: the solve
+    # runs the products of the flags, the same as where block 2 is nonzero
+    ring = NilpotentExtension(3, 2)
+    ds = family_su2(2.0, 0.5)
+    every = np.ones(ring.blocks, dtype=bool)
+    rng = np.random.default_rng(72)
+    a, b = (_random_ring_array(rng, ring, (3, k)) for k in (4, 6))
+    r = _random_ring_array(rng, ring, (30, 2))
+    shapes = []
+    original = JetAlgebra.matmul_coeffs
+
+    def recorded(self, x, y):
+        shapes.append((x.shape, y.shape))
+        return original(self, x, y)
+
+    def solve_shapes(a, b):
+        cfg = FieldConfig(LieForm(ring, 1, a, live=every),
+                          LieForm(ring, 2, b, live=every))
+        inv = invert_Y(assemble_Y(cfg, ds))
+        shapes.clear()
+        monkeypatch.setattr(JetAlgebra, "matmul_coeffs", recorded)
+        x = inv.apply(r)
+        monkeypatch.undo()
+        assert np.abs(ring_matmul(ring, inv.yop.matrix, x) - r).max() < 1e-12
+        return list(shapes)
+
+    nonzero = solve_shapes(0.1 * a, 0.1 * b)
+    for z in (a, b):
+        ring.block_view(z)[..., 2, :] = 0.0
+    assert nonzero and solve_shapes(0.1 * a, 0.1 * b) == nonzero
+
+
 EXACT_RINGS = [JetRing(3), NilpotentExtension(3, 4), EpsilonTower(2, 3)]
 EXACT_IDS = ["jet-d3", "nil-d3x4", "eps-d2x3"]
 
@@ -672,9 +704,8 @@ def test_strength_solve_and_its_adjoint_run_no_scalar_jet_products(
     ds = family()
     config = marked_config(ds, 4, seed=10)
     leaves = [config.A, config.B, config.dA, config.dB]
-    for owner in (JetAlgebra, JetRing, ExtendedRing):
-        monkeypatch.setattr(owner, "mul_coeffs" if owner is JetAlgebra
-                            else "mul", refuse)
+    monkeypatch.setattr(JetAlgebra, "mul_coeffs", refuse)
+    monkeypatch.setattr(JetRing, "mul", refuse)
     pair = compute_strengths(config, ds)
     rng = np.random.default_rng(11)
     for out in (pair.P, pair.Q):
