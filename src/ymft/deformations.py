@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_core
-from .lie_core import InternalSpace, MassTensor, StructureConstants, SubspaceSplit
+from .lie_core import InternalSpace, MassTensor, StructureConstants
 
 DEFAULT_TOL = 1e-10
 
@@ -156,20 +156,6 @@ class DeformationSet:
     def rho_a(self) -> np.ndarray:
         """rho[w', :, :]: action of A'-basis element w' on A through b."""
         return np.einsum("pwc->wpc", self.b)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dims": [self.space_a.dim, self.space_b.dim],
-            "inner_product_a": self.ga.ravel().tolist(),
-            "inner_product_b": self.gb.ravel().tolist(),
-            "a": self.a.ravel().tolist(),
-            "b": self.b.ravel().tolist(),
-            "j": self.j.ravel().tolist(),
-            "k": self.k.ravel().tolist(),
-            "e": self.e.ravel().tolist(),
-            "mass": self.mass.m.ravel().tolist(),
-            "label": self.label,
-        }
 
 
 def make_deformation(space_a, space_b, a, b, j, k, e, mass_matrix,
@@ -435,9 +421,8 @@ def family_general(massless_a: StructureConstants | None = None,
         if h0.shape != (n0, m0):
             raise ValueError("h0 must map the massless A' sector into the "
                              "massless A sector")
-        lhs = np.einsum("ade,db,ec->abc", massless_a.c, h0, h0)
-        rhs = np.einsum("ad,dbc->abc", h0, massless_b.c)
-        if np.abs(lhs - rhs).max() > 1e-10 * max(1.0, np.abs(h0).max()) ** 2:
+        if (lie_core.homomorphism_residual(h0, massless_b, massless_a)
+                > 1e-10 * max(1.0, np.abs(h0).max()) ** 2):
             raise ValueError("h0 must be a bracket homomorphism from the "
                              "massless A' sector into the massless A sector")
         h[:n0, :m0] = h0
@@ -482,7 +467,3 @@ def _require_invariant_metric(sc: StructureConstants, what: str):
     if np.abs(low + low.transpose(2, 1, 0)).max() > 1e-10:
         raise ValueError(f"{what}: inner product is not invariant under "
                          "the sector bracket")
-
-
-def mass_subspace_split(ds: DeformationSet) -> SubspaceSplit:
-    return lie_core.decompose_mass_subspaces(ds.mass)

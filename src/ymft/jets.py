@@ -29,33 +29,32 @@ Two layers live here:
   from that table: the planned block product, the solve order (``waves``)
   and the live-flag rule of their common base :class:`ExtendedRing`.
 
-Coefficients are stored densely in graded lexicographic monomial order.  A
-scalar product (:meth:`JetAlgebra.mul_coeffs`, for :class:`JetScalar` and
-the reference ``JetRing.mul``) gathers both factors at a precomputed
-index-pair table sorted by output monomial, multiplies them, and sums each
-output's run of pairs in one ``np.add.reduceat``.  Every other product runs
-one kernel, :meth:`JetAlgebra.push`: the products a_i x_j of one degree
-level L of the right factor x are one GEMM, as the i with |i| <= D - L are
-a prefix of the monomials (Taylor propagation, Griewank & Walther,
-*Evaluating Derivatives*, ch. 13), and each output adds its pairs rank by
-rank.  It serves products of jet-valued matrices (``matmul``), the graded
-solve (``solve``, which Y(A, B) of :mod:`ymft.strengths` uses) and
-``bilinear``, which folds one factor of a constant-coefficient bilinear map
-(the wedge and interior products and their adjoints, the stress tensor)
-into a jet matrix by one GEMM, ``fold`` (which also builds Y), then pushes
-the other factor through it.  A derivative is one gather and one scale.
+Coefficients are stored densely in graded lexicographic monomial order.
+Every product runs one kernel, :meth:`JetAlgebra.push`: the products
+a_i x_j of one degree level L of the right factor x are one GEMM, as the i
+with |i| <= D - L are a prefix of the monomials (Taylor propagation,
+Griewank & Walther, *Evaluating Derivatives*, ch. 13), and each output adds
+its pairs rank by rank.  It serves products of jet-valued matrices
+(``matmul``), the scalar product of two jets (:meth:`JetAlgebra.mul_coeffs`,
+for :class:`JetScalar`, a 1 x 1 jet-matrix product), the graded solve
+(``solve``, which Y(A, B) of :mod:`ymft.strengths` uses) and ``bilinear``,
+which folds one factor of a constant-coefficient bilinear map (the wedge
+and interior products and their adjoints, the stress tensor) into a jet
+matrix by one GEMM, ``fold`` (which also builds Y), then pushes the other
+factor through it.  The reference product that the kernel is tested
+against lives with the tests.  A derivative is one gather and one scale.
 
-On an extended ring these three run one planned block product: per
-pattern of live flags, a plan lists the left blocks used and, per live
-right block, the left blocks that meet it, and one loop runs one
-jet-matrix product per live right block, its rows stacking those left
-blocks.  Only block pairs whose two blocks are flagged live are
-multiplied; every other block stays exactly zero (sparse vector-mode
-forward propagation, ibid., ch. 7).  The flags are one vector per factor,
-the blocks nonzero somewhere in the batch unless the caller passes them:
-the form layer keeps one per form and derives it from the operations that
-built the form, and Y keeps those of its wedges, so the work does not
-follow roundoff.
+On an extended ring ``matmul``, ``solve`` and ``bilinear`` run one
+planned block product: per pattern of live flags, a plan lists the left
+blocks used and, per live right block, the left blocks that meet it, and
+one loop runs one jet-matrix product per live right block, its rows
+stacking those left blocks.  Only block pairs whose two blocks are flagged
+live are multiplied; every other block stays exactly zero (sparse
+vector-mode forward propagation, ibid., ch. 7).  The flags are one vector
+per factor, the blocks nonzero somewhere in the batch unless the caller
+passes them: the form layer keeps one per form and derives it from the
+operations that built the form, and Y keeps those of its wedges, so the
+work does not follow roundoff.
 """
 
 from __future__ import annotations
@@ -96,15 +95,13 @@ class JetAlgebra:
         lookup = np.zeros((degree + 2) ** NVARS, dtype=int)
         lookup[exps @ radix] = np.arange(self.n_terms)
         # the pairs (i, j) with |i| + |j| <= degree, row-major, sorted by
-        # output monomial k (stably, so each group keeps its pairs in
-        # row-major order); every monomial k has at least the pair (0, k),
-        # so the groups start at strictly increasing offsets
+        # output monomial k (stably, so each output keeps its pairs in
+        # row-major order)
         ii, jj = np.nonzero(self.term_degree[:, None] + self.term_degree
                             <= degree)
         kk = lookup[(exps[ii] + exps[jj]) @ radix]
         order = np.argsort(kk, kind="stable")
-        self.pair_i, self.pair_j, kk = ii[order], jj[order], kk[order]
-        self.group_starts = np.flatnonzero(np.diff(kk, prepend=-1))
+        ii, jj, kk = ii[order], jj[order], kk[order]
         # the monomials of degree d are level_bounds[d]:level_bounds[d + 1]
         bounds = self.level_bounds = np.searchsorted(
             self.term_degree, np.arange(degree + 2))
@@ -116,8 +113,8 @@ class JetAlgebra:
         # and j * (n_i - 1) + i - 1 (without i = 0)
         self.level_pairs = []
         for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            keep = (self.pair_j >= lo) & (self.pair_j < hi)
-            i, j, k = self.pair_i[keep], self.pair_j[keep] - lo, kk[keep] - lo
+            keep = (jj >= lo) & (jj < hi)
+            i, j, k = ii[keep], jj[keep] - lo, kk[keep] - lo
             rank = np.arange(len(k)) - np.searchsorted(k, k)
             count = np.bincount(k)
             place = np.argsort(np.lexsort((np.arange(len(count)) < hi - lo,
@@ -135,9 +132,8 @@ class JetAlgebra:
                            for mu in range(NVARS)]
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(a.take(self.pair_i, axis=-1)
-                               * b.take(self.pair_j, axis=-1),
-                               self.group_starts, axis=-1)
+        """The product of two jets (n,), as a 1 x 1 jet-matrix product."""
+        return self.matmul_coeffs(a[None, None], b[None, None])[0, 0]
 
     def push(self, a: np.ndarray, x: np.ndarray, level: int,
              constant: bool = True) -> np.ndarray:
@@ -339,16 +335,6 @@ class JetRing:
         out = self.zeros(values.shape)
         out[..., 0] = values
         return out
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The product, one scalar jet product per block pair: the
-        reference that the planned products are tested against."""
-        xs, ys = self.block_view(x), self.block_view(y)
-        out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
-        for i, j, o in self.block_pairs:
-            out[..., o, :] += self.algebra.mul_coeffs(xs[..., i, :],
-                                                      ys[..., j, :])
-        return out.reshape(out.shape[:-2] + (self.width,))
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, K, w) x (K, M, w) -> (N, M, w)."""

@@ -258,12 +258,12 @@ class LinearMapH:
         return float(np.abs(self.h.T @ ga - gb @ self.h_t).max())
 
 
-def homomorphism_residual(hmap: LinearMapH, c_b: StructureConstants,
+def homomorphism_residual(h: np.ndarray, c_b: StructureConstants,
                           c_a: StructureConstants) -> float:
-    """Max-abs of [h u', h v']_A - h([u', v']_A') over basis pairs."""
-    if c_b.space.dim != hmap.space_b.dim or c_a.space.dim != hmap.space_a.dim:
+    """Max-abs of [h u', h v']_A - h([u', v']_A') over basis pairs, for h
+    a (dim A, dim A') array."""
+    if h.shape != (c_a.space.dim, c_b.space.dim):
         raise ValueError("dimension mismatch")
-    h = hmap.h
     lhs = np.einsum("ade,db,ec->abc", c_a.c, h, h)
     rhs = np.einsum("ad,dbc->abc", h, c_b.c)
     return float(np.abs(lhs - rhs).max())
@@ -348,11 +348,6 @@ class AdjointMaps:
             rhs = -self.ad_b_star(self.hmap.h_t @ u)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         return worst
-
-
-def adjoint_map_suite(c_a: StructureConstants, c_b: StructureConstants,
-                      hmap: LinearMapH) -> AdjointMaps:
-    return AdjointMaps(c_a, c_b, hmap)
 
 
 def direct_sum(first: StructureConstants,

@@ -33,33 +33,30 @@ ETA_INV = np.diag(1.0 / SIGNATURE)
 
 @dataclass
 class StressEnergy:
-    """Symmetric 4x4 table of jet scalars T_{mu nu}."""
+    """Symmetric T_{mu nu} as one (4, 4, n) array of jet coefficients,
+    valid to ``order``, at jet degree ``degree``."""
 
-    table: list
+    values: np.ndarray
     degree: int
+    order: int
 
-    def __getitem__(self, idx):
-        mu, nu = idx
-        return self.table[mu][nu]
+    def _jet(self, coeffs: np.ndarray) -> JetScalar:
+        return JetScalar(jet_algebra(self.degree), coeffs, self.order)
+
+    def __getitem__(self, idx) -> JetScalar:
+        return self._jet(self.values[idx])
 
     def trace(self) -> JetScalar:
-        out = None
-        for mu in range(4):
-            term = self.table[mu][mu] * float(ETA_INV[mu, mu])
-            out = term if out is None else out + term
-        return out
+        """eta^{mu mu} T_{mu mu}, summed over mu = 0..3 in order."""
+        diag = np.arange(4)
+        return self._jet(np.add.reduce(
+            self.values[diag, diag] * np.diag(ETA_INV)[:, None], axis=0))
 
     def symmetry_residual(self) -> float:
-        worst = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                diff = self.table[mu][nu].coeffs - self.table[nu][mu].coeffs
-                worst = max(worst, float(np.abs(diff).max()))
-        return worst
+        return float(np.abs(self.values - self.values.swapaxes(0, 1)).max())
 
     def values_at_origin(self) -> np.ndarray:
-        return np.array([[self.table[m][n].value_at_origin()
-                          for n in range(4)] for m in range(4)])
+        return self.values[..., 0]
 
 
 def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
@@ -80,12 +77,11 @@ def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
     x = np.concatenate([star_p.comps.reshape(-1, ring.width),
                         star_q.comps.reshape(-1, ring.width)])
     upper = ring.bilinear(x, _stress_coefficients(ga, gb), x)
-    alg, order = jet_algebra(ring.degree), min(star_p.order, star_q.order)
-    table = [[None] * 4 for _ in range(4)]
-    for mu, nu, val in zip(*np.triu_indices(4), upper):
-        table[mu][nu] = JetScalar(alg, val, order)
-        table[nu][mu] = JetScalar(alg, val.copy(), order)
-    return StressEnergy(table, ring.degree)
+    values = np.empty((4, 4, ring.width))
+    mu, nu = np.triu_indices(4)
+    values[mu, nu] = values[nu, mu] = upper
+    return StressEnergy(values, ring.degree,
+                        min(star_p.order, star_q.order))
 
 
 def _stress_coefficients(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:

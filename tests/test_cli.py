@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ymft import cli
+from ymft.jets import JetAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -441,6 +442,37 @@ def test_runtime_needs_no_scipy(tmp_path):
         "assert sys.modules['scipy'] is None\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, cwd=str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+
+
+def sample_runs():
+    """(command, config) for every sample config and each command that
+    reads its sections; verify-theory at degree 3 with one seed."""
+    runs = []
+    for path in sorted((ROOT / "demos" / "configs").glob("*.json")):
+        sections = json.loads(path.read_text())
+        for command, needs in (("verify-algebra", "algebra"),
+                               ("verify-deformation", "deformation"),
+                               ("verify-theory", "deformation"),
+                               ("observables", None)):
+            if needs is None or needs in sections:
+                extra = (["--degree", "3", "--seed", "1"]
+                         if command == "verify-theory" else [])
+                runs.append(pytest.param(
+                    [command, "--config", str(path)] + extra,
+                    id=f"{command}-{path.stem}"))
+    return runs
+
+
+@pytest.mark.parametrize("argv", sample_runs())
+def test_commands_run_no_scalar_jet_products(argv, monkeypatch):
+    # every product of a command is a jet-matrix product; the scalar
+    # product of two jets is for JetScalar arithmetic in tests and demos
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar jet product in a command")
+
+    monkeypatch.setattr(JetAlgebra, "mul_coeffs", refuse)
+    proc = run_cli(argv)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -7,8 +7,7 @@ from ymft.deformations import (check_all_relations, check_e_mass_obstruction,
                                check_quadratic_relations, family_e_only,
                                family_general, family_solvable, family_su2,
                                linear_relation_residuals, make_deformation,
-                               mass_subspace_split, parity_grade,
-                               quadratic_relation_residuals)
+                               parity_grade, quadratic_relation_residuals)
 from ymft.lie_core import InternalSpace, StructureConstants
 
 EPS = lie_core.levi_civita3()
@@ -123,7 +122,7 @@ def test_general_nonabelian_massive_with_massless_sectors():
                         h0=0.8 * np.eye(3), massive=lie_core.su2(),
                         mass_value=2.0)
     assert check_all_relations(ds, 1e-12).passed
-    split = mass_subspace_split(ds)
+    split = lie_core.decompose_mass_subspaces(ds.mass)
     assert split.massive_dim == 3
     assert ds.space_a.dim == 6
 
@@ -225,20 +224,3 @@ def test_einsum_relations_match_loop_oracle():
             - sum(al[aa, b, c] * a[b, d, e] for b in range(n))
             + sum(al[aa, b, e] * a[b, d, c] for b in range(n)))
     assert np.allclose(res, worst, atol=1e-14)
-
-
-def test_serialization_roundtrip():
-    ds = family_su2(2.0, 0.5)
-    blob = ds.to_jsonable()
-    assert blob["dims"] == [3, 3]
-    assert len(blob["a"]) == 27
-    re = make_deformation(
-        InternalSpace(3, np.array(blob["inner_product_a"]).reshape(3, 3)),
-        InternalSpace(3, np.array(blob["inner_product_b"]).reshape(3, 3)),
-        np.array(blob["a"]).reshape(3, 3, 3),
-        np.array(blob["b"]).reshape(3, 3, 3),
-        np.array(blob["j"]).reshape(3, 3, 3),
-        np.array(blob["k"]).reshape(3, 3, 3),
-        np.array(blob["e"]).reshape(3, 3, 3),
-        np.array(blob["mass"]).reshape(3, 3))
-    assert np.array_equal(re.a, ds.a) and np.array_equal(re.k, ds.k)

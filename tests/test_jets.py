@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
                        NilpotentExtension, jet_algebra)
 
+from jet_reference import ref_mul
+
 
 def brute_force_product(alg: JetAlgebra, a, b):
     out = np.zeros(alg.n_terms)
@@ -23,8 +25,9 @@ def test_truncated_product_against_brute_force(degree):
     rng = np.random.default_rng(degree)
     a = rng.uniform(-1, 1, alg.n_terms)
     b = rng.uniform(-1, 1, alg.n_terms)
-    assert np.allclose(alg.mul_coeffs(a, b), brute_force_product(alg, a, b),
-                       atol=1e-14)
+    want = brute_force_product(alg, a, b)
+    assert np.allclose(alg.mul_coeffs(a, b), want, atol=1e-14)
+    assert np.allclose(ref_mul(JetRing(degree), a, b), want, atol=1e-14)
 
 
 @pytest.mark.parametrize("degree", range(9))
@@ -162,10 +165,10 @@ def test_nilpotent_extension_is_exact_first_derivative():
     t = rng.uniform(-1, 1, base.width)
     # (f + eps t)^2 = f^2 + 2 eps f t
     x = dual.promote(f, [t])
-    sq = dual.mul(x, x)
+    sq = ref_mul(dual, x, x)
     re, im = sq[:base.width], sq[base.width:]
-    assert np.allclose(re, base.mul(f, f), atol=1e-14)
-    assert np.allclose(im, 2 * base.mul(f, t), atol=1e-14)
+    assert np.allclose(re, ref_mul(base, f, f), atol=1e-14)
+    assert np.allclose(im, 2 * ref_mul(base, f, t), atol=1e-14)
 
 
 def test_multi_direction_extension():
@@ -175,10 +178,10 @@ def test_multi_direction_extension():
     f = rng.uniform(-1, 1, base.width)
     tangents = [rng.uniform(-1, 1, base.width) for _ in range(3)]
     x = ring.promote(f, tangents)
-    sq = ring.mul(x, x)
+    sq = ref_mul(ring, x, x)
     for i, t in enumerate(tangents):
         got = sq.reshape(4, base.width)[1 + i]
-        assert np.allclose(got, 2 * base.mul(f, t), atol=1e-14)
+        assert np.allclose(got, 2 * ref_mul(base, f, t), atol=1e-14)
 
 
 def test_epsilon_tower_homogeneous_expansion():
@@ -187,10 +190,10 @@ def test_epsilon_tower_homogeneous_expansion():
     rng = np.random.default_rng(5)
     f = rng.uniform(-1, 1, base.width)
     x = tower.promote(np.zeros(base.width), [f])
-    cube = tower.mul(tower.mul(x, x), x)
+    cube = ref_mul(tower, ref_mul(tower, x, x), x)
     blocks = cube.reshape(4, base.width)
-    assert np.allclose(blocks[3],
-                       base.mul(base.mul(f, f), f), atol=1e-13)
+    assert np.allclose(blocks[3], ref_mul(base, ref_mul(base, f, f), f),
+                       atol=1e-13)
     assert np.abs(blocks[:3]).max() == 0.0
 
 
@@ -231,8 +234,9 @@ def loop_nilpotent_mul(ring: NilpotentExtension, x, y):
     xs, ys = ring.block_view(x), ring.block_view(y)
     xr, xi = xs[..., 0, :], xs[..., 1:, :]
     yr, yi = ys[..., 0, :], ys[..., 1:, :]
-    re = base.mul(xr, yr)
-    im = base.mul(xr[..., None, :], yi) + base.mul(xi, yr[..., None, :])
+    re = ref_mul(base, xr, yr)
+    im = (ref_mul(base, xr[..., None, :], yi)
+          + ref_mul(base, xi, yr[..., None, :]))
     out = np.concatenate([re[..., None, :], im], axis=-2)
     return out.reshape(out.shape[:-2] + (ring.width,))
 
@@ -251,7 +255,7 @@ def test_nilpotent_mul_matches_loop(degree, directions):
         x = rng.uniform(-1, 1, x_shape + (ring.width,))
         y = rng.uniform(-1, 1, y_shape + (ring.width,))
         ref = loop_nilpotent_mul(ring, x, y)
-        got = ring.mul(x, y)
+        got = ref_mul(ring, x, y)
         assert got.shape == ref.shape
         assert _rel_err(got, ref) <= 1e-14
 
@@ -265,7 +269,7 @@ def test_nilpotent_mul_zero_tangents_stay_exact_zero():
     x[..., [1 + d for d in zero], :] = 0.0
     y[..., [1 + d for d in zero], :] = 0.0
     x[..., 30, :] = 0.0  # zero on one input only
-    out = ring.mul(x.reshape(3, 1, -1), y.reshape(1, 3, -1))
+    out = ring.matmul(x.reshape(3, 1, -1), y.reshape(1, 3, -1))
     blocks = out.reshape(3, 3, ring.blocks, ring.base_width)
     for d in zero:
         assert np.all(blocks[..., 1 + d, :] == 0.0)
@@ -302,8 +306,8 @@ def test_nilpotent_mul_live_directions_match_loop(data, directions, degree,
     # the plain loop, and the planned product as the outer product of the
     # two batches (K = 1)
     a, b = x.reshape(-1, 1, ring.width), y.reshape(1, -1, ring.width)
-    for got, ref in ((ring.mul(x, y), loop_nilpotent_mul(ring, x, y)),
-                     (ring.matmul(a, b), ring.mul(a, b))):
+    for got, ref in ((ref_mul(ring, x, y), loop_nilpotent_mul(ring, x, y)),
+                     (ring.matmul(a, b), ref_mul(ring, a, b))):
         assert got.shape == ref.shape
         # relative to the largest entry; exact where the product is all zero
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -387,7 +391,8 @@ def loop_tower_mul(ring: EpsilonTower, x, y):
     out = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
     for i in range(ring.blocks):
         for j in range(ring.blocks - i):
-            out[..., i + j, :] += base.mul(xs[..., i, :], ys[..., j, :])
+            out[..., i + j, :] += ref_mul(base, xs[..., i, :],
+                                          ys[..., j, :])
     return out.reshape(out.shape[:-2] + (ring.width,))
 
 
@@ -418,7 +423,7 @@ def test_matmul_matches_plain_loop_mul(ring):
     b = rng.uniform(-1, 1, (5, 2, ring.blocks, ring.base_width))
     a[..., 2, :] = 0.0  # a dead block in the middle of the left factor
     a, b = a.reshape(4, 5, -1), b.reshape(5, 2, -1)
-    ref = ring.mul(a[:, :, None], b[None]).sum(axis=1)
+    ref = ref_mul(ring, a[:, :, None], b[None]).sum(axis=1)
     assert _rel_err(ring.matmul(a, b), ref) <= 1e-14
     assert np.abs(ring.matmul(np.zeros_like(a), b)).max() == 0.0
 

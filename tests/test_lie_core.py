@@ -103,10 +103,10 @@ def test_homomorphism_scaled_identity():
                       kappa * np.eye(3))
     c_second = lc.StructureConstants(lc.InternalSpace(3),
                                      kappa * lc.levi_civita3())
-    assert lc.homomorphism_residual(h, c_second, lc.su2()) < 1e-14
+    assert lc.homomorphism_residual(h.h, c_second, lc.su2()) < 1e-14
     zero_h = lc.LinearMapH(lc.InternalSpace(3), lc.InternalSpace(3),
                            np.zeros((3, 3)))
-    assert lc.homomorphism_residual(zero_h, lc.abelian(3), lc.su2()) == 0.0
+    assert lc.homomorphism_residual(zero_h.h, lc.abelian(3), lc.su2()) == 0.0
 
 
 def test_homomorphism_random_fails():
@@ -119,7 +119,7 @@ def test_homomorphism_random_fails():
             lhs = lc.su2().bracket(h.h @ u, h.h @ v)
             rhs = h.h @ lc.su2().bracket(u, v)
             oracle = max(oracle, np.abs(lhs - rhs).max())
-    assert np.isclose(lc.homomorphism_residual(h, lc.su2(), lc.su2()),
+    assert np.isclose(lc.homomorphism_residual(h.h, lc.su2(), lc.su2()),
                       oracle, atol=1e-13)
     assert oracle > 1e-3
 
@@ -144,7 +144,7 @@ def test_adjoint_suite_semisimple_invariance_and_relation():
                       kappa * np.eye(3))
     c_b = lc.StructureConstants(lc.InternalSpace(3),
                                 kappa * lc.levi_civita3())
-    suite = lc.adjoint_map_suite(lc.su2(), c_b, h)
+    suite = lc.AdjointMaps(lc.su2(), c_b, h)
     assert suite.invariance_residual_a() < 1e-13
     assert suite.homomorphism_relation_residual() < 1e-13
 
@@ -152,7 +152,7 @@ def test_adjoint_suite_semisimple_invariance_and_relation():
 def test_adjoint_suite_abelian_everything_vanishes():
     h = lc.LinearMapH(lc.InternalSpace(3), lc.InternalSpace(3),
                       np.zeros((3, 3)))
-    suite = lc.adjoint_map_suite(lc.abelian(3), lc.abelian(3), h)
+    suite = lc.AdjointMaps(lc.abelian(3), lc.abelian(3), h)
     for v in np.eye(3):
         assert np.abs(suite.ad_a(v)).max() == 0.0
         assert np.abs(suite.ad_h_a(v)).max() == 0.0
@@ -168,8 +168,8 @@ def test_adjoint_relation_solvable_h():
     cbr = 0.5 * (np.einsum("ab,c->abc", cmap, v)
                  - np.einsum("ac,b->abc", cmap, v))
     c_b = lc.StructureConstants(lc.InternalSpace(3), cbr)
-    assert lc.homomorphism_residual(h, c_b, lc.su2()) < 1e-13
-    suite = lc.adjoint_map_suite(lc.su2(), c_b, h)
+    assert lc.homomorphism_residual(h.h, c_b, lc.su2()) < 1e-13
+    suite = lc.AdjointMaps(lc.su2(), c_b, h)
     assert suite.homomorphism_relation_residual() < 1e-13
 
 

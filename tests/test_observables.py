@@ -11,6 +11,8 @@ from ymft.observables import (ETA_INV, ChargeResult, _pointwise_stress,
                               uniform_scalar_sampler, zero_sampler)
 from ymft.strengths import FieldConfig, compute_strengths
 
+from jet_reference import ref_mul
+
 RING = JetRing(3)
 
 
@@ -56,8 +58,8 @@ def test_trace_equals_minus_half_q_norm():
     q_norm = np.zeros(RING.width)
     for mu in range(4):
         for a in range(3):
-            q_norm += eta_inv[mu, mu] * RING.mul(sq.comps[a, mu],
-                                                 sq.comps[a, mu])
+            q_norm += eta_inv[mu, mu] * ref_mul(RING, sq.comps[a, mu],
+                                                sq.comps[a, mu])
     assert np.allclose(tensor.trace().coeffs, -0.5 * q_norm, atol=1e-12)
 
 
