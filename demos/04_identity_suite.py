@@ -7,6 +7,8 @@ closed-form strength transformation laws -- is verified off-shell as an
 exact statement on jet coefficients.
 """
 
+import sys
+
 import numpy as np
 
 from ymft.deformations import family_su2, make_deformation
@@ -22,8 +24,8 @@ for name, report in out["reports"].items():
         print(f"  {row.name:28s} residual={row.residual:.2e} "
               f"(tol {row.tolerance:.0e})  "
               f"{'ok' if row.passed else 'FAILED'}")
-print("  total time: "
-      f"{sum(out['timings'].values()):.1f}s")
+# wall time goes to stderr, so that stdout is the same on every run
+print(f"  total time: {sum(out['timings'].values()):.1f}s", file=sys.stderr)
 
 # --- negative control: breaking the coupling breaks invariance --------------
 

@@ -149,14 +149,6 @@ class DeformationSet:
     def bracket_a(self) -> StructureConstants:
         return StructureConstants(self.space_a, self.a)
 
-    def rho_b(self) -> np.ndarray:
-        """rho'[w, :, :]: action of A-basis element w on A' through j."""
-        return np.einsum("pwq->wpq", self.j)
-
-    def rho_a(self) -> np.ndarray:
-        """rho[w', :, :]: action of A'-basis element w' on A through b."""
-        return np.einsum("pwc->wpc", self.b)
-
 
 def make_deformation(space_a, space_b, a, b, j, k, e, mass_matrix,
                      h_map=None, label="custom", validate=True) -> DeformationSet:

@@ -579,9 +579,10 @@ def strength_remainder(variant: TheoryVariant, config: FieldConfig,
     src_p = e_b.wedge(gp.xi, ds.b)
     src_q = (e_a.wedge(gp.xi, b_transpose_pairing(ds)).scale(-1.0)
              + e_b.wedge(gp.chi, ds.k))
-    vec = strengths.y_inv.apply(stack_pair(src_p, src_q))
+    order = min(src_p.order, src_q.order)
+    vec = strengths.y_inv.apply(stack_pair(src_p, src_q), order)
     return unstack_pair(config.ring, ds.space_a.dim, ds.space_b.dim, vec,
-                        min(src_p.order, src_q.order))
+                        order)
 
 
 COMMUTATORS = ("commutator-xi-xi", "commutator-chi-chi", "commutator-xi-chi")

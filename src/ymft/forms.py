@@ -12,10 +12,12 @@ couplings) and over components by a sign table.  Both are constants, so one
 GEMM with no jet products folds them and the left factor x into a jet
 matrix L[(c, k), (b, j)] = sum_{a, i} sign_{ijk} pairing[c, a, b] x^a_i,
 which multiplies the right factor by the jet-matrix kernel
-(:meth:`ymft.jets.JetRing.bilinear`).  A zero pairing multiplies nothing
-and gives the exact zero form.  A non-finite coefficient can reach every
-output component of its jet matrix (inf * 0 = NaN in the GEMM); blocks that
-no live pair reaches stay exactly 0.0.  The exterior derivative is likewise
+(:meth:`ymft.jets.JetRing.bilinear`), at the valid order of the product,
+the lesser of its factors' orders: the coefficients above it are exact
+zeros and cost nothing.  A zero pairing multiplies nothing and gives the
+exact zero form.  A non-finite coefficient can reach every output
+component of its jet matrix (inf * 0 = NaN in the GEMM); blocks that no
+live pair reaches stay exactly 0.0.  The exterior derivative is likewise
 one derivative per direction over all components, then one signed matrix.
 
 Over an extended ring (a nilpotent extension or an epsilon tower) a form
@@ -53,8 +55,8 @@ theories differ from the Hodge dual by a constant per degree (2 on 2-forms,
 formulas in this library are normalized so that the dual entering them *is*
 the Hodge dual; :func:`epsilon_dual` therefore applies the frozen constants
 stored on the convention (1.0 per degree), and the literal contraction
-factors are kept alongside for reference and for the contraction oracle
-tests.
+factors are kept alongside for reference (the report header prints them,
+and the contraction oracle tests apply them).
 """
 
 from __future__ import annotations
@@ -411,7 +413,7 @@ def _paired_products(left: LieForm, right: LieForm, pairing,
         # a pairing that couples no pair multiplies nothing
         live = left.ring.live_product(*flags[0]) & pairing.any()
     return _pair(left.ring, left.comps, right.comps, pairing, signs,
-                 *flags), live
+                 min(left.order, right.order), *flags), live
 
 
 def _coefficients(pairing: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -423,16 +425,19 @@ def _coefficients(pairing: np.ndarray, signs: np.ndarray) -> np.ndarray:
                 a * i, c * k, b * j)
 
 
-def _pair(ring, x, y, pairing, signs, *flags) -> np.ndarray:
+def _pair(ring, x, y, pairing, signs, order, *flags) -> np.ndarray:
     """sum signs[i, j, k] pairing[c, a, b] x[a, i] y[b, j] -> out[c, k],
-    as one :meth:`ymft.jets.JetRing.bilinear`: x folds with the constants
-    into the jet matrix L[(c, k), (b, j)], which multiplies y.  A pairing
-    that couples nothing gives zeros and runs no product."""
+    valid to ``order``, as one :meth:`ymft.jets.JetRing.bilinear`: x folds
+    with the constants into the jet matrix L[(c, k), (b, j)], which
+    multiplies y.  Only the coefficients of degree <= order are computed;
+    the higher ones are exact zeros.  A pairing that couples nothing gives
+    zeros and runs no product."""
     (c, a, b), (i, j, k) = pairing.shape, signs.shape
     if not pairing.any():
         return ring.zeros((c, k))
     return ring.bilinear(x.reshape(a * i, -1), _coefficients(pairing, signs),
-                         y.reshape(b * j, -1), *flags).reshape(c, k, -1)
+                         y.reshape(b * j, -1), *flags,
+                         order=order).reshape(c, k, -1)
 
 
 def wedge_matrix(p: int, right: LieForm, pairing) -> np.ndarray:
@@ -448,9 +453,12 @@ def wedge_matrix(p: int, right: LieForm, pairing) -> np.ndarray:
 def wedge_adjoint(left: LieForm, right: LieForm, pairing,
                   g: np.ndarray) -> np.ndarray:
     """L^T g, for L the jet matrix of ``left``: the adjoint of the right factor
-    of left.wedge(right, pairing) from that of the product, ``g``."""
+    of left.wedge(right, pairing) from that of the product, ``g``.  It is
+    valid to the order of that product, so that the reverse pass is the
+    transpose of the truncated forward one."""
     return _pair(left.ring, left.comps, g, pairing.transpose(2, 1, 0),
-                 WEDGE_TABLE[(left.p, right.p)].transpose(0, 2, 1))
+                 WEDGE_TABLE[(left.p, right.p)].transpose(0, 2, 1),
+                 min(left.order, right.order))
 
 
 def mark_leaf(f: LieForm) -> LieForm:
@@ -514,11 +522,6 @@ def epsilon_dual(f: LieForm, kind: str) -> LieForm:
     if f.p != degree:
         raise ValueError(f"epsilon_dual kind {kind!r} needs a {degree}-form")
     return f.hodge().scale(CONVENTION.epsilon_dual_constants[degree])
-
-
-def literal_epsilon_contraction(f: LieForm) -> LieForm:
-    """Raw eps_{...}{}^{...} contraction without 1/p! (oracle reference)."""
-    return f.hodge().scale(CONVENTION.literal_contraction_factors[f.p])
 
 
 def scalar_pairing(metric: np.ndarray) -> np.ndarray:

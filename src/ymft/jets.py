@@ -44,6 +44,15 @@ matrix by one GEMM, ``fold`` (which also builds Y), then pushes the other
 factor through it.  The reference product that the kernel is tested
 against lives with the tests.  A derivative is one gather and one scale.
 
+A product stops at the valid order of its result.  The monomials of
+degree <= o are the first C(o + 4, 4) coefficients of each block, and
+``jet_algebra(o)`` holds exactly that prefix's tables, so a product of
+valid order o (the ``order`` of ``matmul``, ``bilinear`` and ``solve``,
+by default the ring degree) runs the kernel of ``jet_algebra(o)`` on the
+prefix; its higher coefficients are exact 0.0, and below order 0 the
+product is exact zeros and runs nothing (Taylor arithmetic that
+propagates only the degrees it needs, ibid.).
+
 On an extended ring ``matmul``, ``solve`` and ``bilinear`` run one
 planned block product: per pattern of live flags, a plan lists the left
 blocks used and, per live right block, the left blocks that meet it, and
@@ -336,9 +345,26 @@ class JetRing:
         out[..., 0] = values
         return out
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(N, K, w) x (K, M, w) -> (N, M, w)."""
-        return self.algebra.matmul_coeffs(a, b)
+    def _truncation(self, order=None) -> tuple:
+        """(algebra, n) for a product of valid order ``order`` (by default
+        the ring degree): it runs the tables of ``jet_algebra(order)`` on
+        the first n coefficients of each block, those of degree <= order,
+        and its higher coefficients are exact 0.0.  Below order 0 it is
+        (None, 0): the product is exact zeros and runs nothing."""
+        order = self.degree if order is None else min(order, self.degree)
+        if order < 0:
+            return None, 0
+        alg = jet_algebra(order)
+        return alg, alg.n_terms
+
+    def matmul(self, a: np.ndarray, b: np.ndarray, order=None) -> np.ndarray:
+        """(N, K, w) x (K, M, w) -> (N, M, w), valid to ``order``
+        (:meth:`_truncation`)."""
+        alg, n = self._truncation(order)
+        out = self.zeros((len(a), b.shape[1]))
+        if alg:
+            out[..., :n] = alg.matmul_coeffs(a[..., :n], b[..., :n])
+        return out
 
     @staticmethod
     def fold(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -347,37 +373,45 @@ class JetRing:
         return (x.T @ coeffs.reshape(len(x), -1)).reshape(
             x.shape[1:] + coeffs.shape[1:])
 
-    def bilinear(self, x: np.ndarray, coeffs: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+    def bilinear(self, x: np.ndarray, coeffs: np.ndarray, y: np.ndarray,
+                 order=None) -> np.ndarray:
         """sum over a, k of coeffs[a, n, k] x_a y_k, for x (A, w), constant
-        coeffs (A, N, K) and y (K, w): (N, w).  x and coeffs make one jet
-        matrix (:meth:`fold`), which multiplies y by one
-        :meth:`JetAlgebra.push` per degree level."""
-        return self.algebra.matmul_coeffs(
-            self.fold(x, coeffs).transpose(1, 2, 0), y[:, None])[:, 0]
+        coeffs (A, N, K) and y (K, w): (N, w), valid to ``order``
+        (:meth:`_truncation`).  x and coeffs make one jet matrix
+        (:meth:`fold`), which multiplies y by one :meth:`JetAlgebra.push`
+        per degree level."""
+        _, n = self._truncation(order)
+        return self.matmul(self.fold(x[:, :n], coeffs).transpose(1, 2, 0),
+                           y[:, None], order)[:, 0]
 
     def solve(self, y: np.ndarray, y0_inv: np.ndarray, r: np.ndarray,
-              live=None) -> np.ndarray:
+              live=None, order=None) -> np.ndarray:
         """Solve y x = r for y (size, size, w) and r (size, w) or (size, M,
         w), given the inverse ``y0_inv`` of y's constant block; ``live``
-        is y's (blocks,) flags (by default every block).
+        is y's (blocks,) flags (by default every block).  x is valid to
+        ``order`` (:meth:`_truncation`): the solve reads the coefficients
+        of degree <= order of y and r, and x is exact 0.0 above it.
 
         Right-looking, one degree level of the jet at a time
         (column-oriented forward substitution, Golub & Van Loan, *Matrix
         Computations*, 3.1): x_L = y0_inv r_L for all monomials of level L
-        at once, then y_i x_L for every i != 0 with |i| <= D - L, one
+        at once, then y_i x_L for every i != 0 with |i| <= order - L, one
         :meth:`JetAlgebra.push`, leaves the pending right-hand sides of the
         higher levels.  The blocks of one wave (:attr:`waves`) are extra
         columns of that solve; the solved wave is then pushed into every
         later block through y's live blocks i != 0, by the plan of those
         pairs.
         """
-        size, alg = len(y0_inv), self.algebra
+        size = len(y0_inv)
+        alg, n = self._truncation(order)
+        out = np.zeros(r.shape)
+        if not alg:
+            return out
         bounds = alg.level_bounds
         # r as (size, n, blocks, cols), the kernel's layout, solved in place
-        z = self.block_view(r.reshape(size, -1, self.width)).transpose(
-            0, 3, 2, 1).copy()
-        blocks = self.block_view(y).transpose(3, 2, 0, 1)
+        z = self.block_view(r.reshape(size, -1, self.width))[..., :n] \
+            .transpose(0, 3, 2, 1).copy()
+        blocks = self.block_view(y)[..., :n].transpose(3, 2, 0, 1)
         base = np.ascontiguousarray(blocks[:, 0])
         lx = np.ones(self.blocks, dtype=bool) if live is None else live.copy()
         lx[0] = False
@@ -386,7 +420,7 @@ class JetRing:
             for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 x = y0_inv @ zw[:, lo:hi].reshape(size, -1)
                 zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
-                if hi < alg.n_terms:
+                if hi < n:
                     zw[:, hi:] -= alg.push(
                         base, x.reshape(size, hi - lo, -1), level,
                         constant=False).reshape(zw[:, hi:].shape)
@@ -395,10 +429,12 @@ class JetRing:
                 ly[wave] = True
                 used, steps, _ = self._plan(lx, ly)
                 mats = np.ascontiguousarray(blocks[:, used])
-                for outs, prod in self._products(steps, mats,
+                for outs, prod in self._products(alg, steps, mats,
                                                  z.transpose(2, 0, 3, 1)):
                     z[:, :, outs] -= prod.transpose(1, 3, 0, 2)
-        return z.transpose(0, 3, 2, 1).reshape(r.shape)
+        self.block_view(out.reshape(size, -1, self.width))[..., :n] = \
+            z.transpose(0, 3, 2, 1)
+        return out
 
     def _plan(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
         """The block product of factors with live flags lx and ly, as (the
@@ -422,15 +458,17 @@ class JetRing:
             plan = self._plans[key] = (_as_run(used), steps, live)
         return plan
 
-    def _products(self, steps, mats: np.ndarray, right: np.ndarray):
-        """Run the steps of a plan: per live right block j, one
+    def _products(self, alg: JetAlgebra, steps, mats: np.ndarray,
+                  right: np.ndarray):
+        """Run the steps of a plan on the coefficient prefixes of
+        ``alg``'s degree: per live right block j, one
         :meth:`JetAlgebra.matmul_coeffs` of ``right[j]`` (K, M, n) by the
         jet matrices ``mats[:, at]`` (n, used, N, K) of the left blocks
         that meet it, stacked as rows.  Yields each step's output blocks
         and its (outputs, N, M, n) products."""
         n, _, rows, inner = mats.shape
         for j, at, outs in steps:
-            prod = self.algebra.matmul_coeffs(
+            prod = alg.matmul_coeffs(
                 mats[:, at].reshape(n, -1, inner).transpose(1, 2, 0),
                 right[j])
             yield outs, prod.reshape((len(outs), rows) + prod.shape[1:])
@@ -493,37 +531,49 @@ class ExtendedRing(JetRing):
     """
 
     def bilinear(self, x: np.ndarray, coeffs: np.ndarray, y: np.ndarray,
-                 live=None) -> np.ndarray:
+                 live=None, order=None) -> np.ndarray:
         """:meth:`JetRing.bilinear` on the live block pairs; ``live`` is
         (lx, ly), for each factor the blocks that may be nonzero somewhere
         in the batch, as (blocks,) booleans (by default, those that are, as
         found by :meth:`live_blocks`).  One :meth:`fold` makes the jet
         matrices of the live left blocks."""
-        if live is None:
-            live = [self.live_blocks(z) for z in (x, y)]
-        used, steps, _ = self._plan(*live)
-        mats = self.fold(self.block_view(x)[:, used].transpose(0, 2, 1)
-                         .reshape(len(x), -1), coeffs).reshape(
-                             (self.base_width, -1) + coeffs.shape[1:])
-        return self._sum(steps, mats, y[:, None])[:, 0]
+        alg, n = self._truncation(order)
+        out = self.zeros((coeffs.shape[1], 1))
+        if alg:
+            if live is None:
+                live = [self.live_blocks(z) for z in (x, y)]
+            used, steps, _ = self._plan(*live)
+            xs = self.block_view(x)[:, used, :n]
+            mats = self.fold(xs.transpose(0, 2, 1).reshape(len(x), -1),
+                             coeffs).reshape((n, -1) + coeffs.shape[1:])
+            self._sum(out, alg, steps, mats, y[:, None])
+        return out[:, 0]
 
-    def matmul(self, a: np.ndarray, b: np.ndarray, live=None) -> np.ndarray:
+    def matmul(self, a: np.ndarray, b: np.ndarray, live=None,
+               order=None) -> np.ndarray:
         """(N, K, w) x (K, M, w) -> (N, M, w) on the live block pairs
-        (``live`` as for :meth:`bilinear`)."""
-        if live is None:
-            live = [self.live_blocks(z) for z in (a, b)]
-        used, steps, _ = self._plan(*live)
-        return self._sum(steps, np.ascontiguousarray(
-            self.block_view(a).transpose(3, 2, 0, 1)[:, used]), b)
-
-    def _sum(self, steps, mats: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The products of a plan's steps (:meth:`_products`) summed into
-        their output blocks: (N, M, w) for the right factor b (K, M, w)."""
-        out = self.zeros((mats.shape[2], b.shape[1]))
-        right = np.moveaxis(self.block_view(b), -2, 0)
-        for outs, prod in self._products(steps, mats, right):
-            self.block_view(out)[:, :, outs] += prod.transpose(1, 2, 0, 3)
+        (``live`` as for :meth:`bilinear`), valid to ``order``
+        (:meth:`JetRing._truncation`)."""
+        alg, n = self._truncation(order)
+        out = self.zeros((len(a), b.shape[1]))
+        if alg:
+            if live is None:
+                live = [self.live_blocks(z) for z in (a, b)]
+            used, steps, _ = self._plan(*live)
+            self._sum(out, alg, steps, np.ascontiguousarray(
+                self.block_view(a)[..., :n].transpose(3, 2, 0, 1)[:, used]),
+                b)
         return out
+
+    def _sum(self, out: np.ndarray, alg: JetAlgebra, steps,
+             mats: np.ndarray, b: np.ndarray) -> None:
+        """Add the products of a plan's steps (:meth:`_products`) to their
+        output blocks of ``out`` (N, M, w), for the right factor b (K, M,
+        w), on the coefficient prefixes of ``alg``'s degree."""
+        n = alg.n_terms
+        right = np.moveaxis(self.block_view(b)[..., :n], -2, 0)
+        for outs, prod in self._products(alg, steps, mats, right):
+            self.block_view(out)[:, :, outs, :n] += prod.transpose(1, 2, 0, 3)
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (blocks,) booleans: the blocks, value first, that

@@ -231,33 +231,6 @@ def _kernel_projectors(mat: np.ndarray, metric: np.ndarray):
     return p0, np.eye(n) - p0, rank
 
 
-@dataclass(frozen=True)
-class LinearMapH:
-    """A linear map h from A' into A, with metric adjoint h^T: A -> A'."""
-
-    space_a: InternalSpace
-    space_b: InternalSpace
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (self.space_a.dim, self.space_b.dim):
-            raise ValueError("h has wrong shape (expect dim A x dim A')")
-        object.__setattr__(self, "h", h)
-
-    @property
-    def h_t(self) -> np.ndarray:
-        """(h u', v)_A = (u', h^T v)_A' for all u', v."""
-        ga = self.space_a.inner_product
-        gbinv = self.space_b.inverse_metric
-        return gbinv @ self.h.T @ ga
-
-    def adjointness_residual(self) -> float:
-        ga = self.space_a.inner_product
-        gb = self.space_b.inner_product
-        return float(np.abs(self.h.T @ ga - gb @ self.h_t).max())
-
-
 def homomorphism_residual(h: np.ndarray, c_b: StructureConstants,
                           c_a: StructureConstants) -> float:
     """Max-abs of [h u', h v']_A - h([u', v']_A') over basis pairs, for h
@@ -267,87 +240,6 @@ def homomorphism_residual(h: np.ndarray, c_b: StructureConstants,
     lhs = np.einsum("ade,db,ec->abc", c_a.c, h, h)
     rhs = np.einsum("ad,dbc->abc", h, c_b.c)
     return float(np.abs(lhs - rhs).max())
-
-
-def derivation_residual(rho: np.ndarray, sc: StructureConstants) -> float:
-    """Max-abs of rho(w)[u,v] - [rho(w)u, v] - [u, rho(w)v] over basis triples.
-
-    ``rho`` has shape (m, n, n): rho[w] is an endomorphism of the space of
-    ``sc`` for each basis element w of some second space.
-    """
-    rho = np.asarray(rho, dtype=float)
-    n = sc.space.dim
-    if rho.ndim != 3 or rho.shape[1:] != (n, n):
-        raise ValueError("dimension mismatch")
-    c = sc.c
-    lhs = np.einsum("wad,dbc->wabc", rho, c)
-    rhs = (np.einsum("aec,web->wabc", c, rho)
-           + np.einsum("abe,wec->wabc", c, rho))
-    return float(np.abs(lhs - rhs).max())
-
-
-class AdjointMaps:
-    """The family of adjoint maps attached to (A, A', h).
-
-    Provides ad, ad^T, ad* on each space and the h-coupled map ad_{h,A}
-    with its adjoint, plus the residual of the compatibility relation
-    ad*_{h,A}(.) h = -ad*_{A'}(h^T(.)) that holds when h is a homomorphism.
-    """
-
-    def __init__(self, c_a: StructureConstants, c_b: StructureConstants,
-                 hmap: LinearMapH):
-        self.c_a = c_a
-        self.c_b = c_b
-        self.hmap = hmap
-        self.ga = c_a.space.inner_product
-        self.gb = c_b.space.inner_product
-
-    def ad_a(self, v):
-        return self.c_a.ad(np.asarray(v, dtype=float))
-
-    def ad_b(self, v):
-        return self.c_b.ad(np.asarray(v, dtype=float))
-
-    def ad_a_t(self, v):
-        return np.linalg.inv(self.ga) @ self.ad_a(v).T @ self.ga
-
-    def ad_b_t(self, v):
-        return np.linalg.inv(self.gb) @ self.ad_b(v).T @ self.gb
-
-    def ad_a_star(self, v):
-        """ad*_A(v) u = ad^T_A(u) v."""
-        n = self.c_a.space.dim
-        return np.stack([self.ad_a_t(e) @ np.asarray(v, dtype=float)
-                         for e in np.eye(n)], axis=1)
-
-    def ad_b_star(self, v):
-        n = self.c_b.space.dim
-        return np.stack([self.ad_b_t(e) @ np.asarray(v, dtype=float)
-                         for e in np.eye(n)], axis=1)
-
-    def ad_h_a(self, v):
-        """ad_{h,A}(v): A' -> A, u' -> [v, h(u')]_A."""
-        return self.ad_a(v) @ self.hmap.h
-
-    def ad_h_a_star(self, u):
-        """ad*_{h,A}(u): A -> A', v -> -h^T(ad*_A(u) v)."""
-        return -self.hmap.h_t @ self.ad_a_star(u)
-
-    def invariance_residual_a(self) -> float:
-        """Zero iff the A inner product is ad-invariant (ad* = ad)."""
-        n = self.c_a.space.dim
-        return float(max(np.abs(self.ad_a_star(e) - self.ad_a(e)).max()
-                         for e in np.eye(n)))
-
-    def homomorphism_relation_residual(self) -> float:
-        """Residual of ad*_{h,A}(u) h = -ad*_{A'}(h^T u) over basis u."""
-        n = self.c_a.space.dim
-        worst = 0.0
-        for u in np.eye(n):
-            lhs = self.ad_h_a_star(u) @ self.hmap.h
-            rhs = -self.ad_b_star(self.hmap.h_t @ u)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
 
 
 def direct_sum(first: StructureConstants,

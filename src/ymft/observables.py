@@ -76,12 +76,12 @@ def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
     ring = star_p.ring
     x = np.concatenate([star_p.comps.reshape(-1, ring.width),
                         star_q.comps.reshape(-1, ring.width)])
-    upper = ring.bilinear(x, _stress_coefficients(ga, gb), x)
+    order = min(star_p.order, star_q.order)
+    upper = ring.bilinear(x, _stress_coefficients(ga, gb), x, order=order)
     values = np.empty((4, 4, ring.width))
     mu, nu = np.triu_indices(4)
     values[mu, nu] = values[nu, mu] = upper
-    return StressEnergy(values, ring.degree,
-                        min(star_p.order, star_q.order))
+    return StressEnergy(values, ring.degree, order)
 
 
 def _stress_coefficients(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:

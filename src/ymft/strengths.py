@@ -17,10 +17,10 @@ columns taken through the Hodge dual of the unknown's components; over an
 extended ring, Y's live blocks follow from those of A and B.  Y is never
 inverted: the inverse Y0^{-1} of its constant block is formed once, and
 the ring solves Y x = r right-looking, one degree level of the jet and one
-wave of blocks at a time (:meth:`ymft.jets.JetRing.solve`), so this module
-knows nothing of the ring's blocks or its kernel.  Invertibility of the
-constant block is exactly the det(Y) != 0 restriction on admissible field
-configurations.
+wave of blocks at a time (:meth:`ymft.jets.JetRing.solve`), up to the
+valid order of r = (F, H), so this module knows nothing of the ring's
+blocks or its kernel.  Invertibility of the constant block is exactly the
+det(Y) != 0 restriction on admissible field configurations.
 
 On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
 the reverse sweep: its adjoint solves with the transpose of Y, then adds
@@ -270,10 +270,11 @@ class YInverse:
                                   yop.matrix.transpose(1, 0, 2), yop.order,
                                   yop.live), self.y0_inv.T)
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve Y x = r for r of shape (size, w) or (size, M, w)."""
+    def apply(self, r: np.ndarray, order: int | None = None) -> np.ndarray:
+        """Solve Y x = r for r of shape (size, w) or (size, M, w), x valid
+        to ``order`` (by default the ring degree) and exact 0.0 above."""
         yop = self.yop
-        return yop.ring.solve(yop.matrix, self.y0_inv, r, yop.live)
+        return yop.ring.solve(yop.matrix, self.y0_inv, r, yop.live, order)
 
 
 @dataclass
@@ -323,12 +324,12 @@ def _strengths(config: FieldConfig, ds: DeformationSet,
     h_form = config.dB
     if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
+    order = min(f_form.order, h_form.order)
     if solved is None:
         yinv = invert_Y(assemble_Y(config, ds))
-        vec = yinv.apply(stack_pair(f_form, h_form))
+        vec = yinv.apply(stack_pair(f_form, h_form), order)
     else:
         yinv, vec = solved.y_inv, stack_pair(solved.P, solved.Q)
-    order = min(f_form.order, h_form.order)
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
                                   ds.space_b.dim, vec, order)
     _record_solve(config, ds, f_form, h_form, yinv, vec, p_form, q_form)
@@ -354,11 +355,14 @@ def _record_solve(config: FieldConfig, ds: DeformationSet, f_form: LieForm,
     if all(node is None for node in parents):
         return
     ring, n_p = config.ring, p_form.n * len(COMPS[2])
+    # the order of the forward solve, as an int: backward must not hold P
+    # or Q, whose nodes lead back to it (a reference cycle)
+    order = p_form.order
     # c_p *x, taken from P and Q before they are recorded
     duals = {f.p: epsilon_dual(f, f"{f.p}form") for f in (p_form, q_form)}
 
     def backward(x_bar):
-        r_bar = yinv.transpose().apply(x_bar)
+        r_bar = yinv.transpose().apply(x_bar, order)
         adj = dict.fromkeys("AB")
         for rows, _, p, field, pairing in _y_blocks(ds):
             right = getattr(config, field)

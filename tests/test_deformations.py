@@ -190,7 +190,8 @@ def test_massless_jacobi_restatements():
 def test_b_represents_k_bracket():
     # bk residual zero implies [rho(u'), rho(v')] = rho([u', v']')
     for ds in (family_su2(0.0, 0.7), solvable()):
-        rho = ds.rho_a()
+        # rho[w']: e_w' of A' acting on A through b
+        rho = np.einsum("pwc->wpc", ds.b)
         comm = np.einsum("wpq,vqr->wvpr", rho, rho) \
             - np.einsum("vpq,wqr->wvpr", rho, rho)
         cb = ds.bracket_b().c

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, SIGNATURE,
                         WEDGE_TABLE, LieForm, adjoints, epsilon_dual,
-                        literal_epsilon_contraction, mark_leaf, promote_form,
-                        random_field_config, scalar_pairing, tangent_parts,
-                        volume_coefficient)
-from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
+                        mark_leaf, promote_form, random_field_config,
+                        scalar_pairing, tangent_parts, volume_coefficient)
+from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, NilpotentExtension,
+                       jet_algebra)
 from ymft.lie_core import levi_civita3
 from ymft.strengths import apply_linear
 
 from jet_reference import ref_mul
+from test_jets import TRUNCATED_IDS, TRUNCATED_RINGS, recorded_push
 
 RING = JetRing(3)
 
@@ -126,6 +127,12 @@ def test_epsilon_dual_degree_check():
         epsilon_dual(f, "2form")
     with pytest.raises(ValueError):
         epsilon_dual(f.d(), "3form")
+
+
+def literal_epsilon_contraction(f: LieForm) -> LieForm:
+    """Raw eps_{...}{}^{...} contraction without 1/p!: the Hodge dual times
+    the literal factor of its degree on the convention."""
+    return f.hodge().scale(CONVENTION.literal_contraction_factors[f.p])
 
 
 def test_literal_contraction_oracle():
@@ -251,8 +258,12 @@ def assert_matches_dense(f, g, pairing, interior=False):
         *((g, f) if interior else (f, g)), pairing)
     assert got.p == want.p and got.order == want.order
     assert got.comps.shape == want.comps.shape
-    scale = np.abs(want.comps).max()
-    assert np.abs(got.comps - want.comps).max() <= 1e-15 * scale
+    # the product is computed within its valid order, and is exact zeros
+    # above it
+    valid = f.ring.mask_up_to(got.order)
+    scale = np.abs(want.comps[..., valid]).max()
+    assert np.abs(got.comps - want.comps)[..., valid].max() <= 1e-15 * scale
+    assert np.all(got.comps[..., ~valid] == 0.0)
     # slots the pairing never writes to stay exact zeros
     silent = ~np.asarray(pairing, dtype=float).any(axis=(1, 2))
     assert np.all(got.comps[silent] == 0.0)
@@ -306,6 +317,29 @@ def test_wedge_matches_dense_reference(ring_name, pairing_name):
             # the blocks no live pair reaches are exact zeros
             dead = ~ring.live_product(f.live, g.live)
             assert np.all(ring.block_view(got.comps)[:, :, dead] == 0.0)
+
+
+@pytest.mark.parametrize("ring", TRUNCATED_RINGS, ids=TRUNCATED_IDS)
+def test_products_stop_at_the_valid_order(ring, monkeypatch):
+    # an order-(D - 1) form wedged with an order-(D - 2) form: the product
+    # runs the kernel of jet_algebra(D - 2) on the coefficient prefix
+    degree = ring.degree
+    rng = np.random.default_rng(23)
+    f = random_form(ring, 1, 3, rng, degree - 1)
+    g = random_form(ring, 2, 3, rng, degree - 2)
+    want = dense_wedge(f, g, levi_civita3())
+    # a NaN above a factor's valid order reaches nothing
+    for form in (f, g):
+        form.comps[..., ~ring.mask_up_to(form.order)] = np.nan
+    calls = recorded_push(monkeypatch)
+    got = f.wedge(g, levi_civita3())
+    assert got.order == degree - 2
+    assert {alg for alg, _ in calls} == {jet_algebra(degree - 2)}
+    assert {level for _, level in calls} == set(range(degree - 1))
+    valid = ring.mask_up_to(got.order)
+    scale = np.abs(want.comps[..., valid]).max()
+    assert np.abs(got.comps - want.comps)[..., valid].max() <= 1e-14 * scale
+    assert np.all(got.comps[..., ~valid] == 0.0)
 
 
 def test_wedge_with_zero_pairing_is_exact_zero_form(monkeypatch):

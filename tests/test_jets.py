@@ -439,3 +439,53 @@ def test_matmul_plans_once_per_flag_pattern():
     assert np.array_equal(ring.matmul(2 * a, b), 2 * first)
     assert len(ring._plans) == 1
     assert next(iter(ring._plans.values())) is plan
+
+
+def recorded_push(monkeypatch) -> list:
+    """(algebra, level) of each :meth:`JetAlgebra.push` that runs."""
+    calls = []
+    original = JetAlgebra.push
+
+    def recorded(self, a, x, level, *args, **kwargs):
+        calls.append((self, level))
+        return original(self, a, x, level, *args, **kwargs)
+
+    monkeypatch.setattr(JetAlgebra, "push", recorded)
+    return calls
+
+
+TRUNCATED_RINGS = [JetRing(5), NilpotentExtension(5, 2), EpsilonTower(5, 2)]
+TRUNCATED_IDS = ["jet", "nilpotent", "tower"]
+
+
+@pytest.mark.parametrize("ring", TRUNCATED_RINGS, ids=TRUNCATED_IDS)
+def test_solve_stops_at_the_valid_order(ring, monkeypatch):
+    # y x = r for an x of valid order D - 2: the solve runs the kernel of
+    # jet_algebra(D - 2) on the coefficient prefix, and reads nothing of y
+    # and r above that order
+    size, order = 4, ring.degree - 2
+    rng = np.random.default_rng(29)
+    y = 0.1 * rng.uniform(-1, 1, (size, size, ring.width))
+    y[..., 0] += np.eye(size)
+    r = rng.uniform(-1, 1, (size, 2, ring.width))
+    y0_inv = np.linalg.inv(ring.constant_part(y))
+    full = ring.solve(y, y0_inv, r)
+    valid = ring.mask_up_to(order)
+    planted_y, planted_r = y.copy(), r.copy()
+    planted_y[..., ~valid] = np.nan
+    planted_r[..., ~valid] = np.nan
+    calls = recorded_push(monkeypatch)
+    x = ring.solve(planted_y, y0_inv, planted_r, order=order)
+    assert {alg for alg, _ in calls} == {jet_algebra(order)}
+    assert {level for _, level in calls} <= set(range(order + 1))
+    assert np.all(x[..., ~valid] == 0.0)
+    assert np.isfinite(x).all()
+    # y x = r within the valid order, by the reference product
+    residual = ref_mul(ring, y[:, :, None], x[None]).sum(axis=1) - r
+    assert np.abs(residual[..., valid]).max() <= 1e-14 * np.abs(r).max()
+    assert _rel_err(x[..., valid], full[..., valid]) <= 1e-14
+    # below order 0 the solution is exact zeros, and nothing runs
+    calls.clear()
+    assert not ring.solve(y, y0_inv, r, order=-1).any()
+    assert not ring.matmul(y, r, order=-1).any()
+    assert calls == []
