@@ -35,9 +35,8 @@ print("  2-form sector trace:",
 
 # --- causal energy-momentum over random strength values ----------------------
 
-rng = np.random.default_rng(1)
-samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-report = energy_causality_check(samples, np.eye(3), np.eye(3))
+star_p, star_q = random_strength_values(np.random.default_rng(1), 3, 3, 1000)
+report = energy_causality_check(star_p, star_q, np.eye(3), np.eye(3))
 print("\n1000 random strength samples, random unit timelike observers")
 print("  minimum energy density:", f"{report['min_energy']:.3f}",
       "(nonnegative:", report["energy_nonnegative"], ")")

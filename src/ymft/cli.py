@@ -209,10 +209,10 @@ def cmd_observables(config: RunConfig, args) -> int:
         }
 
     if "causality" in section["checks"]:
-        rng = np.random.default_rng(seeds[0])
-        samples = [random_strength_values(rng, 3, 3)
-                   for _ in range(int(section["causality_samples"]))]
-        causal = energy_causality_check(samples, np.eye(3), np.eye(3),
+        star_p, star_q = random_strength_values(
+            np.random.default_rng(seeds[0]), 3, 3,
+            int(section["causality_samples"]))
+        causal = energy_causality_check(star_p, star_q, np.eye(3), np.eye(3),
                                         seed=seeds[0])
         causal["passed"] = bool(causal["energy_nonnegative"]
                                 and causal["flux_causal"])

@@ -48,7 +48,8 @@ A product stops at the valid order of its result.  The monomials of
 degree <= o are the first C(o + 4, 4) coefficients of each block, and
 ``jet_algebra(o)`` holds exactly that prefix's tables, so a product of
 valid order o (the ``order`` of ``matmul``, ``bilinear`` and ``solve``,
-by default the ring degree) runs the kernel of ``jet_algebra(o)`` on the
+by default the ring degree, and the minimum of the factors' orders for a
+:class:`JetScalar` product) runs the kernel of ``jet_algebra(o)`` on the
 prefix; its higher coefficients are exact 0.0, and below order 0 the
 product is exact zeros and runs nothing (Taylor arithmetic that
 propagates only the degrees it needs, ibid.).
@@ -270,9 +271,13 @@ class JetScalar:
     def __mul__(self, other):
         if isinstance(other, JetScalar):
             self._check(other)
-            return JetScalar(self.algebra,
-                             self.algebra.mul_coeffs(self.coeffs, other.coeffs),
-                             min(self.order, other.order))
+            order = min(self.order, other.order)
+            coeffs = np.zeros(self.algebra.n_terms)
+            if order >= 0:
+                alg = jet_algebra(min(order, self.algebra.degree))
+                n = alg.n_terms
+                coeffs[:n] = alg.mul_coeffs(self.coeffs[:n], other.coeffs[:n])
+            return JetScalar(self.algebra, coeffs, order)
         return JetScalar(self.algebra, self.coeffs * float(other), self.order)
 
     __rmul__ = __mul__

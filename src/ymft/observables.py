@@ -3,9 +3,10 @@
 The stress-energy tensor is built pointwise from the dual strengths; its
 algebraic properties (symmetry, tracelessness of the 2-form sector, energy
 positivity and flux causality for positive-definite internal metrics) are
-checked on sampled values.  The charge integrals are global statements, so
-they operate on user-supplied closed-form samplers rather than on local
-jets; built-in samplers cover the radial electric, radial magnetic and
+checked on sampled values, drawn as arrays together with their timelike
+observers and checked in one array pass.  The charge integrals are global
+statements, so they operate on user-supplied closed-form samplers rather
+than on local jets; built-in samplers cover the radial electric, radial magnetic and
 uniform scalar configurations with known enclosed charges.
 
 Sampler contract: ``sampler(x, y, z)`` takes coordinate arrays of one shape
@@ -110,16 +111,18 @@ def _stress_coefficients(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
+def energy_causality_check(star_p: np.ndarray, star_q: np.ndarray,
+                           ga: np.ndarray, gb: np.ndarray,
                            n_timelike: int = 8, seed: int = 0) -> dict:
     """Energy positivity and flux causality over sampled strength values.
 
-    ``samples`` is a non-empty iterable of (star_p values (n,4,4), star_q
-    values (m,4)) pointwise arrays (antisymmetric in the 2-form slot).  Each
-    sample is tested against ``n_timelike`` random unit timelike vectors,
-    with 1e-12 of slack on both verdicts.  Refuses internal metrics ``ga``, ``gb`` that are not symmetric with
-    smallest eigenvalue > 0: the causal energy statements hold only for
-    positive-definite inner products.
+    ``star_p`` (S, n, 4, 4) and ``star_q`` (S, m, 4) hold S >= 1 samples,
+    as :func:`random_strength_values` draws them; each is tested against
+    the ``n_timelike`` observers of :func:`_random_unit_timelike` for
+    ``seed``, with 1e-12 of slack on both verdicts.  Refuses internal
+    metrics ``ga``, ``gb`` that are not symmetric with smallest eigenvalue
+    > 0: the causal energy statements hold only for positive-definite
+    inner products.
     """
     for name, g in (("ga", ga), ("gb", gb)):
         g = np.asarray(g, dtype=float)
@@ -127,21 +130,19 @@ def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
                 and np.linalg.eigvalsh(g).min() > 0):
             raise ValueError("energy/causality checks require positive-"
                              f"definite inner products; {name} is not")
-    samples = list(samples)
-    if not samples:
+    if not (len(star_p) and len(star_q)):
         raise ValueError("energy/causality check needs at least one sample")
-    sp_vals = np.stack([np.asarray(sp, dtype=float) for sp, _ in samples])
-    sq_vals = np.stack([np.asarray(sq, dtype=float) for _, sq in samples])
-    t_mn = _pointwise_stress(sp_vals, sq_vals, ga, gb)      # (S, 4, 4)
-    t_vec = _random_unit_timelike(np.random.default_rng(seed),
-                                  (len(samples), n_timelike))
+    if len(star_p) != len(star_q):
+        raise ValueError("star_p and star_q hold different sample counts")
+    t_mn = _pointwise_stress(star_p, star_q, ga, gb)        # (S, 4, 4)
+    t_vec = _random_unit_timelike(seed, (len(t_mn), n_timelike))
     flux = t_vec @ t_mn                                     # lower index nu
     energy = np.einsum("skn,skn->sk", flux, t_vec)
     norm = np.einsum("skn,skn->sk", flux, flux * np.diag(ETA_INV))
     worst_energy = energy.min()
     worst_flux = norm.max()
     return {
-        "samples": len(samples),
+        "samples": len(t_mn),
         "min_energy": float(worst_energy),
         "max_flux_norm": float(worst_flux),
         "energy_nonnegative": bool(worst_energy >= -1e-12),
@@ -149,26 +150,23 @@ def energy_causality_check(samples, ga: np.ndarray, gb: np.ndarray,
     }
 
 
-def _random_unit_timelike(rng: np.random.Generator, shape: tuple
-                          ) -> np.ndarray:
+def _random_unit_timelike(seed: int, shape: tuple) -> np.ndarray:
     """Unit future timelike vectors (cosh chi, sinh chi n), shape + (4,).
 
-    Drawn vector by vector, the rapidity chi (one uniform on [0, 1)) and
-    then the direction n (three standard normals), so the vectors of a
-    given seed do not depend on how many are drawn at once.  ``random()``
-    and ``standard_normal(3)`` give the same numbers as ``uniform(0, 1)``
-    and ``normal(size=3)`` at lower call overhead.
+    The rapidities chi (uniform on [0, 1)) and the directions n (three
+    standard normals, normalized) are one draw each from the two children
+    of ``SeedSequence(seed).spawn(2)``: independent of each other and of
+    ``default_rng(seed)``, which draws the samples, and filled in order, so
+    the first k vectors of a seed do not depend on how many are drawn.
     """
     count = int(np.prod(shape))
-    chi = np.empty(count)
-    direction = np.empty((count, 3))
-    random, normal = rng.random, rng.standard_normal
-    for i in range(count):
-        chi[i] = random()
-        direction[i] = normal(3)
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    rapidity, direction = (np.random.default_rng(child) for child in
+                           np.random.SeedSequence(seed).spawn(2))
+    chi = rapidity.random(count)
+    n = direction.standard_normal((count, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
     vecs = np.concatenate([np.cosh(chi)[:, None],
-                           np.sinh(chi)[:, None] * direction], axis=-1)
+                           np.sinh(chi)[:, None] * n], axis=-1)
     return vecs.reshape(shape + (4,))
 
 
@@ -185,11 +183,16 @@ def _pointwise_stress(sp_vals, sq_vals, ga, gb) -> np.ndarray:
             - 0.25 * ETA * (p_sq + q_sq)[..., None, None])
 
 
-def random_strength_values(rng: np.random.Generator, dim_a: int, dim_b: int):
-    sp = rng.uniform(-1.0, 1.0, (dim_a, 4, 4))
-    sp = sp - sp.transpose(0, 2, 1)
-    sq = rng.uniform(-1.0, 1.0, (dim_b, 4))
-    return sp, sq
+def random_strength_values(rng: np.random.Generator, dim_a: int, dim_b: int,
+                           count: int):
+    """*P (count, dim_a, 4, 4), antisymmetric, and *Q (count, dim_b, 4):
+    one uniform(-1, 1) draw of 16 dim_a + 4 dim_b per sample, split into A
+    (*P = A - A^T) and *Q, so ``count`` one-sample draws give the same."""
+    draw = rng.uniform(-1.0, 1.0, (count, 16 * dim_a + 4 * dim_b))
+    star_p = draw[:, :16 * dim_a].reshape(count, dim_a, 4, 4)
+    # *Q copied out, so that the raw draw is freed on return
+    return (star_p - star_p.transpose(0, 1, 3, 2),
+            draw[:, 16 * dim_a:].reshape(count, dim_b, 4).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,9 @@ def test_criterion_9_observables():
                          grid=(64, 128))
     charge_err = abs(res.values[0] - 1.0)
 
-    rng = np.random.default_rng(2)
-    samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-    causal = energy_causality_check(samples, np.eye(3), np.eye(3),
+    star_p, star_q = random_strength_values(np.random.default_rng(2), 3, 3,
+                                            1000)
+    causal = energy_causality_check(star_p, star_q, np.eye(3), np.eye(3),
                                     n_timelike=4)
 
     ring = JetRing(3)

@@ -194,6 +194,21 @@ def test_observables_command(tmp_path):
     assert report["checks"]["trace"]["passed"]
 
 
+def test_observables_report_is_byte_deterministic(tmp_path):
+    # the demo config, causality sampling included, in two fresh
+    # interpreters
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"report{k}.json"
+        proc = run_module(["observables", "--config",
+                           str(ROOT / "demos" / "configs" / "coulomb.json"),
+                           "--json", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert b'"causality"' in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_observables_degree_override_reaches_trace(tmp_path, monkeypatch,
                                                   capsys):
     degrees = []

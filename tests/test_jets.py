@@ -151,6 +151,39 @@ def test_order_tracking():
         _ = g.diff(1).diff(2).diff(3).max_abs()  # order below zero
 
 
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_scalar_product_stops_at_valid_order(degree, monkeypatch):
+    # NaN above each factor's order: a product that read those
+    # coefficients would carry it into the result
+    alg, ring = jet_algebra(degree), JetRing(degree)
+    rng = np.random.default_rng(degree)
+    pushes, original = [], JetAlgebra.push
+
+    def recorded(self, *args, **kwargs):
+        pushes.append(self.degree)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetAlgebra, "push", recorded)
+    for oa in range(-1, degree + 2):
+        for ob in range(-1, degree + 2):
+            a, b = rng.uniform(-1.0, 1.0, (2, alg.n_terms))
+            a[alg.term_degree > oa] = np.nan
+            b[alg.term_degree > ob] = np.nan
+            del pushes[:]
+            prod = JetScalar(alg, a, oa) * JetScalar(alg, b, ob)
+            order = min(oa, ob)
+            valid = alg.term_degree <= order
+            assert prod.order == order
+            assert (prod.coeffs[~valid] == 0.0).all()
+            if order < 0:
+                assert pushes == []
+                continue
+            assert set(pushes) == {min(order, degree)}
+            ref = ref_mul(ring, np.where(valid, a, 0.0),
+                          np.where(valid, b, 0.0))
+            assert np.abs(prod.coeffs[valid] - ref[valid]).max() <= 1e-15
+
+
 def test_value_at_origin_and_evaluation():
     f = JetScalar.constant(2.5, 3) + JetScalar.coordinate(1, 3)
     assert f.value_at_origin() == 2.5

@@ -5,7 +5,8 @@ from ymft.deformations import family_su2
 from ymft.forms import LieForm, random_field_config
 from ymft.jets import JetRing
 from ymft.observables import (ETA_INV, ChargeResult, _pointwise_stress,
-                              charge_line, charge_surface, coulomb_sampler,
+                              _random_unit_timelike, charge_line,
+                              charge_surface, coulomb_sampler,
                               energy_causality_check, radial_magnetic_sampler,
                               random_strength_values, stress_energy,
                               uniform_scalar_sampler, zero_sampler)
@@ -89,9 +90,9 @@ def test_stress_energy_unchanged_under_second_type_variation_linear():
 
 
 def test_causality_sampling():
-    rng = np.random.default_rng(1)
-    samples = [random_strength_values(rng, 3, 3) for _ in range(1000)]
-    rep = energy_causality_check(samples, np.eye(3), np.eye(3),
+    star_p, star_q = random_strength_values(np.random.default_rng(1), 3, 3,
+                                            1000)
+    rep = energy_causality_check(star_p, star_q, np.eye(3), np.eye(3),
                                  n_timelike=4)
     assert rep["energy_nonnegative"] and rep["flux_causal"]
     assert rep["samples"] == 1000
@@ -99,7 +100,8 @@ def test_causality_sampling():
 
 def test_causality_refuses_indefinite_metric():
     # each metric is checked on its own, gb as well as ga
-    samples = [random_strength_values(np.random.default_rng(3), 3, 3)]
+    star_p, star_q = random_strength_values(np.random.default_rng(3), 3, 3,
+                                            1)
     indefinite = np.diag([1.0, 1.0, -1.0])
     asymmetric = np.eye(3) + np.triu(np.ones((3, 3)), 1)
     for ga, gb, name in ((indefinite, np.eye(3), "ga"),
@@ -108,13 +110,13 @@ def test_causality_refuses_indefinite_metric():
                          (asymmetric, np.eye(3), "ga")):
         with pytest.raises(ValueError, match=f"positive-definite inner "
                                              f"products; {name} is not"):
-            energy_causality_check(samples, ga, gb)
+            energy_causality_check(star_p, star_q, ga, gb)
     with pytest.raises(ValueError, match="ga is not"):
-        energy_causality_check([], indefinite, np.eye(3))
+        energy_causality_check(star_p[:0], star_q[:0], indefinite, np.eye(3))
 
 
 def test_causality_zero_strengths():
-    rep = energy_causality_check([(np.zeros((3, 4, 4)), np.zeros((3, 4)))],
+    rep = energy_causality_check(np.zeros((1, 3, 4, 4)), np.zeros((1, 3, 4)),
                                  np.eye(3), np.eye(3))
     assert rep["min_energy"] == 0.0 and abs(rep["max_flux_norm"]) == 0.0
 
@@ -227,14 +229,17 @@ def ref_circle_quad(sampler, radius, n_points):
     return total / (2.0 * np.pi)
 
 
-def ref_energy_causality(samples, ga, gb, n_timelike, seed):
-    rng = np.random.default_rng(seed)
+def ref_energy_causality(star_p, star_q, ga, gb, n_timelike, seed):
+    # the observers one by one, each rapidity and direction from its own
+    # child stream of the seed
+    rapidity, direction_rng = (np.random.default_rng(child) for child in
+                               np.random.SeedSequence(seed).spawn(2))
     worst_energy, worst_flux = np.inf, -np.inf
-    for sp_vals, sq_vals in samples:
+    for sp_vals, sq_vals in zip(star_p, star_q):
         t_mn = _pointwise_stress(sp_vals, sq_vals, ga, gb)
         for _ in range(n_timelike):
-            chi = rng.uniform(0.0, 1.0)
-            direction = rng.normal(size=3)
+            chi = rapidity.uniform(0.0, 1.0)
+            direction = direction_rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             t_vec = np.concatenate([[np.cosh(chi)], np.sinh(chi) * direction])
             energy = t_vec @ t_mn @ t_vec
@@ -288,15 +293,15 @@ def test_circle_quad_matches_per_point_reference(sampler):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_causality_matches_per_point_reference(seed):
-    rng = np.random.default_rng(seed)
-    samples = [random_strength_values(rng, 3, 2) for _ in range(150)]
+    star_p, star_q = random_strength_values(np.random.default_rng(seed), 3,
+                                            2, 150)
     ga, gb = np.diag([1.0, 2.0, 0.5]), 1.5 * np.eye(2)
     for n_timelike in (8, 3):
-        rep = energy_causality_check(samples, ga, gb,
+        rep = energy_causality_check(star_p, star_q, ga, gb,
                                      n_timelike=n_timelike, seed=seed)
-        energy, flux = ref_energy_causality(samples, ga, gb, n_timelike,
-                                            seed)
-        assert rep["samples"] == len(samples)
+        energy, flux = ref_energy_causality(star_p, star_q, ga, gb,
+                                            n_timelike, seed)
+        assert rep["samples"] == len(star_p)
         assert abs(rep["min_energy"] - energy) <= 4e-15 * abs(energy)
         assert abs(rep["max_flux_norm"] - flux) <= 4e-15 * abs(flux)
         assert rep["energy_nonnegative"] is bool(energy >= -1e-12)
@@ -304,10 +309,61 @@ def test_causality_matches_per_point_reference(seed):
 
 
 def test_causality_rejects_empty_sample_set():
+    empty = random_strength_values(np.random.default_rng(0), 3, 3, 0)
+    assert empty[0].shape == (0, 3, 4, 4) and empty[1].shape == (0, 3, 4)
     with pytest.raises(ValueError, match="at least one sample"):
-        energy_causality_check([], np.eye(3), np.eye(3))
+        energy_causality_check(*empty, np.eye(3), np.eye(3))
     with pytest.raises(ValueError, match="at least one sample"):
-        energy_causality_check(iter([]), np.eye(3), np.eye(3))
+        energy_causality_check(np.zeros((1, 3, 4, 4)), empty[1], np.eye(3),
+                               np.eye(3))
+
+
+def test_causality_rejects_mismatched_sample_counts():
+    star_p, star_q = random_strength_values(np.random.default_rng(0), 3, 3,
+                                            4)
+    with pytest.raises(ValueError, match="different sample counts"):
+        energy_causality_check(star_p, star_q[:1], np.eye(3), np.eye(3))
+
+
+def old_strength_values(rng, dim_a, dim_b):
+    """One sample as the per-sample sampler drew it."""
+    sp = rng.uniform(-1.0, 1.0, (dim_a, 4, 4))
+    sp = sp - sp.transpose(0, 2, 1)
+    sq = rng.uniform(-1.0, 1.0, (dim_b, 4))
+    return sp, sq
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 2), (1, 1)])
+@pytest.mark.parametrize("count", [1, 150])
+def test_random_strength_values_match_per_sample_draws(dims, count):
+    dim_a, dim_b = dims
+    star_p, star_q = random_strength_values(np.random.default_rng(5), dim_a,
+                                            dim_b, count)
+    rng = np.random.default_rng(5)
+    ref = [old_strength_values(rng, dim_a, dim_b) for _ in range(count)]
+    assert star_p.shape == (count, dim_a, 4, 4)
+    assert star_q.shape == (count, dim_b, 4)
+    assert np.array_equal(star_p, np.stack([sp for sp, _ in ref]))
+    assert np.array_equal(star_q, np.stack([sq for _, sq in ref]))
+    assert np.array_equal(star_p, -star_p.transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_random_unit_timelike_prefix_stable_and_own_streams(seed):
+    k = 40
+    vecs = _random_unit_timelike(seed, (k,))
+    assert vecs.shape == (k, 4)
+    assert np.array_equal(vecs, _random_unit_timelike(seed, (k + 7,))[:k])
+    assert np.array_equal(vecs.reshape(5, 8, 4),
+                          _random_unit_timelike(seed, (5, 8)))
+    norm = np.einsum("kn,n,kn->k", vecs, np.diag(ETA_INV), vecs)
+    assert np.abs(norm + 1.0).max() <= 1e-14
+    assert (vecs[:, 0] > 0).all()
+    # the rapidities are not the uniforms of default_rng(seed), the stream
+    # that the observables command draws its samples from
+    chi = np.arccosh(vecs[:, 0])
+    assert not np.isclose(chi, np.random.default_rng(seed).random(k),
+                          rtol=0.0, atol=1e-6).any()
 
 
 def test_wrong_sampler_shape_rejected():
