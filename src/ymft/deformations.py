@@ -46,7 +46,8 @@ class ConstraintReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.results), default=0.0)
+        """The largest residual; NaN if any residual is NaN."""
+        return float(np.max([r.residual for r in self.results], initial=0.0))
 
     def failing(self) -> list:
         return [r for r in self.results if not r.passed]
@@ -84,7 +85,6 @@ class DeformationSet:
     e: np.ndarray
     mass: MassTensor
     h_map: np.ndarray | None = None
-    label: str = "custom"
 
     def __post_init__(self):
         n, m = self.space_a.dim, self.space_b.dim
@@ -151,14 +151,13 @@ class DeformationSet:
 
 
 def make_deformation(space_a, space_b, a, b, j, k, e, mass_matrix,
-                     h_map=None, label="custom", validate=True) -> DeformationSet:
+                     h_map=None, validate=True) -> DeformationSet:
     ds = DeformationSet(space_a, space_b, np.asarray(a, float),
                         np.asarray(b, float), np.asarray(j, float),
                         np.asarray(k, float), np.asarray(e, float),
                         MassTensor(space_a, space_b,
                                    np.asarray(mass_matrix, float)),
-                        None if h_map is None else np.asarray(h_map, float),
-                        label)
+                        None if h_map is None else np.asarray(h_map, float))
     if validate:
         ds.validate_basic()
     return ds
@@ -305,8 +304,7 @@ def family_su2(mass_m: float, lam: float) -> DeformationSet:
         jt = np.zeros_like(eps)
     return make_deformation(
         space, InternalSpace(3), eps, lam * eps, jt, lam * eps,
-        np.zeros((3, 3, 3)), mass_m * np.eye(3), h_map=lam * np.eye(3),
-        label=f"su2(m={mass_m}, lam={lam})")
+        np.zeros((3, 3, 3)), mass_m * np.eye(3), h_map=lam * np.eye(3))
 
 
 def family_solvable(v, w, cmap=None) -> DeformationSet:
@@ -340,7 +338,20 @@ def family_solvable(v, w, cmap=None) -> DeformationSet:
     b = np.einsum("adc,dp->apc", eps, h)
     return make_deformation(
         space_a, space_b, eps, b, np.zeros((3, 3, 3)), k,
-        np.zeros((3, 3, 3)), np.zeros((3, 3)), h_map=h, label="solvable")
+        np.zeros((3, 3, 3)), np.zeros((3, 3)), h_map=h)
+
+
+def family_linear(mass_matrix, space_a: InternalSpace | None = None,
+                  space_b: InternalSpace | None = None) -> DeformationSet:
+    """The zero-coupling set of the free theory: only the mass tensor.  The
+    spaces default to Euclidean ones of the mass matrix's shape."""
+    mass = np.asarray(mass_matrix, dtype=float)
+    space_a = space_a or InternalSpace(mass.shape[0])
+    space_b = space_b or InternalSpace(mass.shape[1])
+    n, m = space_a.dim, space_b.dim
+    z = np.zeros
+    return make_deformation(space_a, space_b, z((n, n, n)), z((n, m, n)),
+                            z((m, n, m)), z((m, m, m)), z((m, n, n)), mass)
 
 
 def family_e_only(e) -> DeformationSet:
@@ -354,7 +365,7 @@ def family_e_only(e) -> DeformationSet:
     z = np.zeros
     return make_deformation(
         InternalSpace(n), InternalSpace(m), z((n, n, n)), z((n, m, n)),
-        z((m, n, m)), z((m, m, m)), e, z((n, m)), label="e-only")
+        z((m, n, m)), z((m, m, m)), e, z((n, m)))
 
 
 def family_general(massless_a: StructureConstants | None = None,
@@ -431,7 +442,7 @@ def family_general(massless_a: StructureConstants | None = None,
     b = np.einsum("adc,dp->apc", sc_a.c, h)
     return make_deformation(
         sc_a.space, sc_b.space, sc_a.c, b, j, k, np.zeros((m, n, n)),
-        mass_matrix, h_map=h, label="general")
+        mass_matrix, h_map=h)
 
 
 def _chain_sum(blocks) -> StructureConstants:

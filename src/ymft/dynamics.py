@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import (DeformationSet, check_e_mass_obstruction,
-                           make_deformation)
+                           family_linear)
 from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, adjoints,
                     mark_leaf, promote_form, random_field_config,
                     random_gauge_params, scalar_pairing, tangent_parts)
@@ -69,31 +69,29 @@ class TheoryVariant:
     ds: DeformationSet
 
     def __post_init__(self):
+        ds = self.ds
         if self.kind not in (LINEAR, GENERAL, EONLY):
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == GENERAL and np.abs(self.ds.e).max() > 0:
+        if self.kind == GENERAL and _nonzero(ds.e):
             raise ValueError("the parity-even variant requires e = 0")
-        if self.kind == EONLY:
-            zero = max(np.abs(self.ds.a).max(), np.abs(self.ds.b).max(),
-                       np.abs(self.ds.j).max(), np.abs(self.ds.k).max())
-            if zero > 0 or not check_e_mass_obstruction(self.ds):
-                raise ValueError("the e-only variant requires "
-                                 "a = b = j = k = 0 and zero mass")
+        if self.kind == LINEAR and _nonzero(ds.a, ds.b, ds.j, ds.k, ds.e):
+            raise ValueError("the linear variant requires "
+                             "a = b = j = k = e = 0")
+        if self.kind == EONLY and (_nonzero(ds.a, ds.b, ds.j, ds.k)
+                                   or not check_e_mass_obstruction(ds)):
+            raise ValueError("the e-only variant requires "
+                             "a = b = j = k = 0 and zero mass")
+
+
+def _nonzero(*tensors) -> bool:
+    return max(np.abs(t).max() for t in tensors) > 0
 
 
 def variant_linear(mass_matrix, space_a: InternalSpace | None = None,
                    space_b: InternalSpace | None = None) -> TheoryVariant:
-    """The free theory of mass (dim A, dim A'); the spaces default to
-    Euclidean ones of the mass matrix's shape."""
-    mass = np.asarray(mass_matrix, dtype=float)
-    space_a = space_a or InternalSpace(mass.shape[0])
-    space_b = space_b or InternalSpace(mass.shape[1])
-    n, m = space_a.dim, space_b.dim
-    z = np.zeros
-    ds = make_deformation(space_a, space_b, z((n, n, n)), z((n, m, n)),
-                          z((m, n, m)), z((m, m, m)), z((m, n, n)), mass,
-                          label="linear")
-    return TheoryVariant(LINEAR, ds)
+    """The free theory of :func:`ymft.deformations.family_linear`."""
+    return TheoryVariant(LINEAR, family_linear(mass_matrix, space_a,
+                                               space_b))
 
 
 def variant_general(ds: DeformationSet) -> TheoryVariant:
@@ -128,7 +126,8 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.results), default=0.0)
+        """The largest residual; NaN if any residual is NaN."""
+        return float(np.max([r.residual for r in self.results], initial=0.0))
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "passed": self.passed,
@@ -389,6 +388,14 @@ class SeedContext:
     def equations(self):
         """The hand-coded field equations (E_A, E_B)."""
         return field_equations(self.variant, self.config, self.strengths)
+
+    @functools.cached_property
+    def free(self) -> "SeedContext":
+        """The same fields in the free theory of this variant's mass and
+        internal spaces, the theory every variant deforms."""
+        ds = self.variant.ds
+        return SeedContext(variant_linear(ds.mass.m, ds.space_a, ds.space_b),
+                           self.config, self.seed, self.amplitude)
 
     def tangent(self, directions) -> "SeedContext":
         """The context of :func:`tangent_config` along ``directions``."""
@@ -699,8 +706,6 @@ def check_linearization(contexts, tol: float | None = None
     rows = {}
     for ctx in contexts:
         ds, config = ctx.variant.ds, ctx.config
-        lin = variant_linear(ds.mass.m, space_a=ds.space_a,
-                             space_b=ds.space_b)
         zero = FieldConfig(LieForm.zero(config.ring, 1, ds.space_a.dim),
                            LieForm.zero(config.ring, 2, ds.space_b.dim))
         eps = SeedContext(ctx.variant,
@@ -708,7 +713,7 @@ def check_linearization(contexts, tol: float | None = None
                           ctx.seed, ctx.amplitude)
         for name, e_form, lin_form in zip(
                 ("linearization-A", "linearization-B"), eps.equations,
-                field_equations(lin, config)):
+                ctx.free.equations):
             _worst(rows, name,
                    (tangent_parts(e_form)[0] - lin_form).max_abs())
     return _collect("linearization", rows, tol, contexts)
@@ -848,9 +853,8 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
         _worst(rows, "cubic-el-B", (gen_b - e2_b).max_abs())
 
         # k = 1: boundary (-1/2)(*F ^ A - *H ^ B + m B ^ A)
-        lin = variant_linear(mass, space_a=ds.space_a, space_b=ds.space_b)
-        e1_a, e1_b = field_equations(lin, config)
-        lag2 = lagrangian_form(lin, config)
+        e1_a, e1_b = ctx.free.equations
+        lag2 = lagrangian_form(ctx.free.variant, config)
         x1 = (e1_a.wedge(a_form, scalar_pairing(ga))
               - e1_b.wedge(b_form, scalar_pairing(gb))).scale(-0.5)
         bound1 = (star_f.wedge(a_form, scalar_pairing(ga))

@@ -163,9 +163,9 @@ INTERIOR_TABLE = {p: _interior_table(p) for p in range(1, NVARS + 1)}
 
 @dataclass(frozen=True)
 class MinkowskiConvention:
-    """Signature, orientation and dual-normalization bookkeeping."""
+    """Orientation and dual-normalization bookkeeping; the signature is
+    ``SIGNATURE``."""
 
-    signature: tuple[float, float, float, float] = (-1.0, 1.0, 1.0, 1.0)
     orientation: float = 1.0  # eps_{0123}
     # Frozen normalization of the dual entering every dynamical formula,
     # relative to the Hodge dual.  Pinned by the nonlinear identity suite.
@@ -177,7 +177,7 @@ class MinkowskiConvention:
 
     def as_report_header(self) -> dict:
         return {
-            "signature": list(self.signature),
+            "signature": SIGNATURE.tolist(),
             "orientation_eps0123": self.orientation,
             "hodge_square_signs": {str(p): HODGE_SQUARE_SIGN[p]
                                    for p in range(NVARS + 1)},
@@ -510,18 +510,15 @@ def adjoints(output: LieForm, leaves, seed: np.ndarray | None = None
             for leaf in leaves]
 
 
-def epsilon_dual(f: LieForm, kind: str) -> LieForm:
-    """The dual used by the field-strength formulas, c_p * Hodge.
-
-    ``kind`` is '2form' or '3form' and must match the degree of ``f``.
-    The constants c_p are the frozen normalizations on ``CONVENTION``.
+def epsilon_dual(f: LieForm) -> LieForm:
+    """The dual used by the field-strength formulas, c_p * Hodge, of a 2- or
+    3-form ``f``.  The constants c_p are the frozen normalizations on
+    ``CONVENTION``.
     """
-    degree = {"2form": 2, "3form": 3}.get(kind)
-    if degree is None:
-        raise ValueError(f"unknown dual kind {kind!r}")
-    if f.p != degree:
-        raise ValueError(f"epsilon_dual kind {kind!r} needs a {degree}-form")
-    return f.hodge().scale(CONVENTION.epsilon_dual_constants[degree])
+    if f.p not in CONVENTION.epsilon_dual_constants:
+        raise ValueError(f"epsilon_dual needs a 2- or 3-form, not a "
+                         f"{f.p}-form")
+    return f.hodge().scale(CONVENTION.epsilon_dual_constants[f.p])
 
 
 def scalar_pairing(metric: np.ndarray) -> np.ndarray:

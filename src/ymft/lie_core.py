@@ -22,7 +22,8 @@ class InternalSpace:
 
     dim: int
     inner_product: np.ndarray = None
-    positive_definite: bool = field(default=None)
+    # computed from the inner product
+    positive_definite: bool = field(init=False)
 
     def __post_init__(self):
         g = self.inner_product
@@ -35,9 +36,8 @@ class InternalSpace:
         if abs(np.linalg.det(g)) <= NONDEGENERACY_RTOL * scale ** self.dim:
             raise ValueError("inner product is degenerate")
         object.__setattr__(self, "inner_product", g)
-        if self.positive_definite is None:
-            object.__setattr__(self, "positive_definite",
-                               bool(np.all(np.linalg.eigvalsh(g) > 0)))
+        object.__setattr__(self, "positive_definite",
+                           bool(np.all(np.linalg.eigvalsh(g) > 0)))
 
     @property
     def inverse_metric(self) -> np.ndarray:

@@ -206,7 +206,7 @@ class ChargeResult:
     estimated_error: float
 
 
-def charge_surface(sampler, kind: str = "electric", radius: float = 2.0,
+def charge_surface(sampler, radius: float = 2.0,
                    grid: tuple = (64, 128)) -> ChargeResult:
     """(1/4pi) of the flux of sampler's 2-form through the radius sphere.
 
@@ -215,10 +215,9 @@ def charge_surface(sampler, kind: str = "electric", radius: float = 2.0,
     is called once per grid.  The integrand is the (time, radial)
     contraction.  Gauss-Legendre in the polar direction times trapezoid in
     azimuth; the error estimate is the difference against the
-    half-resolution grid.
+    half-resolution grid.  The flux of an electric 2-form is its electric
+    charge, that of a magnetic one its magnetic charge.
     """
-    if kind not in ("electric", "magnetic"):
-        raise ValueError(f"unknown surface charge kind {kind!r}")
     value = _sphere_quad(sampler, radius, grid)
     coarse = _sphere_quad(sampler, radius, (max(grid[0] // 2, 2),
                                             max(grid[1] // 2, 4)))
@@ -314,11 +313,6 @@ def coulomb_sampler(q: float = 1.0, center=(0.0, 0.0, 0.0)):
         return out
 
     return sampler
-
-
-def radial_magnetic_sampler(g: float = 1.0):
-    """Radial 2-form of strength g; integrates to the magnetic charge g."""
-    return coulomb_sampler(g)
 
 
 def uniform_scalar_sampler(s: float = 1.0):

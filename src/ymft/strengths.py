@@ -123,10 +123,6 @@ def ring_matvec(ring, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ring_matmul(ring, a, v[:, None, :])[:, 0]
 
 
-def _ring_identity(ring, size: int) -> np.ndarray:
-    return ring.const(np.eye(size))
-
-
 # ---------------------------------------------------------------------------
 # the Y operator
 
@@ -141,16 +137,13 @@ class YOperator:
     """
 
     def __init__(self, ring, dim_a: int, dim_b: int, matrix: np.ndarray,
-                 order: int, live: np.ndarray | None = None):
+                 live: np.ndarray | None = None):
         self.ring = ring
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.matrix = matrix
-        self.order = order
         self.live = live
-        self.n_p = dim_a * len(COMPS[2])
-        self.n_q = dim_b * len(COMPS[3])
-        self.size = self.n_p + self.n_q
+        self.size = dim_a * len(COMPS[2]) + dim_b * len(COMPS[3])
 
     def constant_block(self) -> np.ndarray:
         return self.ring.constant_part(self.matrix)
@@ -201,8 +194,8 @@ def unstack_pair(ring, dim_a: int, dim_b: int, vec: np.ndarray, order: int):
 def _y_blocks(ds: DeformationSet) -> list:
     """The coupling blocks of Y - 1, the wedges -(c_p *x) ^ field of the
     unknown x, as (rows, columns, degree p of x, field, pairing)."""
-    n_p, n_q = ds.space_a.dim * len(COMPS[2]), ds.space_b.dim * len(COMPS[3])
-    p_rows, q_rows = slice(0, n_p), slice(n_p, n_p + n_q)
+    n_p = ds.space_a.dim * len(COMPS[2])
+    p_rows, q_rows = slice(0, n_p), slice(n_p, None)
     return [(q_rows, p_rows, 2, "A", b_transpose_pairing(ds)),
             (p_rows, q_rows, 3, "A", ds.b),
             (q_rows, q_rows, 3, "B", ds.k)]
@@ -223,7 +216,7 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
-    matrix = _ring_identity(ring, n * len(COMPS[2]) + m * len(COMPS[3]))
+    matrix = ring.const(np.eye(n * len(COMPS[2]) + m * len(COMPS[3])))
     live = None if config.A.live is None else np.arange(ring.blocks) == 0
     for rows, cols, p, field, pairing in _y_blocks(ds):
         dual, sign = np.array(HODGE_TABLE[p]).T
@@ -236,8 +229,7 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
                                            ring.width)
         block -= (wedge.reshape(block.shape)[:, :, dual.astype(int)]
                   * (CONVENTION.epsilon_dual_constants[p] * sign[:, None]))
-    order = min(config.A.order, config.B.order)
-    return YOperator(ring, n, m, matrix, order, live)
+    return YOperator(ring, n, m, matrix, live)
 
 
 def invert_Y(yop: YOperator) -> "YInverse":
@@ -267,8 +259,8 @@ class YInverse:
         ``y0_inv.T``."""
         yop = self.yop
         return YInverse(YOperator(yop.ring, yop.dim_a, yop.dim_b,
-                                  yop.matrix.transpose(1, 0, 2), yop.order,
-                                  yop.live), self.y0_inv.T)
+                                  yop.matrix.transpose(1, 0, 2), yop.live),
+                        self.y0_inv.T)
 
     def apply(self, r: np.ndarray, order: int | None = None) -> np.ndarray:
         """Solve Y x = r for r of shape (size, w) or (size, M, w), x valid
@@ -334,8 +326,7 @@ def _strengths(config: FieldConfig, ds: DeformationSet,
                                   ds.space_b.dim, vec, order)
     _record_solve(config, ds, f_form, h_form, yinv, vec, p_form, q_form)
     return StrengthPair(p_form, q_form,
-                        epsilon_dual(p_form, "2form"),
-                        epsilon_dual(q_form, "3form"),
+                        epsilon_dual(p_form), epsilon_dual(q_form),
                         f_form, h_form, yinv)
 
 
@@ -359,7 +350,7 @@ def _record_solve(config: FieldConfig, ds: DeformationSet, f_form: LieForm,
     # or Q, whose nodes lead back to it (a reference cycle)
     order = p_form.order
     # c_p *x, taken from P and Q before they are recorded
-    duals = {f.p: epsilon_dual(f, f"{f.p}form") for f in (p_form, q_form)}
+    duals = {f.p: epsilon_dual(f) for f in (p_form, q_form)}
 
     def backward(x_bar):
         r_bar = yinv.transpose().apply(x_bar, order)

@@ -207,8 +207,7 @@ def test_criterion_8_euler_lagrange_consistency():
 
 
 def test_criterion_9_observables():
-    res = charge_surface(coulomb_sampler(1.0), "electric", radius=2.0,
-                         grid=(64, 128))
+    res = charge_surface(coulomb_sampler(1.0), radius=2.0, grid=(64, 128))
     charge_err = abs(res.values[0] - 1.0)
 
     star_p, star_q = random_strength_values(np.random.default_rng(2), 3, 3,

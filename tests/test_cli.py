@@ -429,6 +429,8 @@ BAD_OBSERVABLES = [
     ({"center": [0, "0", 0]},
      "observables.center must be three finite numbers"),
     ({"center": 0.5}, "observables.center must be three finite numbers"),
+    ({"parameter": [1], "checks": ["charge"]},
+     "observables.parameter must be a finite number"),
 ]
 
 
@@ -515,6 +517,14 @@ BAD_KEYS = [
      "deformation.dims must be [dim A, dim A'], two positive integers"),
     ({"deformation": {"family": "explicit", "dims": [True, 3]}},
      "deformation.dims must be [dim A, dim A'], two positive integers"),
+    ({"deformation": {"family": "su2", "mass": [2.0]}},
+     "deformation.mass must be a finite number"),
+    ({"deformation": {"family": "su2", "mass": True, "lambda": 1.0}},
+     "deformation.mass must be a finite number"),
+    ({"deformation": {"family": "su2", "mass": 2.0, "lambda": [0.5]}},
+     "deformation.lambda must be a finite number"),
+    ({"deformation": {"family": "general", "mass_value": [1.0]}},
+     "deformation.mass_value must be a finite number"),
 ]
 
 

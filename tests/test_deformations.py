@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ymft import lie_core
-from ymft.deformations import (check_all_relations, check_e_mass_obstruction,
+from ymft.deformations import (ConstraintReport, ConstraintResult,
+                               check_all_relations, check_e_mass_obstruction,
                                check_linear_relations,
                                check_quadratic_relations, family_e_only,
                                family_general, family_solvable, family_su2,
@@ -225,3 +226,15 @@ def test_einsum_relations_match_loop_oracle():
             - sum(al[aa, b, c] * a[b, d, e] for b in range(n))
             + sum(al[aa, b, e] * a[b, d, c] for b in range(n)))
     assert np.allclose(res, worst, atol=1e-14)
+
+
+def test_constraint_report_max_residual_keeps_nan():
+    # a NaN anywhere fails its relation, so the report's maximum is NaN too
+    rows = [ConstraintResult(name, res, res <= 1e-10)
+            for name, res in (("x", 1e-3), ("y", np.nan))]
+    assert np.isnan(ConstraintReport("all", tuple(rows), 1e-10).max_residual)
+    assert np.isnan(ConstraintReport("all", tuple(rows[::-1]),
+                                     1e-10).max_residual)
+    assert ConstraintReport("all", tuple(rows[:1]), 1e-10).max_residual \
+        == 1e-3
+    assert ConstraintReport("all", (), 1e-10).max_residual == 0.0

@@ -7,8 +7,9 @@ from ymft import dynamics, lie_core
 from ymft import strengths as strengths_module
 from ymft.deformations import (family_e_only, family_general,
                                family_solvable, family_su2, make_deformation)
-from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL,
-                           GaugeParam, TheoryVariant,
+from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, LINEAR,
+                           GaugeParam, IdentityReport, IdentityResult,
+                           TheoryVariant,
                            Variations, boundary_theta, check_commutators,
                            check_cubic_tower, cubic_lagrangian,
                            check_euler_lagrange_consistency,
@@ -83,6 +84,20 @@ def test_variant_validation():
                              ds.e, np.ones((3, 2)))
     with pytest.raises(ValueError):
         TheoryVariant("e-only", mixed)  # nonzero mass against e
+    # the free theory reads only the mass: a coupling would be ignored
+    for ds in (family_su2(2.0, 0.5), family_e_only(sym_e())):
+        with pytest.raises(ValueError, match="a = b = j = k = e = 0"):
+            TheoryVariant(LINEAR, ds)
+
+
+def test_identity_report_max_residual_keeps_nan():
+    # a NaN anywhere fails its row, so the report's maximum is NaN too
+    rows = [IdentityResult(name, res, 1e-8, res <= 1e-8, (1,))
+            for name, res in (("x", 1e-3), ("y", np.nan))]
+    assert np.isnan(IdentityReport("x", tuple(rows)).max_residual)
+    assert np.isnan(IdentityReport("x", tuple(rows[::-1])).max_residual)
+    assert IdentityReport("x", tuple(rows[:1])).max_residual == 1e-3
+    assert IdentityReport("x", ()).max_residual == 0.0
 
 
 def test_lagrangian_zero_fields():

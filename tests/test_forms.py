@@ -113,20 +113,19 @@ def test_hodge_square_sign_table(p):
 
 def test_epsilon_dual_is_constant_times_hodge():
     rng = np.random.default_rng(1)
-    for p, kind in ((2, "2form"), (3, "3form")):
+    for p in (2, 3):
         f = LieForm(RING, p, rng.uniform(-1, 1,
                                          (2, len(COMPS[p]), RING.width)))
-        dual = epsilon_dual(f, kind)
+        dual = epsilon_dual(f)
         c = CONVENTION.epsilon_dual_constants[p]
         assert (dual - f.hodge().scale(c)).max_abs() == 0.0
 
 
 def test_epsilon_dual_degree_check():
-    f = coordinate_form(0)
-    with pytest.raises(ValueError):
-        epsilon_dual(f, "2form")
-    with pytest.raises(ValueError):
-        epsilon_dual(f.d(), "3form")
+    # the dual is defined on the 2- and 3-forms of the strengths only
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"not a {p}-form"):
+            epsilon_dual(LieForm.zero(RING, p, 1))
 
 
 def literal_epsilon_contraction(f: LieForm) -> LieForm:
@@ -158,11 +157,11 @@ def test_literal_contraction_oracle():
 
 
 def test_epsilon_dual_square_proportional_to_identity():
-    for p, kind in ((2, "2form"),):
+    for p in (2,):
         c = CONVENTION.epsilon_dual_constants[p]
         for i in range(len(COMPS[p])):
             f = LieForm.basis(RING, p, 1, 0, i)
-            sq = epsilon_dual(epsilon_dual(f, kind), kind)
+            sq = epsilon_dual(epsilon_dual(f))
             assert np.isclose(sq.comps[0, i, 0],
                               c * c * HODGE_SQUARE_SIGN[p])
 

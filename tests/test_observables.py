@@ -7,7 +7,7 @@ from ymft.jets import JetRing
 from ymft.observables import (ETA_INV, ChargeResult, _pointwise_stress,
                               _random_unit_timelike, charge_line,
                               charge_surface, coulomb_sampler,
-                              energy_causality_check, radial_magnetic_sampler,
+                              energy_causality_check,
                               random_strength_values, stress_energy,
                               uniform_scalar_sampler, zero_sampler)
 from ymft.strengths import FieldConfig, compute_strengths
@@ -122,29 +122,28 @@ def test_causality_zero_strengths():
 
 
 def test_coulomb_charge():
-    res = charge_surface(coulomb_sampler(1.0), "electric", radius=2.0,
+    res = charge_surface(coulomb_sampler(1.0), radius=2.0,
                          grid=(64, 128))
     assert abs(res.values[0] - 1.0) < 1e-6
-    res = charge_surface(coulomb_sampler(-2.5), "electric", radius=3.0)
+    res = charge_surface(coulomb_sampler(-2.5), radius=3.0)
     assert abs(res.values[0] + 2.5) < 1e-6
 
 
 def test_offset_coulomb_still_encloses_charge():
     res = charge_surface(coulomb_sampler(1.0, center=(0.4, -0.3, 0.2)),
-                         "electric", radius=2.0, grid=(64, 128))
+                         radius=2.0, grid=(64, 128))
     assert abs(res.values[0] - 1.0) < 1e-6
 
 
 def test_radial_magnetic_charge():
-    res = charge_surface(radial_magnetic_sampler(0.8), "magnetic", 2.0)
+    # a radial magnetic 2-form has the Coulomb components
+    res = charge_surface(coulomb_sampler(0.8), 2.0)
     assert abs(res.values[0] - 0.8) < 1e-6
 
 
-def test_zero_sampler_and_bad_kind():
-    res = charge_surface(zero_sampler(), "electric")
+def test_zero_sampler():
+    res = charge_surface(zero_sampler())
     assert res.values[0] == 0.0
-    with pytest.raises(ValueError):
-        charge_surface(zero_sampler(), "weird")
 
 
 def test_nonfinite_sampler_rejected():
@@ -153,7 +152,7 @@ def test_nonfinite_sampler_rejected():
         out[..., 0, 0, 1] = np.inf
         return out
     with pytest.raises(ValueError):
-        charge_surface(bad, "electric")
+        charge_surface(bad)
 
 
 def test_scalar_line_charge_and_convergence():
@@ -176,9 +175,9 @@ def lumpy(x, y, z):
 def test_surface_quadrature_convergence_order():
     # smooth non-polynomial flux: quadrature error drops by >= 4x per
     # doubling (the rule converges much faster on this integrand)
-    coarse = charge_surface(lumpy, "electric", 2.0, (4, 8))
-    finer = charge_surface(lumpy, "electric", 2.0, (8, 16))
-    finest = charge_surface(lumpy, "electric", 2.0, (32, 64))
+    coarse = charge_surface(lumpy, 2.0, (4, 8))
+    finer = charge_surface(lumpy, 2.0, (8, 16))
+    finest = charge_surface(lumpy, 2.0, (32, 64))
     err_coarse = abs(coarse.values[0] - finest.values[0])
     err_finer = abs(finer.values[0] - finest.values[0])
     assert err_finer < err_coarse / 4.0
@@ -186,9 +185,9 @@ def test_surface_quadrature_convergence_order():
 
 def test_charge_result_error_estimate_shrinks():
     res_small = charge_surface(coulomb_sampler(1.0, center=(0.5, 0, 0)),
-                               "electric", 2.0, (16, 32))
+                               2.0, (16, 32))
     res_big = charge_surface(coulomb_sampler(1.0, center=(0.5, 0, 0)),
-                             "electric", 2.0, (64, 128))
+                             2.0, (64, 128))
     assert isinstance(res_big, ChargeResult)
     assert res_big.estimated_error <= max(res_small.estimated_error, 1e-12)
 
@@ -252,7 +251,7 @@ def ref_energy_causality(star_p, star_q, ga, gb, n_timelike, seed):
 SURFACE_SAMPLERS = {
     "coulomb": coulomb_sampler(-2.5),
     "offset-coulomb": coulomb_sampler(1.0, center=(0.4, -0.3, 0.2)),
-    "radial-magnetic": radial_magnetic_sampler(0.8),
+    "radial-magnetic": coulomb_sampler(0.8),
     "zero": zero_sampler(2),
     "lumpy": lumpy,
 }
@@ -263,7 +262,7 @@ GRIDS = [(64, 128), (16, 32), (5, 7)]
 def test_sphere_quad_matches_per_point_reference(name):
     sampler = SURFACE_SAMPLERS[name]
     for grid in GRIDS:
-        res = charge_surface(sampler, "electric", 3.0, grid)
+        res = charge_surface(sampler, 3.0, grid)
         ref = ref_sphere_quad(sampler, 3.0, grid)
         ref_coarse = ref_sphere_quad(sampler, 3.0, (max(grid[0] // 2, 2),
                                                     max(grid[1] // 2, 4)))
@@ -371,16 +370,16 @@ def test_wrong_sampler_shape_rejected():
         # ignores the batch shape: the old one-point contract
         return coulomb_sampler(1.0)(0.0, 0.0, 2.0)
     with pytest.raises(ValueError, match=r"expected \(8, 16, n, 4, 4\)"):
-        charge_surface(per_point, "electric", 2.0, (8, 16))
+        charge_surface(per_point, 2.0, (8, 16))
     with pytest.raises(ValueError, match=r"expected \(64, n, 4, 4, 4\)"):
         charge_line(zero_sampler(1, 2), 2.0, 64)
     with pytest.raises(ValueError, match=r"expected \(8, 16, n, 4, 4\)"):
-        charge_surface(zero_sampler(1, 3), "electric", 2.0, (8, 16))
+        charge_surface(zero_sampler(1, 3), 2.0, (8, 16))
 
 
 @pytest.mark.parametrize("sampler,rank", [
     (coulomb_sampler(1.0, center=(0.1, 0.2, 0.3)), 2),
-    (radial_magnetic_sampler(0.8), 2), (uniform_scalar_sampler(0.9), 3),
+    (coulomb_sampler(0.8), 2), (uniform_scalar_sampler(0.9), 3),
     (zero_sampler(), 2), (zero_sampler(2, 3), 3)],
     ids=["coulomb", "radial-magnetic", "uniform-scalar", "zero", "zero-3"])
 def test_builtin_samplers_scalar_and_batched_calls(sampler, rank):

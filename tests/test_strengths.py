@@ -11,7 +11,7 @@ from ymft.forms import (COMPS, LieForm, adjoints, epsilon_dual, mark_leaf,
 from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
-                            _ring_identity, _wedge_vol_factor, assemble_Y,
+                            _wedge_vol_factor, assemble_Y,
                             b_transpose_pairing, block_metric,
                             compute_strengths, connection_curvature,
                             covariant_curl_H, curvature_F, invert_Y,
@@ -121,13 +121,13 @@ def test_y_block_symmetry(builder):
 
 def inverse_matrix(inv):
     """Y^{-1} itself: the graded solve applied to the identity columns."""
-    return inv.apply(_ring_identity(inv.yop.ring, inv.yop.size))
+    return inv.apply(inv.yop.ring.const(np.eye(inv.yop.size)))
 
 
 def roundtrip_residual(inv):
     """Max-abs of Y Y^{-1} - 1 and Y^{-1} Y - 1 over the ring."""
     ring, y = inv.yop.ring, inv.yop.matrix
-    eye = _ring_identity(ring, inv.yop.size)
+    eye = ring.const(np.eye(inv.yop.size))
     y_inv = inverse_matrix(inv)
     return float(max(np.abs(ring_matmul(ring, y, y_inv) - eye).max(),
                      np.abs(ring_matmul(ring, y_inv, y) - eye).max()))
@@ -269,27 +269,25 @@ def probing_assemble_Y(config, ds):
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     n_p, n_q = n * len(COMPS[2]), m * len(COMPS[3])
-    matrix = _ring_identity(ring, n_p + n_q)
+    matrix = ring.const(np.eye(n_p + n_q))
     b_t = b_transpose_pairing(ds)
     col = 0
     for a in range(n):
         for i in range(len(COMPS[2])):
             basis = LieForm.basis(ring, 2, n, a, i)
-            img_q = epsilon_dual(basis, "2form").wedge(
-                config.A, b_t).scale(-1.0)
+            img_q = epsilon_dual(basis).wedge(config.A, b_t).scale(-1.0)
             matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
             col += 1
     for a in range(m):
         for i in range(len(COMPS[3])):
             basis = LieForm.basis(ring, 3, m, a, i)
-            star = epsilon_dual(basis, "3form")
+            star = epsilon_dual(basis)
             img_p = star.wedge(config.A, ds.b).scale(-1.0)
             img_q = star.wedge(config.B, ds.k).scale(-1.0)
             matrix[:n_p, col] += img_p.comps.reshape(n_p, -1)
             matrix[n_p:, col] += img_q.comps.reshape(n_q, -1)
             col += 1
-    order = min(config.A.order, config.B.order)
-    return YOperator(ring, n, m, matrix, order)
+    return YOperator(ring, n, m, matrix)
 
 
 def neumann_inverse(yop):
@@ -305,7 +303,7 @@ def neumann_inverse(yop):
         blocks = yop.matrix.reshape(size, size, ring.blocks, ring.base_width)
         x_re = neumann_inverse(YOperator(
             base, yop.dim_a, yop.dim_b,
-            np.ascontiguousarray(blocks[..., 0, :]), yop.order))
+            np.ascontiguousarray(blocks[..., 0, :])))
         out = np.zeros_like(blocks)
         out[..., 0, :] = x_re
         for i in range(ring.directions):
@@ -405,7 +403,6 @@ def test_assemble_y_equals_probing_on_jet_ring(family, degree):
     cfg = FieldConfig(a_form, b_form)
     closed, probed = assemble_Y(cfg, ds), probing_assemble_Y(cfg, ds)
     assert np.abs(closed.matrix - probed.matrix).max() == 0.0
-    assert closed.order == probed.order
 
 
 @pytest.mark.parametrize("family", ASSEMBLY_FAMILIES)
@@ -590,7 +587,7 @@ def test_solve_zero_rhs_is_exact_zero(ring):
 @pytest.mark.parametrize("ring", EXACT_RINGS, ids=EXACT_IDS)
 def test_solve_identity_y_returns_rhs(ring):
     size = 30
-    yop = YOperator(ring, 3, 3, _ring_identity(ring, size), ring.degree)
+    yop = YOperator(ring, 3, 3, ring.const(np.eye(size)))
     r = _random_ring_array(np.random.default_rng(71), ring, (size, 3))
     inv = invert_Y(yop)
     assert np.abs(inv.apply(r) - r).max() == 0.0

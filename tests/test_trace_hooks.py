@@ -60,10 +60,10 @@ def test_tracer_sees_every_check_and_restores_the_originals():
         assert stats[name].calls == 1, name
     # one base solve per seed, shared by every check (the Euler-Lagrange
     # pass records it without solving again), plus one per tangent ring;
-    # the base field equations are shared too, next to the linearization's
-    # and two of the linear theory
+    # the base field equations are shared too, as are those of the free
+    # theory, next to the linearization's
     assert stats["strengths.compute_strengths"].calls == 5
-    assert stats["dynamics.field_equations"].calls == 4
+    assert stats["dynamics.field_equations"].calls == 3
     for name, (owner, attr) in tracer_mod.TARGETS.items():
         current = (vars(owner)[attr] if isinstance(owner, type)
                    else getattr(owner, attr))
