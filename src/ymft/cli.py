@@ -290,8 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, not once per call of main()
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if getattr(args, "tol", None) is not None:
             validate_tolerance(args.tol, "--tol")

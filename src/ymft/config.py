@@ -161,6 +161,7 @@ class RunConfig:
             raise ConfigError("top-level config must be an object")
         _require_keys(raw, _TOP_KEYS, "config")
         self.raw = raw
+        self._deformation = None  # built by the first deformation() call
         self.jet = dict(degree=3, amplitude=0.1, seeds=list(range(1, 6)))
         if "jet" in raw:
             _require_keys(raw["jet"], _JET_KEYS, "jet")
@@ -224,6 +225,14 @@ class RunConfig:
         return StructureConstants(InternalSpace(dim, metric), c)
 
     def deformation(self) -> DeformationSet:
+        """The deformation set, built on the first call and shared by the
+        later ones, so that the constraint gate and :meth:`variant` see one
+        set."""
+        if self._deformation is None:
+            self._deformation = self._build_deformation()
+        return self._deformation
+
+    def _build_deformation(self) -> DeformationSet:
         section = self.raw.get("deformation")
         if section is None:
             raise ConfigError("config has no deformation section")

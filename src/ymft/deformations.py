@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_core
-from .lie_core import InternalSpace, MassTensor, StructureConstants
+from .lie_core import InternalSpace, MassTensor, StructureConstants, read_only
 
 DEFAULT_TOL = 1e-10
 
@@ -73,7 +73,10 @@ class DeformationSet:
       k[p, q, r]   -- k^{p'}_{q' r'}, contracted against (*Q, B)
       e[p, b, c]   -- e^{p'}_{bc}, A x A -> A', symmetric in (b, c)
     ``h_map`` is the optional A' -> A map with b = ad_A(h(.)); constructors
-    fill it in, raw sets may leave it None.
+    fill it in, raw sets may leave it None.  The tensors are not changed
+    once the set is built, so each tensor derived from them (the lowered
+    couplings, :func:`ymft.strengths.b_transpose_pairing`) is computed once
+    per set (:meth:`kept`).
     """
 
     space_a: InternalSpace
@@ -110,20 +113,33 @@ class DeformationSet:
     def gb(self) -> np.ndarray:
         return self.space_b.inner_product
 
+    def kept(self, name: str, build) -> np.ndarray:
+        """``build()``, a tensor derived from this set's data: computed on
+        the first call per set and ``name``, then kept read-only."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if name not in kept:
+            kept[name] = read_only(build())
+        return kept[name]
+
     def a_low(self):
-        return np.einsum("ad,dbc->abc", self.ga, self.a)
+        return self.kept("a_low", lambda: np.einsum("ad,dbc->abc", self.ga,
+                                                    self.a))
 
     def b_low(self):
-        return np.einsum("ad,dpc->apc", self.ga, self.b)
+        return self.kept("b_low", lambda: np.einsum("ad,dpc->apc", self.ga,
+                                                    self.b))
 
     def j_low(self):
-        return np.einsum("pq,qbr->pbr", self.gb, self.j)
+        return self.kept("j_low", lambda: np.einsum("pq,qbr->pbr", self.gb,
+                                                    self.j))
 
     def k_low(self):
-        return np.einsum("pq,qrs->prs", self.gb, self.k)
+        return self.kept("k_low", lambda: np.einsum("pq,qrs->prs", self.gb,
+                                                    self.k))
 
     def e_low(self):
-        return np.einsum("pq,qbc->pbc", self.gb, self.e)
+        return self.kept("e_low", lambda: np.einsum("pq,qbc->pbc", self.gb,
+                                                    self.e))
 
     def validate_basic(self):
         """Structural symmetries of the stored tensors (not the relations)."""

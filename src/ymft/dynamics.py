@@ -392,7 +392,10 @@ class SeedContext:
     @functools.cached_property
     def free(self) -> "SeedContext":
         """The same fields in the free theory of this variant's mass and
-        internal spaces, the theory every variant deforms."""
+        internal spaces, the theory every variant deforms: this context
+        itself when its variant is that free theory."""
+        if self.variant.kind == LINEAR:
+            return self
         ds = self.variant.ds
         return SeedContext(variant_linear(ds.mass.m, ds.space_a, ds.space_b),
                            self.config, self.seed, self.amplitude)
@@ -740,7 +743,7 @@ def generic_field_equations(variant: TheoryVariant, config: FieldConfig,
                                else recorded_strengths(marked, variant.ds,
                                                        strengths))
 
-    return _generic_el_of(builder, config)
+    return _generic_el_of(builder, config)[:2]
 
 
 def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
@@ -754,21 +757,26 @@ def cubic_lagrangian(ds: DeformationSet, config: FieldConfig) -> LieForm:
     order up to an exact 4-form.  The coefficient normalizations of both
     were pinned against the exact homogeneous expansion of the full
     nonlinear theory (an eps-nilpotent extraction) and are frozen here.
+    A term whose coupling is exactly zero adds an exact zero, so it is
+    skipped; the sum keeps the valid order of all its terms.
     """
     a_form, b_form = config.A, config.B
     f_form, h_form = config.dA, config.dB
     star_f, star_h = f_form.hodge(), h_form.hodge()
-
-    def tri(x, y, z, tensor):
-        return _wedge3(x, y, z, np.asarray(tensor, dtype=float)[None])
-
-    return (tri(star_f, a_form, a_form, ds.a_low()).scale(0.5)
-            + tri(star_h, a_form, b_form, ds.j_low())
-            + tri(star_f, star_h, a_form, ds.b_low())
-            + tri(star_h, star_h, b_form, ds.k_low()).scale(0.5)
-            - tri(star_h, f_form, a_form, ds.e_low())
-            + tri(b_form, a_form, a_form,
-                  np.einsum("ap,abc->pbc", ds.mass.m, ds.a)).scale(0.5))
+    terms = ((0.5, (star_f, a_form, a_form), ds.a_low()),
+             (1.0, (star_h, a_form, b_form), ds.j_low()),
+             (1.0, (star_f, star_h, a_form), ds.b_low()),
+             (0.5, (star_h, star_h, b_form), ds.k_low()),
+             (-1.0, (star_h, f_form, a_form), ds.e_low()),
+             (0.5, (b_form, a_form, a_form),
+              np.einsum("ap,abc->pbc", ds.mass.m, ds.a)))
+    ring = config.ring
+    lag = LieForm(ring, 4, ring.zeros((1, 1)),
+                  min(f.order for f in (star_f, star_h, a_form, b_form)))
+    for scale, forms, tensor in terms:
+        if tensor.any():
+            lag = lag + _wedge3(*forms, tensor[None]).scale(scale)
+    return lag
 
 
 def quadratic_equations(ds: DeformationSet, config: FieldConfig):
@@ -845,9 +853,8 @@ def check_cubic_tower(contexts, tol: float | None = None) -> IdentityReport:
         f_form, h_form = config.dA, config.dB
         star_f, star_h = f_form.hodge(), h_form.hodge()
 
-        lag3 = cubic_lagrangian(ds, config)
         e2_a, e2_b, x_a, y_b = quadratic_equations(ds, config)
-        gen_a, gen_b = _generic_el_of(
+        gen_a, gen_b, lag3 = _generic_el_of(
             functools.partial(cubic_lagrangian, ds), config)
         _worst(rows, "cubic-el-A", (gen_a - e2_a).max_abs())
         _worst(rows, "cubic-el-B", (gen_b - e2_b).max_abs())
@@ -885,7 +892,9 @@ def _generic_el_of(builder, config: FieldConfig):
     as coordinates independent of A and B.  One reverse sweep
     (:func:`ymft.forms.adjoints`) then gives, per slot component, the
     ring-valued derivative of the volume coefficient; its wedge-dual is
-    the conjugate form of the slot.
+    the conjugate form of the slot.  Returns (E_A, E_B, the Lagrangian
+    built on the marked leaves), the last with the values of
+    ``builder(config)``.
     """
     base = config.ring
     slots = [mark_leaf(form) for form in (config.A, config.B, config.dA,
@@ -904,7 +913,7 @@ def _generic_el_of(builder, config: FieldConfig):
 
     phi_a, phi_b, psi_a, psi_b = map(conjugate, slots,
                                      adjoints(lag, slots))
-    return phi_a + psi_a.d(), phi_b - psi_b.d()
+    return phi_a + psi_a.d(), phi_b - psi_b.d(), lag
 
 
 def check_strength_transformation(contexts, tol: float | None = None

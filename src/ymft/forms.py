@@ -14,11 +14,14 @@ matrix L[(c, k), (b, j)] = sum_{a, i} sign_{ijk} pairing[c, a, b] x^a_i,
 which multiplies the right factor by the jet-matrix kernel
 (:meth:`ymft.jets.JetRing.bilinear`), at the valid order of the product,
 the lesser of its factors' orders: the coefficients above it are exact
-zeros and cost nothing.  A zero pairing multiplies nothing and gives the
-exact zero form.  A non-finite coefficient can reach every output
-component of its jet matrix (inf * 0 = NaN in the GEMM); blocks that no
-live pair reaches stay exactly 0.0.  The exterior derivative is likewise
-one derivative per direction over all components, then one signed matrix.
+zeros and cost nothing.  The fold coefficients sign_{ijk} pairing[c, a, b]
+depend on the constants alone, so they are built once per process for
+each pairing and sign table and shared by every product that uses them.
+A zero pairing multiplies nothing and gives the exact zero form.  A
+non-finite coefficient can reach every output component of its jet matrix
+(inf * 0 = NaN in the GEMM); blocks that no live pair reaches stay
+exactly 0.0.  The exterior derivative is likewise one derivative per
+direction over all components, then one signed matrix.
 
 Over an extended ring (a nilpotent extension or an epsilon tower) a form
 also records which blocks may be nonzero anywhere in it: one flag vector
@@ -416,13 +419,34 @@ def _paired_products(left: LieForm, right: LieForm, pairing,
                  min(left.order, right.order), *flags), live
 
 
+# the fold coefficients built so far, by pairing and sign table, oldest
+# first; at most COEFFICIENTS_MAX_BYTES of them are kept
+_COEFFICIENTS: dict = {}
+COEFFICIENTS_MAX_BYTES = 1 << 24
+
+
 def _coefficients(pairing: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """signs[i, j, k] pairing[c, a, b] as the coefficients of a fold,
-    [(a, i), (c, k), (b, j)]: the factor folded, the output, the other."""
-    (c, a, b), (i, j, k) = pairing.shape, signs.shape
-    return (pairing.transpose(1, 0, 2)[:, None, :, None, :, None]
-            * signs.transpose(0, 2, 1)[None, :, None, :, None, :]).reshape(
-                a * i, c * k, b * j)
+    [(a, i), (c, k), (b, j)]: the factor folded, the output, the other.
+
+    A read-only array, built once per process for each pairing and sign
+    table (keyed by their shapes and contents): a theory pairs its fields
+    by a few fixed couplings, so most products reuse one.  The table drops
+    its oldest entries when it holds more than COEFFICIENTS_MAX_BYTES."""
+    pairing = np.asarray(pairing, dtype=float)
+    key = (pairing.shape, signs.shape, pairing.tobytes(), signs.tobytes())
+    out = _COEFFICIENTS.get(key)
+    if out is None:
+        (c, a, b), (i, j, k) = pairing.shape, signs.shape
+        out = (pairing.transpose(1, 0, 2)[:, None, :, None, :, None]
+               * signs.transpose(0, 2, 1)[None, :, None, :, None, :]
+               ).reshape(a * i, c * k, b * j)
+        out.flags.writeable = False
+        _COEFFICIENTS[key] = out
+        while sum(v.nbytes for v in _COEFFICIENTS.values()) \
+                > COEFFICIENTS_MAX_BYTES:
+            del _COEFFICIENTS[next(iter(_COEFFICIENTS))]
+    return out
 
 
 def _pair(ring, x, y, pairing, signs, order, *flags) -> np.ndarray:

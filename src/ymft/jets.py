@@ -64,7 +64,11 @@ vector-mode forward propagation, ibid., ch. 7).  The flags are one vector
 per factor, the blocks nonzero somewhere in the batch unless the caller
 passes them: the form layer keeps one per form and derives it from the
 operations that built the form, and Y keeps those of its wedges, so the
-work does not follow roundoff.
+work does not follow roundoff.  The plans and the solve order are kept
+per block table, once per process, and shared by every ring with that
+table: a symbolic analysis done once for many numeric products, as in
+sparse direct methods (Duff, Erisman & Reid, *Direct Methods for Sparse
+Matrices*).
 """
 
 from __future__ import annotations
@@ -205,6 +209,28 @@ def jet_algebra(degree: int) -> JetAlgebra:
     return JetAlgebra(degree)
 
 
+@functools.lru_cache(maxsize=None)
+def _block_rules(blocks: int, block_pairs: tuple) -> tuple:
+    """The rules that a ring's block table fixes, shared by every ring
+    with that table: the (left, right, output) blocks of its pairs as
+    arrays, the solve order (:attr:`JetRing.waves`) and the plans of the
+    block product (:meth:`JetRing._plan`), filled in on first use."""
+    left, right, out = np.array(block_pairs).T
+    for table in (left, right, out):
+        table.flags.writeable = False
+    # the blocks in solve order, as slices: block o needs y_i x_j for
+    # every pair (i, j, o) with i != 0, so a wave closes when a block
+    # needs one inside it
+    waves = [[]]
+    for o in range(blocks):
+        if any(i and k == o and j in waves[-1] for i, j, k in block_pairs):
+            waves.append([])
+        waves[-1].append(o)
+    waves = tuple(slice(wave[0], wave[-1] + 1) for wave in waves)
+    # live flags of both factors -> their plan
+    return left, right, out, waves, {}
+
+
 class JetScalar:
     """A truncated Taylor polynomial with operator-overloaded arithmetic.
 
@@ -328,18 +354,8 @@ class JetRing:
         self.degree = degree
         self.base_width = self.algebra.n_terms
         self.width = self.blocks * self.base_width
-        self._left, self._right, self._out = np.array(self.block_pairs).T
-        self._plans = {}  # live flags of both factors -> their plan
-        # the blocks in solve order, as slices: block o needs y_i x_j for
-        # every pair (i, j, o) with i != 0, so a wave closes when a block
-        # needs one inside it
-        waves = [[]]
-        for o in range(self.blocks):
-            if any(i and k == o and j in waves[-1]
-                   for i, j, k in self.block_pairs):
-                waves.append([])
-            waves[-1].append(o)
-        self.waves = [slice(wave[0], wave[-1] + 1) for wave in waves]
+        (self._left, self._right, self._out, self.waves,
+         self._plans) = _block_rules(self.blocks, self.block_pairs)
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(tuple(shape) + (self.width,))
@@ -446,9 +462,10 @@ class JetRing:
         left blocks used, the steps, the live flags of the product).  A
         step is (j, at, outs) for each live right block j: the places among
         the used blocks of the left blocks that meet it, and their output
-        blocks.  Block sets that are runs are slices.  Kept per pattern of
-        flags: a pipeline repeats few patterns, and this saves their index
-        work."""
+        blocks.  Block sets that are runs are slices.  Kept per block
+        table and pattern of flags, for every ring with that table (a
+        pipeline makes many rings but repeats few patterns), so each plan's
+        index work is done once per process."""
         key = lx.tobytes() + ly.tobytes()
         plan = self._plans.get(key)
         if plan is None:

@@ -4,16 +4,28 @@ All objects are basis components: brackets are rank-3 arrays, maps are
 matrices.  The bracket convention is [e_b, e_c] = c^a_{bc} e_a throughout
 (see CONVENTIONS.md), and indices are raised and lowered with the explicit
 inner products of the spaces involved -- never with an implicit identity.
+
+The objects are frozen, so what they derive from their data (the inverse
+metric of a space, the two maps of a mass tensor) is computed once per
+object, on first use, and kept as a read-only array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 NONDEGENERACY_RTOL = 1e-10
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a value kept and handed to every caller
+    must not be written through."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -22,8 +34,6 @@ class InternalSpace:
 
     dim: int
     inner_product: np.ndarray = None
-    # computed from the inner product
-    positive_definite: bool = field(init=False)
 
     def __post_init__(self):
         g = self.inner_product
@@ -36,12 +46,11 @@ class InternalSpace:
         if abs(np.linalg.det(g)) <= NONDEGENERACY_RTOL * scale ** self.dim:
             raise ValueError("inner product is degenerate")
         object.__setattr__(self, "inner_product", g)
-        object.__setattr__(self, "positive_definite",
-                           bool(np.all(np.linalg.eigvalsh(g) > 0)))
 
-    @property
+    @functools.cached_property
     def inverse_metric(self) -> np.ndarray:
-        return np.linalg.inv(self.inner_product)
+        """The inverse of the inner product, computed once per space."""
+        return read_only(np.linalg.inv(self.inner_product))
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,7 @@ class MassTensor:
 
     ``map_a`` sends space A into A' (components m_a^{a'} raised with the A'
     inner product); ``map_b`` sends A' into A.  Matrices act from the left
-    on component vectors.
+    on component vectors.  Both are computed once per tensor.
     """
 
     space_a: InternalSpace
@@ -149,15 +158,15 @@ class MassTensor:
             raise ValueError("mass tensor has wrong shape")
         object.__setattr__(self, "m", m)
 
-    @property
+    @functools.cached_property
     def map_a(self) -> np.ndarray:
         """(dim A', dim A): u^a -> m_a^{a'} u^a."""
-        return self.space_b.inverse_metric @ self.m.T
+        return read_only(self.space_b.inverse_metric @ self.m.T)
 
-    @property
+    @functools.cached_property
     def map_b(self) -> np.ndarray:
         """(dim A, dim A'): u'^{a'} -> m_{a'}^{a} u'^{a'}."""
-        return self.space_a.inverse_metric @ self.m
+        return read_only(self.space_a.inverse_metric @ self.m)
 
     def is_zero(self) -> bool:
         return not self.m.any()

@@ -96,8 +96,10 @@ def connection_curvature(omega: LieForm, sc) -> LieForm:
 
 
 def b_transpose_pairing(ds: DeformationSet) -> np.ndarray:
-    """b_b{}^{a'}{}_c as a pairing [out A', left A, right A]."""
-    return np.einsum("pq,bqc->pbc", ds.space_b.inverse_metric, ds.b_low())
+    """b_b{}^{a'}{}_c as a pairing [out A', left A, right A], computed once
+    per set (:meth:`ymft.deformations.DeformationSet.kept`)."""
+    return ds.kept("b_transpose", lambda: np.einsum(
+        "pq,bqc->pbc", ds.space_b.inverse_metric, ds.b_low()))
 
 
 def apply_linear(matrix: np.ndarray, form: LieForm) -> LieForm:

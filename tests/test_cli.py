@@ -153,6 +153,37 @@ def test_verify_theory_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_repeated_verify_theory_matches_a_fresh_process(tmp_path):
+    # what one call keeps for the next (parser, fold coefficients, plans)
+    # must not change a report: two calls in one process print the bytes
+    # of a fresh process
+    argv = ["verify-theory", "--config",
+            str(ROOT / "demos" / "configs" / "general.json")]
+    fresh = run_module(argv)
+    assert fresh.returncode == 0, fresh.stderr
+    for _ in range(2):
+        proc = run_cli(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == fresh.stdout
+
+
+def test_verify_theory_builds_the_deformation_once(tmp_path, monkeypatch):
+    # the constraint gate and the theory variant check one set
+    from ymft import config as config_module
+    builds = []
+    original = config_module.family_su2
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(config_module, "family_su2", counted)
+    cfg = write_config(tmp_path, dict(BASE, checks=["linearization"]))
+    proc = run_cli(["verify-theory", "--config", cfg])
+    assert proc.returncode == 0, proc.stderr
+    assert builds == [(2.0, 0.5)]
+
+
 @pytest.mark.slow
 def test_verify_theory_singular_amplitude(tmp_path):
     payload = dict(BASE)

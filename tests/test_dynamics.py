@@ -357,10 +357,34 @@ def test_tower_lift_expands_the_lagrangian(name):
     assert (eps3 - cubic_lagrangian(ds, config)).max_abs() <= 1e-15
 
 
+@pytest.mark.parametrize("name, calls", [("linear-massive", 2),
+                                         ("su2-massive", 3)])
+def test_free_context_evaluates_free_equations_once(name, calls,
+                                                    monkeypatch):
+    # a variant that is the free theory is its own free context, so its
+    # field equations run once, not once more for the free theory; a
+    # deformed theory adds the free equations to its own and the
+    # linearization's
+    seen = []
+    original = dynamics.field_equations
+
+    def counted(*args, **kwargs):
+        seen.append(args[0].kind)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "field_equations", counted)
+    out = run_identity_suite(VARIANTS[name](), [1], degree=3)
+    assert all(rep.passed for rep in out["reports"].values())
+    assert len(seen) == calls
+    ctx, = seed_contexts(VARIANTS[name](), [1])
+    assert (ctx.free is ctx) == (ctx.variant.kind == LINEAR)
+
+
 def test_cubic_tower_differentiates_only_the_lagrangian(monkeypatch):
-    """The Euler-Lagrange pass records the cubic Lagrangian alone; the
-    quadratic equations it is compared against are built once per context,
-    unrecorded."""
+    """The Euler-Lagrange pass records the cubic Lagrangian alone, once
+    per context, and the homogeneity row reads that recorded Lagrangian;
+    the quadratic equations it is compared against are built once per
+    context, unrecorded."""
     recorded = {"cubic_lagrangian": [], "quadratic_equations": []}
     for name, seen in recorded.items():
         def wrapped(ds, config, _original=getattr(dynamics, name),
@@ -373,7 +397,7 @@ def test_cubic_tower_differentiates_only_the_lagrangian(monkeypatch):
         seed_contexts(VARIANTS["su2-massive"](), [1, 2]), tol=1e-10)
     assert report.passed, report.as_dict()
     assert recorded["quadratic_equations"] == [False, False]
-    assert sorted(recorded["cubic_lagrangian"]) == [False, False, True, True]
+    assert recorded["cubic_lagrangian"] == [True, True]
 
 
 @pytest.mark.parametrize("name", ["linear-massless", "su2-massless",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ymft import forms
 from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, SIGNATURE,
                         WEDGE_TABLE, LieForm, adjoints, epsilon_dual,
                         mark_leaf, promote_form, random_field_config,
@@ -727,3 +728,26 @@ def test_adjoints_sum_over_every_path():
                         tangent_parts(lagrangian(*lifted))])
     assert np.abs(reverse - forward).max() <= 1e-14
     assert np.abs(forward).max() > 0.1
+
+
+def test_coefficients_are_kept_read_only_within_their_bound(monkeypatch):
+    # one read-only array per pairing and sign table, kept for the process
+    rng = np.random.default_rng(91)
+    pairing = rng.uniform(-1, 1, (2, 3, 3))
+    signs = WEDGE_TABLE[(1, 1)]
+    coeffs = forms._coefficients(pairing, signs)
+    assert forms._coefficients(pairing.copy(), signs) is coeffs
+    with pytest.raises(ValueError):
+        coeffs[0, 0, 0] = 1.0
+    # other contents of the same shapes: another entry
+    assert not np.array_equal(forms._coefficients(2 * pairing, signs),
+                              coeffs)
+    # the table drops its oldest entries beyond its bound
+    monkeypatch.setattr(forms, "_COEFFICIENTS", {})
+    monkeypatch.setattr(forms, "COEFFICIENTS_MAX_BYTES", 3 * coeffs.nbytes)
+    tables = [forms._coefficients(pairing + i, signs) for i in range(5)]
+    assert sum(v.nbytes for v in forms._COEFFICIENTS.values()) \
+        <= forms.COEFFICIENTS_MAX_BYTES
+    assert len(forms._COEFFICIENTS) == 3
+    assert forms._coefficients(pairing + 4, signs) is tables[-1]
+    assert forms._coefficients(pairing, signs) is not tables[0]

@@ -462,16 +462,21 @@ def test_matmul_matches_plain_loop_mul(ring):
 
 
 def test_matmul_plans_once_per_flag_pattern():
-    ring = NilpotentExtension(2, 4)
+    # the plans are kept per block table: a second ring with the table of
+    # the first makes no new plan for the flags the first one met
+    ring, other = NilpotentExtension(2, 4), NilpotentExtension(2, 4)
     rng = np.random.default_rng(65)
     a = rng.uniform(-1, 1, (3, 2, ring.width))
     b = rng.uniform(-1, 1, (2, 3, ring.width))
     first = ring.matmul(a, b)
-    plan, = ring._plans.values()
-    # the same flags on other values: the kept plan, no new one
-    assert np.array_equal(ring.matmul(2 * a, b), 2 * first)
-    assert len(ring._plans) == 1
-    assert next(iter(ring._plans.values())) is plan
+    key = ring.live_blocks(a).tobytes() + ring.live_blocks(b).tobytes()
+    plan, count = ring._plans[key], len(ring._plans)
+    # the same flags on other values and another ring: the kept plan
+    assert np.array_equal(other.matmul(2 * a, b), 2 * first)
+    assert other._plans is ring._plans
+    assert len(ring._plans) == count and ring._plans[key] is plan
+    # another block table of as many blocks has plans of its own
+    assert EpsilonTower(2, 4)._plans is not ring._plans
 
 
 def recorded_push(monkeypatch) -> list:

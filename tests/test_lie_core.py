@@ -320,5 +320,6 @@ def test_internal_space_validation():
         lc.InternalSpace(2, np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
         lc.InternalSpace(2, np.zeros((2, 2)))  # degenerate
+    # an indefinite metric is a valid inner product
     indefinite = lc.InternalSpace(2, np.diag([1.0, -1.0]))
-    assert not indefinite.positive_definite
+    assert np.array_equal(indefinite.inverse_metric, np.diag([1.0, -1.0]))
