@@ -347,28 +347,24 @@ def tangent_config(config: FieldConfig, directions) -> FieldConfig:
                        promote_form(config.B, ring, along_b))
 
 
-def directional_lagrangians(variant: TheoryVariant, config: FieldConfig,
-                            directions) -> list:
-    """Exact directional derivatives of the Lagrangian 4-form, one per
-    (dir_a, dir_b) pair, from one pass over a tangent ring."""
-    return tangent_parts(lagrangian_form(variant,
-                                         tangent_config(config, directions)))
-
-
 class SeedContext:
     """One seed's field configuration, with its strengths and field
     equations computed once, on first use, and shared by every check.
 
     ``seed`` and ``amplitude`` are those the fields were drawn with; the
     random gauge parameters of the checks are drawn from them as well.
+    Over a tangent ring, ``base`` is the strengths of the base blocks of
+    the fields, those of the context it was made from (:meth:`tangent`).
     """
 
     def __init__(self, variant: TheoryVariant, config: FieldConfig,
-                 seed: int, amplitude: float):
+                 seed: int, amplitude: float,
+                 base: StrengthPair | None = None):
         self.variant = variant
         self.config = config
         self.seed = seed
         self.amplitude = amplitude
+        self.base = base
 
     def gauge_param(self, offset: int) -> GaugeParam:
         """The random gauge parameter of seed ``seed + offset``."""
@@ -382,7 +378,7 @@ class SeedContext:
         """The solved strengths; only the parity-even variant has them."""
         if self.variant.kind != GENERAL:
             return None
-        return compute_strengths(self.config, self.variant.ds)
+        return compute_strengths(self.config, self.variant.ds, self.base)
 
     @functools.cached_property
     def equations(self):
@@ -401,10 +397,12 @@ class SeedContext:
                            self.config, self.seed, self.amplitude)
 
     def tangent(self, directions) -> "SeedContext":
-        """The context of :func:`tangent_config` along ``directions``."""
+        """The context of :func:`tangent_config` along ``directions``.  Its
+        strengths have this context's in the base block, and their tangent
+        blocks are solved with this context's solver."""
         return SeedContext(self.variant,
                            tangent_config(self.config, directions),
-                           self.seed, self.amplitude)
+                           self.seed, self.amplitude, self.strengths)
 
     def variations(self, gp: GaugeParam) -> Variations:
         """The gauge variation of the fields; ``gp``, on the base ring, is
@@ -442,8 +440,9 @@ def check_gauge_invariance(contexts, tol: float | None = None
         gp = ctx.gauge_param(10_000)
         var = ctx.variations(gp)
         thetas = boundary_theta(ctx.variant, ctx.config, ctx.strengths, gp)
-        d_ls = directional_lagrangians(ctx.variant, ctx.config,
-                                       [var.xi, var.chi])
+        tan = ctx.tangent([var.xi, var.chi])
+        d_ls = tangent_parts(lagrangian_form(tan.variant, tan.config,
+                                             tan.strengths))
         for name, d_l, theta in zip(("gauge-invariance-xi",
                                      "gauge-invariance-chi"), d_ls, thetas):
             _worst(rows, name, (d_l - theta.d()).max_abs())

@@ -48,9 +48,10 @@ refuse a marked form rather than drop it from the record.
 Forms move between the base ring and an extended ring (a nilpotent
 extension or an epsilon tower) through one lift and one read-back:
 :func:`promote_form` puts a base-ring form in the base block and a list of
-tangent forms in the blocks after it, and :func:`tangent_parts` returns
-those blocks of a form as base-ring forms.  Both go through the ring's
-block view, so the block layout is known only to :mod:`ymft.jets`.
+tangent forms in the blocks after it, and :func:`base_part` and
+:func:`tangent_parts` return those blocks of a form as base-ring forms.
+All go through the ring's block view, so the block layout is known only
+to :mod:`ymft.jets`.
 
 The epsilon-contraction duals that appear in component formulations of the
 theories differ from the Hodge dual by a constant per degree (2 on 2-forms,
@@ -383,13 +384,6 @@ class LieForm:
 
     # -- component access --------------------------------------------------
 
-    def tensor_component(self, indices: tuple[int, ...]) -> np.ndarray:
-        """Antisymmetric tensor component T_{mu1..mup} (ring coefficients)."""
-        merged, sign = _sort_sign(indices)
-        if sign == 0:
-            return self.ring.zeros((self.n,))
-        return sign * self.comps[:, COMP_INDEX[self.p][merged]]
-
     def max_abs(self) -> float:
         """Largest coefficient magnitude within the valid jet order."""
         if self.order < 0:
@@ -550,13 +544,6 @@ def scalar_pairing(metric: np.ndarray) -> np.ndarray:
     return np.asarray(metric, dtype=float)[None, :, :]
 
 
-def volume_coefficient(f: LieForm) -> JetScalar:
-    """Coefficient of dx^0^dx^1^dx^2^dx^3 of a real-valued 4-form."""
-    if f.p != NVARS or f.n != 1:
-        raise ValueError("expected a real-valued 4-form")
-    return f.scalar(0, 0)
-
-
 def random_field_config(seed: int, amplitude: float, degree: int,
                         dim_a: int, dim_b: int):
     """Reproducible random (A, B) pair: degree-1 and degree-2 forms.
@@ -601,11 +588,20 @@ def promote_form(f: LieForm, ring, tangents=()) -> LieForm:
     return LieForm(ring, f.p, comps, order)
 
 
+def _block_form(f: LieForm, i: int) -> LieForm:
+    """Block i of a form over an extended ring, as a base-ring form."""
+    return LieForm(JetRing(f.ring.degree), f.p,
+                   f.ring.block(f.comps, i).copy(), f.order)
+
+
+def base_part(f: LieForm) -> LieForm:
+    """The base block of a form over an extended ring, as a base-ring
+    form: the value of a nilpotent extension or an epsilon tower."""
+    return _block_form(f, 0)
+
+
 def tangent_parts(f: LieForm) -> list:
     """The blocks after the base block of a form over an extended ring, as
     base-ring forms: the k directional derivatives of a nilpotent
     extension, the eps^1 .. eps^k parts of an epsilon tower."""
-    ring = f.ring
-    base = JetRing(ring.degree)
-    return [LieForm(base, f.p, ring.block(f.comps, i).copy(), f.order)
-            for i in range(1, ring.blocks)]
+    return [_block_form(f, i) for i in range(1, f.ring.blocks)]

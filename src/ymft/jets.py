@@ -54,21 +54,27 @@ prefix; its higher coefficients are exact 0.0, and below order 0 the
 product is exact zeros and runs nothing (Taylor arithmetic that
 propagates only the degrees it needs, ibid.).
 
-On an extended ring ``matmul``, ``solve`` and ``bilinear`` run one
-planned block product: per pattern of live flags, a plan lists the left
-blocks used and, per live right block, the left blocks that meet it, and
-one loop runs one jet-matrix product per live right block, its rows
-stacking those left blocks.  Only block pairs whose two blocks are flagged
-live are multiplied; every other block stays exactly zero (sparse
-vector-mode forward propagation, ibid., ch. 7).  The flags are one vector
-per factor, the blocks nonzero somewhere in the batch unless the caller
-passes them: the form layer keeps one per form and derives it from the
-operations that built the form, and Y keeps those of its wedges, so the
-work does not follow roundoff.  The plans and the solve order are kept
-per block table, once per process, and shared by every ring with that
-table: a symbolic analysis done once for many numeric products, as in
-sparse direct methods (Duff, Erisman & Reid, *Direct Methods for Sparse
-Matrices*).
+On an extended ring ``matmul`` and ``bilinear`` run one planned block
+product: per pattern of live flags, a plan lists the left blocks used and,
+per live right block, the left blocks that meet it, and one loop runs one
+jet-matrix product per live right block, its rows stacking those left
+blocks.  Only block pairs whose two blocks are flagged live are
+multiplied; every other block stays exactly zero (sparse vector-mode
+forward propagation, ibid., ch. 7).  The flags are one vector per factor,
+the blocks nonzero somewhere in the batch unless the caller passes them:
+the form layer keeps one per form and derives it from the operations that
+built the form, so the work does not follow roundoff.  The plans and the
+solve order are kept per block table, once per process, and shared by
+every ring with that table: a symbolic analysis done once for many
+numeric products, as in sparse direct methods (Duff, Erisman & Reid,
+*Direct Methods for Sparse Matrices*).
+
+``solve`` takes the matrix only on the base ring.  It solves one wave of
+blocks at a time with the base block's graded solve, and the product of
+the matrix's other blocks with the solved waves comes from its caller, a
+coupling callable (forward mode through a linear solve, ibid., ch. 15).
+The strength solve of :mod:`ymft.strengths` passes wedges of the fields'
+tangent blocks, so no jet matrix over an extended ring is formed.
 """
 
 from __future__ import annotations
@@ -338,11 +344,10 @@ class JetRing:
     Derivatives, truncation masks, the constant part, block access and the
     lift :meth:`promote` all act through that view, so an extended ring
     defines only its block count and its nonzero block products
-    (``block_pairs``).  The plans of the block product (:meth:`_plan`), the
-    one loop that runs them (:meth:`_products`) and the solve order
-    (``waves``) follow from that table here too.  ``JetRing`` itself is
-    the one-block case, whose ``bilinear`` and ``matmul`` are one
-    jet-matrix product with no plan.
+    (``block_pairs``).  The solve order (``waves``) follows from that table
+    here too, and so does the graded solve by waves (:meth:`solve`).
+    ``JetRing`` itself is the one-block case, whose ``bilinear`` and
+    ``matmul`` are one jet-matrix product with no plan.
     """
 
     blocks = 1  # blocks per value, the base block first
@@ -406,94 +411,67 @@ class JetRing:
                            y[:, None], order)[:, 0]
 
     def solve(self, y: np.ndarray, y0_inv: np.ndarray, r: np.ndarray,
-              live=None, order=None) -> np.ndarray:
-        """Solve y x = r for y (size, size, w) and r (size, w) or (size, M,
-        w), given the inverse ``y0_inv`` of y's constant block; ``live``
-        is y's (blocks,) flags (by default every block).  x is valid to
+              coupling=None, order=None, known=None) -> np.ndarray:
+        """Solve Y x = r for r (size, w) or (size, M, w) over this ring,
+        given Y's base block y, a (size, size, base width) jet matrix, and
+        the inverse ``y0_inv`` of its constant block.  x is valid to
         ``order`` (:meth:`_truncation`): the solve reads the coefficients
         of degree <= order of y and r, and x is exact 0.0 above it.
 
-        Right-looking, one degree level of the jet at a time
-        (column-oriented forward substitution, Golub & Van Loan, *Matrix
-        Computations*, 3.1): x_L = y0_inv r_L for all monomials of level L
-        at once, then y_i x_L for every i != 0 with |i| <= order - L, one
+        Y's other blocks enter only through ``coupling(x, live, order)``:
+        their product with x (size, M, w), valid to ``order``, for an x
+        that is zero outside the blocks flagged in ``live``, (blocks,)
+        booleans.  None stands for blocks that are all zero.  ``known``,
+        (size, base width) or (size, M, base width), is x's base block when
+        the caller has it; the first wave is then not solved again.
+
+        Each wave of blocks (:attr:`waves`) is solved right-looking, one
+        degree level of the jet at a time (column-oriented forward
+        substitution, Golub & Van Loan, *Matrix Computations*, 3.1):
+        x_L = y0_inv r_L for all monomials of level L at once, then y_t x_L
+        for every monomial t != 0 of y with |t| <= order - L, one
         :meth:`JetAlgebra.push`, leaves the pending right-hand sides of the
-        higher levels.  The blocks of one wave (:attr:`waves`) are extra
-        columns of that solve; the solved wave is then pushed into every
-        later block through y's live blocks i != 0, by the plan of those
-        pairs.
+        higher levels.  The blocks of a wave are extra columns of that
+        solve.  The coupling of the solved wave then leaves those of the
+        later blocks: block o solves y x_o = r_o - sum Y_i x_j over the
+        block pairs (i, j, o) with i != 0, forward mode through a linear
+        solve (Griewank & Walther, *Evaluating Derivatives*, ch. 15).
         """
         size = len(y0_inv)
         alg, n = self._truncation(order)
         out = np.zeros(r.shape)
         if not alg:
             return out
-        bounds = alg.level_bounds
+        order, bounds = alg.degree, alg.level_bounds
         # r as (size, n, blocks, cols), the kernel's layout, solved in place
         z = self.block_view(r.reshape(size, -1, self.width))[..., :n] \
             .transpose(0, 3, 2, 1).copy()
-        blocks = self.block_view(y)[..., :n].transpose(3, 2, 0, 1)
-        base = np.ascontiguousarray(blocks[:, 0])
-        lx = np.ones(self.blocks, dtype=bool) if live is None else live.copy()
-        lx[0] = False
+        if known is not None:
+            z[:, :, 0] = known.reshape(size, -1, self.base_width)[..., :n] \
+                .transpose(0, 2, 1)
+        base = np.ascontiguousarray(y[..., :n].transpose(2, 0, 1))
         for wave in self.waves:
             zw = z[:, :, wave]
-            for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                x = y0_inv @ zw[:, lo:hi].reshape(size, -1)
-                zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
-                if hi < n:
-                    zw[:, hi:] -= alg.push(
-                        base, x.reshape(size, hi - lo, -1), level,
-                        constant=False).reshape(zw[:, hi:].shape)
-            if wave.stop < self.blocks:
-                ly = np.zeros(self.blocks, dtype=bool)
-                ly[wave] = True
-                used, steps, _ = self._plan(lx, ly)
-                mats = np.ascontiguousarray(blocks[:, used])
-                for outs, prod in self._products(alg, steps, mats,
-                                                 z.transpose(2, 0, 3, 1)):
-                    z[:, :, outs] -= prod.transpose(1, 3, 0, 2)
+            if known is None or wave.start:
+                for level, (lo, hi) in enumerate(zip(bounds[:-1],
+                                                     bounds[1:])):
+                    x = y0_inv @ zw[:, lo:hi].reshape(size, -1)
+                    zw[:, lo:hi] = x.reshape(zw[:, lo:hi].shape)
+                    if hi < n:
+                        zw[:, hi:] -= alg.push(
+                            base, x.reshape(size, hi - lo, -1), level,
+                            constant=False).reshape(zw[:, hi:].shape)
+            if coupling is not None and wave.stop < self.blocks:
+                live = np.zeros(self.blocks, dtype=bool)
+                live[wave] = True
+                x = np.zeros((size, z.shape[3], self.width))
+                self.block_view(x)[:, :, wave, :n] = zw.transpose(0, 3, 2, 1)
+                prod = self.block_view(coupling(x, live, order))
+                z[:, :, wave.stop:] -= \
+                    prod[:, :, wave.stop:, :n].transpose(0, 3, 2, 1)
         self.block_view(out.reshape(size, -1, self.width))[..., :n] = \
             z.transpose(0, 3, 2, 1)
         return out
-
-    def _plan(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
-        """The block product of factors with live flags lx and ly, as (the
-        left blocks used, the steps, the live flags of the product).  A
-        step is (j, at, outs) for each live right block j: the places among
-        the used blocks of the left blocks that meet it, and their output
-        blocks.  Block sets that are runs are slices.  Kept per block
-        table and pattern of flags, for every ring with that table (a
-        pipeline makes many rings but repeats few patterns), so each plan's
-        index work is done once per process."""
-        key = lx.tobytes() + ly.tobytes()
-        plan = self._plans.get(key)
-        if plan is None:
-            keep = lx[self._left] & ly[self._right]
-            left, right, outs = (self._left[keep], self._right[keep],
-                                 self._out[keep])
-            used = np.unique(left)
-            steps = [(j, _as_run(np.searchsorted(used, left[right == j])),
-                      outs[right == j]) for j in np.unique(right)]
-            live = np.zeros(self.blocks, dtype=bool)
-            live[outs] = True
-            plan = self._plans[key] = (_as_run(used), steps, live)
-        return plan
-
-    def _products(self, alg: JetAlgebra, steps, mats: np.ndarray,
-                  right: np.ndarray):
-        """Run the steps of a plan on the coefficient prefixes of
-        ``alg``'s degree: per live right block j, one
-        :meth:`JetAlgebra.matmul_coeffs` of ``right[j]`` (K, M, n) by the
-        jet matrices ``mats[:, at]`` (n, used, N, K) of the left blocks
-        that meet it, stacked as rows.  Yields each step's output blocks
-        and its (outputs, N, M, n) products."""
-        n, _, rows, inner = mats.shape
-        for j, at, outs in steps:
-            prod = alg.matmul_coeffs(
-                mats[:, at].reshape(n, -1, inner).transpose(1, 2, 0),
-                right[j])
-            yield outs, prod.reshape((len(outs), rows) + prod.shape[1:])
 
     def block_view(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (..., blocks, base_width), as a view: writes to
@@ -539,7 +517,8 @@ class ExtendedRing(JetRing):
     A subclass sets its block count and ``block_pairs``, the table of
     nonzero block products (i, j, o): block i of one factor times block j
     of the other adds to block o of the product.  That table alone drives
-    the rules here, through the plans of :class:`JetRing`:
+    the rules here, through the plans of the block product
+    (:meth:`_plan`) and the one loop that runs them (:meth:`_products`):
     :meth:`bilinear`, :meth:`matmul` and :meth:`live_product`.
 
     Each factor carries one (blocks,) vector of live flags, the blocks that
@@ -596,6 +575,44 @@ class ExtendedRing(JetRing):
         right = np.moveaxis(self.block_view(b)[..., :n], -2, 0)
         for outs, prod in self._products(alg, steps, mats, right):
             self.block_view(out)[:, :, outs, :n] += prod.transpose(1, 2, 0, 3)
+
+    def _plan(self, lx: np.ndarray, ly: np.ndarray) -> tuple:
+        """The block product of factors with live flags lx and ly, as (the
+        left blocks used, the steps, the live flags of the product).  A
+        step is (j, at, outs) for each live right block j: the places among
+        the used blocks of the left blocks that meet it, and their output
+        blocks.  Block sets that are runs are slices.  Kept per block
+        table and pattern of flags, for every ring with that table (a
+        pipeline makes many rings but repeats few patterns), so each plan's
+        index work is done once per process."""
+        key = lx.tobytes() + ly.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            keep = lx[self._left] & ly[self._right]
+            left, right, outs = (self._left[keep], self._right[keep],
+                                 self._out[keep])
+            used = np.unique(left)
+            steps = [(j, _as_run(np.searchsorted(used, left[right == j])),
+                      outs[right == j]) for j in np.unique(right)]
+            live = np.zeros(self.blocks, dtype=bool)
+            live[outs] = True
+            plan = self._plans[key] = (_as_run(used), steps, live)
+        return plan
+
+    def _products(self, alg: JetAlgebra, steps, mats: np.ndarray,
+                  right: np.ndarray):
+        """Run the steps of a plan on the coefficient prefixes of
+        ``alg``'s degree: per live right block j, one
+        :meth:`JetAlgebra.matmul_coeffs` of ``right[j]`` (K, M, n) by the
+        jet matrices ``mats[:, at]`` (n, used, N, K) of the left blocks
+        that meet it, stacked as rows.  Yields each step's output blocks
+        and its (outputs, N, M, n) products."""
+        n, _, rows, inner = mats.shape
+        for j, at, outs in steps:
+            prod = alg.matmul_coeffs(
+                mats[:, at].reshape(n, -1, inner).transpose(1, 2, 0),
+                right[j])
+            yield outs, prod.reshape((len(outs), rows) + prod.shape[1:])
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (blocks,) booleans: the blocks, value first, that

@@ -171,12 +171,6 @@ class MassTensor:
     def is_zero(self) -> bool:
         return not self.m.any()
 
-    def consistency_residual(self) -> float:
-        """Index raising check: both maps reproduce m against the metrics."""
-        r1 = self.space_b.inner_product @ self.map_a - self.m.T
-        r2 = self.space_a.inner_product @ self.map_b - self.m
-        return float(max(np.abs(r1).max(), np.abs(r2).max()))
-
 
 @dataclass(frozen=True)
 class SubspaceSplit:

@@ -56,9 +56,6 @@ class StressEnergy:
     def symmetry_residual(self) -> float:
         return float(np.abs(self.values - self.values.swapaxes(0, 1)).max())
 
-    def values_at_origin(self) -> np.ndarray:
-        return self.values[..., 0]
-
 
 def stress_energy(strengths, ga: np.ndarray, gb: np.ndarray) -> StressEnergy:
     """T_{mu nu} from the dual strengths and the two inner products.

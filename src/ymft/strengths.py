@@ -11,21 +11,31 @@ A'-valued 3-form) pair into a vector of length 6n + 4n' turns the left side
 into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
 
 Y - 1 is three wedges of the dualised unknown, -(c_2 *P) ^ A, -(c_3 *Q) ^ A
-and -(c_3 *Q) ^ B.  Each coupling block is the jet matrix of one of them
-(:func:`ymft.forms.wedge_matrix`, no jet products, every ring), with its
-columns taken through the Hodge dual of the unknown's components; over an
-extended ring, Y's live blocks follow from those of A and B.  Y is never
-inverted: the inverse Y0^{-1} of its constant block is formed once, and
-the ring solves Y x = r right-looking, one degree level of the jet and one
-wave of blocks at a time (:meth:`ymft.jets.JetRing.solve`), up to the
-valid order of r = (F, H), so this module knows nothing of the ring's
-blocks or its kernel.  Invertibility of the constant block is exactly the
-det(Y) != 0 restriction on admissible field configurations.
+and -(c_3 *Q) ^ B (:func:`_y_blocks`).  On the base ring each coupling
+block is the jet matrix of one of them (:func:`ymft.forms.wedge_matrix`,
+no jet products), with its columns taken through the Hodge dual of the
+unknown's components.  Y is never inverted: the inverse Y0^{-1} of its
+constant block is formed once, and the ring solves Y x = r right-looking,
+one degree level of the jet at a time (:meth:`ymft.jets.JetRing.solve`),
+up to the valid order of r = (F, H).  Invertibility of the constant block
+is exactly the det(Y) != 0 restriction on admissible field configurations.
+
+Y is assembled, gated and inverted on the base ring only.  It is affine in
+the fields, so over an extended ring (a tangent ring of the identity
+checks) block i of Y is the same three wedges with block i of A and B,
+and the solve needs it only as the product Y_i x_j with solved blocks of
+x: x_0 is the base solution and each later
+wave of blocks solves with the base solver against r minus those products,
+forward mode through a linear solve (Griewank & Walther, *Evaluating
+Derivatives*, ch. 15).  The products are wedges of the tangent fields with
+the dual of x, so no jet matrix over an extended ring is formed.  The base
+solution and its solver come from the strengths of the base blocks of the
+fields, those of the seed when the caller has them.
 
 On marked fields (see :mod:`ymft.forms`) the solve is one recorded node of
-the reverse sweep: its adjoint solves with the transpose of Y, then adds
-per coupling block the adjoint of the wedge's right factor, A or B
-(:func:`ymft.forms.wedge_adjoint`).
+the reverse sweep, on the base ring: its adjoint solves with the transpose
+of Y, then adds per coupling block the adjoint of the wedge's right
+factor, A or B (:func:`ymft.forms.wedge_adjoint`).
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ import numpy as np
 
 from .deformations import DeformationSet
 from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
-                    Node, epsilon_dual, wedge_adjoint, wedge_matrix)
+                    Node, base_part, epsilon_dual, wedge_adjoint,
+                    wedge_matrix)
 
 
 class SingularYError(RuntimeError):
@@ -134,17 +145,13 @@ class YOperator:
 
     Row/column layout: P-block first (internal index major, then the six
     ordered 2-form components), Q-block after (four 3-form components).
-    ``live`` holds, over an extended ring, the (blocks,) flags of the blocks
-    that may be nonzero (None: every block).
     """
 
-    def __init__(self, ring, dim_a: int, dim_b: int, matrix: np.ndarray,
-                 live: np.ndarray | None = None):
+    def __init__(self, ring, dim_a: int, dim_b: int, matrix: np.ndarray):
         self.ring = ring
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.matrix = matrix
-        self.live = live
         self.size = dim_a * len(COMPS[2]) + dim_b * len(COMPS[3])
 
     def constant_block(self) -> np.ndarray:
@@ -184,12 +191,15 @@ def stack_pair(p_form: LieForm, q_form: LieForm) -> np.ndarray:
                            q_form.comps.reshape(-1, q_form.ring.width)])
 
 
-def unstack_pair(ring, dim_a: int, dim_b: int, vec: np.ndarray, order: int):
+def unstack_pair(ring, dim_a: int, dim_b: int, vec: np.ndarray, order: int,
+                 live: np.ndarray | None = None):
+    """The (P, Q) pair of a stacked vector, with live flags ``live`` over
+    an extended ring (by default, read off the values)."""
     n_p = dim_a * len(COMPS[2])
     p_form = LieForm(ring, 2, vec[:n_p].reshape(dim_a, len(COMPS[2]), -1),
-                     order)
+                     order, live)
     q_form = LieForm(ring, 3, vec[n_p:].reshape(dim_b, len(COMPS[3]), -1),
-                     order)
+                     order, live)
     return p_form, q_form
 
 
@@ -212,63 +222,90 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is the jet
     matrix of the wedge with A or B on (4 - p)-forms, whose column for
     *dx^I, times -c_p and the sign of the Hodge dual, is that for dx^I.
-    Over an extended ring, Y's live flags follow from the operations: block
-    0, the identity's, and every block where a wedge's field is live and
-    its pairing is nonzero.
+
+    The solvers use it on the base ring only (:func:`invert_Y`): over an
+    extended ring Y is never formed, and the solve reads its blocks after
+    the base block as wedges (:func:`_coupling`).  The assembly itself
+    works on every ring, the oracle of that solve.
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
     matrix = ring.const(np.eye(n * len(COMPS[2]) + m * len(COMPS[3])))
-    live = None if config.A.live is None else np.arange(ring.blocks) == 0
     for rows, cols, p, field, pairing in _y_blocks(ds):
         dual, sign = np.array(HODGE_TABLE[p]).T
         right = getattr(config, field)
-        if live is not None:
-            live |= right.live & pairing.any()
         wedge = wedge_matrix(4 - p, right, pairing)
         # the columns (a, i) as a and the p-component i
         block = matrix[rows, cols].reshape(len(wedge), -1, len(COMPS[p]),
                                            ring.width)
         block -= (wedge.reshape(block.shape)[:, :, dual.astype(int)]
                   * (CONVENTION.epsilon_dual_constants[p] * sign[:, None]))
-    return YOperator(ring, n, m, matrix, live)
+    return YOperator(ring, n, m, matrix)
 
 
 def invert_Y(yop: YOperator) -> "YInverse":
-    """Gate Y on its constant block and return the graded solver for Y."""
+    """Gate Y, over the base ring, on its constant block and return the
+    graded solver for Y."""
+    if yop.ring.blocks != 1:
+        raise ValueError("invert_Y takes Y over the base ring; over an "
+                         "extended ring the strengths solve from the base "
+                         "solver (compute_strengths)")
+    # the gate is the determinant of the unit-normalized block, from the
+    # singular values s of Y0 alone: |det(Y0 / ||Y0||_2)| = prod(s / s_max)
+    # (Golub & Van Loan, 2.4), which rejects both near-singular and badly
+    # scaled constant parts.  Y0^{-1} comes from LU, not from the SVD's
+    # vectors: V diag(1/s) U^T costs more and leaves Y0 Y0^{-1} - 1 ten
+    # times larger (3e-15 against 3e-16 on the mixed family)
     y0 = yop.constant_block()
-    # determinant test on the unit-normalized block: |det(Y0 / ||Y0||)|,
-    # which rejects both near-singular and badly scaled constant parts
-    scale = np.linalg.norm(y0, 2)
-    det = np.linalg.det(y0 / scale) if scale > 0 else 0.0
-    if abs(det) <= DET_THRESHOLD:
+    s = np.linalg.svd(y0, compute_uv=False)
+    det = np.prod(s / s[0]) if s[0] > 0 else 0.0
+    if det <= DET_THRESHOLD:
         raise SingularYError(
             f"constant block of Y is singular (normalized |det| = "
-            f"{abs(det):.3e}); reduce the field amplitude")
+            f"{det:.3e}); reduce the field amplitude")
     return YInverse(yop, np.linalg.inv(y0))
 
 
 class YInverse:
     """Solves Y x = r order by order (:meth:`ymft.jets.JetRing.solve`);
-    Y^{-1} itself is never formed.  A solver holds Y and Y0^{-1}."""
+    Y^{-1} itself is never formed.
 
-    def __init__(self, yop: YOperator, y0_inv: np.ndarray):
+    A solver holds Y over the base ring and Y0^{-1}.  Over an extended ring
+    (:meth:`over`) Y is that base solver plus ``coupling``, the product of
+    Y's blocks after the base block with solved blocks of x, taken from
+    the fields rather than from a matrix (:func:`_coupling`).
+    """
+
+    def __init__(self, yop: YOperator, y0_inv: np.ndarray, ring=None,
+                 coupling=None):
         self.yop = yop
         self.y0_inv = y0_inv
+        self.ring = yop.ring if ring is None else ring
+        self.coupling = coupling
+
+    def over(self, ring, coupling) -> "YInverse":
+        """The solver over ``ring`` of the Y whose base block is this
+        solver's and whose other blocks act by ``coupling``."""
+        return YInverse(self.yop, self.y0_inv, ring, coupling)
 
     def transpose(self) -> "YInverse":
         """The solver of Y^T, whose constant block has the inverse
-        ``y0_inv.T``."""
+        ``y0_inv.T``; base-ring solvers only (the reverse sweep runs on the
+        base ring)."""
+        if self.ring.blocks != 1:
+            raise ValueError("only a base-ring solver has a transpose")
         yop = self.yop
         return YInverse(YOperator(yop.ring, yop.dim_a, yop.dim_b,
-                                  yop.matrix.transpose(1, 0, 2), yop.live),
+                                  yop.matrix.transpose(1, 0, 2)),
                         self.y0_inv.T)
 
-    def apply(self, r: np.ndarray, order: int | None = None) -> np.ndarray:
+    def apply(self, r: np.ndarray, order: int | None = None,
+              known: np.ndarray | None = None) -> np.ndarray:
         """Solve Y x = r for r of shape (size, w) or (size, M, w), x valid
-        to ``order`` (by default the ring degree) and exact 0.0 above."""
-        yop = self.yop
-        return yop.ring.solve(yop.matrix, self.y0_inv, r, yop.live, order)
+        to ``order`` (by default the ring degree) and exact 0.0 above;
+        ``known`` is x's base block, when the caller has it."""
+        return self.ring.solve(self.yop.matrix, self.y0_inv, r,
+                               self.coupling, order, known)
 
 
 @dataclass
@@ -292,8 +329,8 @@ class StrengthPair:
         return max(lhs_p.max_abs(), lhs_q.max_abs())
 
 
-def compute_strengths(config: FieldConfig, ds: DeformationSet
-                      ) -> StrengthPair:
+def compute_strengths(config: FieldConfig, ds: DeformationSet,
+                      base: StrengthPair | None = None) -> StrengthPair:
     """Solve the implicit strength definitions for (P, Q).
 
     The 3-form strength on the right-hand side is the plain curl dB at
@@ -301,8 +338,13 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet
     consistent choice for the built-in families (the mass-j link forces
     j = 0 at zero mass).  dA and dB are the derivative slots of
     ``config``.
+
+    Over an extended ring, ``base`` is the strengths of the base blocks of
+    the fields (by default solved here from them): their P and Q are the
+    base block of the result, and the tangent blocks are solved with their
+    solver (see :class:`YInverse`).
     """
-    return _strengths(config, ds, None)
+    return _strengths(config, ds, None, base)
 
 
 def recorded_strengths(config: FieldConfig, ds: DeformationSet,
@@ -313,17 +355,24 @@ def recorded_strengths(config: FieldConfig, ds: DeformationSet,
 
 
 def _strengths(config: FieldConfig, ds: DeformationSet,
-               solved: StrengthPair | None) -> StrengthPair:
+               solved: StrengthPair | None,
+               base: StrengthPair | None = None) -> StrengthPair:
     f_form = config.dA + config.A.wedge(config.A, ds.a).scale(0.5)
     h_form = config.dB
     if not ds.mass.is_zero():
         h_form = h_form + config.A.wedge(config.B, ds.j)
     order = min(f_form.order, h_form.order)
-    if solved is None:
+    if solved is not None:
+        yinv, vec = solved.y_inv, stack_pair(solved.P, solved.Q)
+    elif config.ring.blocks == 1:
         yinv = invert_Y(assemble_Y(config, ds))
         vec = yinv.apply(stack_pair(f_form, h_form), order)
     else:
-        yinv, vec = solved.y_inv, stack_pair(solved.P, solved.Q)
+        if base is None:
+            base = _strengths(base_fields(config), ds, None)
+        yinv = base.y_inv.over(config.ring, _coupling(config, ds))
+        vec = yinv.apply(stack_pair(f_form, h_form), order,
+                         stack_pair(base.P, base.Q))
     p_form, q_form = unstack_pair(config.ring, ds.space_a.dim,
                                   ds.space_b.dim, vec, order)
     _record_solve(config, ds, f_form, h_form, yinv, vec, p_form, q_form)
@@ -332,12 +381,59 @@ def _strengths(config: FieldConfig, ds: DeformationSet,
                         f_form, h_form, yinv)
 
 
+def base_fields(config: FieldConfig) -> FieldConfig:
+    """The base blocks of the fields and derivative slots of ``config``,
+    over the base ring."""
+    out = FieldConfig(base_part(config.A), base_part(config.B))
+    out.dA, out.dB = base_part(config.dA), base_part(config.dB)
+    return out
+
+
+def _coupling(config: FieldConfig, ds: DeformationSet):
+    """Y's blocks after the base block, over the extended ring of
+    ``config``, as the coupling of :meth:`ymft.jets.JetRing.solve`.
+
+    Y is affine in the fields, so those blocks are the wedges of
+    :func:`_y_blocks` with the tangent parts of the fields alone, A and B
+    with the base block zeroed and flagged dead: per column of x, the
+    product is -(c_p *x[cols]) ^ t in the rows of the block, for t the
+    tangent part of its field.  t is the left factor, (-1)^(pq) t ^ (c_p
+    *x[cols]) with the swapped pairing, so that the block product runs one
+    step per solved block of x, not one per tangent block of the field.
+    """
+    ring = config.ring
+    tangent = {}
+    for name in "AB":
+        field = getattr(config, name)
+        comps = field.comps.copy()
+        ring.block_view(comps)[..., 0, :] = 0.0
+        tangent[name] = LieForm(ring, field.p, comps, field.order,
+                                field.live & (np.arange(ring.blocks) > 0))
+    terms = [(rows, p, tangent[name], pairing.transpose(0, 2, 1)
+              * (-1.0) ** ((4 - p) * tangent[name].p))
+             for rows, _, p, name, pairing in _y_blocks(ds)]
+
+    def coupling(x: np.ndarray, live: np.ndarray, order: int) -> np.ndarray:
+        out = np.zeros(x.shape)
+        for col in range(x.shape[1]):
+            duals = {f.p: epsilon_dual(f) for f in unstack_pair(
+                ring, ds.space_a.dim, ds.space_b.dim, x[:, col], order,
+                live)}
+            for rows, p, field, swap in terms:
+                out[rows, col] -= field.wedge(duals[p], swap).comps.reshape(
+                    -1, ring.width)
+        return out
+
+    return coupling
+
+
 def _record_solve(config: FieldConfig, ds: DeformationSet, f_form: LieForm,
                   h_form: LieForm, yinv: YInverse, x: np.ndarray,
                   p_form: LieForm, q_form: LieForm) -> None:
     """Record the solve x = Y(A, B)^{-1} r, r = (F, H), as one node and
     give P and Q the nodes of their rows of x; nothing when none of A, B,
-    F, H is recorded.
+    F, H is recorded.  Marked fields live on the base ring, where ``yinv``
+    is Y's own solver.
 
     With the adjoint x_bar of x: r_bar = Y^{-T} x_bar (the solver of the
     transpose) and Y_bar = -r_bar x^T.  A block of Y - 1 is the wedge

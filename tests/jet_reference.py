@@ -1,5 +1,6 @@
 """The reference jet product that the kernel of :mod:`ymft.jets` is tested
-against.
+against, and the coupling by which a jet matrix over an extended ring
+enters the graded solve.
 
 It is built from the monomial exponents and a ring's block products
 (``block_pairs``) alone, so it shares nothing with ``JetAlgebra.push``:
@@ -42,3 +43,12 @@ def ref_mul(ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             xs[..., bi, :].take(i, axis=-1) * ys[..., bj, :].take(j, axis=-1),
             starts, axis=-1)
     return out.reshape(out.shape[:-2] + (ring.width,))
+
+
+def matrix_coupling(ring, y: np.ndarray):
+    """The coupling of :meth:`ymft.jets.JetRing.solve` for a jet matrix y
+    (size, size, ring.width): the product of y's blocks after the base
+    block with x, by ``ring.matmul``."""
+    rest = y.copy()
+    ring.block_view(rest)[..., 0, :] = 0.0
+    return lambda x, live, order: ring.matmul(rest, x, order=order)

@@ -17,14 +17,16 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, LINEAR,
                            check_noether_identities,
                            check_strength_identities,
                            check_strength_transformation,
-                           directional_lagrangians, field_equations,
+                           field_equations,
                            gauge_commutators, gauge_variation,
                            generic_field_equations, lagrangian_form,
                            run_identity_suite, seed_contexts,
-                           variant_e_only, variant_general, variant_linear)
-from ymft.forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, promote_form,
+                           tangent_config, variant_e_only, variant_general,
+                           variant_linear)
+from ymft.forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, base_part,
+                        promote_form,
                         random_field_config, random_gauge_params,
-                        tangent_parts, volume_coefficient)
+                        tangent_parts)
 from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
                        NilpotentExtension)
 from ymft.lie_core import InternalSpace
@@ -32,6 +34,7 @@ from ymft.strengths import (FieldConfig, b_transpose_pairing, block_metric,
                             compute_strengths, stack_pair)
 
 from jet_reference import ref_mul
+from test_forms import tensor_component, volume_coefficient
 
 RING = JetRing(3)
 CMAP = np.array([[0.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
@@ -52,6 +55,14 @@ VARIANTS = {
         family_solvable([1, 0, 0], [0, 0, 1], CMAP)),
     "e-only": lambda: variant_e_only(family_e_only(sym_e())),
 }
+
+
+def directional_lagrangians(variant, config, directions) -> list:
+    """Exact directional derivatives of the Lagrangian 4-form, one per
+    (dir_a, dir_b) pair, from one pass over a tangent ring whose strengths
+    are solved afresh (no base strengths handed down)."""
+    return tangent_parts(lagrangian_form(variant,
+                                         tangent_config(config, directions)))
 
 
 def lagrangian(variant, config, strengths=None) -> JetScalar:
@@ -118,7 +129,7 @@ def test_linear_lagrangian_component_oracle():
     for a in range(3):
         for mu in range(4):
             for nu in range(4):
-                f_t[(a, mu, nu)] = a_form.d().tensor_component((mu, nu))[a]
+                f_t[(a, mu, nu)] = tensor_component(a_form.d(), (mu, nu))[a]
     eta_inv = np.diag([-1.0, 1, 1, 1])
     # (1/2) F ^ *F = (1/4) F_{mn} F^{mn} vol
     oracle = np.zeros(RING.width)
@@ -489,6 +500,57 @@ def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
     out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1, 2])
     assert all(rep.passed for rep in out["reports"].values())
     assert len(base_solves) == 2
+
+
+def test_suite_assembles_and_inverts_y_on_the_base_ring_only(monkeypatch):
+    # per seed, Y is built and inverted twice, both times on the base ring:
+    # for the seed's fields and for the zero fields under the
+    # linearization's tangent ring; every other tangent ring solves from
+    # the seed's solver
+    built, inverted = [], []
+    assemble, invert = strengths_module.assemble_Y, strengths_module.invert_Y
+
+    def assemble_recorded(config, ds):
+        built.append((type(config.ring), bool(config.A.comps.any())))
+        return assemble(config, ds)
+
+    def invert_recorded(yop):
+        inverted.append(type(yop.ring))
+        return invert(yop)
+
+    monkeypatch.setattr(strengths_module, "assemble_Y", assemble_recorded)
+    monkeypatch.setattr(strengths_module, "invert_Y", invert_recorded)
+    out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1, 2])
+    assert all(rep.passed for rep in out["reports"].values())
+    assert [ring for ring, _ in built] == inverted == [JetRing] * 4
+    assert sorted(nonzero for _, nonzero in built) == [False, False, True,
+                                                        True]
+
+
+@pytest.mark.parametrize("name", ["su2-massive", "su2-massless", "solvable"])
+def test_tangent_strengths_start_from_the_seed(name):
+    # a tangent context's strengths have the seed's P and Q as their base
+    # block, bit for bit within their valid order (the directions, d xi
+    # among them, may lower it) and exact zeros above, and the seed's
+    # solver; their tangent blocks are those of a solve that starts from
+    # the base blocks of the fields
+    v = VARIANTS[name]()
+    ctx, = seed_contexts(v, [3], 4)
+    var = ctx.variations(ctx.gauge_param(77))
+    tan = ctx.tangent([var.xi, var.chi])
+    seed, handed = ctx.strengths, tan.strengths
+    fresh = compute_strengths(tan.config, v.ds)
+    assert handed.y_inv.yop is seed.y_inv.yop
+    for form, base, ref in ((handed.P, seed.P, fresh.P),
+                            (handed.Q, seed.Q, fresh.Q)):
+        valid = base.ring.mask_up_to(form.order)
+        block = base_part(form).comps
+        assert np.array_equal(block[..., valid], base.comps[..., valid])
+        assert not block[..., ~valid].any()
+        for part, ref_part in zip(tangent_parts(form), tangent_parts(ref)):
+            assert ref_part.max_abs() > 0
+            assert np.abs(part.comps - ref_part.comps).max() \
+                <= 1e-14 * np.abs(ref_part.comps).max()
 
 
 def test_rich_general_family_suite():

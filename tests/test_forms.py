@@ -9,9 +9,9 @@ from ymft import forms
 from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, SIGNATURE,
                         WEDGE_TABLE, LieForm, adjoints, epsilon_dual,
                         mark_leaf, promote_form, random_field_config,
-                        scalar_pairing, tangent_parts, volume_coefficient)
-from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, NilpotentExtension,
-                       jet_algebra)
+                        scalar_pairing, tangent_parts)
+from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
+                       NilpotentExtension, jet_algebra)
 from ymft.lie_core import levi_civita3
 from ymft.strengths import apply_linear
 
@@ -19,6 +19,22 @@ from jet_reference import ref_mul
 from test_jets import TRUNCATED_IDS, TRUNCATED_RINGS, recorded_push
 
 RING = JetRing(3)
+
+
+def tensor_component(f: LieForm, indices: tuple) -> np.ndarray:
+    """Antisymmetric tensor component T_{mu1..mup} of a form (ring
+    coefficients)."""
+    merged, sign = forms._sort_sign(indices)
+    if sign == 0:
+        return f.ring.zeros((f.n,))
+    return sign * f.comps[:, forms.COMP_INDEX[f.p][merged]]
+
+
+def volume_coefficient(f: LieForm) -> JetScalar:
+    """Coefficient of dx^0^dx^1^dx^2^dx^3 of a real-valued 4-form."""
+    if f.p != 4 or f.n != 1:
+        raise ValueError("expected a real-valued 4-form")
+    return f.scalar(0, 0)
 
 
 def coordinate_form(mu):
@@ -187,7 +203,7 @@ def test_interior_product_component_oracle():
         for nu in range(4):
             for sig in range(4):
                 want += eta_inv[nu, sig] * ref_mul(
-                    RING, chi.comps[0, nu], s.tensor_component((sig, mu))[0])
+                    RING, chi.comps[0, nu], tensor_component(s, (sig, mu))[0])
         assert np.allclose(out.comps[0, mu], want, atol=1e-13)
 
 
@@ -218,7 +234,7 @@ def dense_interior(s, x, pairing):
     for k, rest in enumerate(COMPS[s.p - 1]):
         for nu in range(4):
             prod = ref_mul(ring, x.comps[:, None, nu],
-                           s.tensor_component((nu,) + rest)[None, :])
+                           tensor_component(s, (nu,) + rest)[None, :])
             out[:, k] += SIGNATURE[nu] * np.einsum("cab,ab...->c...",
                                                    pairing, prod)
     return LieForm(ring, s.p - 1, out, min(s.order, x.order))

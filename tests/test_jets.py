@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
                        NilpotentExtension, jet_algebra)
 
-from jet_reference import ref_mul
+from jet_reference import matrix_coupling, ref_mul
 
 
 def brute_force_product(alg: JetAlgebra, a, b):
@@ -500,20 +500,22 @@ TRUNCATED_IDS = ["jet", "nilpotent", "tower"]
 def test_solve_stops_at_the_valid_order(ring, monkeypatch):
     # y x = r for an x of valid order D - 2: the solve runs the kernel of
     # jet_algebra(D - 2) on the coefficient prefix, and reads nothing of y
-    # and r above that order
+    # and r above that order, neither in y's base block nor through the
+    # coupling of its other blocks
     size, order = 4, ring.degree - 2
     rng = np.random.default_rng(29)
     y = 0.1 * rng.uniform(-1, 1, (size, size, ring.width))
     y[..., 0] += np.eye(size)
     r = rng.uniform(-1, 1, (size, 2, ring.width))
     y0_inv = np.linalg.inv(ring.constant_part(y))
-    full = ring.solve(y, y0_inv, r)
+    full = ring.solve(ring.base_block(y), y0_inv, r, matrix_coupling(ring, y))
     valid = ring.mask_up_to(order)
     planted_y, planted_r = y.copy(), r.copy()
     planted_y[..., ~valid] = np.nan
     planted_r[..., ~valid] = np.nan
     calls = recorded_push(monkeypatch)
-    x = ring.solve(planted_y, y0_inv, planted_r, order=order)
+    x = ring.solve(ring.base_block(planted_y), y0_inv, planted_r,
+                   matrix_coupling(ring, planted_y), order=order)
     assert {alg for alg, _ in calls} == {jet_algebra(order)}
     assert {level for _, level in calls} <= set(range(order + 1))
     assert np.all(x[..., ~valid] == 0.0)
@@ -524,6 +526,34 @@ def test_solve_stops_at_the_valid_order(ring, monkeypatch):
     assert _rel_err(x[..., valid], full[..., valid]) <= 1e-14
     # below order 0 the solution is exact zeros, and nothing runs
     calls.clear()
-    assert not ring.solve(y, y0_inv, r, order=-1).any()
+    assert not ring.solve(ring.base_block(y), y0_inv, r,
+                          matrix_coupling(ring, y), order=-1).any()
     assert not ring.matmul(y, r, order=-1).any()
     assert calls == []
+
+
+@pytest.mark.parametrize("ring", TRUNCATED_RINGS[1:], ids=TRUNCATED_IDS[1:])
+def test_solve_starts_from_a_known_base_block(ring, monkeypatch):
+    # given x's base block, the solve runs no level of the first wave: the
+    # base block is the one given, bit for bit, and the later blocks are
+    # those of the whole solve
+    size = 4
+    rng = np.random.default_rng(31)
+    y = 0.1 * rng.uniform(-1, 1, (size, size, ring.width))
+    y[..., 0] += np.eye(size)
+    r = rng.uniform(-1, 1, (size, 2, ring.width))
+    y0_inv = np.linalg.inv(ring.constant_part(y))
+    args = (ring.base_block(y), y0_inv, r, matrix_coupling(ring, y))
+    calls = recorded_push(monkeypatch)
+    full = ring.solve(*args)
+    pushes = len(calls)
+    calls.clear()
+    x = ring.solve(*args, known=ring.base_block(full))
+    assert 0 < len(calls) < pushes
+    assert np.array_equal(ring.base_block(x), ring.base_block(full))
+    assert _rel_err(x, full) <= 1e-14
+    # the later blocks follow the base block they are given
+    known = rng.uniform(-1, 1, (size, 2, ring.base_width))
+    moved = ring.solve(*args, known=known)
+    assert np.array_equal(ring.base_block(moved), known)
+    assert not np.allclose(moved, full)

@@ -12,14 +12,14 @@ from ymft.jets import EpsilonTower, JetAlgebra, JetRing, NilpotentExtension
 from ymft.lie_core import InternalSpace
 from ymft.strengths import (FieldConfig, SingularYError, YOperator,
                             _wedge_vol_factor, assemble_Y,
-                            b_transpose_pairing, block_metric,
+                            b_transpose_pairing, base_fields, block_metric,
                             compute_strengths, connection_curvature,
                             covariant_curl_H, curvature_F, invert_Y,
                             ring_matmul, ring_matvec, stack_pair,
                             substitution_residual_massive,
                             substitution_residual_massless)
 
-from jet_reference import ref_mul
+from jet_reference import matrix_coupling, ref_mul
 
 RING = JetRing(3)
 CMAP = np.array([[0.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
@@ -119,15 +119,27 @@ def test_y_block_symmetry(builder):
     assert y.symmetry_residual(ds.ga, ds.gb) < 1e-13
 
 
+def strength_solver(cfg, ds):
+    """The solver of Y(A, B) that the strengths use: on the base ring
+    invert_Y(assemble_Y(...)); over an extended ring the base solver of the
+    base blocks with the wedge couplings of the tangent blocks, no jet
+    matrix over the extended ring.  The base ring takes no strengths, so
+    that its solver runs at jet degree 0 too."""
+    if cfg.ring.blocks == 1:
+        return invert_Y(assemble_Y(cfg, ds))
+    return compute_strengths(cfg, ds).y_inv
+
+
 def inverse_matrix(inv):
     """Y^{-1} itself: the graded solve applied to the identity columns."""
-    return inv.apply(inv.yop.ring.const(np.eye(inv.yop.size)))
+    return inv.apply(inv.ring.const(np.eye(inv.yop.size)))
 
 
-def roundtrip_residual(inv):
-    """Max-abs of Y Y^{-1} - 1 and Y^{-1} Y - 1 over the ring."""
-    ring, y = inv.yop.ring, inv.yop.matrix
-    eye = ring.const(np.eye(inv.yop.size))
+def roundtrip_residual(y, inv):
+    """Max-abs of Y Y^{-1} - 1 and Y^{-1} Y - 1 over the ring, for the jet
+    matrix y of Y, the oracle."""
+    ring = inv.ring
+    eye = ring.const(np.eye(len(y)))
     y_inv = inverse_matrix(inv)
     return float(max(np.abs(ring_matmul(ring, y, y_inv) - eye).max(),
                      np.abs(ring_matmul(ring, y_inv, y) - eye).max()))
@@ -138,7 +150,7 @@ def test_invert_roundtrip_and_determinism():
     cfg = su2_config(11)
     y = assemble_Y(cfg, ds)
     inv = invert_Y(y)
-    assert roundtrip_residual(inv) < 1e-12
+    assert roundtrip_residual(y.matrix, inv) < 1e-12
 
 
 def test_singular_y_raised_on_amplitude_scan():
@@ -153,6 +165,52 @@ def test_singular_y_raised_on_amplitude_scan():
             raised = True
             break
     assert raised
+
+
+def test_gate_is_the_normalized_determinant():
+    # Y0 = diag(1, ..., 1, t): |det(Y0 / ||Y0||_2)| = t, one side of the
+    # threshold or the other
+    ring, size = JetRing(2), 30
+    for t, passes in ((2e-8, True), (0.5e-8, False)):
+        yop = YOperator(ring, 3, 3, ring.const(np.diag([1.0] * 29 + [t])))
+        if passes:
+            invert_Y(yop)
+        else:
+            with pytest.raises(SingularYError, match="5.000e-09"):
+                invert_Y(yop)
+    # the inverse is the inverse of Y0 to roundoff
+    y = assemble_Y(su2_config(3), family_su2(2.0, 0.5))
+    y0_inv = invert_Y(y).y0_inv
+    assert np.abs(y0_inv @ y.constant_block() - np.eye(size)).max() < 1e-14
+
+
+def test_solvers_of_extended_rings_start_from_the_base_ring():
+    # Y over an extended ring is never inverted, and the reverse pass's
+    # transpose is a base-ring solver
+    ds = family_su2(2.0, 0.5)
+    cfg = _nilpotent_config(NilpotentExtension(3, 2), 5)
+    with pytest.raises(ValueError, match="base ring"):
+        invert_Y(assemble_Y(cfg, ds))
+    inv = strength_solver(cfg, ds)
+    assert inv.yop.ring.blocks == 1 and inv.ring is cfg.ring
+    with pytest.raises(ValueError, match="base-ring solver"):
+        inv.transpose()
+
+
+def test_zero_direction_gives_exact_zero_tangent_strengths():
+    ds = family_su2(2.0, 0.5)
+    a_form, b_form = random_field_config(4, 0.1, 3, 3, 3)
+    a_dir, b_dir = random_field_config(5, 0.1, 3, 3, 3)
+    ring = NilpotentExtension(3, 2)
+    base = compute_strengths(FieldConfig(a_form, b_form), ds)
+    cfg = FieldConfig(promote_form(a_form, ring, [None, a_dir]),
+                      promote_form(b_form, ring, [None, b_dir]))
+    for pair in (compute_strengths(cfg, ds),
+                 compute_strengths(cfg, ds, base)):
+        zero_p, moved_p = tangent_parts(pair.P)
+        zero_q, moved_q = tangent_parts(pair.Q)
+        assert not zero_p.comps.any() and not zero_q.comps.any()
+        assert moved_p.max_abs() > 0 and moved_q.max_abs() > 0
 
 
 def test_strengths_zero_config_and_trivial_y():
@@ -430,12 +488,13 @@ def test_assemble_y_equals_probing_on_extended_ring(family):
 def test_invert_roundtrip_degree_4():
     ds = family_su2(2.0, 0.5)
     a_form, b_form = random_field_config(11, 0.1, 4, 3, 3)
-    inv = invert_Y(assemble_Y(FieldConfig(a_form, b_form), ds))
-    assert roundtrip_residual(inv) < 1e-12
+    y = assemble_Y(FieldConfig(a_form, b_form), ds)
+    assert roundtrip_residual(y.matrix, invert_Y(y)) < 1e-12
 
 
 def test_invert_roundtrip_epsilon_tower():
-    # fields with nonzero coefficients at every power of eps
+    # fields with nonzero coefficients at every power of eps: the
+    # matrix-free solve against the assembled tower Y
     ds = family_su2(0.0, 0.7)
     ring = EpsilonTower(3, 2)
     a_parts = [random_field_config(30 + i, 0.1, 3, 3, 3) for i in range(3)]
@@ -443,12 +502,13 @@ def test_invert_roundtrip_epsilon_tower():
     b_co = np.stack([b.comps for _, b in a_parts], axis=-2)
     cfg = FieldConfig(LieForm(ring, 1, a_co.reshape(3, 4, -1)),
                       LieForm(ring, 2, b_co.reshape(3, 6, -1)))
-    inv = invert_Y(assemble_Y(cfg, ds))
-    assert roundtrip_residual(inv) < 1e-12
+    assert roundtrip_residual(assemble_Y(cfg, ds).matrix,
+                              strength_solver(cfg, ds)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# the graded solve against the Neumann inverse
+# the graded solve against the Neumann inverse; over an extended ring the
+# solve is matrix-free and the assembled Y is the oracle
 
 
 def _random_config(rng, ring, n=3, m=3):
@@ -486,8 +546,9 @@ def _solve_config(ring, seed):
 @pytest.mark.parametrize("ring", SOLVE_RINGS)
 def test_apply_matches_neumann_inverse(ring):
     ds = family_su2(2.0, 0.5)
-    yop = assemble_Y(_solve_config(ring, 40), ds)
-    inv, ref = invert_Y(yop), neumann_inverse(yop)
+    cfg = _solve_config(ring, 40)
+    yop = assemble_Y(cfg, ds)
+    inv, ref = strength_solver(cfg, ds), neumann_inverse(yop)
     rng = np.random.default_rng(ring.width)
     vec = _random_ring_array(rng, ring, (yop.size,))
     cols = _random_ring_array(rng, ring, (yop.size, 3))
@@ -500,9 +561,9 @@ def test_apply_matches_neumann_inverse(ring):
                          ids=["jet-d3", "nil-d2x3", "eps-d3x2"])
 def test_inverse_matrix_is_the_solve_of_identity_columns(ring):
     ds = family_solvable([1, 0, 0], [0, 0, 1], CMAP)
-    yop = assemble_Y(_solve_config(ring, 50), ds)
-    assert _rel_err(inverse_matrix(invert_Y(yop)), neumann_inverse(yop)) \
-        <= 1e-13
+    cfg = _solve_config(ring, 50)
+    assert _rel_err(inverse_matrix(strength_solver(cfg, ds)),
+                    neumann_inverse(assemble_Y(cfg, ds))) <= 1e-13
 
 
 @pytest.mark.parametrize("ring", [JetRing(4), NilpotentExtension(3, 4),
@@ -511,10 +572,10 @@ def test_inverse_matrix_is_the_solve_of_identity_columns(ring):
 def test_solve_residual_multi_column(ring):
     ds = mixed_family()
     rng = np.random.default_rng(60)
-    yop = assemble_Y(_random_config(rng, ring, ds.space_a.dim,
-                                    ds.space_b.dim), ds)
+    cfg = _random_config(rng, ring, ds.space_a.dim, ds.space_b.dim)
+    yop = assemble_Y(cfg, ds)
     r = _random_ring_array(rng, ring, (yop.size, 5))
-    x = invert_Y(yop).apply(r)
+    x = strength_solver(cfg, ds).apply(r)
     assert np.abs(ring_matmul(ring, yop.matrix, x) - r).max() < 1e-12
 
 
@@ -522,19 +583,24 @@ def test_solve_residual_multi_column(ring):
                                   EpsilonTower(8, 2)],
                          ids=["jet-d8", "nil-d8x3", "eps-d8x2"])
 def test_solve_residual_degree_8(ring):
-    # Y and its transpose, the solver of the reverse pass, at a jet degree
-    # where every level of the right-looking solve has many pairs
+    # Y and its transpose at a jet degree where every level of the
+    # right-looking solve has many pairs: Y by the strengths' solver, and
+    # Y^T by the transpose of the base solver, the solver of the reverse
+    # pass, with the coupling of Y^T's other blocks
     ds = family_su2(2.0, 0.5)
-    inv = invert_Y(assemble_Y(_solve_config(ring, 80), ds))
-    r = _random_ring_array(np.random.default_rng(81), ring,
-                           (inv.yop.size, 2))
-    for solver in (inv, inv.transpose()):
+    cfg = _solve_config(ring, 80)
+    y = assemble_Y(cfg, ds).matrix
+    y_t = y.transpose(1, 0, 2)
+    inv = strength_solver(cfg, ds)
+    base_t = invert_Y(assemble_Y(base_fields(cfg), ds)).transpose()
+    r = _random_ring_array(np.random.default_rng(81), ring, (len(y), 2))
+    for matrix, solver in ((y, inv),
+                           (y_t, base_t.over(ring,
+                                             matrix_coupling(ring, y_t)))):
         x = solver.apply(r)
-        assert np.abs(ring_matmul(ring, solver.yop.matrix, x) - r).max() \
-            < 1e-12
-        assert np.abs(ring_matvec(ring, solver.yop.matrix,
-                                  solver.apply(r[:, 0])) - r[:, 0]).max() \
-            < 1e-12
+        assert np.abs(ring_matmul(ring, matrix, x) - r).max() < 1e-12
+        assert np.abs(ring_matvec(ring, matrix, solver.apply(r[:, 0]))
+                      - r[:, 0]).max() < 1e-12
 
 
 def test_solve_work_follows_flags_not_values(monkeypatch):
@@ -556,12 +622,13 @@ def test_solve_work_follows_flags_not_values(monkeypatch):
     def solve_shapes(a, b):
         cfg = FieldConfig(LieForm(ring, 1, a, live=every),
                           LieForm(ring, 2, b, live=every))
-        inv = invert_Y(assemble_Y(cfg, ds))
+        inv = strength_solver(cfg, ds)
         shapes.clear()
         monkeypatch.setattr(JetAlgebra, "matmul_coeffs", recorded)
         x = inv.apply(r)
         monkeypatch.undo()
-        assert np.abs(ring_matmul(ring, inv.yop.matrix, x) - r).max() < 1e-12
+        y = assemble_Y(cfg, ds).matrix
+        assert np.abs(ring_matmul(ring, y, x) - r).max() < 1e-12
         return list(shapes)
 
     nonzero = solve_shapes(0.1 * a, 0.1 * b)
@@ -577,8 +644,7 @@ EXACT_IDS = ["jet-d3", "nil-d3x4", "eps-d2x3"]
 @pytest.mark.parametrize("ring", EXACT_RINGS, ids=EXACT_IDS)
 def test_solve_zero_rhs_is_exact_zero(ring):
     ds = family_su2(2.0, 0.5)
-    inv = invert_Y(assemble_Y(
-        _random_config(np.random.default_rng(70), ring), ds))
+    inv = strength_solver(_random_config(np.random.default_rng(70), ring), ds)
     zero = np.zeros((inv.yop.size, 2, ring.width))
     assert np.abs(inv.apply(zero)).max() == 0.0
     assert np.abs(inv.apply(zero[:, 0])).max() == 0.0
@@ -586,10 +652,16 @@ def test_solve_zero_rhs_is_exact_zero(ring):
 
 @pytest.mark.parametrize("ring", EXACT_RINGS, ids=EXACT_IDS)
 def test_solve_identity_y_returns_rhs(ring):
-    size = 30
-    yop = YOperator(ring, 3, 3, ring.const(np.eye(size)))
+    # zero couplings: Y is the identity for any fields in every block
+    size, z = 30, np.zeros
+    ds0 = make_deformation(InternalSpace(3), InternalSpace(3), z((3, 3, 3)),
+                           z((3, 3, 3)), z((3, 3, 3)), z((3, 3, 3)),
+                           z((3, 3, 3)), z((3, 3)))
+    cfg = _random_config(np.random.default_rng(72), ring)
+    assert np.array_equal(assemble_Y(cfg, ds0).matrix,
+                          ring.const(np.eye(size)))
     r = _random_ring_array(np.random.default_rng(71), ring, (size, 3))
-    inv = invert_Y(yop)
+    inv = strength_solver(cfg, ds0)
     assert np.abs(inv.apply(r) - r).max() == 0.0
     assert np.abs(inv.apply(r[:, 1]) - r[:, 1]).max() == 0.0
 
@@ -660,8 +732,7 @@ def test_strength_solve_adjoint_is_the_transpose(family, degree):
     # both solves run to the order of P and Q, and the identity holds in
     # the ring pairing within it
     order = pair.P.order
-    x = invert_Y(assemble_Y(lifted, ds)).apply(dual.promote(r, [r_dot]),
-                                               order)
+    x = strength_solver(lifted, ds).apply(dual.promote(r, [r_dot]), order)
     x_dot = dual.block(x, 1)
     valid = ring.mask_up_to(order)
     assert np.all(x_dot[:, ~valid] == 0.0)

@@ -60,9 +60,12 @@ def test_tracer_sees_every_check_and_restores_the_originals():
         assert stats[name].calls == 1, name
     # one base solve per seed, shared by every check (the Euler-Lagrange
     # pass records it without solving again), plus one per tangent ring;
-    # the base field equations are shared too, as are those of the free
-    # theory, next to the linearization's
+    # Y is built and inverted on the base ring only, for the seed and for
+    # the linearization's zero fields; the base field equations are shared
+    # too, as are those of the free theory, next to the linearization's
     assert stats["strengths.compute_strengths"].calls == 5
+    assert stats["strengths.assemble_Y"].calls == 2
+    assert stats["strengths.invert_Y"].calls == 2
     assert stats["dynamics.field_equations"].calls == 3
     for name, (owner, attr) in tracer_mod.TARGETS.items():
         current = (vars(owner)[attr] if isinstance(owner, type)
