@@ -411,11 +411,12 @@ class SeedContext:
         gp = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
         return gauge_variation(self.variant, self.config, self.strengths, gp)
 
-    def remainder(self, gp: GaugeParam):
-        """:func:`strength_remainder` of ``gp`` on these fields."""
+    def remainders(self, xis=(), chis=()) -> list:
+        """:func:`strength_remainders` of ``xis`` and ``chis`` on these
+        fields."""
         e_a, e_b = self.equations
-        return strength_remainder(self.variant, self.config, self.strengths,
-                                  gp, e_a, e_b)
+        return strength_remainders(self.variant, self.config, self.strengths,
+                                   e_a, e_b, xis, chis)
 
 
 def seed_contexts(variant: TheoryVariant, seeds, degree: int = 3,
@@ -575,23 +576,31 @@ def _wedge3(f: LieForm, g: LieForm, h: LieForm,
     return f_g.wedge(h, glue.reshape(n_out, n_out * n_h, n_h))
 
 
-def strength_remainder(variant: TheoryVariant, config: FieldConfig,
-                       strengths: StrengthPair, gp: GaugeParam,
-                       e_a: LieForm, e_b: LieForm):
-    """The field-equation part of the strength variation, as a (2,3)-form pair.
+def strength_remainders(variant: TheoryVariant, config: FieldConfig,
+                        strengths: StrengthPair, e_a: LieForm, e_b: LieForm,
+                        xis=(), chis=()) -> list:
+    """The field-equation part of the strength variation of each gauge
+    parameter, as (2,3)-form pairs: one per xi of ``xis`` (with chi = 0),
+    then one per chi of ``chis`` (with xi = 0).
 
     (R_P, R_Q) = Y^{-1}(b(E_B, xi), -b^T(E_A, xi) + k(E_B, chi)); the gauge
     variation of (P, Q) is this remainder plus, for massless sets, the
-    homogeneous internal rotations.
+    homogeneous internal rotations.  The sources are linear in the
+    parameter, so each parameter's is built from its own half alone, and
+    all of them are solved at once, one column each.
     """
     ds = variant.ds
-    src_p = e_b.wedge(gp.xi, ds.b)
-    src_q = (e_a.wedge(gp.xi, b_transpose_pairing(ds)).scale(-1.0)
-             + e_b.wedge(gp.chi, ds.k))
-    order = min(src_p.order, src_q.order)
-    vec = strengths.y_inv.apply(stack_pair(src_p, src_q), order)
-    return unstack_pair(config.ring, ds.space_a.dim, ds.space_b.dim, vec,
-                        order)
+    ring, n, m = config.ring, ds.space_a.dim, ds.space_b.dim
+    sources = [(e_b.wedge(xi, ds.b),
+                e_a.wedge(xi, b_transpose_pairing(ds)).scale(-1.0))
+               for xi in xis]
+    sources += [(LieForm.zero(ring, 2, n), e_b.wedge(chi, ds.k))
+                for chi in chis]
+    order = min([e_a.order, e_b.order] + [g.order for g in (*xis, *chis)])
+    vec = strengths.y_inv.apply(np.stack(
+        [stack_pair(*source) for source in sources], axis=1), order)
+    return [unstack_pair(ring, n, m, vec[:, col], order)
+            for col in range(len(sources))]
 
 
 COMMUTATORS = ("commutator-xi-xi", "commutator-chi-chi", "commutator-xi-chi")
@@ -632,7 +641,7 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     field-equation remainders of the strength variations.  Every term is
     proportional to the field equations and vanishes on solutions.  The
     remainders are linear in the parameter, so those of xi_1, chi_1, xi_2
-    and chi_2 serve all three pairs.
+    and chi_2 serve all three pairs, and one solve gives all four.
     """
     ds = ctx.variant.ds
     ring = ctx.config.ring
@@ -640,18 +649,11 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     zero_a = LieForm.zero(ring, 1, n)
     if ctx.variant.kind != GENERAL:
         return dict.fromkeys(COMMUTATORS, (zero_a, LieForm.zero(ring, 2, m)))
-    zero_xi, zero_chi = LieForm.zero(ring, 0, n), LieForm.zero(ring, 1, m)
-
-    def dual_remainder(gp):
-        r_p, r_q = ctx.remainder(gp)
-        return r_p.hodge(), r_q.hodge()
-
-    p_xi1, q_xi1 = dual_remainder(GaugeParam(gp1.xi, zero_chi))
-    p_xi2, q_xi2 = dual_remainder(GaugeParam(gp2.xi, zero_chi))
-    _, q_chi1 = dual_remainder(GaugeParam(zero_xi, gp1.chi))
-    p_chi2, q_chi2 = dual_remainder(GaugeParam(zero_xi, gp2.chi))
-    b_t = b_transpose_pairing(ds)
     xi1, xi2, chi1, chi2 = gp1.xi, gp2.xi, gp1.chi, gp2.chi
+    (p_xi1, q_xi1), (p_xi2, q_xi2), (_, q_chi1), (p_chi2, q_chi2) = [
+        (r_p.hodge(), r_q.hodge())
+        for r_p, r_q in ctx.remainders((xi1, xi2), (chi1, chi2))]
+    b_t = b_transpose_pairing(ds)
     return {
         "commutator-xi-xi": (q_xi1.wedge(xi2, ds.b) - q_xi2.wedge(xi1, ds.b),
                              p_xi2.wedge(xi1, b_t) - p_xi1.wedge(xi2, b_t)),
@@ -950,15 +952,13 @@ def check_strength_transformation(contexts, tol: float | None = None
                   q_form.wedge(gp.xi, ds.j.transpose(0, 2, 1)).scale(-1.0)
                   + q_form.wedge(gp.xi, k_m))
         rot_chi = (LieForm.zero(ring, 2, n), LieForm.zero(ring, 3, m))
-        halves = {"xi": (GaugeParam(gp.xi, LieForm.zero(ring, 1, m)), rot_xi),
-                  "chi": (GaugeParam(LieForm.zero(ring, 0, n), gp.chi),
-                          rot_chi)}
         tan = ctx.tangent([var.xi, var.chi])
         deltas = zip(tangent_parts(tan.strengths.P),
                      tangent_parts(tan.strengths.Q))
-        for (which, (gp_half, rot)), delta in zip(halves.items(), deltas):
-            for field, d, r, rem in zip("PQ", delta, rot,
-                                        ctx.remainder(gp_half)):
+        for which, rot, delta, rems in zip(
+                ("xi", "chi"), (rot_xi, rot_chi), deltas,
+                ctx.remainders((gp.xi,), (gp.chi,))):
+            for field, d, r, rem in zip("PQ", delta, rot, rems):
                 _worst(rows, f"transform-{which}-{field}",
                        (d - r - rem).max_abs())
     return _collect("strength-transformation", rows, tol, contexts)

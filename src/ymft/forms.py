@@ -458,14 +458,19 @@ def _pair(ring, x, y, pairing, signs, order, *flags) -> np.ndarray:
                          order=order).reshape(c, k, -1)
 
 
-def wedge_matrix(p: int, right: LieForm, pairing) -> np.ndarray:
-    """The jet matrix R[(c, k), (a, i)] of u -> u.wedge(right, pairing) on
-    p-forms u, (rows, columns, width): ``right`` folded with the wedge's
-    constants, over every block of its ring."""
+def dual_wedge_matrix(p: int, right: LieForm, pairing) -> np.ndarray:
+    """The jet matrix R[(c, k), (a, i)] of x -> epsilon_dual(x).wedge(right,
+    pairing) on p-forms x, as (width, rows, columns), the layout of
+    :meth:`ymft.jets.JetRing.fold`: ``right`` folded with the wedge's
+    constants, over every block of its ring.  The dual's permutation,
+    signs and constant are folded into those constants, so column (a, i)
+    is that of the dual component of x^a_i times its sign."""
+    dual, sign = np.array(HODGE_TABLE[p]).T
+    signs = WEDGE_TABLE[(NVARS - p, right.p)][dual.astype(int)] \
+        * (CONVENTION.epsilon_dual_constants[p] * sign)[:, None, None]
     coeffs = _coefficients(pairing.transpose(0, 2, 1),
-                           WEDGE_TABLE[(p, right.p)].transpose(1, 0, 2))
-    return right.ring.fold(right.comps.reshape(len(coeffs), -1),
-                           coeffs).transpose(1, 2, 0)
+                           signs.transpose(1, 0, 2))
+    return right.ring.fold(right.comps.reshape(len(coeffs), -1), coeffs)
 
 
 def wedge_adjoint(left: LieForm, right: LieForm, pairing,

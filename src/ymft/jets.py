@@ -30,11 +30,16 @@ Two layers live here:
   and the live-flag rule of their common base :class:`ExtendedRing`.
 
 Coefficients are stored densely in graded lexicographic monomial order.
-Every product runs one kernel, :meth:`JetAlgebra.push`: the products
-a_i x_j of one degree level L of the right factor x are one GEMM, as the i
-with |i| <= D - L are a prefix of the monomials (Taylor propagation,
-Griewank & Walther, *Evaluating Derivatives*, ch. 13), and each output adds
-its pairs rank by rank.  It serves products of jet-valued matrices
+Every product runs one kernel, :meth:`JetAlgebra.push`, over a run of
+consecutive degree levels of the right factor x: the products a_i x_j of
+one level L are one GEMM, as the i with |i| <= D - L are a prefix of the
+monomials (Taylor propagation, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13), each level's GEMM fills its rows of one buffer, and
+each output adds its pairs from the whole run rank by rank, level by level.
+A product pushes all its levels at once while that buffer stays within
+``PUSH_MAX_BYTES``, and one level at a time above it, the sums carrying
+on from run to run, so the order of every sum is the same either way.  It
+serves products of jet-valued matrices
 (``matmul``), the scalar product of two jets (:meth:`JetAlgebra.mul_coeffs`,
 for :class:`JetScalar`, a 1 x 1 jet-matrix product), the graded solve
 (``solve``, which Y(A, B) of :mod:`ymft.strengths` uses) and ``bilinear``,
@@ -85,6 +90,14 @@ import itertools
 import numpy as np
 
 NVARS = 4
+# the largest product buffer of one :meth:`JetAlgebra.push` over several
+# degree levels, in bytes.  The rank adds gather that buffer's rows in
+# scattered order, so one push over all levels pays for its fewer calls only
+# while the buffer stays in a core's cache, and it must not hold a high
+# degree's pairs at once (a degree-12 product of 54 columns would take
+# 54 MB, and ran 1.3 times slower): a degree-5 product of up to 90 columns
+# fits, and at degree 8 and above most products push level by level
+PUSH_MAX_BYTES = 1 << 20
 
 
 def _monomial_exponents(degree: int) -> list[tuple[int, ...]]:
@@ -110,44 +123,29 @@ class JetAlgebra:
         self.index = {e: i for i, e in enumerate(self.exponents)}
         exps = np.array(self.exponents).reshape(-1, NVARS)
         self.term_degree = exps.sum(axis=1)
-        # monomial index by exponents in radix degree + 2 (0 where none)
+        # each monomial's code, its exponents in radix degree + 2, and the
+        # monomial of each code (0 where none): the product of i and j has
+        # the sum of their codes
         radix = (degree + 2) ** np.arange(NVARS)
-        lookup = np.zeros((degree + 2) ** NVARS, dtype=int)
-        lookup[exps @ radix] = np.arange(self.n_terms)
-        # the pairs (i, j) with |i| + |j| <= degree, row-major, sorted by
-        # output monomial k (stably, so each output keeps its pairs in
-        # row-major order)
-        ii, jj = np.nonzero(self.term_degree[:, None] + self.term_degree
-                            <= degree)
-        kk = lookup[(exps[ii] + exps[jj]) @ radix]
-        order = np.argsort(kk, kind="stable")
-        ii, jj, kk = ii[order], jj[order], kk[order]
+        self._code = exps @ radix
+        self._of_code = np.zeros((degree + 2) ** NVARS, dtype=np.int32)
+        self._of_code[self._code] = np.arange(self.n_terms)
         # the monomials of degree d are level_bounds[d]:level_bounds[d + 1]
-        bounds = self.level_bounds = np.searchsorted(
-            self.term_degree, np.arange(degree + 2))
-        # per degree level L of j: the place of each output k (degree >= L,
-        # from bounds[L]) in an order where those with an r-th pair in their
-        # row-major run are a prefix (most pairs first, degree L, whose one
-        # pair is (0, j), last), and per rank r the rows of those pairs in
-        # the products of :meth:`push`: j * n_i + i (n_i = end, every i)
-        # and j * (n_i - 1) + i - 1 (without i = 0)
-        self.level_pairs = []
-        for level, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            keep = (jj >= lo) & (jj < hi)
-            i, j, k = ii[keep], jj[keep] - lo, kk[keep] - lo
-            rank = np.arange(len(k)) - np.searchsorted(k, k)
-            count = np.bincount(k)
-            place = np.argsort(np.lexsort((np.arange(len(count)) < hi - lo,
-                                           -count)))
-            end = bounds[degree - level + 1]
-            rows = np.array([j * end + i, j * (end - 1) + i - 1])
-            by_rank = rows[:, np.lexsort((place[k], rank))]
-            self.level_pairs.append((place, np.split(
-                by_rank, np.cumsum(np.bincount(rank))[:-1], axis=1)))
+        self.level_bounds = np.searchsorted(self.term_degree,
+                                            np.arange(degree + 2))
+        # the pairs (i, j) with |i| + |j| <= degree: per level of j, its
+        # monomials times the i of degree <= degree - level
+        self.n_pairs = int((self.level_bounds[1:] - self.level_bounds[:-1])
+                           @ self.level_bounds[:0:-1])
+        # the runs of :meth:`runs`, and the tables of each run of levels,
+        # built on first use
+        self._runs = (((0, degree),),
+                      tuple((level, level) for level in range(degree + 1)))
+        self._level_pairs = {}
         # d/dx^mu: coefficient t is (e_t[mu] + 1) times that of t + e_mu,
         # and 0 at the top degree (index 0, scale 0)
-        self.diff_source = [lookup[exps @ radix + radix[mu]]
-                            for mu in range(NVARS)]
+        self.diff_source = [self._of_code[self._code + radix[mu]].astype(
+            np.intp) for mu in range(NVARS)]
         self.diff_scale = [(exps[:, mu] + 1.0) * (self.term_degree < degree)
                            for mu in range(NVARS)]
 
@@ -155,41 +153,123 @@ class JetAlgebra:
         """The product of two jets (n,), as a 1 x 1 jet-matrix product."""
         return self.matmul_coeffs(a[None, None], b[None, None])[0, 0]
 
-    def push(self, a: np.ndarray, x: np.ndarray, level: int,
-             constant: bool = True) -> np.ndarray:
+    def level_pairs(self, first: int, last: int,
+                    constant: bool = True) -> tuple:
+        """The tables of :meth:`push` for the run of levels first..last of
+        the right factor, built once per run: (steps, ranks, place, order).
+
+        A push multiplies the pairs (i, j) with j of degree first..last
+        (without i = 0 when not ``constant``) into one product buffer, one
+        GEMM per level L, its step (lo, hi, i0, end, start, stop): the
+        monomials j of the level are lo:hi of the run, the i are i0:end
+        (end = n_i, the monomials of degree <= D - L, and i0 = 0, or 1
+        without i = 0), and their products are the rows start:stop of the
+        buffer, row start + (j - lo) * (end - i0) + i - i0.
+
+        The outputs are the monomials k of degree >= ``first`` (> ``first``
+        without i = 0), from the first of them.  Each takes its pairs level
+        by level and, within a level, in row-major order; ``place`` is the
+        place of each output in an order where those with an r-th pair are
+        a prefix (most pairs first), ``order`` its inverse, and
+        ``ranks[r]`` are the buffer rows of the r-th pairs in that order."""
+        key = (first, last, constant)
+        tables = self._level_pairs.get(key)
+        if tables is None:
+            bounds, i0 = self.level_bounds, int(not constant)
+            levels = np.arange(first, last + 1)
+            lo, hi = (bounds[levels + s] - bounds[first] for s in (0, 1))
+            end = bounds[self.degree - levels + 1]
+            stop = np.cumsum((hi - lo) * (end - i0))
+            start = stop - (hi - lo) * (end - i0)
+            # every pair, in the order of the buffer rows
+            spans = list(zip(lo, hi, end))
+            level = np.repeat(np.arange(len(levels)), stop - start)
+            j = bounds[first] + np.concatenate(
+                [np.repeat(np.arange(l, h), e - i0) for l, h, e in spans])
+            i = np.concatenate([np.tile(np.arange(i0, e), h - l)
+                                for l, h, e in spans])
+            k = self._of_code[self._code[i] + self._code[j]] \
+                - bounds[first + i0]
+            # the rows by output, then level, then i (one key, i < n_terms)
+            by = np.argsort((k * len(levels) + level) * self.n_terms + i)
+            k = k[by]
+            rank = np.arange(len(k)) - np.searchsorted(k, k)
+            order = np.argsort(-np.bincount(k), kind="stable")
+            place = np.argsort(order)
+            by_rank = by[np.argsort(rank * len(place) + place[k])]
+            steps = tuple(zip(*(t.tolist() for t in (
+                lo, hi, np.full_like(lo, i0), end, start, stop))))
+            tables = self._level_pairs[key] = (
+                steps, np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]),
+                place, order)
+        return tables
+
+    def push(self, a: np.ndarray, x: np.ndarray, first: int,
+             last: int | None = None, constant: bool = True,
+             sums: np.ndarray | None = None) -> np.ndarray:
         """Sum a_i @ x_j per output monomial over the pairs (i, j) with j
-        of degree ``level``, for a (n, N, K) C-contiguous and x (K, n_L, M):
-        (N, T, M) for the last T monomials, those of degree >= ``level``
-        (> ``level`` with ``constant=False``, without the pairs (0, j)).
-        The i are a prefix, |i| <= D - level, so the products are one GEMM;
-        each output then adds its pairs in row-major order, rank by rank,
-        each rank a prefix of the outputs in the order of ``level_pairs``.
+        of degree first..last (``last`` by default ``first``), for a (n, N,
+        K) C-contiguous and x (K, n_j, M) the monomials of those levels:
+        (N, T, M) for the last T monomials, those of degree >= ``first``
+        (> ``first`` with ``constant=False``, without the pairs (0, j)).
+        ``sums``, C-contiguous (T, M, N), are partial sums that the pairs
+        add onto in place; the result is then their (N, T, M) view.
+
+        Per level L the i are a prefix, |i| <= D - L, so its products are
+        one GEMM into the rows of one buffer.  Each output then adds its
+        pairs in the order of :meth:`level_pairs`, rank by rank over the
+        whole run, each rank a prefix of the outputs, and one gather puts
+        the outputs in monomial order.  So an output is the sum of its
+        pairs one after the other, level by level, however the levels of a
+        product are split into runs whose sums carry on.
         """
-        place, (first_rank, *ranks) = self.level_pairs[level]
-        first, skip = (0, 0) if constant else (1, x.shape[1])
-        end = self.level_bounds[self.degree - level + 1]
-        n_out, inner = len(place) - skip, a.shape[2]
-        # each pair's product as one row of (M, N); copied unless M == 1
-        prod = (x.reshape(inner, -1).T
-                @ a[first:end].reshape(-1, inner).T).reshape(
-                    x.shape[1], -1, end - first, a.shape[1]).swapaxes(1, 2)
-        prod = prod.reshape(-1, prod.shape[2] * a.shape[1])
-        out = prod.take(first_rank[first, :n_out], axis=0)
+        last = first if last is None else last
+        steps, ranks, place, order = self._level_pairs.get(
+            (first, last, constant)) or self.level_pairs(first, last, constant)
+        (_, n_rows, inner), cols = a.shape, x.shape[2]
+        a, x = a.reshape(-1, inner), x.reshape(inner, -1)
+        # each pair's product as one row of (M, N)
+        prod = np.empty((steps[-1][-1], cols * n_rows))
+        for lo, hi, i0, end, start, stop in steps:
+            left = x[:, lo * cols:hi * cols].T
+            right = a[i0 * n_rows:end * n_rows].T
+            block = prod[start:stop].reshape(hi - lo, end - i0, cols, n_rows)
+            if cols == 1:
+                np.matmul(left, right, out=block.reshape(hi - lo, -1))
+            else:
+                block[...] = (left @ right).reshape(
+                    hi - lo, cols, end - i0, n_rows).swapaxes(1, 2)
+        if sums is None:
+            out, ranks = prod.take(ranks[0], axis=0), ranks[1:]
+            sums = np.empty((len(place), cols, n_rows))
+        else:
+            out = sums.reshape(len(order), -1).take(order, axis=0)
         for rows in ranks:
-            out[:rows.shape[1]] += prod.take(rows[first], axis=0)
-        return out.take(place[skip:], axis=0).reshape(
-            n_out, x.shape[2], -1).transpose(2, 0, 1)
+            out[:len(rows)] += prod.take(rows, axis=0)
+        out.take(place, axis=0, out=sums.reshape(len(place), -1))
+        return sums.transpose(2, 0, 1)
+
+    def runs(self, cols: int) -> tuple:
+        """The runs of levels (first, last) of a product with ``cols`` = N
+        M output columns: all levels in one run when its product buffer in
+        :meth:`push` stays within PUSH_MAX_BYTES, else one run per level."""
+        return self._runs[8 * cols * self.n_pairs > PUSH_MAX_BYTES]
 
     def matmul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(N, K, n) x (K, M, n) -> (N, M, n), one :meth:`push` per degree
-        level of b; a transposed C-contiguous (n, N, K) ``a`` is not copied."""
+        """(N, K, n) x (K, M, n) -> (N, M, n), one :meth:`push` per run of
+        degree levels of b (:meth:`runs`); a transposed C-contiguous (n, N,
+        K) ``a`` is not copied."""
         at = np.ascontiguousarray(a.transpose(2, 0, 1))
         bt, bounds = b.transpose(0, 2, 1), self.level_bounds
-        out = self.push(at, bt[:, :1], 0)
-        for level in range(1, self.degree + 1):
-            lo, hi = bounds[level], bounds[level + 1]
-            out[:, lo:] += self.push(at, bt[:, lo:hi], level)
-        return out.transpose(0, 2, 1)
+        out = None
+        for first, last in self.runs(a.shape[0] * b.shape[1]):
+            lo = bounds[first]
+            prod = self.push(at, bt[:, lo:bounds[last + 1]], first, last,
+                             sums=None if out is None else out[lo:])
+            if out is None:
+                # (n, M, N), C-contiguous: the sums of the later runs
+                out = prod.transpose(1, 2, 0)
+        return out.transpose(2, 1, 0)
 
     def diff_coeffs(self, a: np.ndarray, mu: int) -> np.ndarray:
         return a.take(self.diff_source[mu], axis=-1) * self.diff_scale[mu]
@@ -386,7 +466,11 @@ class JetRing:
     def matmul(self, a: np.ndarray, b: np.ndarray, order=None) -> np.ndarray:
         """(N, K, w) x (K, M, w) -> (N, M, w), valid to ``order``
         (:meth:`_truncation`)."""
-        alg, n = self._truncation(order)
+        return self._matmul(*self._truncation(order), a, b)
+
+    def _matmul(self, alg, n: int, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+        """:meth:`matmul` at the truncation (alg, n) of its order."""
         out = self.zeros((len(a), b.shape[1]))
         if alg:
             out[..., :n] = alg.matmul_coeffs(a[..., :n], b[..., :n])
@@ -405,18 +489,21 @@ class JetRing:
         coeffs (A, N, K) and y (K, w): (N, w), valid to ``order``
         (:meth:`_truncation`).  x and coeffs make one jet matrix
         (:meth:`fold`), which multiplies y by one :meth:`JetAlgebra.push`
-        per degree level."""
-        _, n = self._truncation(order)
-        return self.matmul(self.fold(x[:, :n], coeffs).transpose(1, 2, 0),
-                           y[:, None], order)[:, 0]
+        per run of degree levels (:meth:`JetAlgebra.runs`)."""
+        alg, n = self._truncation(order)
+        return self._matmul(alg, n, self.fold(x[:, :n], coeffs).transpose(
+            1, 2, 0), y[:, None])[:, 0]
 
     def solve(self, y: np.ndarray, y0_inv: np.ndarray, r: np.ndarray,
               coupling=None, order=None, known=None) -> np.ndarray:
         """Solve Y x = r for r (size, w) or (size, M, w) over this ring,
         given Y's base block y, a (size, size, base width) jet matrix, and
-        the inverse ``y0_inv`` of its constant block.  x is valid to
-        ``order`` (:meth:`_truncation`): the solve reads the coefficients
-        of degree <= order of y and r, and x is exact 0.0 above it.
+        the inverse ``y0_inv`` of its constant block.  A y that is a view of
+        (base width, size, size) C-contiguous memory, the layout of
+        :meth:`JetAlgebra.push`, is read in place; any other is copied.  x
+        is valid to ``order`` (:meth:`_truncation`): the solve reads the
+        coefficients of degree <= order of y and r, and x is exact 0.0
+        above it.
 
         Y's other blocks enter only through ``coupling(x, live, order)``:
         their product with x (size, M, w), valid to ``order``, for an x
@@ -593,7 +680,7 @@ class ExtendedRing(JetRing):
                                  self._out[keep])
             used = np.unique(left)
             steps = [(j, _as_run(np.searchsorted(used, left[right == j])),
-                      outs[right == j]) for j in np.unique(right)]
+                      _as_run(outs[right == j])) for j in np.unique(right)]
             live = np.zeros(self.blocks, dtype=bool)
             live[outs] = True
             plan = self._plans[key] = (_as_run(used), steps, live)
@@ -612,7 +699,7 @@ class ExtendedRing(JetRing):
             prod = alg.matmul_coeffs(
                 mats[:, at].reshape(n, -1, inner).transpose(1, 2, 0),
                 right[j])
-            yield outs, prod.reshape((len(outs), rows) + prod.shape[1:])
+            yield outs, prod.reshape((-1, rows) + prod.shape[1:])
 
     def live_blocks(self, x: np.ndarray) -> np.ndarray:
         """(..., width) -> (blocks,) booleans: the blocks, value first, that

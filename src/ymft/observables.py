@@ -19,6 +19,7 @@ or with non-finite entries is rejected with ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -243,19 +244,29 @@ def _sequential_sum(contribs: np.ndarray) -> np.ndarray:
     return np.add.accumulate(contribs, axis=0)[-1]
 
 
-def _sphere_quad(sampler, radius: float, grid: tuple) -> np.ndarray:
-    n_theta, n_phi = grid
+@functools.lru_cache(maxsize=16)
+def _sphere_grid(n_theta: int, n_phi: int) -> tuple:
+    """The unit normals (n_theta, n_phi, 3), theta-major, and the weight
+    per polar node (n_theta, 1, 1) of the (n_theta, n_phi) sphere grid:
+    Gauss-Legendre in cos(theta) times trapezoid in azimuth.  Read-only,
+    built once per process for each grid (the last 16 grids are kept)."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     sin_theta = np.sqrt(1.0 - nodes * nodes)[:, None]
-    # nodes theta-major, phi-minor: (n_theta, n_phi, 3)
     normal = np.stack(np.broadcast_arrays(sin_theta * np.cos(phis),
                                           sin_theta * np.sin(phis),
                                           nodes[:, None]), axis=-1)
+    weights = (weights * (2.0 * np.pi / n_phi))[:, None, None]
+    for table in (normal, weights):
+        table.flags.writeable = False
+    return normal, weights
+
+
+def _sphere_quad(sampler, radius: float, grid: tuple) -> np.ndarray:
+    normal, weights = _sphere_grid(*grid)
     vals = _sample(sampler, radius * normal, 2)
     flux = np.einsum("...aj,...j->...a", vals[..., 0, 1:], normal)
-    contrib = ((weights * (2.0 * np.pi / n_phi))[:, None, None] * flux
-               * radius ** 2)
+    contrib = weights * flux * radius ** 2
     return _sequential_sum(contrib.reshape(-1, flux.shape[-1])) / (4.0 * np.pi)
 
 

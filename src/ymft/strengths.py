@@ -12,9 +12,9 @@ into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
 
 Y - 1 is three wedges of the dualised unknown, -(c_2 *P) ^ A, -(c_3 *Q) ^ A
 and -(c_3 *Q) ^ B (:func:`_y_blocks`).  On the base ring each coupling
-block is the jet matrix of one of them (:func:`ymft.forms.wedge_matrix`,
-no jet products), with its columns taken through the Hodge dual of the
-unknown's components.  Y is never inverted: the inverse Y0^{-1} of its
+block is the jet matrix of one of them (:func:`ymft.forms.dual_wedge_matrix`,
+no jet products), the Hodge dual of the unknown's components folded into
+its constants.  Y is never inverted: the inverse Y0^{-1} of its
 constant block is formed once, and the ring solves Y x = r right-looking,
 one degree level of the jet at a time (:meth:`ymft.jets.JetRing.solve`),
 up to the valid order of r = (F, H).  Invertibility of the constant block
@@ -46,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import DeformationSet
-from .forms import (COMPS, CONVENTION, HODGE_TABLE, WEDGE_TABLE, LieForm,
-                    Node, base_part, epsilon_dual, wedge_adjoint,
-                    wedge_matrix)
+from .forms import (COMPS, HODGE_TABLE, WEDGE_TABLE, LieForm, Node,
+                    base_part, dual_wedge_matrix, epsilon_dual, wedge_adjoint)
 
 
 class SingularYError(RuntimeError):
@@ -219,9 +218,13 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     The column of Y - 1 for a basis P^a dx^I holds -b^T(c_2 *dx^I e_a, A) in
     the Q rows; the column for a basis Q^a dx^J holds -b(c_3 *dx^J e_a, A) in
     the P rows and -k(c_3 *dx^J e_a, B) in the Q rows (c_p the dual
-    constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is the jet
-    matrix of the wedge with A or B on (4 - p)-forms, whose column for
-    *dx^I, times -c_p and the sign of the Hodge dual, is that for dx^I.
+    constants on ``CONVENTION``).  Each block (:func:`_y_blocks`) is minus
+    the jet matrix of x -> (c_p *x) ^ A or B on p-forms x
+    (:func:`ymft.forms.dual_wedge_matrix`).
+
+    The matrix is a (size, size, width) view of (width, size, size)
+    memory, the jet-matrix layout of :meth:`ymft.jets.JetAlgebra.push`, so
+    the solve reads Y's coefficient prefix without copying it.
 
     The solvers use it on the base ring only (:func:`invert_Y`): over an
     extended ring Y is never formed, and the solve reads its blocks after
@@ -230,16 +233,15 @@ def assemble_Y(config: FieldConfig, ds: DeformationSet) -> YOperator:
     """
     ring = config.ring
     n, m = ds.space_a.dim, ds.space_b.dim
-    matrix = ring.const(np.eye(n * len(COMPS[2]) + m * len(COMPS[3])))
+    size = n * len(COMPS[2]) + m * len(COMPS[3])
+    # built as (w, size, size), the layout of the jet matrices that the
+    # solve's kernel takes, so that it reads a view
+    coeffs = np.zeros((ring.width, size, size))
+    coeffs[0] = np.eye(size)
     for rows, cols, p, field, pairing in _y_blocks(ds):
-        dual, sign = np.array(HODGE_TABLE[p]).T
-        right = getattr(config, field)
-        wedge = wedge_matrix(4 - p, right, pairing)
-        # the columns (a, i) as a and the p-component i
-        block = matrix[rows, cols].reshape(len(wedge), -1, len(COMPS[p]),
-                                           ring.width)
-        block -= (wedge.reshape(block.shape)[:, :, dual.astype(int)]
-                  * (CONVENTION.epsilon_dual_constants[p] * sign[:, None]))
+        coeffs[:, rows, cols] -= dual_wedge_matrix(p, getattr(config, field),
+                                                   pairing)
+    matrix = coeffs.transpose(1, 2, 0)
     return YOperator(ring, n, m, matrix)
 
 

@@ -313,6 +313,53 @@ def test_commutator_closure_structure():
     assert xi.wedge(chi, massive.j).max_abs() > 1e-3
 
 
+def remainder_of(ctx, xi, chi):
+    """Y^{-1}(b(E_B, xi), -b^T(E_A, xi) + k(E_B, chi)) for one gauge
+    parameter (xi, chi), both halves in one source, one solve."""
+    ds, (e_a, e_b) = ctx.variant.ds, ctx.equations
+    src_p = e_b.wedge(xi, ds.b)
+    src_q = (e_a.wedge(xi, b_transpose_pairing(ds)).scale(-1.0)
+             + e_b.wedge(chi, ds.k))
+    order = min(src_p.order, src_q.order)
+    vec = ctx.strengths.y_inv.apply(stack_pair(src_p, src_q), order)
+    n = ds.space_a.dim * len(COMPS[2])
+    return (LieForm(RING, 2, vec[:n].reshape(-1, len(COMPS[2]), RING.width),
+                    order),
+            LieForm(RING, 3, vec[n:].reshape(-1, len(COMPS[3]), RING.width),
+                    order))
+
+
+@pytest.mark.parametrize("name", ["su2-massive", "su2-massless",
+                                  "solvable"])
+def test_batched_remainders_match_one_solve_per_parameter(name,
+                                                          monkeypatch):
+    # the remainders are linear in the gauge parameter: those of two xi
+    # and two chi, from one solve with a column each and sources built
+    # from each parameter's own half, are those of one solve per
+    # parameter with the other half zero, and they take fewer pushes
+    ctx, other = seed_contexts(VARIANTS[name](), [1, 2], 3)
+    gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
+    zero_xi, zero_chi = (LieForm.zero(RING, p, 3) for p in (0, 1))
+    assert ctx.equations and ctx.strengths
+    pushes, original = [0], JetAlgebra.push
+
+    def counted(*args, **kwargs):
+        pushes[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(JetAlgebra, "push", counted)
+    batched = ctx.remainders((gp1.xi, gp2.xi), (gp1.chi, gp2.chi))
+    batched_pushes, pushes[0] = pushes[0], 0
+    single = [remainder_of(ctx, xi, zero_chi) for xi in (gp1.xi, gp2.xi)] \
+        + [remainder_of(ctx, zero_xi, chi) for chi in (gp1.chi, gp2.chi)]
+    assert 0 < batched_pushes < pushes[0]
+    for got, want in zip(batched, single):
+        for g, w in zip(got, want):
+            assert g.order == w.order
+            assert (g - w).max_abs() <= 1e-14 * w.max_abs()
+            assert w.max_abs() > 0
+
+
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_linearization(name):
     v = VARIANTS[name]()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ymft import jets
 from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
                        NilpotentExtension, jet_algebra)
 
@@ -33,44 +34,116 @@ def test_truncated_product_against_brute_force(degree):
 @pytest.mark.parametrize("degree", range(9))
 def test_level_pairs_hold_each_pair_once(degree):
     # the kernel of the jet-matrix product and of the graded Y solve pushes
-    # one degree level of the right factor at a time; each output monomial
-    # adds its pairs rank by rank, in row-major order, and the outputs with
-    # an r-th pair are a prefix of the level's output order
+    # a run of consecutive degree levels of the right factor at a time, one
+    # GEMM per level into one buffer; each output monomial adds its pairs
+    # rank by rank, level by level and in row-major order within a level,
+    # and the outputs with an r-th pair are a prefix of the run's output
+    # order
     alg = jet_algebra(degree)
-    bounds = alg.level_bounds
-    seen = []
-    for level, (place, ranks) in enumerate(alg.level_pairs):
-        lo, hi = bounds[level], bounds[level + 1]
-        end = bounds[degree - level + 1]
-        assert (alg.term_degree[lo:hi] == level).all()
-        # one place per monomial of degree >= level; those of the level,
-        # whose one pair is (0, j), come last
-        order = np.argsort(place)
-        assert sorted(place.tolist()) == list(range(alg.n_terms - lo))
-        assert sorted(order[lo - hi:].tolist()) == list(range(hi - lo))
-        assert ranks[0].shape[1] == alg.n_terms - lo
-        runs = {}
-        for r, rows in enumerate(ranks):
-            j, i = np.divmod(rows[0], end)
-            # the same pairs in the products without i = 0
-            assert (rows[1] == j * (end - 1) + i - 1)[i > 0].all()
-            zeros = np.flatnonzero(i == 0).tolist()
-            assert zeros == (list(range(lo - hi + len(i), len(i))) if r == 0
-                             else [])
-            for k, ik, jk in zip(order.tolist(), i.tolist(), j.tolist()):
-                jk += lo
-                assert alg.term_degree[jk] == level
-                total = tuple(x + y for x, y in zip(alg.exponents[ik],
-                                                    alg.exponents[jk]))
-                assert alg.index[total] == k + lo
-                runs.setdefault(k, []).append((ik, jk))
-                seen.append((ik, jk))
-        # the ranks follow the row-major order of each output's pairs
-        assert all(run == sorted(run) for run in runs.values())
-    every = [(i, j) for i, ei in enumerate(alg.exponents)
-             for j, ej in enumerate(alg.exponents)
-             if sum(ei) + sum(ej) <= degree]
-    assert sorted(seen) == every
+    bounds, exps = alg.level_bounds, np.array(alg.exponents)
+    ii, jj = np.nonzero(alg.term_degree[:, None] + alg.term_degree
+                        <= degree)
+    for first in range(degree + 1):
+        for last in range(first, degree + 1):
+            for constant in (True, False):
+                i0 = int(not constant)
+                steps, ranks, place, order = alg.level_pairs(
+                    first, last, constant)
+                # one GEMM per level: its monomials j, its prefix of i and
+                # its rows, one after the other
+                assert [step[0] for step in steps] == \
+                    (bounds[first:last + 1] - bounds[first]).tolist()
+                for level, (lo, hi, s0, end, start, stop) in zip(
+                        range(first, last + 1), steps):
+                    assert (hi - lo, s0, end) == (
+                        bounds[level + 1] - bounds[level], i0,
+                        bounds[degree - level + 1])
+                    assert stop - start == (hi - lo) * (end - i0)
+                assert [s[4] for s in steps[1:]] == \
+                    [s[5] for s in steps[:-1]] and steps[0][4] == 0
+                # one place per output monomial, of degree >= first (>
+                # first without i = 0); every output has a first pair
+                n_out = alg.n_terms - bounds[first + i0]
+                assert sorted(place.tolist()) == list(range(n_out))
+                assert (place[order] == np.arange(n_out)).all()
+                assert len(ranks[0]) == n_out
+                assert all(len(a) >= len(b)
+                           for a, b in zip(ranks, ranks[1:]))
+                # each row back to its pair (i, j)
+                rows = np.concatenate(ranks)
+                rank = np.repeat(np.arange(len(ranks)), list(map(len, ranks)))
+                at = np.concatenate([np.arange(len(r)) for r in ranks])
+                stops = np.array([s[5] for s in steps])
+                step = np.searchsorted(stops, rows, side="right")
+                lo, _, _, end, start, _ = np.array(steps)[step].T
+                j, i = np.divmod(rows - start, end - i0)
+                i, j = i + i0, j + lo + bounds[first]
+                assert (alg.term_degree[j] == first + step).all()
+                k = order[at] + bounds[first + i0]
+                assert (exps[i] + exps[j] == exps[k]).all()
+                # every pair of the run once
+                want = (alg.term_degree[jj] >= first) \
+                    & (alg.term_degree[jj] <= last) & (ii >= i0)
+                assert sorted(zip(i.tolist(), j.tolist())) == \
+                    sorted(zip(ii[want].tolist(), jj[want].tolist()))
+                # the ranks follow the level, then the row-major order, of
+                # each output's pairs: (level, i) grows with the rank
+                by_output = np.lexsort((rank, k))
+                same = np.diff(k[by_output]) == 0
+                key = step * alg.n_terms + i
+                assert (np.diff(key[by_output])[same] > 0).all()
+
+
+@pytest.mark.parametrize("degree", range(11))
+def test_grouped_push_matches_reference(degree, monkeypatch):
+    # matmul_coeffs against the reference product, with the levels in one
+    # push and split into several, one column and several; each output
+    # sums its pairs in one order however the levels are split, so both
+    # give the same bits
+    alg, ring = jet_algebra(degree), JetRing(degree)
+    default = jets.PUSH_MAX_BYTES
+    rng = np.random.default_rng(40 + degree)
+    pairs = int((alg.term_degree[:, None] + alg.term_degree
+                 <= degree).sum())
+    assert pairs == alg.n_pairs
+    for shape in ((2, 3, 1), (1, 2, 2)):
+        n_rows, inner, cols = shape
+        a = rng.uniform(-1, 1, (n_rows, inner, alg.n_terms))
+        b = rng.uniform(-1, 1, (inner, cols, alg.n_terms))
+        want = ref_mul(ring, a[:, :, None], b[None]).sum(axis=1)
+        # the default cap keeps these in one run; half the pairs per buffer
+        # splits them from degree 1 on
+        got = []
+        for cap, one_run in ((default, True),
+                             (8 * n_rows * cols * pairs // 2, False)):
+            monkeypatch.setattr(jets, "PUSH_MAX_BYTES", cap)
+            runs = alg.runs(n_rows * cols)
+            assert [r[0] for r in runs] == [0] + [r[1] + 1 for r in runs[:-1]]
+            assert runs[-1][1] == degree
+            assert (len(runs) == 1) == (one_run or degree == 0)
+            got.append(alg.matmul_coeffs(a, b))
+            assert np.abs(got[-1] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(*got)
+
+
+@pytest.mark.parametrize("degree", [1, 4, 8])
+def test_matmul_is_exact_zero_above_its_valid_order(degree):
+    # NaN above the valid order of both factors reaches nothing: the
+    # coefficients above it are exact 0.0 and those below match the
+    # reference product of the truncated factors
+    ring = JetRing(degree)
+    rng = np.random.default_rng(degree)
+    for order in range(degree):
+        valid = ring.mask_up_to(order)
+        a = rng.uniform(-1, 1, (5, 4, ring.width))
+        b = rng.uniform(-1, 1, (4, 3, ring.width))
+        want = ref_mul(ring, np.where(valid, a, 0.0)[:, :, None],
+                       np.where(valid, b, 0.0)[None]).sum(axis=1)
+        a[..., ~valid], b[..., ~valid] = np.nan, np.nan
+        got = ring.matmul(a, b, order=order)
+        assert np.all(got[..., ~valid] == 0.0)
+        assert np.abs(got - want)[..., valid].max() \
+            <= 1e-14 * np.abs(want).max()
 
 
 def dense_derivative(alg: JetAlgebra, mu: int) -> np.ndarray:
@@ -480,13 +553,15 @@ def test_matmul_plans_once_per_flag_pattern():
 
 
 def recorded_push(monkeypatch) -> list:
-    """(algebra, level) of each :meth:`JetAlgebra.push` that runs."""
+    """(algebra, level) of each degree level that a :meth:`JetAlgebra.push`
+    runs."""
     calls = []
     original = JetAlgebra.push
 
-    def recorded(self, a, x, level, *args, **kwargs):
-        calls.append((self, level))
-        return original(self, a, x, level, *args, **kwargs)
+    def recorded(self, a, x, first, last=None, *args, **kwargs):
+        last = first if last is None else last
+        calls.extend((self, level) for level in range(first, last + 1))
+        return original(self, a, x, first, last, *args, **kwargs)
 
     monkeypatch.setattr(JetAlgebra, "push", recorded)
     return calls
