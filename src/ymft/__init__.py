@@ -19,7 +19,7 @@ from .deformations import (DeformationSet, check_all_relations,
                            parity_grade)
 from .strengths import (FieldConfig, SingularYError, StrengthPair,
                         assemble_Y, compute_strengths, connection_curvature,
-                        covariant_curl_H, curvature_F, invert_Y)
+                        covariant_curl_H, invert_Y)
 from .dynamics import (TheoryVariant, field_equations, gauge_variation,
                        run_identity_suite, variant_e_only, variant_general,
                        variant_linear)

@@ -1,14 +1,15 @@
 """Lagrangians, field equations, gauge variations, and the identity suite.
 
-Three theory variants are supported:
+Two theory kinds are supported:
 
-* ``linear-abelian``   -- the free theory of 1-form and 2-form potentials
-  with a metric-independent mass coupling m F ^ B;
 * ``general-parity-even`` -- the all-orders nonlinear theory built from a
   parity-even deformation set (a, b, j, k, mass), with strengths solved
   through the Y operator;
-* ``e-only``           -- the opposite-parity theory generated by the
-  symmetric e-coupling alone (massless).
+* ``shifted-curl``        -- the free theory of 1-form and 2-form
+  potentials, with its metric-independent mass coupling m F ^ B, written
+  in the shifted curl H~ = dB - e(dA, A).  With e = 0 the shift is an
+  exact zero and this is the free theory itself; with a symmetric
+  e-coupling alone it is the opposite-parity theory.
 
 Every identity is checked off-shell as an exact statement on jet
 coefficients: gauge variations, commutators and linearizations are taken by
@@ -53,9 +54,8 @@ from .strengths import (FieldConfig, StrengthPair, apply_linear,
                         substitution_residual_massless,
                         substitution_residual_massive, unstack_pair)
 
-LINEAR = "linear-abelian"
 GENERAL = "general-parity-even"
-EONLY = "e-only"
+SHIFTED = "shifted-curl"
 
 DEFAULT_TOLS = {"linear": 1e-12, "composite": 1e-8}
 # the cubic-tower rows of the euler-lagrange check are judged at
@@ -70,17 +70,18 @@ class TheoryVariant:
 
     def __post_init__(self):
         ds = self.ds
-        if self.kind not in (LINEAR, GENERAL, EONLY):
+        if self.kind not in (GENERAL, SHIFTED):
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == GENERAL and _nonzero(ds.e):
             raise ValueError("the parity-even variant requires e = 0")
-        if self.kind == LINEAR and _nonzero(ds.a, ds.b, ds.j, ds.k, ds.e):
-            raise ValueError("the linear variant requires "
-                             "a = b = j = k = e = 0")
-        if self.kind == EONLY and (_nonzero(ds.a, ds.b, ds.j, ds.k)
-                                   or not check_e_mass_obstruction(ds)):
-            raise ValueError("the e-only variant requires "
-                             "a = b = j = k = 0 and zero mass")
+        # the shifted-curl formulas read only e and the mass, and a mass
+        # that e sources is obstructed; with e = 0 nothing is
+        if self.kind == SHIFTED and (
+                _nonzero(ds.a, ds.b, ds.j, ds.k)
+                or (_nonzero(ds.e) and not check_e_mass_obstruction(ds))):
+            raise ValueError("the shifted-curl variant requires "
+                             "a = b = j = k = 0 and a mass map that "
+                             "annihilates e")
 
 
 def _nonzero(*tensors) -> bool:
@@ -90,8 +91,8 @@ def _nonzero(*tensors) -> bool:
 def variant_linear(mass_matrix, space_a: InternalSpace | None = None,
                    space_b: InternalSpace | None = None) -> TheoryVariant:
     """The free theory of :func:`ymft.deformations.family_linear`."""
-    return TheoryVariant(LINEAR, family_linear(mass_matrix, space_a,
-                                               space_b))
+    return TheoryVariant(SHIFTED, family_linear(mass_matrix, space_a,
+                                                space_b))
 
 
 def variant_general(ds: DeformationSet) -> TheoryVariant:
@@ -99,7 +100,7 @@ def variant_general(ds: DeformationSet) -> TheoryVariant:
 
 
 def variant_e_only(ds: DeformationSet) -> TheoryVariant:
-    return TheoryVariant(EONLY, ds)
+    return TheoryVariant(SHIFTED, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,8 @@ def _pair4(x: LieForm, y: LieForm, metric: np.ndarray) -> LieForm:
 
 def e_source_form(ds: DeformationSet, f_form: LieForm,
                   a_form: LieForm) -> LieForm:
-    """S^{a'} = e^{a'}_{bc} F^b ^ A^c, the 3-form sourcing the e-theory."""
+    """S^{a'} = e^{a'}_{bc} F^b ^ A^c, the shift of the curl H~ = dB - S;
+    an exact zero, from no product, when e = 0."""
     return f_form.wedge(a_form, ds.e)
 
 
@@ -169,23 +171,16 @@ def lagrangian_form(variant: TheoryVariant, config: FieldConfig,
     slots dA, dB of ``config`` (the generic Euler-Lagrange pass varies all
     four independently)."""
     ds = variant.ds
-    a_form, b_form = config.A, config.B
+    b_form = config.B
     mass = ds.mass.m
 
-    if variant.kind == LINEAR:
-        f_form, h_form = config.dA, config.dB
-        lag = (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
-               - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
-               + f_form.wedge(b_form, mass[None]))
-        return lag
-
-    if variant.kind == EONLY:
-        f_form, h_form = config.dA, config.dB
-        s_form = e_source_form(ds, f_form, a_form)
+    if variant.kind == SHIFTED:
+        # L = (1/2) F ^ *F - (1/2) H~ ^ *H~ + F ^ m B
+        f_form = config.dA
+        h_form = config.dB - e_source_form(ds, f_form, config.A)
         return (_pair4(f_form, f_form.hodge(), ds.ga).scale(0.5)
                 - _pair4(h_form, h_form.hodge(), ds.gb).scale(0.5)
-                + _pair4(s_form, h_form.hodge(), ds.gb)
-                - _pair4(s_form, s_form.hodge(), ds.gb).scale(0.5))
+                + f_form.wedge(b_form, mass[None]))
 
     strengths = strengths or compute_strengths(config, ds)
     return (_pair4(strengths.starP, strengths.F, ds.ga).scale(0.5)
@@ -197,27 +192,20 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
                     strengths: StrengthPair | None = None):
     """Hand-coded field equations: an A-valued 3-form and an A'-valued 2-form."""
     ds = variant.ds
-    a_form, b_form = config.A, config.B
+    a_form = config.A
 
-    if variant.kind == LINEAR:
-        f_form, h_form = config.dA, config.dB
-        e_a = f_form.hodge().d() + apply_linear(ds.mass.map_b, h_form)
-        e_b = h_form.hodge().d() + apply_linear(ds.mass.map_a, f_form)
-        return e_a, e_b
-
-    if variant.kind == EONLY:
-        f_form, h_form = config.dA, config.dB
-        s_form = e_source_form(ds, f_form, a_form)
+    if variant.kind == SHIFTED:
+        # E_A = d*F + m(H~) + 2 e(F, *H~) - e(A, d*H~), E_B = d*H~ + m(F)
+        f_form = config.dA
+        h_form = config.dB - e_source_form(ds, f_form, a_form)
         star_h = h_form.hodge()
-        star_s = s_form.hodge()
         # pairing [out a, left b (unprimed), right c' (primed)]
         pr = np.einsum("pbd,da->abp", ds.e_low(), ds.space_a.inverse_metric)
         e_a = (f_form.hodge().d()
+               + apply_linear(ds.mass.map_b, h_form)
                + f_form.wedge(star_h, pr).scale(2.0)
-               - a_form.wedge(star_h.d(), pr)
-               - f_form.wedge(star_s, pr).scale(2.0)
-               + a_form.wedge(star_s.d(), pr))
-        e_b = (star_h - star_s).d()
+               - a_form.wedge(star_h.d(), pr))
+        e_b = star_h.d() + apply_linear(ds.mass.map_a, f_form)
         return e_a, e_b
 
     strengths = strengths or compute_strengths(config, ds)
@@ -227,23 +215,21 @@ def field_equations(variant: TheoryVariant, config: FieldConfig,
     b_t = b_transpose_pairing(ds)
     ga_inv = ds.space_a.inverse_metric
 
-    # E_A = d*P + a(A,*P) + (b m)(A,*P) - b^{T-raised}(*Q,*P) + m(Q)
+    # E_A = d*P + (a + b m)(A,*P) - b^{T-raised}(*Q,*P) + m(Q)
     w_bm = np.einsum("apb,pc->abc", ds.b, ma)
     v_bt = np.einsum("cpd,da->apc", ds.b_low(), ga_inv)
     e_a = (star_p.d()
-           + a_form.wedge(star_p, ds.a)
-           + a_form.wedge(star_p, w_bm)
+           + a_form.wedge(star_p, ds.a + w_bm)
            - star_q.wedge(star_p, v_bt)
            + apply_linear(mb, q_form))
 
-    # E_B = d*Q + j(A,*Q) + (1/2) k^{bracket}(*Q,*Q) - (b^T m)(A,*Q) + m(P)
+    # E_B = d*Q + (j - b^T m)(A,*Q) + (1/2) k^{bracket}(*Q,*Q) + m(P)
     kl = ds.k_low()
     k2 = np.einsum("xyz,za->axy", kl, ds.space_b.inverse_metric)
     w2 = np.einsum("pcb,cq->pbq", b_t, mb)
     e_b = (star_q.d()
-           + a_form.wedge(star_q, ds.j)
+           + a_form.wedge(star_q, ds.j - w2)
            + star_q.wedge(star_q, k2).scale(0.5)
-           - a_form.wedge(star_q, w2)
            + apply_linear(ma, p_form))
     return e_a, e_b
 
@@ -282,10 +268,8 @@ def gauge_variation(variant: TheoryVariant, config: FieldConfig,
     ds = variant.ds
     xi, chi = gp.xi, gp.chi
     zero_a = LieForm.zero(config.ring, 1, ds.space_a.dim)
-    if variant.kind == LINEAR:
-        return Variations(xi.d(), LieForm.zero(config.ring, 2, ds.space_b.dim),
-                          zero_a, chi.d())
-    if variant.kind == EONLY:
+    if variant.kind == SHIFTED:
+        # delta B = e(F, xi) keeps H~ invariant
         return Variations(xi.d(), config.dA.wedge(xi, ds.e), zero_a, chi.d())
 
     if strengths is None:
@@ -304,13 +288,10 @@ def boundary_theta(variant: TheoryVariant, config: FieldConfig,
                    strengths: StrengthPair | None, gp: GaugeParam):
     """The 3-forms Theta with delta L = d Theta for each symmetry type."""
     ds = variant.ds
+    if variant.kind == SHIFTED:
+        return (LieForm.zero(config.ring, 3, 1),
+                config.dA.wedge(gp.chi, ds.mass.m[None]))
     n, m = ds.space_a.dim, ds.space_b.dim
-    ring = config.ring
-    zero3 = LieForm.zero(ring, 3, 1)
-    if variant.kind == EONLY:
-        return zero3, zero3
-    if variant.kind == LINEAR:
-        return zero3, config.dA.wedge(gp.chi, ds.mass.m[None])
 
     # Boundary data pinned against the exact invariance of the built-in
     # families (see CONVENTIONS.md): the 2-form factor is the dual *P and
@@ -389,10 +370,10 @@ class SeedContext:
     def free(self) -> "SeedContext":
         """The same fields in the free theory of this variant's mass and
         internal spaces, the theory every variant deforms: this context
-        itself when its variant is that free theory."""
-        if self.variant.kind == LINEAR:
-            return self
+        itself when its set has no coupling at all, e included."""
         ds = self.variant.ds
+        if not _nonzero(ds.a, ds.b, ds.j, ds.k, ds.e):
+            return self
         return SeedContext(variant_linear(ds.mass.m, ds.space_a, ds.space_b),
                            self.config, self.seed, self.amplitude)
 
@@ -473,11 +454,8 @@ def _noether_residuals(variant, config, strengths, e_a, e_b):
     ga, gb = ds.ga, ds.gb
     ea_low = _lowered(e_a, ga)
     eb_low = _lowered(e_b, gb)
-    if variant.kind == LINEAR:
-        return ea_low.d().max_abs(), eb_low.d().max_abs()
-    if variant.kind == EONLY:
-        # d(gE_A) + e(F, gE_B-pairing) closes; E_B is exactly d(...), so
-        # its divergence identity is d E_B = 0.
+    if variant.kind == SHIFTED:
+        # d(gE_A) - e(F, gE_B-pairing) closes, and d(gE_B) = 0
         pr = np.einsum("pbc->cbp", ds.e_low())   # [c, b, a']
         res_a = (ea_low.d() - config.dA.wedge(e_b, pr)).max_abs()
         return res_a, eb_low.d().max_abs()
@@ -523,11 +501,14 @@ def check_strength_identities(contexts, tol: float | None = None
         curl_h = (strengths.H.d() + config.A.wedge(strengths.H, ds.j)
                   - strengths.F.wedge(config.B, ds.j))
         _worst(rows, "curl-H-identity", curl_h.max_abs())
+        # both substitution routes read the set's h map
+        if ds.h_map is None:
+            continue
         _worst(rows, "substitution-P",
                substitution_residual_massless(strengths, config, ds))
         # the covariant-curl substitution route holds for pure-massive sets
         # (nondegenerate mass tensor), not for mixed massless/massive ones
-        if ds.h_map is not None and ds.space_a.dim == ds.space_b.dim \
+        if ds.space_a.dim == ds.space_b.dim \
                 and ds.mass.m.size \
                 and abs(np.linalg.det(ds.mass.m)) > 1e-10:
             _worst(rows, "substitution-Q-massive",
@@ -793,7 +774,7 @@ def quadratic_equations(ds: DeformationSet, config: FieldConfig):
     ga_inv, gb_inv = ds.space_a.inverse_metric, ds.space_b.inverse_metric
     ma, mb = ds.mass.map_a, ds.mass.map_b
     b_t = b_transpose_pairing(ds)
-    s_form = f_form.wedge(a_form, ds.e)
+    s_form = e_source_form(ds, f_form, a_form)
     pr_e = np.einsum("pbd,da->abp", el, ga_inv)        # e_{c'b}{}^a
     x_2form = (a_form.wedge(a_form, ds.a).scale(0.5)
                + star_h.wedge(a_form, ds.b))
@@ -924,8 +905,8 @@ def check_strength_transformation(contexts, tol: float | None = None
     Off-shell the strengths transform by internal rotations plus the
     inverse strength operator applied to field-equation source terms; the
     sources drop on solutions, where the strengths rotate homogeneously
-    (massless) or are invariant (massive).  The linear and e-only variants
-    have no solved 3-form strength, so only their P rows are reported.
+    (massless) or are invariant (massive).  The shifted-curl variant has
+    no solved strengths, so only its P rows are reported.
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
@@ -934,23 +915,22 @@ def check_strength_transformation(contexts, tol: float | None = None
         gp = ctx.gauge_param(77)
         var = ctx.variations(gp)
         if ctx.variant.kind != GENERAL:
-            # the 2-form strength of these variants is F = dA, so the first
+            # the 2-form strength of this variant is F = dA, so the first
             # symmetry type moves it by d(d xi) = 0 and the second not at all
             _worst(rows, "transform-xi-P", var.xi_a.d().max_abs())
             _worst(rows, "transform-chi-P", var.chi_a.d().max_abs())
             continue
         p_form, q_form = ctx.strengths.P, ctx.strengths.Q
         ring, n, m = ctx.config.ring, ds.space_a.dim, ds.space_b.dim
-        # homogeneous rotation a(P, xi) - (b m)(P, xi): the mass correction
+        # homogeneous rotation (a - b m)(P, xi): the mass correction
         # cancels the rotation exactly on the massive sector, which is the
         # off-shell form of the statement that massive strengths are gauge
         # invariant on solutions; chi does not rotate the strengths
         ma = ds.mass.map_a
         w_bm = np.einsum("apc,pg->agc", ds.b, ma)
         k_m = np.einsum("pbq,bc->pqc", ds.k, ma)
-        rot_xi = (p_form.wedge(gp.xi, ds.a) - p_form.wedge(gp.xi, w_bm),
-                  q_form.wedge(gp.xi, ds.j.transpose(0, 2, 1)).scale(-1.0)
-                  + q_form.wedge(gp.xi, k_m))
+        rot_xi = (p_form.wedge(gp.xi, ds.a - w_bm),
+                  q_form.wedge(gp.xi, k_m - ds.j.transpose(0, 2, 1)))
         rot_chi = (LieForm.zero(ring, 2, n), LieForm.zero(ring, 3, m))
         tan = ctx.tangent([var.xi, var.chi])
         deltas = zip(tangent_parts(tan.strengths.P),

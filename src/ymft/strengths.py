@@ -87,11 +87,6 @@ class FieldConfig:
         return self.B.d()
 
 
-def curvature_F(A: LieForm, a_tensor: np.ndarray) -> LieForm:
-    """F = dA + (1/2) a(A, A)."""
-    return A.d() + A.wedge(A, np.asarray(a_tensor, dtype=float)).scale(0.5)
-
-
 def covariant_curl_H(A: LieForm, B: LieForm, j_tensor: np.ndarray) -> LieForm:
     """H = dB + j(A, B); with j = 0 this is the plain curl."""
     return B.d() + A.wedge(B, np.asarray(j_tensor, dtype=float))

@@ -212,6 +212,27 @@ def test_verify_theory_gate_blocks_bad_deformation(tmp_path):
     assert proc.returncode in (0, 1)
 
 
+def test_explicit_su2_massive_matches_the_named_family():
+    # explicit.json writes the su2 massive tensors out with no h map: each
+    # row it shares with su2_massive.json is bitwise equal, and the only
+    # rows it lacks are the two substitution routes, which read the h map
+    rows = {}
+    for name in ("explicit", "su2_massive"):
+        path = ROOT / "demos" / "configs" / f"{name}.json"
+        proc = run_cli(["verify-theory", "--config", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        rows[name] = {(check, row["name"]): row for check, report in
+                      json.loads(proc.stdout)["checks"].items()
+                      for row in report["identities"]}
+    explicit, named = rows["explicit"], rows["su2_massive"]
+    assert set(named) - set(explicit) == {
+        ("strength-identities", "substitution-P"),
+        ("strength-identities", "substitution-Q-massive")}
+    assert set(explicit) <= set(named)
+    for key, row in explicit.items():
+        assert row == named[key], key
+
+
 def test_observables_command(tmp_path):
     payload = {"observables": {"sampler": "coulomb", "parameter": 1.0,
                                "radius": 2.0, "grid": [32, 64],

@@ -7,7 +7,7 @@ from ymft import dynamics, lie_core
 from ymft import strengths as strengths_module
 from ymft.deformations import (family_e_only, family_general,
                                family_solvable, family_su2, make_deformation)
-from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, LINEAR,
+from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, SHIFTED,
                            GaugeParam, IdentityReport, IdentityResult,
                            TheoryVariant,
                            Variations, boundary_theta, check_commutators,
@@ -86,19 +86,51 @@ def lagrangian_symmetric_form(variant, config, strengths) -> JetScalar:
 
 
 def test_variant_validation():
-    with pytest.raises(ValueError):
-        TheoryVariant("general-parity-even", family_e_only(sym_e()))
-    with pytest.raises(ValueError):
-        TheoryVariant("e-only", family_su2(0.0, 0.7))
+    with pytest.raises(ValueError, match="requires e = 0"):
+        TheoryVariant(GENERAL, family_e_only(sym_e()))
+    # the shifted-curl formulas read only e and the mass: any other
+    # coupling would be ignored
+    for ds in (family_su2(0.0, 0.7), family_su2(2.0, 0.5)):
+        with pytest.raises(ValueError, match="a = b = j = k = 0"):
+            TheoryVariant(SHIFTED, ds)
     ds = family_e_only(sym_e())
     mixed = make_deformation(ds.space_a, ds.space_b, ds.a, ds.b, ds.j, ds.k,
                              ds.e, np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        TheoryVariant("e-only", mixed)  # nonzero mass against e
-    # the free theory reads only the mass: a coupling would be ignored
-    for ds in (family_su2(2.0, 0.5), family_e_only(sym_e())):
-        with pytest.raises(ValueError, match="a = b = j = k = e = 0"):
-            TheoryVariant(LINEAR, ds)
+    with pytest.raises(ValueError, match="annihilates e"):
+        TheoryVariant(SHIFTED, mixed)  # a mass that e sources
+    # two kinds: the free theory and the e-only one are the same kind
+    for kind in ("linear-abelian", "e-only"):
+        with pytest.raises(ValueError, match="unknown variant kind"):
+            TheoryVariant(kind, ds)
+    assert variant_linear(np.eye(3)).kind == variant_e_only(ds).kind
+
+
+def e_set_with_mass():
+    """dims 3/2: e only in a' = 0 and the mass only in the column a' = 1,
+    so the mass map annihilates e and the shifted-curl theory keeps both."""
+    e = np.zeros((2, 3, 3))
+    e[0] = sym_e(m=1)[0]
+    mass = np.zeros((3, 2))
+    mass[:, 1] = [1.5, -0.5, 1.0]
+    ds = family_e_only(e)
+    return make_deformation(ds.space_a, ds.space_b, ds.a, ds.b, ds.j, ds.k,
+                            e, mass)
+
+
+@pytest.mark.parametrize("build", [field_equations, lagrangian_form])
+def test_e_only_products(build, monkeypatch):
+    # in the shifted curl: S = e(F, A), then the two e-wedges of E_A, or
+    # the two squares of the Lagrangian
+    ctx, = seed_contexts(VARIANTS["e-only"](), [1], degree=3)
+    calls, original = [0], JetAlgebra.matmul_coeffs
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(JetAlgebra, "matmul_coeffs", counted)
+    build(ctx.variant, ctx.config)
+    assert calls[0] == 3
 
 
 def test_identity_report_max_residual_keeps_nan():
@@ -416,12 +448,13 @@ def test_tower_lift_expands_the_lagrangian(name):
 
 
 @pytest.mark.parametrize("name, calls", [("linear-massive", 2),
+                                         ("e-only", 3),
                                          ("su2-massive", 3)])
 def test_free_context_evaluates_free_equations_once(name, calls,
                                                     monkeypatch):
-    # a variant that is the free theory is its own free context, so its
-    # field equations run once, not once more for the free theory; a
-    # deformed theory adds the free equations to its own and the
+    # a set with no coupling at all is its own free context, so its field
+    # equations run once, not once more for the free theory; a deformed
+    # theory, e-only included, adds the free equations to its own and the
     # linearization's
     seen = []
     original = dynamics.field_equations
@@ -435,7 +468,7 @@ def test_free_context_evaluates_free_equations_once(name, calls,
     assert all(rep.passed for rep in out["reports"].values())
     assert len(seen) == calls
     ctx, = seed_contexts(VARIANTS[name](), [1])
-    assert (ctx.free is ctx) == (ctx.variant.kind == LINEAR)
+    assert (ctx.free is ctx) == (name == "linear-massive")
 
 
 def test_cubic_tower_differentiates_only_the_lagrangian(monkeypatch):
@@ -745,11 +778,15 @@ def mixed_rotation_family():
                           massive=lie_core.abelian(1), mass_value=1.5)
 
 
-@pytest.mark.parametrize("family", [lambda: family_su2(2.0, 0.5),
-                                    mixed_rotation_family],
-                         ids=["su2-massive", "mixed-general"])
-def test_full_suite_at_degree_4(family):
-    out = run_identity_suite(variant_general(family()), [1], degree=4)
+# the e-set with mass: its field equations carry the mass on the sector
+# that e does not touch, so its linearization is the massive free theory
+@pytest.mark.parametrize("variant", [
+    lambda: variant_general(family_su2(2.0, 0.5)),
+    lambda: variant_general(mixed_rotation_family()),
+    lambda: variant_e_only(e_set_with_mass())],
+    ids=["su2-massive", "mixed-general", "e-set-with-mass"])
+def test_full_suite_at_degree_4(variant):
+    out = run_identity_suite(variant(), [1], degree=4)
     reports = out["reports"]
     assert list(reports) == list(CHECK_FUNCTIONS)
     for report in reports.values():

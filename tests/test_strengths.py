@@ -14,7 +14,7 @@ from ymft.strengths import (FieldConfig, SingularYError, YOperator,
                             _wedge_vol_factor, assemble_Y,
                             b_transpose_pairing, base_fields, block_metric,
                             compute_strengths, connection_curvature,
-                            covariant_curl_H, curvature_F, invert_Y,
+                            covariant_curl_H, invert_Y,
                             ring_matmul, ring_matvec, stack_pair,
                             substitution_residual_massive,
                             substitution_residual_massless)
@@ -47,9 +47,10 @@ def test_block_metric_matches_np_block(dims):
 
 def test_curvature_zero_and_abelian():
     zero_a, _ = random_field_config(0, 0.0, 3, 3, 3)
-    assert curvature_F(zero_a, lie_core.levi_civita3()).max_abs() == 0.0
+    assert connection_curvature(zero_a,
+                                lie_core.levi_civita3()).max_abs() == 0.0
     a_form, _ = random_field_config(1, 0.2, 3, 3, 3)
-    f_ab = curvature_F(a_form, np.zeros((3, 3, 3)))
+    f_ab = connection_curvature(a_form, np.zeros((3, 3, 3)))
     assert (f_ab - a_form.d()).max_abs() == 0.0
 
 
@@ -60,7 +61,7 @@ def test_curvature_constant_potential_hand_oracle():
     comps[0, 1] = RING.const(c1)
     comps[1, 2] = RING.const(c2)
     a_form = LieForm(RING, 1, comps)
-    f_form = curvature_F(a_form, lie_core.levi_civita3())
+    f_form = connection_curvature(a_form, lie_core.levi_civita3())
     idx12 = COMPS[2].index((1, 2))
     val = f_form.comps[2, idx12, 0]
     assert np.isclose(val, lie_core.levi_civita3()[2, 0, 1] * c1 * c2)
@@ -82,7 +83,7 @@ def test_curl_identity_covariant():
     # d H + j(A, H) - j(F, B) = 0 for the massive family couplings
     ds = family_su2(2.0, 0.5)
     cfg = su2_config(5)
-    f_form = curvature_F(cfg.A, ds.a)
+    f_form = connection_curvature(cfg.A, ds.a)
     h_form = covariant_curl_H(cfg.A, cfg.B, ds.j)
     resid = (h_form.d() + cfg.A.wedge(h_form, ds.j)
              - f_form.wedge(cfg.B, ds.j))
