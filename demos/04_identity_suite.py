@@ -12,10 +12,10 @@ import sys
 import numpy as np
 
 from ymft.deformations import family_su2, make_deformation
-from ymft.dynamics import run_identity_suite, variant_general
+from ymft.dynamics import TheoryVariant, run_identity_suite
 from ymft.lie_core import InternalSpace, levi_civita3
 
-variant = variant_general(family_su2(2.0, 0.5))
+variant = TheoryVariant(family_su2(2.0, 0.5))
 out = run_identity_suite(variant, seeds=[1, 2, 3], degree=3, amplitude=0.1)
 
 print("identity suite, massive three-dimensional family, seeds 1-3")
@@ -33,7 +33,7 @@ eps = levi_civita3()
 bad = make_deformation(InternalSpace(3), InternalSpace(3), eps, 0.3 * eps,
                        eps, 0.3 * eps, np.zeros((3, 3, 3)),
                        2.0 * np.eye(3), h_map=0.3 * np.eye(3))
-out = run_identity_suite(variant_general(bad), seeds=[1],
+out = run_identity_suite(TheoryVariant(bad), seeds=[1],
                          checks=["gauge-invariance"])
 report = out["reports"]["gauge-invariance"]
 print("\nsame suite with the coupling forced to 0.3 instead of 1/m:")

@@ -21,8 +21,7 @@ from .strengths import (FieldConfig, SingularYError, StrengthPair,
                         assemble_Y, compute_strengths, connection_curvature,
                         covariant_curl_H, invert_Y)
 from .dynamics import (TheoryVariant, field_equations, gauge_variation,
-                       run_identity_suite, variant_e_only, variant_general,
-                       variant_linear)
+                       run_identity_suite)
 from .observables import (charge_line, charge_surface,
                           energy_causality_check, stress_energy)
 

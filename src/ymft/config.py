@@ -16,8 +16,7 @@ from . import lie_core
 from .deformations import (DeformationSet, family_e_only, family_general,
                            family_linear, family_solvable, family_su2,
                            make_deformation)
-from .dynamics import (CHECK_FUNCTIONS, DEFAULT_TOLS, GENERAL, SHIFTED,
-                       TheoryVariant)
+from .dynamics import CHECK_FUNCTIONS, DEFAULT_TOLS, TheoryVariant
 from .lie_core import InternalSpace, StructureConstants
 
 
@@ -281,13 +280,8 @@ class RunConfig:
             mass)
 
     def variant(self) -> TheoryVariant:
-        """The theory of the deformation family: the shifted-curl one for
-        ``linear`` and ``e_only`` (the free theory and the opposite-parity
-        one), the parity-even one for every other family."""
-        ds = self.deformation()
-        family = self.raw["deformation"]["family"]
-        return TheoryVariant(SHIFTED if family in ("linear", "e_only")
-                             else GENERAL, ds)
+        """The theory of the deformation set (:class:`TheoryVariant`)."""
+        return TheoryVariant(self.deformation())
 
     def observables_section(self) -> dict:
         section = dict(sampler="coulomb", parameter=1.0,

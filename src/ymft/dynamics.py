@@ -1,15 +1,17 @@
 """Lagrangians, field equations, gauge variations, and the identity suite.
 
-Two theory kinds are supported:
+A deformation set alone decides its theory (:class:`TheoryVariant`), of
+one of two kinds:
 
-* ``general-parity-even`` -- the all-orders nonlinear theory built from a
-  parity-even deformation set (a, b, j, k, mass), with strengths solved
-  through the Y operator;
-* ``shifted-curl``        -- the free theory of 1-form and 2-form
-  potentials, with its metric-independent mass coupling m F ^ B, written
-  in the shifted curl H~ = dB - e(dA, A).  With e = 0 the shift is an
-  exact zero and this is the free theory itself; with a symmetric
-  e-coupling alone it is the opposite-parity theory.
+* ``general-parity-even`` -- when any of a, b, j, k is nonzero: the
+  all-orders nonlinear theory of a parity-even set (a, b, j, k, mass),
+  with strengths solved through the Y operator; it requires e = 0;
+* ``shifted-curl``        -- when a = b = j = k = 0: the free theory of
+  1-form and 2-form potentials, with its metric-independent mass coupling
+  m F ^ B, written in the shifted curl H~ = dB - e(dA, A).  With e = 0 the
+  shift is an exact zero and this is the free theory itself; with a
+  symmetric e-coupling it is the opposite-parity theory, which requires a
+  mass map that annihilates e.
 
 Every identity is checked off-shell as an exact statement on jet
 coefficients: gauge variations, commutators and linearizations are taken by
@@ -47,7 +49,6 @@ from .forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, adjoints,
                     mark_leaf, promote_form, random_field_config,
                     random_gauge_params, scalar_pairing, tangent_parts)
 from .jets import NilpotentExtension
-from .lie_core import InternalSpace
 from .strengths import (FieldConfig, StrengthPair, apply_linear,
                         b_transpose_pairing, compute_strengths,
                         recorded_strengths, stack_pair,
@@ -65,42 +66,41 @@ CUBIC_TOWER_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TheoryVariant:
-    kind: str
+    """The theory of a deformation set.  Its kind follows from the set:
+    the shifted-curl theory when a = b = j = k = 0, the parity-even one
+    otherwise."""
+
     ds: DeformationSet
 
     def __post_init__(self):
         ds = self.ds
-        if self.kind not in (GENERAL, SHIFTED):
-            raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == GENERAL and _nonzero(ds.e):
             raise ValueError("the parity-even variant requires e = 0")
-        # the shifted-curl formulas read only e and the mass, and a mass
-        # that e sources is obstructed; with e = 0 nothing is
-        if self.kind == SHIFTED and (
-                _nonzero(ds.a, ds.b, ds.j, ds.k)
-                or (_nonzero(ds.e) and not check_e_mass_obstruction(ds))):
-            raise ValueError("the shifted-curl variant requires "
-                             "a = b = j = k = 0 and a mass map that "
-                             "annihilates e")
+        # a mass that e sources is obstructed; with e = 0 nothing is
+        if (self.kind == SHIFTED and _nonzero(ds.e)
+                and not check_e_mass_obstruction(ds)):
+            raise ValueError("the shifted-curl variant requires a mass map "
+                             "that annihilates e")
+
+    @functools.cached_property
+    def kind(self) -> str:
+        ds = self.ds
+        return GENERAL if _nonzero(ds.a, ds.b, ds.j, ds.k) else SHIFTED
+
+    @functools.cached_property
+    def free(self) -> "TheoryVariant":
+        """The free theory of this set's mass and internal spaces, the
+        theory every variant deforms: this variant itself when its set has
+        no coupling at all, e included."""
+        ds = self.ds
+        if self.kind == SHIFTED and not _nonzero(ds.e):
+            return self
+        return TheoryVariant(family_linear(ds.mass.m, ds.space_a,
+                                           ds.space_b))
 
 
 def _nonzero(*tensors) -> bool:
     return max(np.abs(t).max() for t in tensors) > 0
-
-
-def variant_linear(mass_matrix, space_a: InternalSpace | None = None,
-                   space_b: InternalSpace | None = None) -> TheoryVariant:
-    """The free theory of :func:`ymft.deformations.family_linear`."""
-    return TheoryVariant(SHIFTED, family_linear(mass_matrix, space_a,
-                                                space_b))
-
-
-def variant_general(ds: DeformationSet) -> TheoryVariant:
-    return TheoryVariant(GENERAL, ds)
-
-
-def variant_e_only(ds: DeformationSet) -> TheoryVariant:
-    return TheoryVariant(SHIFTED, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +368,13 @@ class SeedContext:
 
     @functools.cached_property
     def free(self) -> "SeedContext":
-        """The same fields in the free theory of this variant's mass and
-        internal spaces, the theory every variant deforms: this context
-        itself when its set has no coupling at all, e included."""
-        ds = self.variant.ds
-        if not _nonzero(ds.a, ds.b, ds.j, ds.k, ds.e):
+        """The same fields in the free theory of this variant
+        (:attr:`TheoryVariant.free`): this context itself when the variant
+        is free."""
+        if self.variant.free is self.variant:
             return self
-        return SeedContext(variant_linear(ds.mass.m, ds.space_a, ds.space_b),
-                           self.config, self.seed, self.amplitude)
+        return SeedContext(self.variant.free, self.config, self.seed,
+                           self.amplitude)
 
     def tangent(self, directions) -> "SeedContext":
         """The context of :func:`tangent_config` along ``directions``.  Its

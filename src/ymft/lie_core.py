@@ -168,9 +168,6 @@ class MassTensor:
         """(dim A, dim A'): u'^{a'} -> m_{a'}^{a} u'^{a'}."""
         return read_only(self.space_a.inverse_metric @ self.m)
 
-    def is_zero(self) -> bool:
-        return not self.m.any()
-
 
 @dataclass(frozen=True)
 class SubspaceSplit:

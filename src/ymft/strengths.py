@@ -5,10 +5,10 @@ The pair (P, Q) of nonlinear field strengths is defined implicitly by
     P^a  - b^a_{b'c} *Q^{b'} ^ A^c                                    = F^a
     Q^{a'} - b_b{}^{a'}{}_c *P^b ^ A^c - k^{a'}_{b'c'} *Q^{b'} ^ B^{c'} = H^{a'}
 
-with F = dA + (1/2) a(A, A) and H = dB (+ j(A, B) in the covariant-curl
-variants).  Stacking the component functions of an (A-valued 2-form,
-A'-valued 3-form) pair into a vector of length 6n + 4n' turns the left side
-into a square matrix Y = 1 + (terms linear in A, B) over the jet ring.
+with F = dA + (1/2) a(A, A) and the covariant curl H = dB + j(A, B).
+Stacking the component functions of an (A-valued 2-form, A'-valued
+3-form) pair into a vector of length 6n + 4n' turns the left side into a
+square matrix Y = 1 + (terms linear in A, B) over the jet ring.
 
 Y - 1 is three wedges of the dualised unknown, -(c_2 *P) ^ A, -(c_3 *Q) ^ A
 and -(c_3 *Q) ^ B (:func:`_y_blocks`).  On the base ring each coupling
@@ -330,11 +330,10 @@ def compute_strengths(config: FieldConfig, ds: DeformationSet,
                       base: StrengthPair | None = None) -> StrengthPair:
     """Solve the implicit strength definitions for (P, Q).
 
-    The 3-form strength on the right-hand side is the plain curl dB at
-    zero mass and the covariant curl dB + j(A, B) otherwise, the only
-    consistent choice for the built-in families (the mass-j link forces
-    j = 0 at zero mass).  dA and dB are the derivative slots of
-    ``config``.
+    The 3-form strength on the right-hand side is the covariant curl
+    H = dB + j(A, B) (:func:`covariant_curl_H`); with j = 0 the wedge runs
+    no product and adds an exact zero.  dA and dB are the derivative slots
+    of ``config``.
 
     Over an extended ring, ``base`` is the strengths of the base blocks of
     the fields (by default solved here from them): their P and Q are the
@@ -355,9 +354,7 @@ def _strengths(config: FieldConfig, ds: DeformationSet,
                solved: StrengthPair | None,
                base: StrengthPair | None = None) -> StrengthPair:
     f_form = config.dA + config.A.wedge(config.A, ds.a).scale(0.5)
-    h_form = config.dB
-    if not ds.mass.is_zero():
-        h_form = h_form + config.A.wedge(config.B, ds.j)
+    h_form = config.dB + config.A.wedge(config.B, ds.j)
     order = min(f_form.order, h_form.order)
     if solved is not None:
         yinv, vec = solved.y_inv, stack_pair(solved.P, solved.Q)

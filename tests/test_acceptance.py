@@ -15,14 +15,13 @@ import pytest
 from ymft import lie_core
 from ymft.deformations import (check_all_relations, check_e_mass_obstruction,
                                check_quadratic_relations, family_e_only,
-                               family_general, family_solvable, family_su2,
-                               make_deformation)
-from ymft.dynamics import (check_commutators,
+                               family_general, family_linear,
+                               family_solvable, family_su2, make_deformation)
+from ymft.dynamics import (TheoryVariant, check_commutators,
                            check_euler_lagrange_consistency,
                            check_gauge_invariance, check_linearization,
                            check_noether_identities,
-                           check_strength_identities, seed_contexts,
-                           variant_e_only, variant_general, variant_linear)
+                           check_strength_identities, seed_contexts)
 from ymft.forms import LieForm
 from ymft.jets import JetRing
 from ymft.lie_core import InternalSpace
@@ -101,12 +100,12 @@ def test_criterion_2_obstruction_detection():
 
 def _acceptance_variants():
     return {
-        "linear m=0": variant_linear(np.zeros((3, 3))),
-        "linear m=2": variant_linear(2.0 * np.eye(3)),
-        "su2 massless": variant_general(family_su2(0.0, 0.7)),
-        "su2 massive": variant_general(family_su2(2.0, 0.5)),
-        "solvable": variant_general(solvable_family()),
-        "e-only": variant_e_only(family_e_only(sym_e())),
+        "linear m=0": TheoryVariant(family_linear(np.zeros((3, 3)))),
+        "linear m=2": TheoryVariant(family_linear(2.0 * np.eye(3))),
+        "su2 massless": TheoryVariant(family_su2(0.0, 0.7)),
+        "su2 massive": TheoryVariant(family_su2(2.0, 0.5)),
+        "solvable": TheoryVariant(solvable_family()),
+        "e-only": TheoryVariant(family_e_only(sym_e())),
     }
 
 
@@ -132,7 +131,7 @@ def test_criterion_4_negative_control_wrong_coupling():
     bad = make_deformation(InternalSpace(3), InternalSpace(3), eps,
                            0.3 * eps, eps, 0.3 * eps, np.zeros((3, 3, 3)),
                            2.0 * np.eye(3), h_map=0.3 * np.eye(3))
-    report = check_gauge_invariance(seed_contexts(variant_general(bad),
+    report = check_gauge_invariance(seed_contexts(TheoryVariant(bad),
                                                   [1, 2, 3]))
     verdict(4, "massive family with the coupling forced to 0.3 breaks "
                f"invariance (residual {report.max_residual:.2e} > 1e-3)",

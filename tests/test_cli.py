@@ -233,6 +233,23 @@ def test_explicit_su2_massive_matches_the_named_family():
         assert row == named[key], key
 
 
+def test_explicit_e_only_matches_the_named_family(tmp_path):
+    # the tensors of e_only.json written out, a = b = j = k = 0: the set
+    # alone picks the shifted-curl theory, as for the named family
+    named = json.loads((ROOT / "demos" / "configs" / "e_only.json")
+                       .read_text())
+    section = {"family": "explicit", "dims": [3, 2],
+               "e": named["deformation"]["e"], "a": [0.0] * 27,
+               "b": [0.0] * 18, "j": [0.0] * 12, "k": [0.0] * 8}
+    cfg = write_config(tmp_path, dict(named, deformation=section))
+    checks = []
+    for path in (cfg, str(ROOT / "demos" / "configs" / "e_only.json")):
+        proc = run_cli(["verify-theory", "--config", path])
+        assert proc.returncode == 0, proc.stderr
+        checks.append(json.loads(proc.stdout)["checks"])
+    assert checks[0] == checks[1]
+
+
 def test_observables_command(tmp_path):
     payload = {"observables": {"sampler": "coulomb", "parameter": 1.0,
                                "radius": 2.0, "grid": [32, 64],

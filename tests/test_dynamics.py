@@ -5,7 +5,7 @@ import pytest
 
 from ymft import dynamics, lie_core
 from ymft import strengths as strengths_module
-from ymft.deformations import (family_e_only, family_general,
+from ymft.deformations import (family_e_only, family_general, family_linear,
                                family_solvable, family_su2, make_deformation)
 from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, SHIFTED,
                            GaugeParam, IdentityReport, IdentityResult,
@@ -21,8 +21,7 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, SHIFTED,
                            gauge_commutators, gauge_variation,
                            generic_field_equations, lagrangian_form,
                            run_identity_suite, seed_contexts,
-                           tangent_config, variant_e_only, variant_general,
-                           variant_linear)
+                           tangent_config)
 from ymft.forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, base_part,
                         promote_form,
                         random_field_config, random_gauge_params,
@@ -47,13 +46,14 @@ def sym_e(seed=5, m=2, n=3):
 
 
 VARIANTS = {
-    "linear-massless": lambda: variant_linear(np.zeros((3, 3))),
-    "linear-massive": lambda: variant_linear(2.0 * np.eye(3)),
-    "su2-massless": lambda: variant_general(family_su2(0.0, 0.7)),
-    "su2-massive": lambda: variant_general(family_su2(2.0, 0.5)),
-    "solvable": lambda: variant_general(
+    "linear-massless": lambda: TheoryVariant(
+        family_linear(np.zeros((3, 3)))),
+    "linear-massive": lambda: TheoryVariant(family_linear(2.0 * np.eye(3))),
+    "su2-massless": lambda: TheoryVariant(family_su2(0.0, 0.7)),
+    "su2-massive": lambda: TheoryVariant(family_su2(2.0, 0.5)),
+    "solvable": lambda: TheoryVariant(
         family_solvable([1, 0, 0], [0, 0, 1], CMAP)),
-    "e-only": lambda: variant_e_only(family_e_only(sym_e())),
+    "e-only": lambda: TheoryVariant(family_e_only(sym_e())),
 }
 
 
@@ -86,23 +86,37 @@ def lagrangian_symmetric_form(variant, config, strengths) -> JetScalar:
 
 
 def test_variant_validation():
+    su2 = family_su2(2.0, 0.5)
     with pytest.raises(ValueError, match="requires e = 0"):
-        TheoryVariant(GENERAL, family_e_only(sym_e()))
-    # the shifted-curl formulas read only e and the mass: any other
-    # coupling would be ignored
-    for ds in (family_su2(0.0, 0.7), family_su2(2.0, 0.5)):
-        with pytest.raises(ValueError, match="a = b = j = k = 0"):
-            TheoryVariant(SHIFTED, ds)
+        TheoryVariant(make_deformation(su2.space_a, su2.space_b, su2.a,
+                                       su2.b, su2.j, su2.k, sym_e(m=3),
+                                       su2.mass.m))
     ds = family_e_only(sym_e())
     mixed = make_deformation(ds.space_a, ds.space_b, ds.a, ds.b, ds.j, ds.k,
                              ds.e, np.ones((3, 2)))
     with pytest.raises(ValueError, match="annihilates e"):
-        TheoryVariant(SHIFTED, mixed)  # a mass that e sources
-    # two kinds: the free theory and the e-only one are the same kind
-    for kind in ("linear-abelian", "e-only"):
-        with pytest.raises(ValueError, match="unknown variant kind"):
-            TheoryVariant(kind, ds)
-    assert variant_linear(np.eye(3)).kind == variant_e_only(ds).kind
+        TheoryVariant(mixed)  # a mass that e sources
+
+
+def test_variant_kind_follows_from_the_set():
+    z = np.zeros
+    explicit_free = make_deformation(
+        InternalSpace(3), InternalSpace(2), z((3, 3, 3)), z((3, 2, 3)),
+        z((2, 3, 2)), z((2, 2, 2)), z((2, 3, 3)), np.ones((3, 2)))
+    for ds in (family_linear(np.eye(3)), family_e_only(sym_e()),
+               explicit_free):
+        assert TheoryVariant(ds).kind == SHIFTED
+    for ds in (family_su2(0.0, 0.7), family_su2(2.0, 0.5),
+               mixed_rotation_family()):
+        assert TheoryVariant(ds).kind == GENERAL
+
+
+@pytest.mark.parametrize("name", ["linear-massive", "e-only", "su2-massive"])
+def test_seed_contexts_share_the_free_variant(name):
+    v = VARIANTS[name]()
+    contexts = seed_contexts(v, [1, 2])
+    assert all(ctx.free.variant is v.free for ctx in contexts)
+    assert (v.free is v) == (name == "linear-massive")
 
 
 def e_set_with_mass():
@@ -153,7 +167,7 @@ def test_lagrangian_zero_fields():
 
 def test_linear_lagrangian_component_oracle():
     # abelian, massless, B = 0: L = (1/2) F ^ *F
-    v = variant_linear(np.zeros((3, 3)))
+    v = TheoryVariant(family_linear(np.zeros((3, 3))))
     a_form, _ = random_field_config(3, 0.3, 3, 3, 3)
     zb = LieForm.zero(RING, 2, 3)
     val = lagrangian(v, FieldConfig(a_form, zb))
@@ -178,7 +192,7 @@ def test_linear_lagrangian_component_oracle():
 
 def test_more_symmetrical_lagrangian_form():
     ds = family_su2(0.0, 0.7)
-    v = variant_general(ds)
+    v = TheoryVariant(ds)
     a_form, b_form = random_field_config(4, 0.1, 3, 3, 3)
     cfg = FieldConfig(a_form, b_form)
     pair = compute_strengths(cfg, ds)
@@ -191,7 +205,7 @@ def test_more_symmetrical_lagrangian_form():
 
 
 def test_field_equations_zero_and_linear_forms():
-    v = variant_linear(2.0 * np.eye(3))
+    v = TheoryVariant(family_linear(2.0 * np.eye(3)))
     za, zb = random_field_config(0, 0.0, 3, 3, 3)
     e_a, e_b = field_equations(v, FieldConfig(za, zb))
     assert e_a.max_abs() == 0.0 and e_b.max_abs() == 0.0
@@ -208,7 +222,7 @@ def test_massive_su2_equations_match_component_transcription():
     # specialization of the general equations to the three-dimensional
     # massive family, written with the explicit bracket terms
     ds = family_su2(2.0, 0.5)
-    v = variant_general(ds)
+    v = TheoryVariant(ds)
     cfg = FieldConfig(*random_field_config(3, 0.1, 3, 3, 3))
     pair = compute_strengths(cfg, ds)
     e_a, e_b = field_equations(v, cfg, pair)
@@ -227,7 +241,7 @@ def test_massive_su2_equations_match_component_transcription():
 
 def test_gauge_variation_oracle():
     ds = family_su2(0.0, 0.7)
-    v = variant_general(ds)
+    v = TheoryVariant(ds)
     cfg = FieldConfig(*random_field_config(5, 0.1, 3, 3, 3))
     pair = compute_strengths(cfg, ds)
     gp = GaugeParam(*random_gauge_params(55, 0.1, 3, 3, 3))
@@ -252,7 +266,7 @@ def test_gauge_variation_oracle():
 
 
 def test_constant_parameter_variations_linear():
-    v = variant_linear(np.zeros((3, 3)))
+    v = TheoryVariant(family_linear(np.zeros((3, 3))))
     cfg = FieldConfig(*random_field_config(2, 0.1, 3, 3, 3))
     xi = LieForm.basis(RING, 0, 3, 0, 0)   # constant function
     chi = LieForm.zero(RING, 1, 3)
@@ -279,20 +293,20 @@ def bad_deformation():
 
 def test_gauge_invariance_negative_control():
     report = check_gauge_invariance(
-        seed_contexts(variant_general(bad_deformation()), [1, 2]))
+        seed_contexts(TheoryVariant(bad_deformation()), [1, 2]))
     assert report.max_residual > 1e-3
 
 
 def test_commutators_negative_control():
     report = check_commutators(
-        [tuple(seed_contexts(variant_general(bad_deformation()), [1, 2]))])
+        [tuple(seed_contexts(TheoryVariant(bad_deformation()), [1, 2]))])
     assert not report.passed
     assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
 
 def test_strength_transformation_negative_control():
     report = check_strength_transformation(
-        seed_contexts(variant_general(bad_deformation()), [1]))
+        seed_contexts(TheoryVariant(bad_deformation()), [1]))
     assert not report.passed
     assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
@@ -324,7 +338,7 @@ def test_strength_identities_negative_control():
                            base.j, base.k, base.e, base.mass.m,
                            h_map=base.h_map, validate=False)
     report = check_strength_identities(
-        seed_contexts(variant_general(bad), [1]), tol=1e-9)
+        seed_contexts(TheoryVariant(bad), [1]), tol=1e-9)
     assert not report.passed
 
 
@@ -411,7 +425,7 @@ def test_euler_lagrange_consistency(name):
 
 
 def test_generic_el_matches_linear_exactly():
-    v = variant_linear(2.0 * np.eye(3))
+    v = TheoryVariant(family_linear(2.0 * np.eye(3)))
     cfg = FieldConfig(*random_field_config(3, 0.1, 3, 3, 3))
     gen_a, gen_b = generic_field_equations(v, cfg)
     hand_a, hand_b = field_equations(v, cfg)
@@ -442,7 +456,8 @@ def test_tower_lift_expands_the_lagrangian(name):
     eps1, eps2, eps3 = tangent_parts(lag)
     assert np.all(tower.base_block(lag.comps) == 0.0)
     assert np.all(eps1.comps == 0.0)
-    free = variant_linear(ds.mass.m, space_a=ds.space_a, space_b=ds.space_b)
+    free = TheoryVariant(family_linear(ds.mass.m, space_a=ds.space_a,
+                                       space_b=ds.space_b))
     assert (eps2 - lagrangian_form(free, config)).max_abs() <= 1e-15
     assert (eps3 - cubic_lagrangian(ds, config)).max_abs() <= 1e-15
 
@@ -516,7 +531,7 @@ def test_strength_transformation_reports_only_measured_rows(name):
 
 
 def test_boundary_theta_linear_forms():
-    v = variant_linear(2.0 * np.eye(3))
+    v = TheoryVariant(family_linear(2.0 * np.eye(3)))
     cfg = FieldConfig(*random_field_config(2, 0.1, 3, 3, 3))
     gp = GaugeParam(*random_gauge_params(3, 0.1, 3, 3, 3))
     theta_xi, theta_chi = boundary_theta(v, cfg, None, gp)
@@ -527,7 +542,7 @@ def test_boundary_theta_linear_forms():
 
 def test_directional_lagrangian_matches_finite_difference():
     ds = family_su2(0.0, 0.7)
-    v = variant_general(ds)
+    v = TheoryVariant(ds)
     cfg = FieldConfig(*random_field_config(3, 0.1, 3, 3, 3))
     da, db = random_field_config(17, 0.05, 3, 3, 3)
     exact, = directional_lagrangians(v, cfg, [(da, db)])
@@ -541,7 +556,7 @@ def test_directional_lagrangian_matches_finite_difference():
 
 
 def test_run_identity_suite_aggregates():
-    v = variant_linear(np.zeros((3, 3)))
+    v = TheoryVariant(family_linear(np.zeros((3, 3))))
     out = run_identity_suite(v, [1], checks=["gauge-invariance",
                                              "linearization"])
     assert set(out["reports"]) == {"gauge-invariance", "linearization"}
@@ -552,7 +567,7 @@ def test_run_identity_suite_aggregates():
 def test_nan_residual_fails_its_row():
     # a NaN coupling gives NaN residuals; taking the worst over seeds must
     # keep them, not read them as 0.0
-    v = variant_linear(np.diag([np.nan, 2.0, 2.0]))
+    v = TheoryVariant(family_linear(np.diag([np.nan, 2.0, 2.0])))
     report = check_noether_identities(seed_contexts(v, [1, 2]))
     assert not report.passed
     assert all(np.isnan(r.residual) for r in report.results)
@@ -560,7 +575,8 @@ def test_nan_residual_fails_its_row():
 
 def test_run_identity_suite_rejects_empty_seeds():
     with pytest.raises(ValueError, match="at least one seed"):
-        run_identity_suite(variant_linear(np.zeros((3, 3))), [])
+        run_identity_suite(TheoryVariant(family_linear(np.zeros((3, 3)))),
+                           [])
 
 
 def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
@@ -577,7 +593,7 @@ def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
         return solve(config, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "compute_strengths", counted)
-    out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1, 2])
+    out = run_identity_suite(TheoryVariant(family_su2(2.0, 0.5)), [1, 2])
     assert all(rep.passed for rep in out["reports"].values())
     assert len(base_solves) == 2
 
@@ -600,7 +616,7 @@ def test_suite_assembles_and_inverts_y_on_the_base_ring_only(monkeypatch):
 
     monkeypatch.setattr(strengths_module, "assemble_Y", assemble_recorded)
     monkeypatch.setattr(strengths_module, "invert_Y", invert_recorded)
-    out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1, 2])
+    out = run_identity_suite(TheoryVariant(family_su2(2.0, 0.5)), [1, 2])
     assert all(rep.passed for rep in out["reports"].values())
     assert [ring for ring, _ in built] == inverted == [JetRing] * 4
     assert sorted(nonzero for _, nonzero in built) == [False, False, True,
@@ -639,7 +655,7 @@ def test_rich_general_family_suite():
     ds = family_general(massless_a=lie_core.su2(), massless_b=scaled,
                         h0=0.8 * np.eye(3), massive=lie_core.su2(),
                         mass_value=2.0)
-    contexts = seed_contexts(variant_general(ds), [1])
+    contexts = seed_contexts(TheoryVariant(ds), [1])
     assert check_gauge_invariance(contexts, tol=1e-8).passed
     assert check_noether_identities(contexts, tol=1e-9).passed
     assert check_strength_transformation(contexts, tol=1e-9).passed
@@ -756,7 +772,7 @@ def test_check_registry_is_flat():
 
 
 def test_suite_feeds_each_check_its_seed_form_and_tolerance():
-    v = variant_linear(np.zeros((3, 3)))
+    v = TheoryVariant(family_linear(np.zeros((3, 3))))
     tols = {"linear": 1e-13, "composite": 1e-9}
     out = run_identity_suite(v, [1, 2], checks=["commutators",
                                                 "linearization"], tols=tols)
@@ -781,9 +797,9 @@ def mixed_rotation_family():
 # the e-set with mass: its field equations carry the mass on the sector
 # that e does not touch, so its linearization is the massive free theory
 @pytest.mark.parametrize("variant", [
-    lambda: variant_general(family_su2(2.0, 0.5)),
-    lambda: variant_general(mixed_rotation_family()),
-    lambda: variant_e_only(e_set_with_mass())],
+    lambda: TheoryVariant(family_su2(2.0, 0.5)),
+    lambda: TheoryVariant(mixed_rotation_family()),
+    lambda: TheoryVariant(e_set_with_mass())],
     ids=["su2-massive", "mixed-general", "e-set-with-mass"])
 def test_full_suite_at_degree_4(variant):
     out = run_identity_suite(variant(), [1], degree=4)
@@ -876,7 +892,7 @@ def forward_el_of(builder, config):
 
 EL_VARIANTS = {name: VARIANTS[name] for name in (
     "linear-massive", "su2-massless", "su2-massive", "solvable", "e-only")}
-EL_VARIANTS["mixed-general"] = lambda: variant_general(
+EL_VARIANTS["mixed-general"] = lambda: TheoryVariant(
     mixed_rotation_family())
 EL_BUILDERS = {
     "lagrangian_form": lambda v: functools.partial(lagrangian_form, v),

@@ -90,6 +90,30 @@ def test_curl_identity_covariant():
     assert resid.max_abs() < 1e-13
 
 
+def zero_mass_set_with_j():
+    """su2 massless with j = eps: the mass does not switch j off."""
+    ds = family_su2(0.0, 0.7)
+    return make_deformation(ds.space_a, ds.space_b, ds.a, ds.b,
+                            lie_core.levi_civita3(), ds.k, ds.e, ds.mass.m)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: family_su2(2.0, 0.5), lambda: family_su2(0.0, 0.7),
+    lambda: family_solvable([1, 0, 0], [0, 0, 1], CMAP),
+    lambda: family_general(massless_a=lie_core.su2(),
+                           massless_b=lie_core.su2(),
+                           massive=lie_core.abelian(1)),
+    zero_mass_set_with_j],
+    ids=["su2-massive", "su2-massless", "solvable", "general",
+         "zero-mass-j"])
+def test_strengths_solve_against_the_covariant_curl(family):
+    ds = family()
+    cfg = FieldConfig(*random_field_config(4, 0.1, 3, ds.space_a.dim,
+                                           ds.space_b.dim))
+    h_form = covariant_curl_H(cfg.A, cfg.B, ds.j)
+    assert np.array_equal(compute_strengths(cfg, ds).H.comps, h_form.comps)
+
+
 def test_assemble_y_identity_cases():
     ds = family_su2(0.0, 0.7)
     zero_a, zero_b = random_field_config(0, 0.0, 3, 3, 3)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ymft.deformations import family_su2
-from ymft.dynamics import CHECK_FUNCTIONS, run_identity_suite, variant_general
+from ymft.dynamics import CHECK_FUNCTIONS, TheoryVariant, run_identity_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -48,7 +48,7 @@ def test_tracer_sees_every_check_and_restores_the_originals():
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        out = run_identity_suite(variant_general(family_su2(2.0, 0.5)), [1],
+        out = run_identity_suite(TheoryVariant(family_su2(2.0, 0.5)), [1],
                                  degree=3)
     finally:
         tracer.uninstall()
