@@ -26,13 +26,14 @@ field-equation remainder terms; remainders without a closed display were
 derived once against random-jet data and are frozen below (see
 CONVENTIONS.md).
 
-A :class:`SeedContext` holds one seed's fields and computes their strengths
-and field equations once, when first needed.  The suite driver builds one
-context per seed (:func:`seed_contexts`) and passes the same contexts to
-every check, so each seed's base strengths are solved once per suite.  The
-driver is table-driven: ``CHECK_FUNCTIONS`` maps each check name to its
-function and ``CHECK_SPECS`` gives its tolerance class and whether it takes
-the contexts or their cyclic pairs.
+A :class:`SeedContext` holds one seed's fields and computes their strengths,
+field equations and gauge draw once, when first needed; gauge invariance,
+the commutators and the strength transformation share the draw.  The suite
+driver runs the seeds one at a time: it builds a seed's context, runs
+every check on it and releases it before the next seed's.  It is
+table-driven: ``CHECK_FUNCTIONS`` maps each check name to its function, of
+a list of contexts and a tolerance, and ``CHECK_SPECS`` to the class of
+that tolerance.
 """
 
 from __future__ import annotations
@@ -328,12 +329,22 @@ def tangent_config(config: FieldConfig, directions) -> FieldConfig:
                        promote_form(config.B, ring, along_b))
 
 
+@dataclass(frozen=True)
+class SeedGauge:
+    """One seed's gauge draw (:attr:`SeedContext.gauge`)."""
+
+    params: tuple            # two gauge parameters, on the base ring
+    variations: tuple        # their variations of the fields
+    tangent: "SeedContext"   # along their halves xi_1, chi_1, xi_2, chi_2
+    remainders: list | None  # of those halves, in the same order
+
+
 class SeedContext:
-    """One seed's field configuration, with its strengths and field
-    equations computed once, on first use, and shared by every check.
+    """One seed's field configuration, with its strengths, field equations
+    and gauge draw computed once, on first use, and shared by every check.
 
     ``seed`` and ``amplitude`` are those the fields were drawn with; the
-    random gauge parameters of the checks are drawn from them as well.
+    random gauge parameters are drawn from them as well.
     Over a tangent ring, ``base`` is the strengths of the base blocks of
     the fields, those of the context it was made from (:meth:`tangent`).
     """
@@ -347,13 +358,6 @@ class SeedContext:
         self.amplitude = amplitude
         self.base = base
 
-    def gauge_param(self, offset: int) -> GaugeParam:
-        """The random gauge parameter of seed ``seed + offset``."""
-        ds = self.variant.ds
-        return GaugeParam(*random_gauge_params(
-            self.seed + offset, self.amplitude, self.config.ring.degree,
-            ds.space_a.dim, ds.space_b.dim))
-
     @functools.cached_property
     def strengths(self) -> StrengthPair | None:
         """The solved strengths; only the parity-even variant has them."""
@@ -365,6 +369,31 @@ class SeedContext:
     def equations(self):
         """The hand-coded field equations (E_A, E_B)."""
         return field_equations(self.variant, self.config, self.strengths)
+
+    @functools.cached_property
+    def gauge(self) -> SeedGauge:
+        """The gauge draw of this seed, shared by the three gauge checks:
+        the random gauge parameters of seeds ``seed + 500`` and ``seed +
+        900``, and the tangent context along the four halves of their
+        variations, so one pass over it differentiates along every half.
+        The :func:`strength_remainders` of the halves come from one solve;
+        they are None for the shifted-curl kind, which solves no
+        strengths."""
+        ds = self.variant.ds
+        gp1, gp2 = params = tuple(GaugeParam(*random_gauge_params(
+            self.seed + offset, self.amplitude, self.config.ring.degree,
+            ds.space_a.dim, ds.space_b.dim)) for offset in (500, 900))
+        var1, var2 = variations = tuple(map(self.variations, params))
+        remainders = None
+        if self.variant.kind == GENERAL:
+            e_a, e_b = self.equations
+            xi1, xi2, chi1, chi2 = strength_remainders(
+                self.variant, self.config, self.strengths, e_a, e_b,
+                (gp1.xi, gp2.xi), (gp1.chi, gp2.chi))
+            remainders = [xi1, chi1, xi2, chi2]
+        return SeedGauge(params, variations,
+                         self.tangent([var1.xi, var1.chi, var2.xi, var2.chi]),
+                         remainders)
 
     @functools.cached_property
     def free(self) -> "SeedContext":
@@ -391,13 +420,6 @@ class SeedContext:
         gp = GaugeParam(promote_form(gp.xi, ring), promote_form(gp.chi, ring))
         return gauge_variation(self.variant, self.config, self.strengths, gp)
 
-    def remainders(self, xis=(), chis=()) -> list:
-        """:func:`strength_remainders` of ``xis`` and ``chis`` on these
-        fields."""
-        e_a, e_b = self.equations
-        return strength_remainders(self.variant, self.config, self.strengths,
-                                   e_a, e_b, xis, chis)
-
 
 def seed_contexts(variant: TheoryVariant, seeds, degree: int = 3,
                   amplitude: float = 0.1) -> list:
@@ -414,18 +436,19 @@ def seed_contexts(variant: TheoryVariant, seeds, degree: int = 3,
 
 def check_gauge_invariance(contexts, tol: float | None = None
                            ) -> IdentityReport:
-    """delta L - d Theta = 0 for both symmetry types, per seed."""
+    """delta L - d Theta = 0 for both symmetry types, per seed, the worst
+    over both parameters of the seed's gauge draw."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
     for ctx in contexts:
-        gp = ctx.gauge_param(10_000)
-        var = ctx.variations(gp)
-        thetas = boundary_theta(ctx.variant, ctx.config, ctx.strengths, gp)
-        tan = ctx.tangent([var.xi, var.chi])
+        tan = ctx.gauge.tangent
         d_ls = tangent_parts(lagrangian_form(tan.variant, tan.config,
                                              tan.strengths))
+        thetas = [theta for gp in ctx.gauge.params for theta in
+                  boundary_theta(ctx.variant, ctx.config, ctx.strengths, gp)]
         for name, d_l, theta in zip(("gauge-invariance-xi",
-                                     "gauge-invariance-chi"), d_ls, thetas):
+                                     "gauge-invariance-chi") * 2,
+                                    d_ls, thetas):
             _worst(rows, name, (d_l - theta.d()).max_abs())
     return _collect("gauge-invariance", rows, tol, contexts)
 
@@ -586,20 +609,18 @@ def strength_remainders(variant: TheoryVariant, config: FieldConfig,
 COMMUTATORS = ("commutator-xi-xi", "commutator-chi-chi", "commutator-xi-chi")
 
 
-def gauge_commutators(ctx: SeedContext, gp1: GaugeParam,
-                      gp2: GaugeParam) -> dict:
-    """[delta_1, delta_2] on (A, B) for the xi-xi, chi-chi and xi-chi parts.
+def gauge_commutators(ctx: SeedContext) -> dict:
+    """[delta_1, delta_2] on (A, B) for the xi-xi, chi-chi and xi-chi parts,
+    delta_1 and delta_2 the variations of the seed's gauge draw.
 
     The commutator of two variations is D(delta_2)[delta_1] -
     D(delta_1)[delta_2], D the derivative of a variation map along a field
-    direction.  The xi and chi halves of each variation seed the four
-    directions xi_1, chi_1, xi_2, chi_2 of one tangent ring; varying with
-    gp1 and gp2 there gives the derivative of every half along every
-    direction, since each half is linear in its own parameter.
+    direction.  The tangent context of the draw is seeded along the four
+    halves xi_1, chi_1, xi_2, chi_2; varying with gp1 and gp2 there gives
+    the derivative of every half along every direction, since each half is
+    linear in its own parameter.
     """
-    var1, var2 = ctx.variations(gp1), ctx.variations(gp2)
-    tan = ctx.tangent([var1.xi, var1.chi, var2.xi, var2.chi])
-    t1, t2 = tan.variations(gp1), tan.variations(gp2)
+    t1, t2 = map(ctx.gauge.tangent.variations, ctx.gauge.params)
 
     def bracket(second, along_first: int, first, along_second: int):
         return tuple(tangent_parts(x)[along_first]
@@ -611,8 +632,7 @@ def gauge_commutators(ctx: SeedContext, gp1: GaugeParam,
             "commutator-xi-chi": bracket(t2.chi, 0, t1.xi, 3)}
 
 
-def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
-                     gp2: GaugeParam) -> dict:
+def trivial_symmetry(ctx: SeedContext) -> dict:
     """The on-shell-vanishing remainder of each commutator closure.
 
     The gauge variations depend on the fields only through the dual
@@ -620,8 +640,8 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     parameters, exactly the strength couplings applied to the
     field-equation remainders of the strength variations.  Every term is
     proportional to the field equations and vanishes on solutions.  The
-    remainders are linear in the parameter, so those of xi_1, chi_1, xi_2
-    and chi_2 serve all three pairs, and one solve gives all four.
+    remainders are linear in the parameter, so those of the gauge draw's
+    xi_1, chi_1, xi_2 and chi_2 serve all three pairs.
     """
     ds = ctx.variant.ds
     ring = ctx.config.ring
@@ -629,10 +649,10 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     zero_a = LieForm.zero(ring, 1, n)
     if ctx.variant.kind != GENERAL:
         return dict.fromkeys(COMMUTATORS, (zero_a, LieForm.zero(ring, 2, m)))
+    gp1, gp2 = ctx.gauge.params
     xi1, xi2, chi1, chi2 = gp1.xi, gp2.xi, gp1.chi, gp2.chi
-    (p_xi1, q_xi1), (p_xi2, q_xi2), (_, q_chi1), (p_chi2, q_chi2) = [
-        (r_p.hodge(), r_q.hodge())
-        for r_p, r_q in ctx.remainders((xi1, xi2), (chi1, chi2))]
+    (p_xi1, q_xi1), (_, q_chi1), (p_xi2, q_xi2), (p_chi2, q_chi2) = [
+        (r_p.hodge(), r_q.hodge()) for r_p, r_q in ctx.gauge.remainders]
     b_t = b_transpose_pairing(ds)
     return {
         "commutator-xi-xi": (q_xi1.wedge(xi2, ds.b) - q_xi2.wedge(xi1, ds.b),
@@ -645,21 +665,20 @@ def trivial_symmetry(ctx: SeedContext, gp1: GaugeParam,
     }
 
 
-def check_commutators(context_pairs, tol: float | None = None
-                      ) -> IdentityReport:
+def check_commutators(contexts, tol: float | None = None) -> IdentityReport:
     """[delta_1, delta_2] minus the closure data minus the trivial remainder.
 
     Closure: two first-type symmetries close on the first-type parameter
     a(xi_1, xi_2); a first-type against a second-type closes on j(xi_1,
     chi_2); two second-type symmetries commute.  All three checked as jet
-    identities off-shell, on the fields of the first context of each pair;
-    the second supplies the seed of the second gauge parameter.
+    identities off-shell, per seed, for the two parameters of its gauge
+    draw.
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
-    for ctx, other in context_pairs:
+    for ctx in contexts:
         ds, ring = ctx.variant.ds, ctx.config.ring
-        gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
+        gp1, gp2 = ctx.gauge.params
         # one variation carries both nonzero closures: its xi half closes
         # xi-xi and its chi half closes xi-chi
         close = ctx.variations(GaugeParam(gp1.xi.wedge(gp2.xi, ds.a),
@@ -669,14 +688,12 @@ def check_commutators(context_pairs, tol: float | None = None
                         LieForm.zero(ring, 1, ds.space_a.dim),
                         LieForm.zero(ring, 2, ds.space_b.dim)),
                     "commutator-xi-chi": close.chi}
-        comm = gauge_commutators(ctx, gp1, gp2)
-        triv = trivial_symmetry(ctx, gp1, gp2)
+        comm, triv = gauge_commutators(ctx), trivial_symmetry(ctx)
         for name in COMMUTATORS:
             _worst(rows, name, max((c - k - t).max_abs() for c, k, t in
                                    zip(comm[name], closures[name],
                                        triv[name])))
-    return _collect("commutators", rows, tol,
-                    [ctx for pair in context_pairs for ctx in pair])
+    return _collect("commutators", rows, tol, contexts)
 
 
 def check_linearization(contexts, tol: float | None = None
@@ -801,8 +818,8 @@ def quadratic_equations(ds: DeformationSet, config: FieldConfig):
 def check_euler_lagrange_consistency(contexts, tol: float | None = None
                                      ) -> IdentityReport:
     """Generic variational derivative against the hand-coded equations,
-    plus the cubic-tower consistency of the variant's deformation set on
-    the first context."""
+    plus the cubic-tower consistency of the variant's deformation set, on
+    every context."""
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
     for ctx in contexts:
@@ -812,7 +829,7 @@ def check_euler_lagrange_consistency(contexts, tol: float | None = None
                                    generic, ctx.equations):
             _worst(rows, name, (gen - hand).max_abs())
     report = _collect("euler-lagrange", rows, tol, contexts)
-    tower = check_cubic_tower(contexts[:1], min(tol, CUBIC_TOWER_TOL))
+    tower = check_cubic_tower(contexts, min(tol, CUBIC_TOWER_TOL))
     return IdentityReport("euler-lagrange", report.results + tower.results)
 
 
@@ -904,20 +921,20 @@ def check_strength_transformation(contexts, tol: float | None = None
     Off-shell the strengths transform by internal rotations plus the
     inverse strength operator applied to field-equation source terms; the
     sources drop on solutions, where the strengths rotate homogeneously
-    (massless) or are invariant (massive).  The shifted-curl variant has
-    no solved strengths, so only its P rows are reported.
+    (massless) or are invariant (massive).  Each row is the worst over both
+    parameters of the seed's gauge draw.  The shifted-curl variant has no
+    solved strengths, so only its P rows are reported.
     """
     tol = DEFAULT_TOLS["composite"] if tol is None else tol
     rows = {}
     for ctx in contexts:
-        ds = ctx.variant.ds
-        gp = ctx.gauge_param(77)
-        var = ctx.variations(gp)
+        ds, gauge = ctx.variant.ds, ctx.gauge
         if ctx.variant.kind != GENERAL:
             # the 2-form strength of this variant is F = dA, so the first
             # symmetry type moves it by d(d xi) = 0 and the second not at all
-            _worst(rows, "transform-xi-P", var.xi_a.d().max_abs())
-            _worst(rows, "transform-chi-P", var.chi_a.d().max_abs())
+            for var in gauge.variations:
+                _worst(rows, "transform-xi-P", var.xi_a.d().max_abs())
+                _worst(rows, "transform-chi-P", var.chi_a.d().max_abs())
             continue
         p_form, q_form = ctx.strengths.P, ctx.strengths.Q
         ring, n, m = ctx.config.ring, ds.space_a.dim, ds.space_b.dim
@@ -928,15 +945,15 @@ def check_strength_transformation(contexts, tol: float | None = None
         ma = ds.mass.map_a
         w_bm = np.einsum("apc,pg->agc", ds.b, ma)
         k_m = np.einsum("pbq,bc->pqc", ds.k, ma)
-        rot_xi = (p_form.wedge(gp.xi, ds.a - w_bm),
-                  q_form.wedge(gp.xi, k_m - ds.j.transpose(0, 2, 1)))
         rot_chi = (LieForm.zero(ring, 2, n), LieForm.zero(ring, 3, m))
-        tan = ctx.tangent([var.xi, var.chi])
+        rots = [rot for gp in gauge.params for rot in (
+            (p_form.wedge(gp.xi, ds.a - w_bm),
+             q_form.wedge(gp.xi, k_m - ds.j.transpose(0, 2, 1))), rot_chi)]
+        tan = gauge.tangent
         deltas = zip(tangent_parts(tan.strengths.P),
                      tangent_parts(tan.strengths.Q))
-        for which, rot, delta, rems in zip(
-                ("xi", "chi"), (rot_xi, rot_chi), deltas,
-                ctx.remainders((gp.xi,), (gp.chi,))):
+        for which, rot, delta, rems in zip(("xi", "chi") * 2, rots, deltas,
+                                           gauge.remainders):
             for field, d, r, rem in zip("PQ", delta, rot, rems):
                 _worst(rows, f"transform-{which}-{field}",
                        (d - r - rem).max_abs())
@@ -953,20 +970,31 @@ CHECK_FUNCTIONS = {
     "strength-transformation": check_strength_transformation,
 }
 
-# how the suite feeds each check: the DEFAULT_TOLS class of its tolerance,
-# and whether it takes the seed contexts or the cyclic pairs of consecutive
-# contexts
-SEED_FORMS = {"seeds": list,
-              "pairs": lambda ctxs: list(zip(ctxs, ctxs[1:] + ctxs[:1]))}
+# the DEFAULT_TOLS class of each check's tolerance
 CHECK_SPECS = {
-    "gauge-invariance": ("composite", "seeds"),
-    "noether": ("composite", "seeds"),
-    "strength-identities": ("composite", "seeds"),
-    "commutators": ("composite", "pairs"),
-    "linearization": ("linear", "seeds"),
-    "euler-lagrange": ("composite", "seeds"),
-    "strength-transformation": ("composite", "seeds"),
+    "gauge-invariance": "composite",
+    "noether": "composite",
+    "strength-identities": "composite",
+    "commutators": "composite",
+    "linearization": "linear",
+    "euler-lagrange": "composite",
+    "strength-transformation": "composite",
 }
+
+
+def _merge(report: IdentityReport | None,
+           new: IdentityReport) -> IdentityReport:
+    """``report`` and ``new`` row by row: each row keeps the worst residual
+    (NaN kept, as in :func:`_worst`), its own tolerance and every seed."""
+    rows = {r.name: r for r in (report.results if report else ())}
+    for r in new.results:
+        old = rows.get(r.name)
+        if old is not None:
+            residual = float(np.maximum(old.residual, r.residual))
+            r = IdentityResult(r.name, residual, r.tolerance,
+                               residual <= r.tolerance, old.seeds + r.seeds)
+        rows[r.name] = r
+    return IdentityReport(new.kind, tuple(rows.values()))
 
 
 def run_identity_suite(variant: TheoryVariant, seeds, degree: int = 3,
@@ -974,21 +1002,25 @@ def run_identity_suite(variant: TheoryVariant, seeds, degree: int = 3,
                        tols: dict | None = None) -> dict:
     """Run the configured identity checks; returns name -> IdentityReport.
 
-    One :class:`SeedContext` per seed is built here and shared by every
-    check.  An empty seed list raises ``ValueError``: a suite that checks
-    no fields would pass every identity.
+    The seeds run one at a time, so that one seed's strengths and tangent
+    rings are alive at a time; the per-seed reports merge row by row
+    (:func:`_merge`), and each check's time is the sum over the seeds.  An
+    empty seed list raises ``ValueError``: a suite that checks no fields
+    would pass every identity.
     """
     tols = dict(DEFAULT_TOLS, **(tols or {}))
     checks = list(CHECK_FUNCTIONS) if checks is None else checks
-    contexts = seed_contexts(variant, seeds, degree, amplitude)
-    if not contexts:
+    seeds = list(seeds)
+    if not seeds:
         raise ValueError("the identity suite needs at least one seed")
     out = {}
-    timings = {}
-    for name in checks:
-        tol_class, seed_form = CHECK_SPECS[name]
-        start = time.perf_counter()
-        out[name] = CHECK_FUNCTIONS[name](SEED_FORMS[seed_form](contexts),
-                                          tols[tol_class])
-        timings[name] = time.perf_counter() - start
+    timings = dict.fromkeys(checks, 0.0)
+    for seed in seeds:
+        [ctx] = seed_contexts(variant, [seed], degree, amplitude)
+        for name in checks:
+            start = time.perf_counter()
+            report = CHECK_FUNCTIONS[name]([ctx], tols[CHECK_SPECS[name]])
+            timings[name] += time.perf_counter() - start
+            out[name] = _merge(out.get(name), report)
+        del ctx   # released before the next seed's context is built
     return {"reports": out, "timings": timings}

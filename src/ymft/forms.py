@@ -6,8 +6,8 @@ The metric is diag(-1, 1, 1, 1) with orientation eps_{0123} = +1; all sign
 tables derived from that choice are collected in :class:`MinkowskiConvention`
 and documented in CONVENTIONS.md.
 
-Wedge and interior products are paired over internal indices by a coupling
-tensor ``pairing[c, a, b]`` (structure constants, metrics, the deformation
+Wedge products are paired over internal indices by a coupling tensor
+``pairing[c, a, b]`` (structure constants, metrics, the deformation
 couplings) and over components by a sign table.  Both are constants, so one
 GEMM with no jet products folds them and the left factor x into a jet
 matrix L[(c, k), (b, j)] = sum_{a, i} sign_{ijk} pairing[c, a, b] x^a_i,
@@ -42,8 +42,8 @@ output to theirs.  :func:`adjoints` walks those nodes back from one output.
 The jet ring is commutative, so the adjoint of a wedge's right factor is a
 product over the same fold, L^T g (:func:`wedge_adjoint`); the left factor
 is the swapped wedge's right.  An operation on unmarked forms records
-nothing; ``d``, interior products and :func:`ymft.strengths.apply_linear`
-refuse a marked form rather than drop it from the record.
+nothing; ``d`` and :func:`ymft.strengths.apply_linear` refuse a marked
+form rather than drop it from the record.
 
 Forms move between the base ring and an extended ring (a nilpotent
 extension or an epsilon tower) through one lift and one read-back:
@@ -149,20 +149,6 @@ def _d_table(p: int) -> np.ndarray:
     return out.reshape(len(out), -1)
 
 D_TABLE = {p: _d_table(p) for p in range(NVARS)}
-
-
-def _interior_table(p: int) -> np.ndarray:
-    """Signs S[sigma, i, k] of the interior product of dx^sigma, raised,
-    into the ordered p-component i, onto the (p - 1)-component k."""
-    out = np.zeros((NVARS, len(COMPS[p]), len(COMPS[p - 1])))
-    for i, ci in enumerate(COMPS[p]):
-        for pos, sigma in enumerate(ci):
-            rest = ci[:pos] + ci[pos + 1:]
-            out[sigma, i, COMP_INDEX[p - 1][rest]] = \
-                (-1.0) ** pos * SIGNATURE[sigma]
-    return out
-
-INTERIOR_TABLE = {p: _interior_table(p) for p in range(1, NVARS + 1)}
 
 
 @dataclass(frozen=True)
@@ -338,9 +324,19 @@ class LieForm:
         """
         if self.p + other.p > NVARS:
             raise ValueError("wedge degree overflow")
+        _same_ring(self, other)
         pairing = np.asarray(pairing, dtype=float)
-        out, live = _paired_products(self, other, pairing,
-                                     WEDGE_TABLE[(self.p, other.p)])
+        if pairing.ndim != 3 or pairing.shape[1] != self.n \
+                or pairing.shape[2] != other.n:
+            raise ValueError("pairing shape mismatch")
+        order, live, flags = min(self.order, other.order), None, ()
+        if self.live is not None:
+            # the ring's rule on the factors' flags; a pairing that couples
+            # no pair multiplies nothing
+            flags = ((self.live, other.live),)
+            live = self.ring.live_product(*flags[0]) & pairing.any()
+        out = _pair(self.ring, self.comps, other.comps, pairing,
+                    WEDGE_TABLE[(self.p, other.p)], order, *flags)
         node = None
         if _recorded(self, other):
             # self is the right factor of other ^ self = (-1)^(pq) self ^ other
@@ -348,8 +344,7 @@ class LieForm:
             node = Node((self.node, other.node), lambda g: (
                 self.node and wedge_adjoint(other, self, swap, g),
                 other.node and wedge_adjoint(self, other, pairing, g)))
-        return LieForm(self.ring, self.p + other.p, out,
-                       min(self.order, other.order), live, node)
+        return LieForm(self.ring, self.p + other.p, out, order, live, node)
 
     def hodge(self) -> "LieForm":
         out = self.ring.zeros((self.n, len(COMPS[NVARS - self.p])))
@@ -365,23 +360,6 @@ class LieForm:
         return LieForm(self.ring, NVARS - self.p, out, self.order,
                        self.live, node)
 
-    def interior(self, oneform: "LieForm", pairing: np.ndarray) -> "LieForm":
-        """Contract a metric-raised 1-form into the first slot of this form.
-
-        Returns the (p-1)-form with components eta^{nu sigma} x_nu
-        self_{sigma mu2...}, paired over internal indices
-        (``pairing[c, a, b]`` for oneform^a and self^b).
-        """
-        if self.p < 1 or oneform.p != 1:
-            raise ValueError("interior product needs a 1-form and p >= 1")
-        if _recorded(self, oneform):
-            raise ValueError("interior products of marked forms are not "
-                             "recorded")
-        out, live = _paired_products(oneform, self, pairing,
-                                     INTERIOR_TABLE[self.p])
-        return LieForm(self.ring, self.p - 1, out,
-                       min(self.order, oneform.order), live)
-
     # -- component access --------------------------------------------------
 
     def max_abs(self) -> float:
@@ -392,25 +370,6 @@ class LieForm:
         if not self.comps.size:
             return 0.0
         return float(np.abs(self.comps[..., mask]).max())
-
-
-def _paired_products(left: LieForm, right: LieForm, pairing,
-                     signs: np.ndarray) -> tuple:
-    """The components of :func:`_pair` of two forms, and their live flags
-    (None over the base ring): the ring's rule
-    (:meth:`ymft.jets.ExtendedRing.live_product`) on the factors' flags."""
-    _same_ring(left, right)
-    pairing = np.asarray(pairing, dtype=float)
-    if pairing.ndim != 3 or pairing.shape[1] != left.n \
-            or pairing.shape[2] != right.n:
-        raise ValueError("pairing shape mismatch")
-    live, flags = None, ()
-    if left.live is not None:
-        flags = ((left.live, right.live),)
-        # a pairing that couples no pair multiplies nothing
-        live = left.ring.live_product(*flags[0]) & pairing.any()
-    return _pair(left.ring, left.comps, right.comps, pairing, signs,
-                 min(left.order, right.order), *flags), live
 
 
 # the fold coefficients built so far, by pairing and sign table, oldest

@@ -44,10 +44,10 @@ serves products of jet-valued matrices
 for :class:`JetScalar`, a 1 x 1 jet-matrix product), the graded solve
 (``solve``, which Y(A, B) of :mod:`ymft.strengths` uses) and ``bilinear``,
 which folds one factor of a constant-coefficient bilinear map (the wedge
-and interior products and their adjoints, the stress tensor) into a jet
-matrix by one GEMM, ``fold`` (which also builds Y), then pushes the other
-factor through it.  The reference product that the kernel is tested
-against lives with the tests.  A derivative is one gather and one scale.
+products and their adjoints, the stress tensor) into a jet matrix by one
+GEMM, ``fold`` (which also builds Y), then pushes the other factor through
+it.  The reference product that the kernel is tested against lives with
+the tests.  A derivative is one gather and one scale.
 
 A product stops at the valid order of its result.  The monomials of
 degree <= o are the first C(o + 4, 4) coefficients of each block, and

@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ymft.dynamics import (CHECK_FUNCTIONS, GENERAL, SHIFTED,
                            gauge_commutators, gauge_variation,
                            generic_field_equations, lagrangian_form,
                            run_identity_suite, seed_contexts,
-                           tangent_config)
+                           strength_remainders, tangent_config)
 from ymft.forms import (COMP_INDEX, COMPS, LieForm, _perm_sign, base_part,
                         promote_form,
                         random_field_config, random_gauge_params,
@@ -299,7 +301,7 @@ def test_gauge_invariance_negative_control():
 
 def test_commutators_negative_control():
     report = check_commutators(
-        [tuple(seed_contexts(TheoryVariant(bad_deformation()), [1, 2]))])
+        seed_contexts(TheoryVariant(bad_deformation()), [1, 2]))
     assert not report.passed
     assert all(r.residual > 1e-5 for r in report.results), report.as_dict()
 
@@ -345,7 +347,7 @@ def test_strength_identities_negative_control():
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_commutators(name):
     v = VARIANTS[name]()
-    report = check_commutators([tuple(seed_contexts(v, [1, 2]))], tol=1e-9)
+    report = check_commutators(seed_contexts(v, [1, 2]), tol=1e-9)
     assert report.passed, report.as_dict()
 
 
@@ -383,8 +385,8 @@ def test_batched_remainders_match_one_solve_per_parameter(name,
     # and two chi, from one solve with a column each and sources built
     # from each parameter's own half, are those of one solve per
     # parameter with the other half zero, and they take fewer pushes
-    ctx, other = seed_contexts(VARIANTS[name](), [1, 2], 3)
-    gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
+    ctx, = seed_contexts(VARIANTS[name](), [1], 3)
+    gp1, gp2 = ctx.gauge.params
     zero_xi, zero_chi = (LieForm.zero(RING, p, 3) for p in (0, 1))
     assert ctx.equations and ctx.strengths
     pushes, original = [0], JetAlgebra.push
@@ -394,7 +396,9 @@ def test_batched_remainders_match_one_solve_per_parameter(name,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(JetAlgebra, "push", counted)
-    batched = ctx.remainders((gp1.xi, gp2.xi), (gp1.chi, gp2.chi))
+    batched = strength_remainders(ctx.variant, ctx.config, ctx.strengths,
+                                  *ctx.equations, (gp1.xi, gp2.xi),
+                                  (gp1.chi, gp2.chi))
     batched_pushes, pushes[0] = pushes[0], 0
     single = [remainder_of(ctx, xi, zero_chi) for xi in (gp1.xi, gp2.xi)] \
         + [remainder_of(ctx, zero_xi, chi) for chi in (gp1.chi, gp2.chi)]
@@ -404,6 +408,12 @@ def test_batched_remainders_match_one_solve_per_parameter(name,
             assert g.order == w.order
             assert (g - w).max_abs() <= 1e-14 * w.max_abs()
             assert w.max_abs() > 0
+    # the seed's gauge draw keeps the same solve, in the order of its
+    # tangent blocks: xi_1, chi_1, xi_2, chi_2
+    for got, want in zip(ctx.gauge.remainders,
+                         [batched[i] for i in (0, 2, 1, 3)]):
+        for g, w in zip(got, want):
+            assert np.array_equal(g.comps, w.comps)
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -598,6 +608,48 @@ def test_suite_solves_base_strengths_once_per_seed(monkeypatch):
     assert len(base_solves) == 2
 
 
+def test_suite_draws_and_solves_once_per_seed(monkeypatch):
+    # one gauge draw per seed, two parameters, shared by the three gauge
+    # checks: one remainder solve for both, and the seed's, its gauge
+    # draw's and its linearization's strengths
+    calls = dict.fromkeys(("random_gauge_params", "strength_remainders",
+                           "compute_strengths"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dynamics, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    out = run_identity_suite(TheoryVariant(family_su2(2.0, 0.5)), [1, 2])
+    assert all(rep.passed for rep in out["reports"].values())
+    assert calls == {"random_gauge_params": 2 * 2, "strength_remainders": 2,
+                     "compute_strengths": 3 * 2}
+
+
+def test_suite_releases_each_seed_before_building_the_next(monkeypatch):
+    # the seeds run one at a time: a seed's context, with its strengths and
+    # its gauge draw's tangent ring, is gone by the time the next seed's
+    # is built
+    variant = TheoryVariant(family_su2(2.0, 0.5))
+    init, built = dynamics.SeedContext.__init__, []
+
+    def tracked(self, seed_variant, config, *args, **kwargs):
+        # a seed's own context: the suite's variant on the base ring
+        if seed_variant is variant and type(config.ring) is JetRing:
+            gc.collect()
+            assert all(ref() is None for ref in built)
+            built.append(weakref.ref(self))
+        init(self, seed_variant, config, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.SeedContext, "__init__", tracked)
+    out = run_identity_suite(variant, [1, 2, 3])
+    assert all(rep.passed for rep in out["reports"].values())
+    assert len(built) == 3
+    assert all(r.seeds == (1, 2, 3) for rep in out["reports"].values()
+               for r in rep.results)
+
+
 def test_suite_assembles_and_inverts_y_on_the_base_ring_only(monkeypatch):
     # per seed, Y is built and inverted twice, both times on the base ring:
     # for the seed's fields and for the zero fields under the
@@ -632,8 +684,7 @@ def test_tangent_strengths_start_from_the_seed(name):
     # the base blocks of the fields
     v = VARIANTS[name]()
     ctx, = seed_contexts(v, [3], 4)
-    var = ctx.variations(ctx.gauge_param(77))
-    tan = ctx.tangent([var.xi, var.chi])
+    tan = ctx.gauge.tangent
     seed, handed = ctx.strengths, tan.strengths
     fresh = compute_strengths(tan.config, v.ds)
     assert handed.y_inv.yop is seed.y_inv.yop
@@ -739,9 +790,9 @@ REFERENCE_VARIANTS = ["su2-massive", "su2-massless", "solvable", "e-only",
 @pytest.mark.parametrize("name", REFERENCE_VARIANTS)
 def test_vector_mode_commutators_match_one_direction(name, degree):
     v = VARIANTS[name]()
-    ctx, other = seed_contexts(v, [1, 2], degree)
-    gp1, gp2 = ctx.gauge_param(500), other.gauge_param(900)
-    vector = gauge_commutators(ctx, gp1, gp2)
+    ctx, = seed_contexts(v, [1], degree)
+    gp1, gp2 = ctx.gauge.params
+    vector = gauge_commutators(ctx)
     ref = reference_commutators(v, ctx.config, gp1, gp2)
     assert list(vector) == list(ref)
     for combo in ref:
@@ -757,11 +808,11 @@ def test_vector_mode_commutators_match_one_direction(name, degree):
 def test_vector_mode_lagrangian_blocks_match_one_direction(name, degree):
     v = VARIANTS[name]()
     ctx, = seed_contexts(v, [2], degree)
-    gp = ctx.gauge_param(10_000)
-    var = ctx.variations(gp)
-    blocks = directional_lagrangians(v, ctx.config, [var.xi, var.chi])
-    assert len(blocks) == 2
-    for block, (dir_a, dir_b) in zip(blocks, (var.xi, var.chi)):
+    var1, var2 = ctx.gauge.variations
+    directions = [var1.xi, var1.chi, var2.xi, var2.chi]
+    blocks = directional_lagrangians(v, ctx.config, directions)
+    assert len(blocks) == 4
+    for block, (dir_a, dir_b) in zip(blocks, directions):
         assert_matches_reference(
             block, one_direction_lagrangian(v, ctx.config, dir_a, dir_b))
 
@@ -777,8 +828,8 @@ def test_suite_feeds_each_check_its_seed_form_and_tolerance():
     out = run_identity_suite(v, [1, 2], checks=["commutators",
                                                 "linearization"], tols=tols)
     comm, lin = out["reports"]["commutators"], out["reports"]["linearization"]
-    # commutators take the cyclic pairs (1, 2), (2, 1)
-    assert all(r.seeds == (1, 2, 2, 1) for r in comm.results)
+    # one seed form: every check takes the seeds as they are, each once
+    assert all(r.seeds == (1, 2) for r in comm.results)
     assert all(r.tolerance == 1e-9 for r in comm.results)
     assert all(r.seeds == (1, 2) for r in lin.results)
     assert all(r.tolerance == 1e-13 for r in lin.results)

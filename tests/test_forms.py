@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ymft import forms
-from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, SIGNATURE,
-                        WEDGE_TABLE, LieForm, adjoints, epsilon_dual,
-                        mark_leaf, promote_form, random_field_config,
-                        scalar_pairing, tangent_parts)
+from ymft.forms import (COMPS, CONVENTION, HODGE_SQUARE_SIGN, WEDGE_TABLE,
+                        LieForm, adjoints, epsilon_dual, mark_leaf,
+                        promote_form, random_field_config, scalar_pairing,
+                        tangent_parts)
 from ymft.jets import (EpsilonTower, JetAlgebra, JetRing, JetScalar,
                        NilpotentExtension, jet_algebra)
 from ymft.lie_core import levi_civita3
@@ -192,21 +192,6 @@ def test_random_field_config_reproducible():
     assert z1.max_abs() == 0.0 and z2.max_abs() == 0.0
 
 
-def test_interior_product_component_oracle():
-    rng = np.random.default_rng(9)
-    chi = LieForm(RING, 1, rng.uniform(-1, 1, (1, 4, RING.width)))
-    s = LieForm(RING, 2, rng.uniform(-1, 1, (1, 6, RING.width)))
-    out = s.interior(chi, scalar_pairing(np.eye(1)))
-    eta_inv = np.diag([-1.0, 1, 1, 1])
-    for mu in range(4):
-        want = np.zeros(RING.width)
-        for nu in range(4):
-            for sig in range(4):
-                want += eta_inv[nu, sig] * ref_mul(
-                    RING, chi.comps[0, nu], tensor_component(s, (sig, mu))[0])
-        assert np.allclose(out.comps[0, mu], want, atol=1e-13)
-
-
 # -- the wedge as a jet-matrix product against the per-entry reference -----
 
 def wedge_entries(p, q):
@@ -224,20 +209,6 @@ def dense_wedge(f, g, pairing):
         prod = ref_mul(ring, f.comps[:, None, i], g.comps[None, :, j])
         out[:, k] += sign * np.einsum("cab,ab...->c...", pairing, prod)
     return LieForm(ring, f.p + g.p, out, min(f.order, g.order))
-
-
-def dense_interior(s, x, pairing):
-    """Reference interior product eta^{nu sigma} x_nu s_{sigma mu2...}:
-    every internal pair and every index multiplied, then contracted."""
-    ring = s.ring
-    out = ring.zeros((pairing.shape[0], len(COMPS[s.p - 1])))
-    for k, rest in enumerate(COMPS[s.p - 1]):
-        for nu in range(4):
-            prod = ref_mul(ring, x.comps[:, None, nu],
-                           tensor_component(s, (nu,) + rest)[None, :])
-            out[:, k] += SIGNATURE[nu] * np.einsum("cab,ab...->c...",
-                                                   pairing, prod)
-    return LieForm(ring, s.p - 1, out, min(s.order, x.order))
 
 
 def wedge_magnitude(f, g, pairing):
@@ -268,10 +239,8 @@ def random_form(ring, p, n, rng, order=None, directions=None):
     return LieForm(ring, p, ring.promote(base, tangents), order)
 
 
-def assert_matches_dense(f, g, pairing, interior=False):
-    got = g.interior(f, pairing) if interior else f.wedge(g, pairing)
-    want = (dense_interior if interior else dense_wedge)(
-        *((g, f) if interior else (f, g)), pairing)
+def assert_matches_dense(f, g, pairing):
+    got, want = f.wedge(g, pairing), dense_wedge(f, g, pairing)
     assert got.p == want.p and got.order == want.order
     assert got.comps.shape == want.comps.shape
     # the product is computed within its valid order, and is exact zeros
@@ -327,8 +296,6 @@ def test_wedge_matches_dense_reference(ring_name, pairing_name):
         f = random_form(ring, p, 3, rng, directions=left)
         g = random_form(ring, q, 3, rng, ring.degree - 1, directions=right)
         got = assert_matches_dense(f, g, pairing)
-        if p == 1:
-            assert_matches_dense(f, g, pairing, interior=True)
         if ring.blocks > 1:
             # the blocks no live pair reaches are exact zeros
             dead = ~ring.live_product(f.live, g.live)
@@ -386,13 +353,12 @@ def test_blocks_no_live_pair_reaches_stay_exact_zeros(ring):
     g = promote_form(LieForm.zero(JetRing(3), 2, 3), ring,
                      [random_form(JetRing(3), 2, 3, rng)])
     with np.errstate(invalid="ignore"):
-        products = (f.wedge(g, levi_civita3()), g.interior(f, levi_civita3()))
-    for product in products:
-        blocks = ring.block_view(product.comps)
-        dead = ~ring.live_product(f.live, g.live)
-        assert dead[0] and not dead.all()
-        assert np.all(blocks[:, :, dead] == 0.0)
-        assert not np.isfinite(blocks[:, :, ~dead]).all()
+        product = f.wedge(g, levi_civita3())
+    blocks = ring.block_view(product.comps)
+    dead = ~ring.live_product(f.live, g.live)
+    assert dead[0] and not dead.all()
+    assert np.all(blocks[:, :, dead] == 0.0)
+    assert not np.isfinite(blocks[:, :, ~dead]).all()
 
 
 def test_live_left_blocks_against_a_base_right_factor_are_one_product(
@@ -432,18 +398,17 @@ def test_wedges_and_their_adjoints_run_no_scalar_jet_products(monkeypatch):
     output = leaves[0].wedge(leaves[1], eps).wedge(leaves[0], metric)
     monkeypatch.setattr(JetAlgebra, "mul_coeffs", refuse)
     for one, two in forms:
-        one.wedge(two, eps), two.wedge(one, eps), two.interior(one, eps)
+        one.wedge(two, eps), two.wedge(one, eps)
     assert all(np.abs(adj).max() > 0 for adj in adjoints(output, leaves))
 
 
-@pytest.mark.parametrize("op", ["add", "wedge", "interior"])
+@pytest.mark.parametrize("op", ["add", "wedge"])
 def test_forms_over_different_rings_do_not_mix(op):
     # equal widths: only the ring's class, degree or block count tells
     # these forms apart
     pairing = np.ones((1, 1, 1))
     ops = {"add": lambda x, y: x + y,
-           "wedge": lambda x, y: x.wedge(y, pairing),
-           "interior": lambda x, y: y.interior(x, pairing)}
+           "wedge": lambda x, y: x.wedge(y, pairing)}
     rng = np.random.default_rng(14)
     rings = [JetRing(4), NilpotentExtension(3, 1), EpsilonTower(3, 1),
              NilpotentExtension(4, 0)]
@@ -467,27 +432,6 @@ def test_products_reject_pairing_of_wrong_rank(shape):
     g = random_form(RING, 2, 3, rng)
     with pytest.raises(ValueError, match="pairing shape mismatch"):
         f.wedge(g, np.ones(shape))
-    with pytest.raises(ValueError, match="pairing shape mismatch"):
-        g.interior(f, np.ones(shape))
-
-
-def test_interior_pairs_oneform_left_and_form_right():
-    # oracle: sum_ab pairing[c, a, b] i_{x^a} s^b, each from the n = 1 product
-    rng = np.random.default_rng(11)
-    chi = random_form(RING, 1, 3, rng)
-    s = random_form(RING, 3, 2, rng)
-    single = np.zeros((2, 3, 2))
-    single[1, 2, 0] = -1.5
-    eye = scalar_pairing(np.eye(1))
-    for pairing in (rng.uniform(-1, 1, (2, 3, 2)), single):
-        out = s.interior(chi, pairing)
-        want = np.zeros_like(out.comps)
-        for c, a, b in itertools.product(range(2), range(3), range(2)):
-            one = LieForm(RING, 3, s.comps[b:b + 1]).interior(
-                LieForm(RING, 1, chi.comps[a:a + 1]), eye)
-            want[c] += pairing[c, a, b] * one.comps[0]
-        assert np.abs(out.comps - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.all(out.comps[~pairing.any(axis=(1, 2))] == 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -547,8 +491,6 @@ def test_live_flags_cover_every_nonzero_block(n_out, n, m, degrees, seed,
     w = assert_matches_dense(f, g, pairing)
     derived = [w, w.hodge(), w - w, LieForm.zero(ring, w.p, w.n) + w,
                w.scale(0.5), f.d(), g.d().hodge()]
-    if f.p == 1:
-        derived.append(g.interior(f, pairing))
     for form in derived:
         assert_live_covers_values(form)
 
@@ -570,12 +512,10 @@ def test_product_flags_follow_the_ring_rule(ring):
     want = ring.live_product(f.live, g.live)
     assert want.any() and not want.all()
     assert np.array_equal(f.wedge(g, levi_civita3()).live, want)
-    assert np.array_equal(g.interior(f, levi_civita3()).live, want)
     # a pairing that couples no internal pair flags nothing
-    zero = np.zeros((2, 3, 3))
-    for product in (f.wedge(g, zero), g.interior(f, zero)):
-        assert product.live.shape == (ring.blocks,)
-        assert not product.live.any()
+    product = f.wedge(g, np.zeros((2, 3, 3)))
+    assert product.live.shape == (ring.blocks,)
+    assert not product.live.any()
 
 
 def test_blocks_that_cancel_stay_live():
@@ -709,8 +649,6 @@ def test_marked_forms_refuse_unrecorded_operations():
     f, g = random_form(RING, 1, 3, rng), random_form(RING, 2, 3, rng)
     with pytest.raises(ValueError, match="not recorded"):
         mark_leaf(f).d()
-    with pytest.raises(ValueError, match="not recorded"):
-        g.interior(mark_leaf(f), np.ones((1, 3, 3)))
     with pytest.raises(ValueError, match="not recorded"):
         apply_linear(np.eye(3), mark_leaf(g))
 

@@ -59,11 +59,13 @@ def test_tracer_sees_every_check_and_restores_the_originals():
     for name in checks:
         assert stats[name].calls == 1, name
     # one base solve per seed, shared by every check (the Euler-Lagrange
-    # pass records it without solving again), plus one per tangent ring;
-    # Y is built and inverted on the base ring only, for the seed and for
-    # the linearization's zero fields; the base field equations are shared
-    # too, as are those of the free theory, next to the linearization's
-    assert stats["strengths.compute_strengths"].calls == 5
+    # pass records it without solving again), plus one per tangent ring:
+    # the gauge draw's, shared by the three gauge checks, and the
+    # linearization's; Y is built and inverted on the base ring only, for
+    # the seed and for the linearization's zero fields; the base field
+    # equations are shared too, as are those of the free theory, next to
+    # the linearization's
+    assert stats["strengths.compute_strengths"].calls == 3
     assert stats["strengths.assemble_Y"].calls == 2
     assert stats["strengths.invert_Y"].calls == 2
     assert stats["dynamics.field_equations"].calls == 3
